@@ -1,14 +1,15 @@
-// Mixed read/write load mode (-mixed): N writer goroutines drive
-// acknowledged INSERT batches while M reader goroutines replay corpus
-// queries, all against one live daemon. The point is to measure write
-// throughput under concurrency: with MVCC snapshot reads and group-commit
-// fsync batching, write QPS should scale with the writer count instead of
-// serializing behind a global lock (the CI smoke asserts exactly that by
-// comparing a 1-writer and a 4-writer run).
+// mixed: N writer goroutines drive acknowledged INSERT batches while M
+// reader goroutines replay corpus queries, all against one live daemon. The
+// point is to measure write throughput under concurrency: with MVCC snapshot
+// reads and group-commit fsync batching, write QPS should scale with the
+// writer count instead of serializing behind a global lock (the CI smoke
+// asserts exactly that by comparing a 1-writer and a 4-writer run).
 package main
 
 import (
+	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -21,9 +22,18 @@ import (
 	"udfdecorr/internal/wire"
 )
 
+func setupMixed(fs *flag.FlagSet) func(context.Context) error {
+	addr, table, batchRows := addrFlag(fs), writeTableFlag(fs), batchRowsFlag(fs)
+	writers := fs.Int("mixed-writers", 4, "concurrent writer goroutines")
+	readers := fs.Int("mixed-readers", 2, "concurrent reader goroutines")
+	dur := fs.Duration("mixed-duration", 5*time.Second, "load duration")
+	return func(ctx context.Context) error {
+		return runMixed(ctx, wire.NewClient(*addr), *writers, *readers, *batchRows, *table, *dur)
+	}
+}
+
 // leaderHint extracts the structured leader address from a follower's typed
-// write rejection ("" when the error is anything else). Requires a v1
-// client: v0 buries the address in the message text.
+// write rejection ("" when the error is anything else).
 func leaderHint(err error) string {
 	var rerr *wire.RemoteError
 	if errors.As(err, &rerr) && rerr.Code == wire.CodeReadOnly {
@@ -34,46 +44,35 @@ func leaderHint(err error) string {
 
 // runMixed drives the mixed load for dur and prints one machine-parseable
 // summary line (the CI gate greps write_qps out of it).
-func runMixed(base string, writers, readers, batchRows int, table string, dur time.Duration) error {
+func runMixed(ctx context.Context, rc *wire.Client, writers, readers, batchRows int, table string, dur time.Duration) error {
 	if writers < 1 {
-		return fmt.Errorf("-mixed needs at least one writer (got %d)", writers)
+		return fmt.Errorf("mixed needs at least one writer (got %d)", writers)
 	}
-	c := newHTTPClient(base)
-	c.v1 = true
-	base = c.base
 	// Writers follow a read-only replica's structured leader hint: pointing
-	// -mixed at a follower sends the writes to its leader automatically while
+	// mixed at a follower sends the writes to its leader automatically while
 	// the readers keep hitting the replica they were aimed at.
-	wbase := base
-	setup, err := newIterativeSession(c)
+	wc := rc
+	setup, err := iterativeSession(ctx, wc)
 	if err != nil {
 		return err
 	}
 	ddl := fmt.Sprintf("create table %s (k int primary key, v varchar);", table)
-	if err := c.post("/exec", map[string]any{"session": setup, "script": ddl}, nil); err != nil {
-		hint := leaderHint(err)
-		if hint == "" && !strings.Contains(err.Error(), "already exists") {
+	err = wc.Exec(ctx, setup, ddl)
+	if hint := leaderHint(err); hint != "" {
+		slog.Info("follower hinted at its leader; writers re-pointed", "leader", hint)
+		wc = wire.NewClient(hint)
+		if setup, err = iterativeSession(ctx, wc); err != nil {
 			return err
 		}
-		if hint != "" {
-			slog.Info("follower hinted at its leader; writers re-pointed", "leader", hint)
-			wbase = hint
-			c = newHTTPClient(wbase)
-			c.v1 = true
-			if setup, err = newIterativeSession(c); err != nil {
-				return err
-			}
-			if err := c.post("/exec", map[string]any{"session": setup, "script": ddl}, nil); err != nil &&
-				!strings.Contains(err.Error(), "already exists") {
-				return err
-			}
-		}
+		err = wc.Exec(ctx, setup, ddl)
+	}
+	if err != nil && !strings.Contains(err.Error(), "already exists") {
+		return err
 	}
 	// Partition the key space per writer so batches never collide, and start
 	// past anything already in the table (reruns against a durable server).
-	var maxReply queryReply
-	if err := c.post("/query", map[string]any{"session": setup,
-		"sql": "select max(k) from " + table}, &maxReply); err != nil {
+	maxReply, err := wc.Query(ctx, setup, "select max(k) from "+table)
+	if err != nil {
 		return err
 	}
 	const stride = int64(1) << 40
@@ -100,9 +99,8 @@ func runMixed(base string, writers, readers, batchRows int, table string, dur ti
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl := newHTTPClient(wbase)
-			cl.v1 = true
-			session, err := newIterativeSession(cl)
+			cl := wc
+			session, err := iterativeSession(ctx, cl)
 			if err != nil {
 				errs <- fmt.Errorf("writer %d: %w", w, err)
 				return
@@ -116,19 +114,14 @@ func runMixed(base string, writers, readers, batchRows int, table string, dur ti
 						table, next+int64(i), w, b, i)
 				}
 				t0 := time.Now()
-				err := cl.post("/exec", map[string]any{
-					"session": session, "script": script.String()}, nil)
-				if err != nil {
-					// Follow the leader hint once (e.g. the node was demoted to
-					// a replica mid-run); a second rejection is a real failure.
-					if hint := leaderHint(err); hint != "" && !followed {
-						followed = true
-						cl = newHTTPClient(hint)
-						cl.v1 = true
-						if session, err = newIterativeSession(cl); err == nil {
-							err = cl.post("/exec", map[string]any{
-								"session": session, "script": script.String()}, nil)
-						}
+				err := cl.Exec(ctx, session, script.String())
+				// Follow the leader hint once (e.g. the node was demoted to
+				// a replica mid-run); a second rejection is a real failure.
+				if hint := leaderHint(err); hint != "" && !followed {
+					followed = true
+					cl = wire.NewClient(hint)
+					if session, err = iterativeSession(ctx, cl); err == nil {
+						err = cl.Exec(ctx, session, script.String())
 					}
 				}
 				if err != nil {
@@ -146,8 +139,7 @@ func runMixed(base string, writers, readers, batchRows int, table string, dur ti
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cl := newHTTPClient(base)
-			session, err := newIterativeSession(cl)
+			session, err := iterativeSession(ctx, rc)
 			if err != nil {
 				errs <- fmt.Errorf("reader %d: %w", r, err)
 				return
@@ -160,10 +152,9 @@ func runMixed(base string, writers, readers, batchRows int, table string, dur ti
 				if q%2 == 1 {
 					sql = "select count(*) from " + table
 				}
-				var reply queryReply
 				t0 := time.Now()
-				if err := cl.post("/query", map[string]any{
-					"session": session, "sql": sql}, &reply); err != nil {
+				reply, err := rc.Query(ctx, session, sql)
+				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}

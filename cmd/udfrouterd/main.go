@@ -1,69 +1,38 @@
 // Command udfrouterd is the sharded query tier's router daemon: a stateless
-// process that fronts N udfserverd shards and serves the same versioned wire
-// API (session, /query, /exec, /stream, /explain, /stats) over the
+// process that fronts N udfserverd shards and serves the same wire API
+// (session, /query, /exec, /stream, /explain, /stats) over the
 // hash-partitioned cluster. Tables declared with SHARD KEY (col) are
 // partitioned by that column; tables without one are replicated to every
 // shard. Queries route by the planner's shard-feasibility pass: single-shard
 // relay, scatter/concat, scatter/merge of partial aggregates, or a typed
 // UNSHARDABLE rejection naming the unsupported shape.
 //
-// Server mode:
-//
 //	udfrouterd -addr :8090 -shards http://localhost:8081,http://localhost:8082,http://localhost:8083
 //
-// Client modes (used by the CI sharding gate; all speak wire v1 to -addr):
-//
-//	udfrouterd -loadcorpus -addr URL -scale small     push sharded schema + UDFs + dataset through the router
-//	udfrouterd -verify -addr URL -baseline URL        corpus differential: router over N shards vs one udfserverd
-//	udfrouterd -shardwrite -addr URL -manifest f.json write single-shard rows; manifest records acks + typed error counts
-//	udfrouterd -shardcheck -addr URL -manifest f.json assert every acked row is still readable through the router
-//
-// -verify exits nonzero on any mismatch; -shardcheck exits nonzero on any
-// acked-row loss. -shardwrite keeps going through shard failures, counting
-// each typed wire code it sees (the CI gate asserts the kill window produced
-// SHARD_UNAVAILABLE/PARTIAL_FAILURE, not untyped errors).
+// The clients that load, diff and write through a running router are
+// subcommands of cmd/udfctl (loadcorpus, diff, write, check).
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"udfdecorr/internal/bench"
 	"udfdecorr/internal/shard"
-	"udfdecorr/internal/storage"
-	"udfdecorr/internal/wire"
 )
 
 func main() {
 	var (
-		addr   = flag.String("addr", ":8090", "listen address (server) or router base URL (client modes)")
-		shards = flag.String("shards", "", "server: comma-separated shard base URLs (required)")
-		drain  = flag.Duration("drain", 10*time.Second, "server: graceful-shutdown deadline for in-flight requests")
-
-		loadcorpus = flag.Bool("loadcorpus", false, "client: load the sharded bench schema, UDFs and dataset through the router")
-		scale      = flag.String("scale", "small", "loadcorpus: dataset scale: small|bench")
-
-		verify   = flag.Bool("verify", false, "client: run the corpus differential against -baseline")
-		baseline = flag.String("baseline", "", "verify: base URL of a single-node udfserverd holding the same dataset")
-
-		shardwrite = flag.Bool("shardwrite", false, "client: write single-shard rows, recording acks and typed error counts in -manifest")
-		shardcheck = flag.Bool("shardcheck", false, "client: assert every row acked in -manifest is readable through the router")
-		manifest   = flag.String("manifest", "shardacked.json", "shardwrite/shardcheck: acked-rows manifest file")
-		batches    = flag.Int("batches", 0, "shardwrite: number of writes (0 = until killed)")
-
+		addr     = flag.String("addr", ":8090", "listen address")
+		shards   = flag.String("shards", "", "comma-separated shard base URLs (required)")
+		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 		logLevel = flag.String("log-level", "info", "log level: debug|info|warn|error")
 	)
 	flag.Parse()
@@ -75,20 +44,7 @@ func main() {
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
 
-	var err error
-	switch {
-	case *loadcorpus:
-		err = runLoadCorpus(*addr, *scale)
-	case *verify:
-		err = runVerify(*addr, *baseline)
-	case *shardwrite:
-		err = runShardWrite(*addr, *manifest, *batches)
-	case *shardcheck:
-		err = runShardCheck(*addr, *manifest)
-	default:
-		err = runServer(*addr, *shards, *drain)
-	}
-	if err != nil {
+	if err := runServer(*addr, *shards, *drain); err != nil {
 		slog.Error("udfrouterd failed", "err", err)
 		os.Exit(1)
 	}
@@ -96,7 +52,7 @@ func main() {
 
 func runServer(addr, shards string, drain time.Duration) error {
 	if shards == "" {
-		return fmt.Errorf("server mode needs -shards URL,URL,... (or pick a client mode)")
+		return fmt.Errorf("udfrouterd needs -shards URL,URL,...")
 	}
 	var urls []string
 	for _, s := range strings.Split(shards, ",") {
@@ -129,357 +85,4 @@ func runServer(addr, shards string, drain time.Duration) error {
 		}
 		return nil
 	}
-}
-
-// --------------------------------------------------------------------------
-// Wire-v1 client (shared by every client mode)
-// --------------------------------------------------------------------------
-
-// rclient is a wire-v1 API client: it requests the enveloped encoding and
-// decodes responses through wire.Decode, so failures surface as typed
-// *wire.RemoteError whichever wire version the far end actually speaks.
-type rclient struct {
-	base string
-	hc   *http.Client
-}
-
-func newRClient(base string) *rclient {
-	if !strings.HasPrefix(base, "http") {
-		base = "http://localhost" + base
-	}
-	return &rclient{base: base, hc: &http.Client{Timeout: 5 * time.Minute}}
-}
-
-func (c *rclient) post(path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", wire.V1Accept)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("POST %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("POST %s: %w", path, err)
-	}
-	return wire.Decode(raw, resp.StatusCode, out)
-}
-
-func (c *rclient) newSession(settings map[string]any) (string, error) {
-	var sess struct {
-		Session string `json:"session"`
-	}
-	if err := c.post("/session", settings, &sess); err != nil {
-		return "", err
-	}
-	if sess.Session == "" {
-		return "", fmt.Errorf("session create returned no session id")
-	}
-	return sess.Session, nil
-}
-
-type queryReply struct {
-	Rows     [][]string `json:"rows"`
-	RowCount int        `json:"row_count"`
-}
-
-func (c *rclient) query(session, sql string) (*queryReply, error) {
-	var reply queryReply
-	if err := c.post("/query", map[string]any{"session": session, "sql": sql}, &reply); err != nil {
-		return nil, err
-	}
-	return &reply, nil
-}
-
-func (c *rclient) exec(session, script string) error {
-	return c.post("/exec", map[string]any{"session": session, "script": script}, nil)
-}
-
-// --------------------------------------------------------------------------
-// -loadcorpus: sharded schema + UDFs + dataset through the router
-// --------------------------------------------------------------------------
-
-func runLoadCorpus(base, scale string) error {
-	var cfg bench.Config
-	switch scale {
-	case "small":
-		cfg = bench.SmallConfig()
-	case "bench":
-		cfg = bench.DefaultConfig()
-	default:
-		return fmt.Errorf("unknown -scale %q (want small|bench)", scale)
-	}
-	c := newRClient(base)
-	sess, err := c.newSession(map[string]any{"mode": "rewrite"})
-	if err != nil {
-		return fmt.Errorf("creating session (is the router running?): %w", err)
-	}
-	schema, err := bench.ShardedSchema()
-	if err != nil {
-		return err
-	}
-	if err := c.exec(sess, schema+bench.UDFs+bench.ExtraUDFs); err != nil {
-		return fmt.Errorf("installing schema + UDFs: %w", err)
-	}
-	start := time.Now()
-	var rows int
-	for _, t := range bench.Generate(cfg) {
-		const batch = 256
-		for lo := 0; lo < len(t.Rows); lo += batch {
-			hi := lo + batch
-			if hi > len(t.Rows) {
-				hi = len(t.Rows)
-			}
-			var script strings.Builder
-			for _, row := range t.Rows[lo:hi] {
-				writeInsert(&script, t.Name, row)
-			}
-			if err := c.exec(sess, script.String()); err != nil {
-				return fmt.Errorf("loading %s rows %d..%d: %w", t.Name, lo, hi, err)
-			}
-		}
-		rows += len(t.Rows)
-		slog.Info("table loaded", "table", t.Name, "rows", len(t.Rows))
-	}
-	fmt.Printf("loadcorpus: scale=%s rows=%d elapsed=%s\n", scale, rows, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-func writeInsert(b *strings.Builder, table string, row storage.Row) {
-	b.WriteString("insert into ")
-	b.WriteString(table)
-	b.WriteString(" values (")
-	for i, v := range row {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(v.String())
-	}
-	b.WriteString(");\n")
-}
-
-// --------------------------------------------------------------------------
-// -verify: corpus differential, router vs single-node baseline
-// --------------------------------------------------------------------------
-
-// extraVerify exercises the routed shapes the corpus leaves thin: partial-
-// aggregate merges (grouped and scalar, avg needs the sum/count recombine),
-// COUNT(*) vs COUNT(col) over shards, a pinned point query and a
-// replicated-to-sharded join probe.
-var extraVerify = []struct{ name, sql string }{
-	{"grouped partial merge", "select custkey, count(*), avg(totalprice), min(totalprice) from orders where custkey <= 30 group by custkey"},
-	{"scalar partial merge", "select avg(totalprice), max(totalprice) from orders"},
-	{"count star vs col", "select count(*), count(custkey) from orders"},
-	{"pinned point query", "select orderkey, totalprice from orders where custkey = 7"},
-	{"replicated join probe", "select o.orderkey, c.name from orders o join customer c on o.custkey = c.custkey where o.orderkey <= 80"},
-}
-
-// verifyCombos are the session settings the differential runs under: both
-// executors, plus the vectorized rewrite path.
-var verifyCombos = []map[string]any{
-	{"mode": "rewrite", "profile": "sys1"},
-	{"mode": "iterative", "profile": "sys1"},
-	{"mode": "rewrite", "profile": "sys1", "vectorized": true},
-}
-
-func runVerify(routerBase, baselineBase string) error {
-	if baselineBase == "" {
-		return fmt.Errorf("-verify needs -baseline URL (a single-node udfserverd with the same dataset)")
-	}
-	rc, bc := newRClient(routerBase), newRClient(baselineBase)
-	var checked, rejected, failures int
-	for _, combo := range verifyCombos {
-		rsess, err := rc.newSession(combo)
-		if err != nil {
-			return fmt.Errorf("router session %v: %w", combo, err)
-		}
-		bsess, err := bc.newSession(combo)
-		if err != nil {
-			return fmt.Errorf("baseline session %v: %w", combo, err)
-		}
-		check := func(name, sql string) {
-			want, err := bc.query(bsess, sql)
-			if err != nil {
-				failures++
-				slog.Error("baseline query failed", "query", name, "combo", combo, "err", err)
-				return
-			}
-			got, err := rc.query(rsess, sql)
-			if err != nil {
-				failures++
-				slog.Error("router query failed", "query", name, "combo", combo, "err", err)
-				return
-			}
-			checked++
-			if bench.CanonicalRows(got.Rows) != bench.CanonicalRows(want.Rows) {
-				failures++
-				slog.Error("differential mismatch", "query", name, "combo", combo,
-					"router_rows", got.RowCount, "baseline_rows", want.RowCount)
-			}
-		}
-		for _, q := range bench.Corpus {
-			class, ok := bench.ShardClass[q.Name]
-			if !ok {
-				failures++
-				slog.Error("corpus query missing from bench.ShardClass", "query", q.Name)
-				continue
-			}
-			if class == "rejected" {
-				// Must fail with a typed UNSHARDABLE naming the shape, never a
-				// silently wrong merged answer.
-				_, err := rc.query(rsess, q.SQL)
-				var rerr *wire.RemoteError
-				if !errors.As(err, &rerr) || rerr.Code != wire.CodeUnshardable {
-					failures++
-					slog.Error("rejected query did not fail typed", "query", q.Name, "err", err)
-					continue
-				}
-				rejected++
-				continue
-			}
-			check(q.Name, q.SQL)
-		}
-		for _, q := range extraVerify {
-			check(q.name, q.sql)
-		}
-	}
-	fmt.Printf("verify: combos=%d checked=%d rejected_typed=%d failures=%d\n",
-		len(verifyCombos), checked, rejected, failures)
-	if failures > 0 {
-		return fmt.Errorf("%d differential failures", failures)
-	}
-	fmt.Println("all routed queries matched the single-node baseline")
-	return nil
-}
-
-// --------------------------------------------------------------------------
-// -shardwrite / -shardcheck: acked single-shard writes survive shard loss
-// --------------------------------------------------------------------------
-
-// shardManifest records every acknowledged single-shard write plus a count of
-// each typed wire error code the writer saw (the CI gate asserts a shard kill
-// produces typed failures, not garbage).
-type shardManifest struct {
-	Acked  []ackedRow     `json:"acked"`
-	Errors map[string]int `json:"errors,omitempty"`
-}
-
-type ackedRow struct {
-	OrderKey int64 `json:"orderkey"`
-	CustKey  int64 `json:"custkey"`
-}
-
-// writeKeyBase keeps shardwrite's keys disjoint from the generated dataset
-// (SmallConfig tops out in the low thousands) so -shardcheck can scan them
-// back with one predicate.
-const writeKeyBase = 1_000_000
-
-func runShardWrite(base, manifestPath string, batches int) error {
-	c := newRClient(base)
-	sess, err := c.newSession(map[string]any{"mode": "rewrite"})
-	if err != nil {
-		return fmt.Errorf("creating session (run -loadcorpus first?): %w", err)
-	}
-	m := shardManifest{Errors: map[string]int{}}
-	save := func() error {
-		buf, err := json.MarshalIndent(m, "", " ")
-		if err != nil {
-			return err
-		}
-		tmp := manifestPath + ".tmp"
-		if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, manifestPath)
-	}
-	// The manifest is rewritten after every ack: a kill -9 of this client (or
-	// of a shard mid-write) must never leave an acked row unrecorded.
-	for i := 0; batches == 0 || i < batches; i++ {
-		row := ackedRow{OrderKey: writeKeyBase + int64(i), CustKey: int64(i%997) + 1}
-		sql := fmt.Sprintf("insert into orders values (%d, %d, %d.5);", row.OrderKey, row.CustKey, 100+i%900)
-		if err := c.exec(sess, sql); err != nil {
-			var rerr *wire.RemoteError
-			if errors.As(err, &rerr) {
-				m.Errors[string(rerr.Code)]++
-			} else {
-				m.Errors["UNTYPED"]++
-				slog.Warn("untyped write failure", "orderkey", row.OrderKey, "err", err)
-			}
-			// A failed write may need a fresh session (the shard that died holds
-			// one leg of it); recreate lazily and keep going.
-			if ns, serr := c.newSession(map[string]any{"mode": "rewrite"}); serr == nil {
-				sess = ns
-			}
-			if err := save(); err != nil {
-				return err
-			}
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		m.Acked = append(m.Acked, row)
-		if err := save(); err != nil {
-			return err
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	fmt.Printf("shardwrite: acked=%d errors=%v manifest=%s\n", len(m.Acked), m.Errors, manifestPath)
-	return nil
-}
-
-func runShardCheck(base, manifestPath string) error {
-	raw, err := os.ReadFile(manifestPath)
-	if err != nil {
-		return err
-	}
-	var m shardManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("parsing manifest %s: %w", manifestPath, err)
-	}
-	c := newRClient(base)
-	sess, err := c.newSession(map[string]any{"mode": "rewrite"})
-	if err != nil {
-		return err
-	}
-	reply, err := c.query(sess, fmt.Sprintf("select orderkey, custkey from orders where orderkey >= %d", writeKeyBase))
-	if err != nil {
-		return fmt.Errorf("scanning written rows (all shards back up?): %w", err)
-	}
-	got := make(map[string]bool, len(reply.Rows))
-	for _, row := range reply.Rows {
-		if len(row) == 2 {
-			got[row[0]+"|"+row[1]] = true
-		}
-	}
-	var lost []int64
-	for _, a := range m.Acked {
-		if !got[fmt.Sprintf("%d|%d", a.OrderKey, a.CustKey)] {
-			lost = append(lost, a.OrderKey)
-		}
-	}
-	// Error codes seen by the writer, for the log (the CI gate asserts on the
-	// manifest directly).
-	codes := make([]string, 0, len(m.Errors))
-	for code, n := range m.Errors {
-		codes = append(codes, fmt.Sprintf("%s=%d", code, n))
-	}
-	sort.Strings(codes)
-	fmt.Printf("shardcheck: acked=%d found=%d lost=%d write_errors=[%s]\n",
-		len(m.Acked), len(m.Acked)-len(lost), len(lost), strings.Join(codes, " "))
-	if len(lost) > 0 {
-		show := lost
-		if len(show) > 10 {
-			show = show[:10]
-		}
-		return fmt.Errorf("%d acked rows lost (first: %v)", len(lost), show)
-	}
-	fmt.Println("every acked single-shard write survived")
-	return nil
 }

@@ -26,6 +26,7 @@ import (
 
 	"udfdecorr/internal/repl"
 	"udfdecorr/internal/server"
+	"udfdecorr/internal/wire"
 )
 
 type followerConfig struct {
@@ -103,33 +104,7 @@ func runFollower(cfg followerConfig) error {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", server.NewHandler(svc))
-	mux.HandleFunc("/repl/promote", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			jsonReply(w, http.StatusMethodNotAllowed, map[string]any{"error": "use POST"})
-			return
-		}
-		var req struct {
-			CatchupDir string `json:"catchup_dir"`
-		}
-		if r.Body != nil {
-			_ = json.NewDecoder(r.Body).Decode(&req) // empty body = no catch-up override
-		}
-		dir := req.CatchupDir
-		if dir == "" {
-			dir = cfg.catchupDir
-		}
-		recovered, err := promote(dir)
-		if err != nil {
-			jsonReply(w, http.StatusConflict, map[string]any{"error": err.Error()})
-			return
-		}
-		jsonReply(w, http.StatusOK, map[string]any{
-			"role":            string(svc.Role()),
-			"catchup_records": recovered,
-			"applied_records": f.Status().AppliedRecords,
-			"pending_txns":    f.Status().PendingTxns,
-		})
-	})
+	mux.HandleFunc("/repl/promote", promoteHandler(svc, f.Status, cfg.catchupDir, promote))
 
 	usr1 := make(chan os.Signal, 1)
 	signal.Notify(usr1, syscall.SIGUSR1)
@@ -190,8 +165,36 @@ func bootstrapWithRetry(ctx context.Context, f *repl.Follower, leader string) er
 	}
 }
 
-func jsonReply(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+// promoteHandler serves POST /repl/promote: an optional {"catchup_dir"} body
+// overrides defaultDir, and the reply is the wire envelope like every other
+// JSON endpoint of the node.
+func promoteHandler(svc *server.Service, status func() repl.Status, defaultDir string,
+	promote func(dir string) (int64, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !wire.ReadRequest(w, r, string(svc.Role()), http.MethodPost, nil) {
+			return
+		}
+		var req struct {
+			CatchupDir string `json:"catchup_dir"`
+		}
+		if r.Body != nil {
+			_ = json.NewDecoder(r.Body).Decode(&req) // empty body = no catch-up override
+		}
+		dir := req.CatchupDir
+		if dir == "" {
+			dir = defaultDir
+		}
+		recovered, err := promote(dir)
+		if err != nil {
+			wire.WriteError(w, string(svc.Role()), wire.AsRemote(err, wire.CodeInternal))
+			return
+		}
+		st := status()
+		wire.WriteOK(w, string(svc.Role()), http.StatusOK, map[string]any{
+			"role":            string(svc.Role()),
+			"catchup_records": recovered,
+			"applied_records": st.AppliedRecords,
+			"pending_txns":    st.PendingTxns,
+		})
+	}
 }

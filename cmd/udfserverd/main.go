@@ -19,28 +19,13 @@
 //
 //	udfserverd -addr :8080 -data-dir ./data -fsync always -checkpoint-every 1m
 //
-// Load-client mode (-load) replays the shared differential corpus against a
-// running daemon from N concurrent clients over the streaming endpoint,
-// checks every completed response against a serial baseline, and reports
-// QPS, full-stream latency, time-to-first-row percentiles and the
-// server-side plan-cache hit rate. -cancel-frac cancels that fraction of
-// streams after the first row to exercise the server's drain path:
+// Follower mode (see follow.go) runs a read-only replica of a durable
+// leader:
 //
-//	udfserverd -load -addr http://localhost:8080 -clients 8 -rounds 3 -cancel-frac 0.2
+//	udfserverd -addr :8081 -follow http://localhost:8080 -catchup-dir ./data
 //
-// Mixed read/write load mode (-mixed, see mixed.go) drives N writers posting
-// acknowledged INSERT batches alongside M readers replaying queries, and
-// reports write QPS — the number that should scale with the writer count
-// under MVCC snapshot reads and group-commit fsync batching:
-//
-//	udfserverd -mixed -addr http://localhost:8080 -mixed-writers 4 -mixed-readers 2 -mixed-duration 10s
-//
-// Durability-test client modes (see dura.go; used by the CI recovery gate):
-//
-//	udfserverd -snapshot pre.json  -addr URL     capture corpus results + row counts
-//	udfserverd -verify pre.json    -addr URL     assert they are unchanged
-//	udfserverd -durawrite -manifest acked.json   write-heavy load; manifest records acked rows
-//	udfserverd -duracheck -manifest acked.json   assert every acked row survived
+// The load, differential and acked-write clients that drive a running daemon
+// are subcommands of cmd/udfctl.
 //
 // Observability: logs are structured (log/slog text to stderr; -log-level
 // debug|info|warn|error), -slow-query DURATION emits a "slow query" line with
@@ -52,45 +37,32 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	_ "net/http/pprof" // registered on DefaultServeMux, served only via -pprof
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"udfdecorr/internal/bench"
 	"udfdecorr/internal/engine"
-	"udfdecorr/internal/obs"
 	"udfdecorr/internal/server"
 	"udfdecorr/internal/wal"
-	"udfdecorr/internal/wire"
 )
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address (server) or base URL (load client)")
-		dataset    = flag.String("dataset", "small", "preloaded dataset: none|small|bench")
-		cache      = flag.Int("cache", 256, "plan cache capacity (0 disables)")
-		workers    = flag.Int("workers", 32, "worker pool: max concurrently executing query-local workers")
-		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight sessions")
-		load       = flag.Bool("load", false, "run as load-generating client instead of server")
-		clients    = flag.Int("clients", 8, "load mode: concurrent client goroutines")
-		rounds     = flag.Int("rounds", 3, "load mode: corpus replays per client")
-		cancelFrac = flag.Float64("cancel-frac", 0, "load mode: fraction of streams cancelled after the first row")
-		par        = flag.Int("parallelism", 0, "server: default intra-query degree for sessions; load: degree requested by vectorized client sessions (0 = serial)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		dataset = flag.String("dataset", "small", "preloaded dataset: none|small|bench")
+		cache   = flag.Int("cache", 256, "plan cache capacity (0 disables)")
+		workers = flag.Int("workers", 32, "worker pool: max concurrently executing query-local workers")
+		drain   = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight sessions")
+		par     = flag.Int("parallelism", 0, "default intra-query degree for sessions (0 = serial)")
 
 		dataDir   = flag.String("data-dir", "", "durable mode: data directory for WAL + checkpoints (empty = in-memory)")
 		fsync     = flag.String("fsync", "always", "durable mode: WAL fsync policy: always|none|<interval, e.g. 250ms>")
@@ -103,21 +75,6 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		slowQuery = flag.Duration("slow-query", 0, "server: log queries at or above this duration (0 = off)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
-
-		mixed    = flag.Bool("mixed", false, "run as mixed read/write load client (-mixed-writers inserters + -mixed-readers queriers)")
-		mWriters = flag.Int("mixed-writers", 4, "mixed mode: concurrent writer goroutines")
-		mReaders = flag.Int("mixed-readers", 2, "mixed mode: concurrent reader goroutines")
-		mDur     = flag.Duration("mixed-duration", 5*time.Second, "mixed mode: load duration")
-
-		snapshotOut = flag.String("snapshot", "", "client: capture corpus results + row counts to this manifest and exit")
-		verifyIn    = flag.String("verify", "", "client: verify corpus results + row counts against this manifest and exit")
-		duraWrite   = flag.Bool("durawrite", false, "client: run the write-heavy durability load (see -manifest/-batches)")
-		duraCheck   = flag.Bool("duracheck", false, "client: verify the write-load manifest against the server")
-		manifest    = flag.String("manifest", "acked.json", "durawrite/duracheck: acked-rows manifest file")
-		batches     = flag.Int("batches", 0, "durawrite: number of insert batches (0 = until killed)")
-		batchRows   = flag.Int("batch-rows", 32, "durawrite: rows per acknowledged insert batch")
-		writeTable  = flag.String("write-table", "dura_kv", "durawrite/duracheck: target table")
-		exact       = flag.Bool("exact", false, "duracheck: require row count == acked (graceful restart), not >=")
 	)
 	flag.Parse()
 
@@ -131,26 +88,13 @@ func main() {
 		go servePprof(*pprofAddr)
 	}
 
-	switch {
-	case *load:
-		err = runLoad(*addr, *clients, *rounds, *par, *cancelFrac)
-	case *mixed:
-		err = runMixed(*addr, *mWriters, *mReaders, *batchRows, *writeTable, *mDur)
-	case *snapshotOut != "":
-		err = runCorpusSnapshot(*addr, *snapshotOut)
-	case *verifyIn != "":
-		err = runCorpusVerify(*addr, *verifyIn)
-	case *duraWrite:
-		err = runDuraWrite(*addr, *writeTable, *manifest, *batches, *batchRows)
-	case *duraCheck:
-		err = runDuraCheck(*addr, *writeTable, *manifest, *exact)
-	case *follow != "":
+	if *follow != "" {
 		err = runFollower(followerConfig{
 			addr: *addr, leader: *follow, catchupDir: *catchupDir,
 			cacheSize: *cache, workers: *workers, parallelism: *par,
 			drain: *drain, slowQuery: *slowQuery,
 		})
-	default:
+	} else {
 		err = runServer(serverConfig{
 			addr: *addr, dataset: *dataset, cacheSize: *cache, workers: *workers,
 			parallelism: *par, drain: *drain,
@@ -363,346 +307,6 @@ func removeWALFiles(dir string) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// --------------------------------------------------------------------------
-// Load client
-// --------------------------------------------------------------------------
-
-type client struct {
-	base string
-	http *http.Client
-	// v1 requests the versioned wire envelope, so failures decode to typed
-	// *wire.RemoteError values carrying a code and leader hint. The
-	// durability clients stay on v0 deliberately: their failure mode is
-	// asserted against the legacy error strings.
-	v1 bool
-}
-
-// newHTTPClient builds an API client, allowing the -addr :8080 shorthand.
-func newHTTPClient(base string) *client {
-	if !strings.HasPrefix(base, "http") {
-		base = "http://localhost" + base
-	}
-	return &client{base: base, http: &http.Client{Timeout: 5 * time.Minute}}
-}
-
-func (c *client) post(path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.v1 {
-		req.Header.Set("Accept", wire.V1Accept)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("POST %s: %w", path, err)
-	}
-	if c.v1 {
-		return wire.Decode(raw, resp.StatusCode, out)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.Unmarshal(raw, &e)
-		return fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, e.Error)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
-}
-
-type queryReply struct {
-	Rows     [][]string `json:"rows"`
-	RowCount int        `json:"row_count"`
-	CacheHit bool       `json:"cache_hit"`
-}
-
-// streamOutcome is one /stream replay: the collected rows (when the stream
-// ran to completion), time to first row, full-stream latency, and whether
-// the client cancelled mid-stream.
-type streamOutcome struct {
-	rows      [][]string
-	ttfr      time.Duration
-	total     time.Duration
-	gotFirst  bool
-	cancelled bool
-}
-
-// stream replays one query over the NDJSON streaming endpoint. With
-// cancelAfterFirstRow the request context is cancelled as soon as a row
-// arrives, exercising the server's mid-stream drain path.
-func (c *client) stream(session, sql string, cancelAfterFirstRow bool) (*streamOutcome, error) {
-	body, err := json.Marshal(map[string]any{"session": session, "sql": sql})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/stream", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	t0 := time.Now()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.Unmarshal(raw, &e)
-		return nil, fmt.Errorf("POST /stream: status %d: %s", resp.StatusCode, e.Error)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	out := &streamOutcome{}
-	sawHeader, done := false, false
-	for sc.Scan() {
-		var line struct {
-			Cols  []string `json:"cols"`
-			Row   []string `json:"row"`
-			Done  bool     `json:"done"`
-			Error string   `json:"error"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return nil, fmt.Errorf("bad stream line %q: %w", sc.Text(), err)
-		}
-		switch {
-		case !sawHeader:
-			sawHeader = true
-		case line.Error != "":
-			return nil, fmt.Errorf("stream error: %s", line.Error)
-		case line.Done:
-			done = true
-		default:
-			if !out.gotFirst {
-				out.gotFirst = true
-				out.ttfr = time.Since(t0)
-			}
-			out.rows = append(out.rows, line.Row)
-			if cancelAfterFirstRow {
-				out.cancelled = true
-				out.total = time.Since(t0)
-				cancel() // hang up mid-stream; the server must drain cleanly
-				return out, nil
-			}
-		}
-		if done {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !done {
-		return nil, fmt.Errorf("stream ended without trailer (server died mid-stream?)")
-	}
-	out.total = time.Since(t0)
-	return out, nil
-}
-
-// canonical renders a row multiset order-insensitively for comparison
-// (bench.CanonicalRows: floats at 9 significant digits, since parallel
-// aggregation may re-associate additions).
-func canonical(rows [][]string) string { return bench.CanonicalRows(rows) }
-
-// sessionCombo is one client's session settings.
-type sessionCombo struct {
-	mode       string
-	profile    string
-	vectorized bool
-}
-
-var combos = []sessionCombo{
-	{"rewrite", "sys1", false},
-	{"rewrite", "sys1", true},
-	{"costbased", "sys1", false},
-	{"rewrite", "sys2", true},
-	{"iterative", "sys1", false},
-	{"costbased", "sys2", true},
-}
-
-func runLoad(base string, clients, rounds, parallelism int, cancelFrac float64) error {
-	c := newHTTPClient(base)
-	base = c.base
-
-	// Serial baseline on a dedicated iterative session (ground truth).
-	var sess struct {
-		Session string `json:"session"`
-	}
-	if err := c.post("/session", map[string]any{"mode": "iterative", "profile": "sys1"}, &sess); err != nil {
-		return fmt.Errorf("creating baseline session (is the daemon running?): %w", err)
-	}
-	baseline := make(map[string]string, len(bench.Corpus))
-	for _, q := range bench.Corpus {
-		var reply queryReply
-		if err := c.post("/query", map[string]any{"session": sess.Session, "sql": q.SQL}, &reply); err != nil {
-			return fmt.Errorf("baseline %s: %w", q.Name, err)
-		}
-		baseline[q.Name] = canonical(reply.Rows)
-	}
-	slog.Info("baseline recorded", "corpus_queries", len(bench.Corpus))
-
-	// Latency distributions go into obs histograms (the same type behind the
-	// server's /metrics): fixed memory however long the run, percentile reads
-	// within 2× bucket resolution. The true max is tracked exactly alongside.
-	type stats struct {
-		queries      int64
-		mismatches   int64
-		cancelled    int64
-		rowsStreamed int64
-		lat          *obs.Histogram
-		ttfr         *obs.Histogram
-		latMax       time.Duration
-		ttfrMax      time.Duration
-	}
-	results := make([]stats, clients)
-	for i := range results {
-		results[i].lat = obs.NewHistogram()
-		results[i].ttfr = obs.NewHistogram()
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	// Sized for the worst case (every query of every client mismatching):
-	// a send must never block, or a result-corrupting server bug would
-	// deadlock the load client instead of failing it.
-	errs := make(chan error, clients*(1+rounds*len(bench.Corpus)))
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			combo := combos[i%len(combos)]
-			cl := &client{base: base, http: &http.Client{Timeout: 5 * time.Minute}}
-			// Deterministic per-client stream-cancellation choices.
-			rng := rand.New(rand.NewSource(int64(i) + 1))
-			var mine struct {
-				Session string `json:"session"`
-			}
-			sessionReq := map[string]any{
-				"mode": combo.mode, "profile": combo.profile, "vectorized": combo.vectorized,
-			}
-			if combo.vectorized && parallelism > 0 {
-				sessionReq["parallelism"] = parallelism
-			}
-			if err := cl.post("/session", sessionReq, &mine); err != nil {
-				errs <- err
-				return
-			}
-			for r := 0; r < rounds; r++ {
-				for _, q := range bench.Corpus {
-					cancelThis := rng.Float64() < cancelFrac
-					out, err := cl.stream(mine.Session, q.SQL, cancelThis)
-					if err != nil {
-						errs <- fmt.Errorf("client %d (%+v) %s: %w", i, combo, q.Name, err)
-						return
-					}
-					results[i].queries++
-					results[i].rowsStreamed += int64(len(out.rows))
-					if out.gotFirst {
-						results[i].ttfr.Observe(out.ttfr)
-						if out.ttfr > results[i].ttfrMax {
-							results[i].ttfrMax = out.ttfr
-						}
-					}
-					if out.cancelled {
-						results[i].cancelled++
-						continue // a partial result can't be verified
-					}
-					results[i].lat.Observe(out.total)
-					if out.total > results[i].latMax {
-						results[i].latMax = out.total
-					}
-					if canonical(out.rows) != baseline[q.Name] {
-						results[i].mismatches++
-						errs <- fmt.Errorf("client %d (%+v) %s: rows differ from serial baseline", i, combo, q.Name)
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	failed := false
-	for err := range errs {
-		failed = true
-		slog.Error("load client", "err", err)
-	}
-
-	lat, ttfr := obs.NewHistogram(), obs.NewHistogram()
-	var latMax, ttfrMax time.Duration
-	var total, cancelled, rowsStreamed int64
-	for _, r := range results {
-		total += r.queries
-		cancelled += r.cancelled
-		rowsStreamed += r.rowsStreamed
-		lat.Merge(r.lat)
-		ttfr.Merge(r.ttfr)
-		if r.latMax > latMax {
-			latMax = r.latMax
-		}
-		if r.ttfrMax > ttfrMax {
-			ttfrMax = r.ttfrMax
-		}
-	}
-	fmt.Printf("clients=%d rounds=%d queries=%d cancelled=%d rows-streamed=%d elapsed=%s\n",
-		clients, rounds, total, cancelled, rowsStreamed, elapsed.Round(time.Millisecond))
-	if elapsed > 0 {
-		fmt.Printf("throughput: %.1f queries/sec\n", float64(total)/elapsed.Seconds())
-	}
-	fmt.Printf("latency (full stream): p50=%s p95=%s p99=%s max=%s\n",
-		lat.Quantile(0.50).Round(time.Microsecond), lat.Quantile(0.95).Round(time.Microsecond),
-		lat.Quantile(0.99).Round(time.Microsecond), latMax.Round(time.Microsecond))
-	fmt.Printf("time-to-first-row: p50=%s p95=%s max=%s\n",
-		ttfr.Quantile(0.50).Round(time.Microsecond), ttfr.Quantile(0.95).Round(time.Microsecond),
-		ttfrMax.Round(time.Microsecond))
-
-	// Server-side cache effectiveness.
-	resp, err := c.http.Get(base + "/stats")
-	if err == nil {
-		defer resp.Body.Close()
-		var st server.Stats
-		if json.NewDecoder(resp.Body).Decode(&st) == nil {
-			fmt.Printf("server plan cache: %d hits / %d misses (%.1f%% hit rate), %d entries, %d evictions, %d deduped prepares\n",
-				st.Cache.Hits, st.Cache.Misses, 100*st.Cache.HitRate(), st.Cache.Size, st.Cache.Evictions,
-				st.PrepareDeduped)
-			fmt.Printf("server cancelled queries: %d (errors: %d)\n", st.QueriesCancelled, st.QueryErrors)
-			fmt.Printf("server queries by mode: %v\n", st.QueriesByMode)
-			fmt.Printf("server parallel: pool=%d workers, %d parallel queries, %d morsels, %d worker launches, %d admission waits\n",
-				st.Parallel.WorkersConfigured, st.Parallel.ParallelQueries,
-				st.Parallel.MorselsExecuted, st.Parallel.WorkerLaunches, st.Parallel.AdmissionWaits)
-			fmt.Printf("server query latency: p50=%dµs p95=%dµs p99=%dµs over %d queries (slow: %d)\n",
-				st.QueryLatency.P50Micro, st.QueryLatency.P95Micro, st.QueryLatency.P99Micro,
-				st.QueryLatency.Count, st.SlowQueries)
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-	if cancelled > 0 {
-		fmt.Printf("all completed streams matched the serial baseline (%d cancelled mid-stream)\n", cancelled)
-	} else {
-		fmt.Println("all responses matched the serial baseline")
 	}
 	return nil
 }

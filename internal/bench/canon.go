@@ -29,8 +29,8 @@ func CanonicalCell(s string) string {
 }
 
 // CanonicalRows renders a rendered-row multiset order-insensitively for
-// comparison (shared by the udfserverd load client and the database/sql
-// driver differential tests, so their float tolerance cannot drift apart).
+// comparison (shared by udfctl and the database/sql driver differential
+// tests, so their float tolerance cannot drift apart).
 func CanonicalRows(rows [][]string) string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {

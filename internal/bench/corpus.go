@@ -60,7 +60,7 @@ type CorpusQuery struct {
 }
 
 // Corpus is the query corpus shared by the differential test harness, the
-// concurrent server smoke and the udfserverd load client. Every UDF defined
+// concurrent server smoke and `udfctl load`. Every UDF defined
 // by the bench harness (service_level, discount, partcount, getcost,
 // totalloss) and by ExtraUDFs (disc, lvl, tl, bigorders) is invoked at least
 // once.

@@ -206,8 +206,9 @@ func Load(e *engine.Engine, cfg Config) error {
 
 // Generate produces the deterministic dataset as rows per table, in load
 // order. It is shared by Load (single node, rows straight into storage) and
-// the shard router's load client (same rows rendered as INSERT literals), so
-// a sharded cluster and a single-node baseline hold bit-identical data.
+// `udfctl loadcorpus` (same rows rendered as INSERT literals through a
+// router), so a sharded cluster and a single-node baseline hold
+// bit-identical data.
 func Generate(cfg Config) []TableData {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

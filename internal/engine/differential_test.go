@@ -30,7 +30,7 @@ import (
 )
 
 // differentialCorpus aliases the shared corpus (internal/bench), which the
-// concurrent server smoke and the udfserverd load client replay too.
+// concurrent server smoke and `udfctl load` replay too.
 var differentialCorpus = bench.Corpus
 
 // diffEngine builds an engine over the bench dataset with the extra fixture

@@ -34,9 +34,6 @@ type DurabilityOptions struct {
 	// checkpoint's replay boundary so catching-up replicas can still stream
 	// them (0: delete superseded segments immediately).
 	RetainSegments int
-	// SnapshotBatchRows is retained for configuration compatibility; columnar
-	// snapshots chunk by segment and byte size instead.
-	SnapshotBatchRows int
 }
 
 // Durability owns a durable engine's write-ahead log and checkpoint state.

@@ -6,10 +6,8 @@ package server_test
 // back with identical data after a restart.
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -17,6 +15,7 @@ import (
 	"udfdecorr/internal/engine"
 	"udfdecorr/internal/server"
 	"udfdecorr/internal/wal"
+	"udfdecorr/internal/wire"
 )
 
 func openDurableService(t *testing.T, dir string) (*server.Service, *engine.Engine) {
@@ -102,37 +101,23 @@ func TestHTTPCheckpointEndpoint(t *testing.T) {
 	ts := httptest.NewServer(server.NewHandler(svc))
 	defer ts.Close()
 
-	post := func(path, body string) (*http.Response, map[string]any) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out map[string]any
-		_ = json.NewDecoder(resp.Body).Decode(&out)
-		return resp, out
+	c := wire.NewClient(ts.URL)
+	if err := c.Exec(context.Background(), "", "create table kv (k int primary key, v varchar); insert into kv values (1,'a');"); err != nil {
+		t.Fatalf("/exec: %v", err)
 	}
-
-	if resp, _ := post("/exec", `{"script":"create table kv (k int primary key, v varchar); insert into kv values (1,'a');"}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/exec status %d", resp.StatusCode)
+	var out struct {
+		Checkpoints int64 `json:"checkpoints"`
 	}
-	resp, out := post("/checkpoint", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/checkpoint status %d: %v", resp.StatusCode, out)
+	if err := c.Post(context.Background(), "/checkpoint", nil, &out); err != nil {
+		t.Fatalf("/checkpoint: %v", err)
 	}
-	if out["checkpoints"].(float64) != 1 {
-		t.Fatalf("checkpoints = %v, want 1", out["checkpoints"])
+	if out.Checkpoints != 1 {
+		t.Fatalf("checkpoints = %v, want 1", out.Checkpoints)
 	}
 
 	// /stats must carry the durability block.
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
 	var st server.Stats
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
+	if err := c.Get(context.Background(), "/stats", &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Durability == nil || st.Durability.Checkpoints != 1 {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -29,15 +28,15 @@ import (
 //	GET  /repl/snapshot                             -> latest checkpoint image (durable only)
 //	GET  /repl/wal?segment=N&offset=K               -> framed WAL records (durable only)
 //
-// Every JSON endpoint speaks two wire versions (see internal/wire): the
-// legacy v0 shapes above remain the default; requests carrying
-// `Accept: application/vnd.udfd.v1+json` (or `X-Udfd-Wire: 1`) get the v1
-// envelope — results under "result", failures as typed {code, message}
-// errors with the node's role and, on a read-only follower, the leader's
-// address in the structured leader_hint field instead of inside the error
-// string.
+// Every JSON endpoint answers with the one wire envelope (see internal/wire),
+// whatever the request's Accept header says: results under "result",
+// failures as typed {code, message} errors whose HTTP status comes from
+// wire's code table, with the node's role and, on a read-only follower, the
+// leader's address in the structured leader_hint field. /stream is NDJSON
+// outside the envelope (format in internal/wire/stream.go, flushed per row)
+// and /metrics is Prometheus text.
 //
-// /query and /exec are aliases over one statement handler: /query expects
+// /query and /exec are two routes over one statement handler: /query expects
 // a single SELECT and returns its rows, /exec runs a DDL/DML/txn script and
 // returns {"ok":true}. Both accept the statement text under "sql" or
 // "script".
@@ -54,14 +53,6 @@ import (
 // disconnects (or a session statement timeout that fires) cancels the query
 // at the next row/batch boundary and releases its worker slots; the query
 // counts as cancelled, not errored, in /stats.
-//
-// /stream wire format (Content-Type application/x-ndjson, one JSON object
-// per line, flushed per row):
-//
-//	{"cols":["k","v"],"rewritten":true,"cache_hit":false}   header, first line
-//	{"row":["1","'a'"]}                                     one line per row
-//	{"done":true,"row_count":2,"elapsed_us":1234,...}       trailer on success
-//	{"error":"...","code":"..."}                            trailer on failure
 //
 // A /stream request may set "shard_partial":true to execute in shard-local
 // partial-aggregate mode (see Service.QueryStreamPartial) — the layout the
@@ -92,8 +83,7 @@ func NewHandler(svc *Service) http.Handler {
 // follower), and replication lag. A follower whose tail loop died fatally
 // reports 503 so load balancers stop routing reads to a stale replica.
 func handleHealthz(svc *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		respondErrorf(svc, w, r, http.StatusMethodNotAllowed, wire.CodeBadRequest, "use GET")
+	if !readRequest(svc, w, r, http.MethodGet, nil) {
 		return
 	}
 	role := svc.Role()
@@ -114,18 +104,17 @@ func handleHealthz(svc *Service, w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp["healthy"] = healthy
-	code := http.StatusOK
+	status := http.StatusOK
 	if !healthy {
-		code = http.StatusServiceUnavailable
+		status = http.StatusServiceUnavailable
 	}
-	respond(svc, w, r, code, resp)
+	wire.WriteOK(w, string(role), status, resp)
 }
 
 // handleMetrics serves the Prometheus text exposition. It reads the same
 // live sources as /stats, so the two surfaces always agree.
 func handleMetrics(svc *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		respondErrorf(svc, w, r, http.StatusMethodNotAllowed, wire.CodeBadRequest, "use GET")
+	if !readRequest(svc, w, r, http.MethodGet, nil) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -137,7 +126,7 @@ func handleMetrics(svc *Service, w http.ResponseWriter, r *http.Request) {
 // request context so the service adopts it as the query's trace ID.
 func traceContext(r *http.Request) context.Context {
 	ctx := r.Context()
-	if id := r.Header.Get("X-Trace-Id"); id != "" {
+	if id := r.Header.Get(wire.TraceHeader); id != "" {
 		ctx = WithTraceID(ctx, id)
 	}
 	return ctx
@@ -146,16 +135,15 @@ func traceContext(r *http.Request) context.Context {
 // handleCheckpoint forces a snapshot + log truncation on a durable service
 // (operators and the durability CI use it to bound recovery time).
 func handleCheckpoint(svc *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		respondErrorf(svc, w, r, http.StatusMethodNotAllowed, wire.CodeBadRequest, "POST only")
+	if !readRequest(svc, w, r, http.MethodPost, nil) {
 		return
 	}
 	if err := svc.Checkpoint(); err != nil {
-		respondErrorf(svc, w, r, http.StatusConflict, wire.CodeInternal, "checkpoint: %v", err)
+		fail(svc, w, wire.CodeInternal, fmt.Errorf("checkpoint: %w", err))
 		return
 	}
 	st := svc.Stats()
-	respond(svc, w, r, http.StatusOK, map[string]any{
+	ok(svc, w, map[string]any{
 		"checkpoints": st.Durability.Checkpoints,
 		"wal_bytes":   st.Durability.WALBytes,
 	})
@@ -181,146 +169,60 @@ type sessionResponse struct {
 	TimeoutMS   int64  `json:"timeout_ms"`
 }
 
-// statementRequest is the shared /query + /stream + /exec request body. SQL
-// and Script are aliases; /exec clients historically send "script".
-type statementRequest struct {
-	Session string `json:"session"`
-	SQL     string `json:"sql"`
-	Script  string `json:"script"`
-	// ShardPartial selects shard-local partial-aggregate execution
-	// (/stream only; the shard router sets it on scatter-merge legs).
-	ShardPartial bool `json:"shard_partial"`
-}
-
-// text returns whichever of sql/script the client set.
-func (q *statementRequest) text() string {
-	if q.SQL != "" {
-		return q.SQL
-	}
-	return q.Script
-}
-
-type queryResponse struct {
-	Cols       []string   `json:"cols"`
-	Rows       [][]string `json:"rows"`
-	RowCount   int        `json:"row_count"`
-	Rewritten  bool       `json:"rewritten"`
-	CacheHit   bool       `json:"cache_hit"`
-	ElapsedUS  int64      `json:"elapsed_us"`
-	UDFCalls   int64      `json:"udf_calls"`
-	PlanBuilds int64      `json:"plan_builds"`
-	Morsels    int64      `json:"morsels"`
-	Workers    int64      `json:"workers"`
-}
-
 type explainResponse struct {
 	Explain string `json:"explain"`
 }
 
-type okResponse struct {
-	OK bool `json:"ok"`
+// ok answers with a success envelope carrying the node's role.
+func ok(svc *Service, w http.ResponseWriter, result any) {
+	wire.WriteOK(w, string(svc.Role()), http.StatusOK, result)
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// respond writes a success payload in the request's negotiated wire
-// version: the bare legacy shape at v0, a wire envelope at v1.
-func respond(svc *Service, w http.ResponseWriter, r *http.Request, status int, result any) {
-	if wire.Version(r) != wire.V1 {
-		writeJSON(w, status, result)
-		return
-	}
-	env, err := wire.OK(result, string(svc.Role()), "", w.Header().Get("X-Trace-Id"))
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, status, env)
-}
-
-// respondError writes err in the negotiated wire version. v0 keeps the
-// legacy {"error": string} body — including the leader address embedded in
-// a follower rejection's message, exactly one release behind. v1 derives
-// the typed code and the structured leader_hint from the error itself.
-func respondError(svc *Service, w http.ResponseWriter, r *http.Request, status int, err error) {
-	if wire.Version(r) != wire.V1 {
-		writeJSON(w, status, errorResponse{Error: err.Error()})
-		return
-	}
-	code, hint := classifyError(err, status)
-	writeJSON(w, status, wire.Fail(code, err.Error(), string(svc.Role()), hint, w.Header().Get("X-Trace-Id")))
-}
-
-func respondErrorf(svc *Service, w http.ResponseWriter, r *http.Request, status int, code wire.Code, format string, args ...any) {
-	if wire.Version(r) != wire.V1 {
-		writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-		return
-	}
-	writeJSON(w, status, wire.Fail(code, fmt.Sprintf(format, args...), string(svc.Role()), "", w.Header().Get("X-Trace-Id")))
-}
-
-// classifyError maps a service error (plus the HTTP status the legacy
-// handler chose) onto a typed wire code and optional leader hint.
-func classifyError(err error, status int) (wire.Code, string) {
+// wireError types err for the wire: a follower's write rejection is
+// READ_ONLY with the leader as its hint; anything else takes the code the
+// handler names for this failure.
+func wireError(err error, code wire.Code) *wire.RemoteError {
 	var ro *ReadOnlyError
 	if errors.As(err, &ro) {
-		return wire.CodeReadOnly, ro.Leader
+		return &wire.RemoteError{Code: wire.CodeReadOnly, Message: err.Error(), LeaderHint: ro.Leader}
 	}
-	var re *wire.RemoteError
-	if errors.As(err, &re) && re.Code != "" {
-		// Forwarded errors (a router proxying a shard) keep their code.
-		return re.Code, re.LeaderHint
-	}
-	switch status {
-	case http.StatusBadRequest:
-		return wire.CodeBadRequest, ""
-	case http.StatusNotFound:
-		return wire.CodeUnknownSession, ""
-	default:
-		return wire.CodeInternal, ""
-	}
+	return wire.AsRemote(err, code)
 }
 
-// decodePost rejects non-POST methods and parses the JSON body into v.
-func decodePost(svc *Service, w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		respondErrorf(svc, w, r, http.StatusMethodNotAllowed, wire.CodeBadRequest, "use POST")
-		return false
-	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		respondErrorf(svc, w, r, http.StatusBadRequest, wire.CodeBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
+// fail answers with err's error envelope.
+func fail(svc *Service, w http.ResponseWriter, code wire.Code, err error) {
+	wire.WriteError(w, string(svc.Role()), wireError(err, code))
 }
 
-func resolveSession(svc *Service, w http.ResponseWriter, r *http.Request, id string) (*Session, bool) {
-	sess, ok := svc.Session(id)
-	if !ok {
-		respondErrorf(svc, w, r, http.StatusNotFound, wire.CodeUnknownSession, "unknown session %q", id)
-		return nil, false
+// readRequest is wire.ReadRequest answering in the node's role.
+func readRequest(svc *Service, w http.ResponseWriter, r *http.Request, method string, v any) bool {
+	return wire.ReadRequest(w, r, string(svc.Role()), method, v)
+}
+
+// decodeStatement parses a statement body and resolves its session.
+func decodeStatement(svc *Service, w http.ResponseWriter, r *http.Request) (*Session, *wire.Statement, bool) {
+	var req wire.Statement
+	if !readRequest(svc, w, r, http.MethodPost, &req) {
+		return nil, nil, false
 	}
-	return sess, true
+	sess, found := svc.Session(req.Session)
+	if !found {
+		fail(svc, w, wire.CodeUnknownSession, fmt.Errorf("unknown session %q", req.Session))
+		return nil, nil, false
+	}
+	return sess, &req, true
 }
 
 func handleSession(svc *Service, w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
-	if !decodePost(svc, w, r, &req) {
+	if !readRequest(svc, w, r, http.MethodPost, &req) {
 		return
 	}
 	profile := engine.SYS1
 	if req.Profile != "" {
 		p, err := ParseProfile(req.Profile)
 		if err != nil {
-			respondError(svc, w, r, http.StatusBadRequest, err)
+			fail(svc, w, wire.CodeBadRequest, err)
 			return
 		}
 		profile = p
@@ -329,7 +231,7 @@ func handleSession(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if req.Mode != "" {
 		m, err := ParseMode(req.Mode)
 		if err != nil {
-			respondError(svc, w, r, http.StatusBadRequest, err)
+			fail(svc, w, wire.CodeBadRequest, err)
 			return
 		}
 		mode = m
@@ -343,7 +245,7 @@ func handleSession(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMS > 0 {
 		sess.SetTimeout(time.Duration(req.TimeoutMS) * time.Millisecond)
 	}
-	respond(svc, w, r, http.StatusOK, sessionResponse{
+	ok(svc, w, sessionResponse{
 		Session:     sess.ID,
 		Mode:        mode.String(),
 		Profile:     profile.Name,
@@ -354,17 +256,17 @@ func handleSession(svc *Service, w http.ResponseWriter, r *http.Request) {
 }
 
 func handleSessionClose(svc *Service, w http.ResponseWriter, r *http.Request) {
-	var req statementRequest
-	if !decodePost(svc, w, r, &req) {
+	var req wire.Statement
+	if !readRequest(svc, w, r, http.MethodPost, &req) {
 		return
 	}
 	svc.CloseSession(req.Session)
-	respond(svc, w, r, http.StatusOK, okResponse{OK: true})
+	ok(svc, w, wire.Ack{OK: true})
 }
 
-// stmtKind parameterizes the one statement handler both /query and /exec
-// alias: the decode / session-resolution / error paths are identical, only
-// the service call and the success payload differ.
+// stmtKind parameterizes the one statement handler behind /query and /exec:
+// the decode / session-resolution / error paths are identical, only the
+// service call and the success payload differ.
 type stmtKind int
 
 const (
@@ -373,22 +275,18 @@ const (
 )
 
 func handleStatement(svc *Service, w http.ResponseWriter, r *http.Request, kind stmtKind) {
-	var req statementRequest
-	if !decodePost(svc, w, r, &req) {
-		return
-	}
-	sess, ok := resolveSession(svc, w, r, req.Session)
-	if !ok {
+	sess, req, found := decodeStatement(svc, w, r)
+	if !found {
 		return
 	}
 	switch kind {
 	case kindQuery:
-		res, err := svc.QueryContext(traceContext(r), sess, req.text())
+		res, err := svc.QueryContext(traceContext(r), sess, req.Text())
 		if err != nil {
-			respondError(svc, w, r, http.StatusBadRequest, err)
+			fail(svc, w, wire.CodeBadRequest, err)
 			return
 		}
-		w.Header().Set("X-Trace-Id", res.TraceID)
+		w.Header().Set(wire.TraceHeader, res.TraceID)
 		rows := make([][]string, len(res.Rows))
 		for i, row := range res.Rows {
 			out := make([]string, len(row))
@@ -397,7 +295,7 @@ func handleStatement(svc *Service, w http.ResponseWriter, r *http.Request, kind 
 			}
 			rows[i] = out
 		}
-		respond(svc, w, r, http.StatusOK, queryResponse{
+		ok(svc, w, wire.QueryResult{
 			Cols:       res.Cols,
 			Rows:       rows,
 			RowCount:   len(rows),
@@ -410,143 +308,96 @@ func handleStatement(svc *Service, w http.ResponseWriter, r *http.Request, kind 
 			Workers:    res.Counters.Workers,
 		})
 	case kindExec:
-		if err := svc.ExecContext(r.Context(), sess, req.text()); err != nil {
-			respondError(svc, w, r, http.StatusBadRequest, err)
+		if err := svc.ExecContext(r.Context(), sess, req.Text()); err != nil {
+			fail(svc, w, wire.CodeBadRequest, err)
 			return
 		}
-		respond(svc, w, r, http.StatusOK, okResponse{OK: true})
+		ok(svc, w, wire.Ack{OK: true})
 	}
-}
-
-// streamHeader is the first NDJSON line of a /stream response.
-type streamHeader struct {
-	Cols      []string `json:"cols"`
-	Rewritten bool     `json:"rewritten"`
-	CacheHit  bool     `json:"cache_hit"`
-}
-
-// streamRow is one result row line.
-type streamRow struct {
-	Row []string `json:"row"`
-}
-
-// streamTrailer terminates a /stream response: Done with summary metadata
-// on success, Error otherwise (including "context canceled" when the
-// session timeout fired — the client sees why its stream stopped short).
-// Code and LeaderHint carry the typed wire classification of a failure;
-// they are additive, so v0 clients that only look at Error keep working.
-type streamTrailer struct {
-	Done       bool   `json:"done,omitempty"`
-	RowCount   int    `json:"row_count,omitempty"`
-	ElapsedUS  int64  `json:"elapsed_us,omitempty"`
-	UDFCalls   int64  `json:"udf_calls,omitempty"`
-	Morsels    int64  `json:"morsels,omitempty"`
-	Workers    int64  `json:"workers,omitempty"`
-	Error      string `json:"error,omitempty"`
-	Code       string `json:"code,omitempty"`
-	LeaderHint string `json:"leader_hint,omitempty"`
 }
 
 func handleStream(svc *Service, w http.ResponseWriter, r *http.Request) {
-	var req statementRequest
-	if !decodePost(svc, w, r, &req) {
-		return
-	}
-	sess, ok := resolveSession(svc, w, r, req.Session)
-	if !ok {
+	sess, req, found := decodeStatement(svc, w, r)
+	if !found {
 		return
 	}
 	var st *Stream
 	var err error
 	if req.ShardPartial {
-		st, err = svc.QueryStreamPartial(traceContext(r), sess, req.text())
+		st, err = svc.QueryStreamPartial(traceContext(r), sess, req.Text())
 	} else {
-		st, err = svc.QueryStream(traceContext(r), sess, req.text())
+		st, err = svc.QueryStream(traceContext(r), sess, req.Text())
 	}
 	if err != nil {
-		respondError(svc, w, r, http.StatusBadRequest, err)
+		fail(svc, w, wire.CodeBadRequest, err)
 		return
 	}
 	defer st.Rows.Close()
 	defer func(start time.Time) { svc.ObserveStreamDuration(time.Since(start)) }(time.Now())
 
-	w.Header().Set("X-Trace-Id", st.TraceID)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	rc := http.NewResponseController(w)
-	flush := func() { _ = rc.Flush() }
-
-	if err := enc.Encode(streamHeader{Cols: st.Rows.Columns(), Rewritten: st.Rows.Rewritten(), CacheHit: st.CacheHit}); err != nil {
+	w.Header().Set(wire.TraceHeader, st.TraceID)
+	sw, err := wire.NewStreamWriter(w, wire.StreamHeader{
+		Cols: st.Rows.Columns(), Rewritten: st.Rows.Rewritten(), CacheHit: st.CacheHit})
+	if err != nil {
 		return
 	}
-	flush()
+	sw.Flush()
 
-	n := 0
-	var line streamRow
+	var cells []string
 	for st.Rows.Next() {
 		row := st.Rows.Row()
-		if cap(line.Row) < len(row) {
-			line.Row = make([]string, len(row))
+		if cap(cells) < len(row) {
+			cells = make([]string, len(row))
 		}
-		line.Row = line.Row[:len(row)]
+		cells = cells[:len(row)]
 		for i, v := range row {
-			line.Row[i] = v.String()
+			cells[i] = v.String()
 		}
-		if err := enc.Encode(line); err != nil {
+		if err := sw.Row(cells); err != nil {
 			// Client went away mid-stream; the request context cancels the
 			// query, Close (deferred) releases its slots.
 			return
 		}
-		n++
-		flush()
+		sw.Flush()
 	}
 	st.Rows.Close() // settle Err and absorb parallel counters
 	if err := st.Rows.Err(); err != nil {
-		code, hint := classifyError(err, http.StatusBadRequest)
-		_ = enc.Encode(streamTrailer{Error: err.Error(), Code: string(code), LeaderHint: hint})
-		flush()
+		sw.Fail(wireError(err, wire.CodeBadRequest))
+		sw.Flush()
 		return
 	}
 	c := st.Rows.Counters()
-	_ = enc.Encode(streamTrailer{
-		Done:      true,
-		RowCount:  n,
+	sw.Done(wire.StreamTrailer{
 		ElapsedUS: time.Since(st.Started).Microseconds(),
 		UDFCalls:  c.UDFCalls,
 		Morsels:   c.Morsels,
 		Workers:   c.Workers,
 	})
-	flush()
+	sw.Flush()
 }
 
 func handleExplain(svc *Service, w http.ResponseWriter, r *http.Request) {
-	var req statementRequest
-	if !decodePost(svc, w, r, &req) {
-		return
-	}
-	sess, ok := resolveSession(svc, w, r, req.Session)
-	if !ok {
+	sess, req, found := decodeStatement(svc, w, r)
+	if !found {
 		return
 	}
 	var out string
 	var err error
 	if v := r.URL.Query().Get("analyze"); v == "1" || v == "true" {
-		out, err = svc.ExplainAnalyze(traceContext(r), sess, req.text())
+		out, err = svc.ExplainAnalyze(traceContext(r), sess, req.Text())
 	} else {
-		out, err = svc.Explain(sess, req.text())
+		out, err = svc.Explain(sess, req.Text())
 	}
 	if err != nil {
-		respondError(svc, w, r, http.StatusBadRequest, err)
+		fail(svc, w, wire.CodeBadRequest, err)
 		return
 	}
-	respond(svc, w, r, http.StatusOK, explainResponse{Explain: out})
+	ok(svc, w, explainResponse{Explain: out})
 }
 
 func handleStats(svc *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		respondErrorf(svc, w, r, http.StatusMethodNotAllowed, wire.CodeBadRequest, "use GET")
+	if !readRequest(svc, w, r, http.MethodGet, nil) {
 		return
 	}
-	respond(svc, w, r, http.StatusOK, svc.Stats())
+	ok(svc, w, svc.Stats())
 }

@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -23,6 +22,7 @@ import (
 
 	"udfdecorr/internal/engine"
 	"udfdecorr/internal/server"
+	"udfdecorr/internal/wire"
 )
 
 // scrapeMetrics GETs /metrics and parses every sample line into a
@@ -66,13 +66,8 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 
 func getStats(t *testing.T, url string) server.Stats {
 	t.Helper()
-	resp, err := http.Get(url + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var st server.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := wire.NewClient(url).Get(context.Background(), "/stats", &st); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -274,21 +269,13 @@ func TestHTTPExplainAnalyze(t *testing.T) {
 
 	post := func(path string) string {
 		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json",
-			strings.NewReader(`{"sql":"select custkey, lvl(custkey) from customer where custkey < 10"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			raw, _ := io.ReadAll(resp.Body)
-			t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, raw)
-		}
 		var out struct {
 			Explain string `json:"explain"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
+		err := wire.NewClient(ts.URL).Post(context.Background(), path,
+			wire.Statement{SQL: "select custkey, lvl(custkey) from customer where custkey < 10"}, &out)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
 		}
 		return out.Explain
 	}

@@ -7,7 +7,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 
 	"udfdecorr/internal/repl"
 )
@@ -25,10 +24,9 @@ const (
 var ErrReadOnly = errors.New("read-only replica")
 
 // ReadOnlyError is the typed form of a follower's write rejection. The
-// leader address travels in the Leader field (surfaced as the wire
-// envelope's leader_hint) so clients redirect structurally instead of
-// parsing it out of the message; Error() still names the leader for legacy
-// v0 clients and human logs.
+// leader address travels only in the Leader field (surfaced as the wire
+// envelope's leader_hint), so clients redirect structurally; the message
+// carries no address to parse.
 type ReadOnlyError struct {
 	// Leader is the base URL of the leader this replica follows, or "" when
 	// unknown (e.g. a follower that lost its leader and is awaiting
@@ -38,10 +36,7 @@ type ReadOnlyError struct {
 
 // Error implements the error interface.
 func (e *ReadOnlyError) Error() string {
-	if e.Leader != "" {
-		return fmt.Sprintf("%v: writes, DDL and transactions must go to the leader at %s", ErrReadOnly, e.Leader)
-	}
-	return fmt.Sprintf("%v: writes, DDL and transactions are rejected here", ErrReadOnly)
+	return ErrReadOnly.Error() + ": writes, DDL and transactions must go to the leader"
 }
 
 // Unwrap makes errors.Is(err, ErrReadOnly) keep working.
@@ -56,13 +51,6 @@ func (s *Service) Role() Role {
 		return RoleLeader
 	}
 	return s.role
-}
-
-// LeaderURL returns the leader this replica follows ("" on a leader).
-func (s *Service) LeaderURL() string {
-	s.replMu.RLock()
-	defer s.replMu.RUnlock()
-	return s.leaderURL
 }
 
 // SetFollower flips the service into read-only replica mode, fed by the
@@ -103,7 +91,7 @@ func (s *Service) ReplStatus() (repl.Status, bool) {
 }
 
 // rejectOnReplica returns the read-only error when the service is currently
-// a follower, naming the leader so clients know where to send writes.
+// a follower, carrying the leader so clients know where to send writes.
 func (s *Service) rejectOnReplica() error {
 	s.replMu.RLock()
 	defer s.replMu.RUnlock()

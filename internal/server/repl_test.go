@@ -6,7 +6,7 @@ package server_test
 // /repl endpoints mounted on a durable service's handler.
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -17,6 +17,7 @@ import (
 	"udfdecorr/internal/engine"
 	"udfdecorr/internal/repl"
 	"udfdecorr/internal/server"
+	"udfdecorr/internal/wire"
 )
 
 // followerService builds an in-memory service flipped into follower mode
@@ -41,8 +42,8 @@ func TestFollowerRejectsWritesServesReads(t *testing.T) {
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("replica read failed: %v", err)
 	}
-	// Writes, DDL, transactions and index DDL are rejected with the leader's
-	// address in the error.
+	// Writes, DDL, transactions and index DDL are rejected; the leader's
+	// address travels in the typed error's field, not in its text.
 	for _, script := range []string{
 		"insert into kv values (2, 'b');",
 		"create table other (k int primary key);",
@@ -52,8 +53,12 @@ func TestFollowerRejectsWritesServesReads(t *testing.T) {
 		if !errors.Is(err, server.ErrReadOnly) {
 			t.Fatalf("Exec(%q) on replica: err=%v, want ErrReadOnly", script, err)
 		}
-		if !strings.Contains(err.Error(), "http://leader:8080") {
-			t.Fatalf("read-only error lacks redirect hint: %v", err)
+		var ro *server.ReadOnlyError
+		if !errors.As(err, &ro) || ro.Leader != "http://leader:8080" {
+			t.Fatalf("read-only error lacks the structured leader: %v", err)
+		}
+		if strings.Contains(err.Error(), "://") {
+			t.Fatalf("read-only message still carries a URL: %v", err)
 		}
 	}
 	if err := svc.CreateIndex("kv", "v"); !errors.Is(err, server.ErrReadOnly) {
@@ -85,14 +90,6 @@ func TestHealthzReportsRoleAndLag(t *testing.T) {
 	srv := httptest.NewServer(server.NewHandler(svc))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d, want 200", resp.StatusCode)
-	}
 	var hz struct {
 		Role    string `json:"role"`
 		Healthy bool   `json:"healthy"`
@@ -102,7 +99,7 @@ func TestHealthzReportsRoleAndLag(t *testing.T) {
 			LagRecords     int64  `json:"lag_records"`
 		} `json:"repl"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+	if err := wire.NewClient(srv.URL).Get(context.Background(), "/healthz", &hz); err != nil {
 		t.Fatal(err)
 	}
 	if hz.Role != "follower" || !hz.Healthy {
@@ -171,18 +168,13 @@ func TestDurableHandlerServesReplEndpoints(t *testing.T) {
 		t.Fatal("/repl/wal missing tip-records header")
 	}
 
-	hresp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
 	var hz struct {
 		Role string `json:"role"`
 		WAL  struct {
 			Records int64 `json:"records"`
 		} `json:"wal"`
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(&hz); err != nil {
+	if err := wire.NewClient(srv.URL).Get(context.Background(), "/healthz", &hz); err != nil {
 		t.Fatal(err)
 	}
 	if hz.Role != "leader" {

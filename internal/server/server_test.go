@@ -1,10 +1,9 @@
 package server_test
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
+	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"udfdecorr/internal/server"
 	"udfdecorr/internal/sqltypes"
 	"udfdecorr/internal/storage"
+	"udfdecorr/internal/wire"
 )
 
 // newBenchService boots a service over the small bench dataset with the
@@ -377,20 +377,12 @@ func TestHTTPAPI(t *testing.T) {
 	ts := httptest.NewServer(server.NewHandler(svc))
 	defer ts.Close()
 
+	c := wire.NewClient(ts.URL)
 	post := func(path string, body any) map[string]any {
 		t.Helper()
-		buf, _ := json.Marshal(body)
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
 		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d: %v", path, resp.StatusCode, out["error"])
+		if err := c.Post(context.Background(), path, body, &out); err != nil {
+			t.Fatalf("POST %s: %v", path, err)
 		}
 		return out
 	}
@@ -430,13 +422,8 @@ func TestHTTPAPI(t *testing.T) {
 	}
 
 	// Stats reflects all of the above.
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var st server.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := c.Get(context.Background(), "/stats", &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Cache.Hits == 0 {
@@ -449,15 +436,11 @@ func TestHTTPAPI(t *testing.T) {
 		t.Error("stats should report live sessions")
 	}
 
-	// Unknown session is a 404.
-	buf, _ := json.Marshal(map[string]any{"session": "nope", "sql": "select 1"})
-	resp2, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown session: status %d, want 404", resp2.StatusCode)
+	// Unknown session fails typed (status pinned by the wire contract test).
+	_, err := c.Query(context.Background(), "nope", "select 1")
+	var re *wire.RemoteError
+	if !errors.As(err, &re) || re.Code != wire.CodeUnknownSession {
+		t.Errorf("unknown session: err = %v, want UNKNOWN_SESSION", err)
 	}
 }
 
@@ -654,20 +637,12 @@ func TestHTTPParallelSession(t *testing.T) {
 	ts := httptest.NewServer(server.NewHandler(svc))
 	defer ts.Close()
 
+	c := wire.NewClient(ts.URL)
 	post := func(path string, body any) map[string]any {
 		t.Helper()
-		buf, _ := json.Marshal(body)
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
 		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d: %v", path, resp.StatusCode, out["error"])
+		if err := c.Post(context.Background(), path, body, &out); err != nil {
+			t.Fatalf("POST %s: %v", path, err)
 		}
 		return out
 	}
@@ -698,13 +673,8 @@ func TestHTTPParallelSession(t *testing.T) {
 		t.Errorf("explain missing parallel degree:\n%s", s)
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var st server.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := c.Get(context.Background(), "/stats", &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Parallel.ParallelQueries == 0 || st.Parallel.WorkerLaunches == 0 {

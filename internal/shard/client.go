@@ -1,168 +1,50 @@
-// HTTP client for one shard. The router always speaks wire v1 to its
-// shards, so every shard-side failure arrives as a typed *wire.RemoteError
-// the gather layer can compose; transport-level failures (shard process
-// down) are wrapped as SHARD_UNAVAILABLE.
+// The router's shard legs. Each shard is a wire.Client; a shard-side failure
+// arrives as the typed *wire.RemoteError the shard sent, which the gather
+// layer can compose, and a transport-level failure (shard process down,
+// stream cut short) is typed here as SHARD_UNAVAILABLE.
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"time"
+	"errors"
 
 	"udfdecorr/internal/wire"
 )
 
-// shardClient talks to one udfserverd.
-type shardClient struct {
-	base string
-	hc   *http.Client
-}
-
-func newShardClient(base string) *shardClient {
-	return &shardClient{base: base, hc: &http.Client{Timeout: 5 * time.Minute}}
-}
-
-// unavailable wraps a transport error as a typed SHARD_UNAVAILABLE.
-func (c *shardClient) unavailable(err error) *wire.RemoteError {
-	return &wire.RemoteError{
-		Code:    wire.CodeShardUnavailable,
-		Message: fmt.Sprintf("shard %s: %v", c.base, err),
-	}
-}
-
-// post sends a v1 request and decodes the enveloped response into out.
-func (c *shardClient) post(ctx context.Context, path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
+// unavailable types a shard leg's transport error as SHARD_UNAVAILABLE;
+// errors the shard itself reported pass through.
+func unavailable(shard *wire.Client, err error) error {
+	var re *wire.RemoteError
+	if err == nil || errors.As(err, &re) {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", wire.V1Accept)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return c.unavailable(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return c.unavailable(err)
-	}
-	return wire.Decode(raw, resp.StatusCode, out)
+	return wire.Errorf(wire.CodeShardUnavailable, "shard %s: %v", shard.Base(), err)
+}
+
+// post sends one enveloped request to shard i.
+func (r *Router) post(ctx context.Context, i int, path string, body, out any) error {
+	return unavailable(r.shards[i], r.shards[i].Post(ctx, path, body, out))
 }
 
 // shardStream is one shard's open /stream cursor.
 type shardStream struct {
-	client *shardClient
-	cols   []string
-	rewrit bool
-	cancel context.CancelFunc
-	body   io.ReadCloser
-	sc     *bufio.Scanner
-	done   bool
+	*wire.Cursor
+	shard *wire.Client
 }
 
-// streamLine is the union of the three NDJSON line shapes.
-type streamLine struct {
-	Cols       []string `json:"cols"`
-	Rewritten  bool     `json:"rewritten"`
-	Row        []string `json:"row"`
-	Done       bool     `json:"done"`
-	Error      string   `json:"error"`
-	Code       string   `json:"code"`
-	LeaderHint string   `json:"leader_hint"`
-}
-
-// stream opens a /stream cursor on the shard. partial selects shard-local
-// partial-aggregate execution (the scatter-merge leg).
-func (c *shardClient) stream(ctx context.Context, session, sql string, partial bool) (*shardStream, error) {
-	body, err := json.Marshal(map[string]any{
-		"session": session, "sql": sql, "shard_partial": partial,
-	})
+// stream opens the statement's cursor on shard i, in sess's session there.
+// partial selects shard-local partial-aggregate execution (the scatter-merge
+// leg).
+func (r *Router) stream(ctx context.Context, i int, sess *Session, sql string, partial bool) (*shardStream, error) {
+	cur, err := r.shards[i].Stream(ctx, wire.Statement{Session: sess.shardIDs[i], SQL: sql, ShardPartial: partial})
 	if err != nil {
-		return nil, err
+		return nil, unavailable(r.shards[i], err)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/stream", bytes.NewReader(body))
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", wire.V1Accept)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		cancel()
-		return nil, c.unavailable(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		cancel()
-		return nil, wire.Decode(raw, resp.StatusCode, nil)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	st := &shardStream{client: c, cancel: cancel, body: resp.Body, sc: sc}
-	header, err := st.scan()
-	if err != nil {
-		st.close()
-		return nil, err
-	}
-	st.cols, st.rewrit = header.Cols, header.Rewritten
-	return st, nil
-}
-
-// scan reads the next NDJSON line.
-func (s *shardStream) scan() (*streamLine, error) {
-	if !s.sc.Scan() {
-		if err := s.sc.Err(); err != nil {
-			return nil, s.client.unavailable(err)
-		}
-		return nil, s.client.unavailable(fmt.Errorf("stream ended without trailer (shard died mid-stream?)"))
-	}
-	var line streamLine
-	if err := json.Unmarshal(s.sc.Bytes(), &line); err != nil {
-		return nil, fmt.Errorf("shard %s: bad stream line %q: %w", s.client.base, s.sc.Text(), err)
-	}
-	return &line, nil
+	return &shardStream{Cursor: cur, shard: r.shards[i]}, nil
 }
 
 // next returns the next row, or (nil, nil) once the shard's trailer arrives.
-// A shard-reported mid-stream error comes back as its typed *wire.RemoteError.
 func (s *shardStream) next() ([]string, error) {
-	if s.done {
-		return nil, nil
-	}
-	line, err := s.scan()
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case line.Error != "":
-		code := wire.Code(line.Code)
-		if code == "" {
-			code = wire.CodeInternal
-		}
-		return nil, &wire.RemoteError{Code: code, Message: line.Error, LeaderHint: line.LeaderHint}
-	case line.Done:
-		s.done = true
-		return nil, nil
-	default:
-		return line.Row, nil
-	}
-}
-
-// close releases the cursor (cancelling the request if still streaming).
-func (s *shardStream) close() {
-	s.cancel()
-	s.body.Close()
+	row, err := s.Next()
+	return row, unavailable(s.shard, err)
 }

@@ -34,7 +34,7 @@ type concatRows struct {
 	emitted int64
 }
 
-func (c *concatRows) Cols() []string { return c.streams[0].cols }
+func (c *concatRows) Cols() []string { return c.streams[0].Header.Cols }
 
 func (c *concatRows) Next() ([]string, error) {
 	for c.cur < len(c.streams) {
@@ -63,7 +63,7 @@ func (c *concatRows) Next() ([]string, error) {
 
 func (c *concatRows) Close() {
 	for _, st := range c.streams {
-		st.close()
+		st.Close()
 	}
 }
 
@@ -96,7 +96,7 @@ func (s *sliceRows) Close() {}
 func gatherMerge(streams []*shardStream, spec *plan.MergeSpec) (Rows, error) {
 	defer func() {
 		for _, st := range streams {
-			st.close()
+			st.Close()
 		}
 	}()
 	specs := make([]exec.PartialAggSpec, len(spec.Aggs))

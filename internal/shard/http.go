@@ -1,20 +1,26 @@
-// The router's HTTP surface: the same versioned wire API the shards serve
-// (v0 legacy shapes by default, the v1 envelope behind the Accept knob),
-// over the same endpoints, so single-node clients point at a router
-// unchanged. /query and /exec are aliases of one statement handler, like
-// the single-node server.
+// The router's HTTP surface: the same wire API the shards serve (one
+// envelope, the same typed codes and statuses, the same NDJSON stream), over
+// the same endpoints, so single-node clients point at a router unchanged.
 package shard
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"udfdecorr/internal/parser"
 	"udfdecorr/internal/wire"
 )
 
-// NewHandler builds the router's HTTP mux.
+// role is the envelope role of every router response.
+const role = "router"
+
+// NewHandler builds the router's HTTP API: /session, /session/close,
+// /query, /exec, /stream, /explain, /stats and /healthz, answering every
+// JSON endpoint with the one wire envelope (see internal/wire) whatever the
+// request's Accept header says, and /stream as NDJSON flushed every 64 rows.
+// /query and /exec are two routes over one statement handler, like the
+// single-node server's: a SELECT is classified and scattered, anything else
+// is routed as a DDL/INSERT script. A request's X-Trace-Id is echoed and
+// forwarded on every shard request it causes.
 func NewHandler(r *Router) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/session", func(w http.ResponseWriter, req *http.Request) { handleSession(r, w, req) })
@@ -24,159 +30,87 @@ func NewHandler(r *Router) http.Handler {
 	mux.HandleFunc("/stream", func(w http.ResponseWriter, req *http.Request) { handleStream(r, w, req) })
 	mux.HandleFunc("/explain", func(w http.ResponseWriter, req *http.Request) { handleExplain(r, w, req) })
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, req *http.Request) {
-		respond(w, req, http.StatusOK, r.Snapshot())
+		if wire.ReadRequest(w, req, role, http.MethodGet, nil) {
+			ok(w, r.Snapshot())
+		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		respond(w, req, http.StatusOK, map[string]any{"ok": true, "shards": r.NumShards()})
+		if wire.ReadRequest(w, req, role, http.MethodGet, nil) {
+			ok(w, map[string]any{"ok": true, "shards": r.NumShards()})
+		}
 	})
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// respond writes a success payload in the request's negotiated wire version.
-func respond(w http.ResponseWriter, r *http.Request, status int, result any) {
-	if wire.Version(r) == wire.V1 {
-		env, err := wire.OK(result, "router", "", r.Header.Get("X-Trace-Id"))
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, wire.Fail(wire.CodeInternal, err.Error(), "router", "", ""))
-			return
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if id := req.Header.Get(wire.TraceHeader); id != "" {
+			w.Header().Set(wire.TraceHeader, id)
+			req = req.WithContext(wire.WithTraceID(req.Context(), id))
 		}
-		writeJSON(w, status, env)
-		return
-	}
-	writeJSON(w, status, result)
+		mux.ServeHTTP(w, req)
+	})
 }
 
-// classify maps a router error to its wire code and HTTP status.
-func classify(err error) (wire.Code, string, int) {
-	if re, ok := err.(*wire.RemoteError); ok {
-		status := http.StatusInternalServerError
-		switch re.Code {
-		case wire.CodeBadRequest, wire.CodeUnshardable:
-			status = http.StatusBadRequest
-		case wire.CodeUnknownSession:
-			status = http.StatusNotFound
-		case wire.CodeReadOnly:
-			status = http.StatusConflict
-		case wire.CodeShardUnavailable, wire.CodePartialFailure:
-			status = http.StatusBadGateway
-		}
-		return re.Code, re.LeaderHint, status
-	}
-	return wire.CodeInternal, "", http.StatusInternalServerError
+func ok(w http.ResponseWriter, result any) { wire.WriteOK(w, role, http.StatusOK, result) }
+
+// fail answers with err's error envelope; router errors carry their own
+// codes, anything untyped is INTERNAL.
+func fail(w http.ResponseWriter, err error) {
+	wire.WriteError(w, role, wire.AsRemote(err, wire.CodeInternal))
 }
 
-// respondError writes a failure in the negotiated wire version: a typed
-// envelope on v1, the legacy {"error": ...} shape on v0 (where the code
-// still prefixes the message, via RemoteError.Error).
-func respondError(w http.ResponseWriter, r *http.Request, err error) {
-	code, hint, status := classify(err)
-	if wire.Version(r) == wire.V1 {
-		msg := err.Error()
-		if re, ok := err.(*wire.RemoteError); ok {
-			msg = re.Message
-		}
-		writeJSON(w, status, wire.Fail(code, msg, "router", hint, r.Header.Get("X-Trace-Id")))
-		return
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func respondErrorf(w http.ResponseWriter, r *http.Request, code wire.Code, format string, args ...any) {
-	respondError(w, r, &wire.RemoteError{Code: code, Message: fmt.Sprintf(format, args...)})
-}
-
-// statementRequest is the shared /query, /exec, /stream and /explain body.
-type statementRequest struct {
-	Session string `json:"session"`
-	SQL     string `json:"sql"`
-	Script  string `json:"script"`
-}
-
-func (q *statementRequest) text() string {
-	if q.SQL != "" {
-		return q.SQL
-	}
-	return q.Script
-}
-
-func decodeStatement(r *Router, w http.ResponseWriter, req *http.Request) (*Session, *statementRequest, bool) {
-	if req.Method != http.MethodPost {
-		respondErrorf(w, req, wire.CodeBadRequest, "POST only")
-		return nil, nil, false
-	}
-	var body statementRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		respondErrorf(w, req, wire.CodeBadRequest, "bad request body: %v", err)
+func decodeStatement(r *Router, w http.ResponseWriter, req *http.Request) (*Session, *wire.Statement, bool) {
+	var body wire.Statement
+	if !wire.ReadRequest(w, req, role, http.MethodPost, &body) {
 		return nil, nil, false
 	}
 	sess, err := r.Session(body.Session)
 	if err != nil {
-		respondError(w, req, err)
+		fail(w, err)
 		return nil, nil, false
 	}
 	return sess, &body, true
 }
 
 func handleSession(r *Router, w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		respondErrorf(w, req, wire.CodeBadRequest, "POST only")
-		return
-	}
 	settings := map[string]any{}
-	if req.Body != nil {
-		// An empty body means default settings, like the single-node server.
-		_ = json.NewDecoder(req.Body).Decode(&settings)
+	if !wire.ReadRequest(w, req, role, http.MethodPost, &settings) {
+		return
 	}
 	sess, err := r.CreateSession(req.Context(), settings)
 	if err != nil {
-		respondError(w, req, err)
+		fail(w, err)
 		return
 	}
 	out := map[string]any{"session": sess.ID, "shards": r.NumShards()}
 	for k, v := range settings {
 		out[k] = v
 	}
-	respond(w, req, http.StatusOK, out)
+	ok(w, out)
 }
 
 func handleSessionClose(r *Router, w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		respondErrorf(w, req, wire.CodeBadRequest, "POST only")
-		return
-	}
-	var body struct {
-		Session string `json:"session"`
-	}
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		respondErrorf(w, req, wire.CodeBadRequest, "bad request body: %v", err)
+	var body wire.Statement
+	if !wire.ReadRequest(w, req, role, http.MethodPost, &body) {
 		return
 	}
 	if err := r.CloseSession(req.Context(), body.Session); err != nil {
-		respondError(w, req, err)
+		fail(w, err)
 		return
 	}
-	respond(w, req, http.StatusOK, map[string]bool{"ok": true})
+	ok(w, wire.Ack{OK: true})
 }
 
 // handleStatement serves /query and /exec: a body that parses as a SELECT
 // routes through the query planner (classification + scatter/gather), any
 // other script routes through Exec (DDL broadcast + INSERT hash-routing).
 func handleStatement(r *Router, w http.ResponseWriter, req *http.Request) {
-	sess, body, ok := decodeStatement(r, w, req)
-	if !ok {
+	sess, body, found := decodeStatement(r, w, req)
+	if !found {
 		return
 	}
-	text := body.text()
+	text := body.Text()
 	if _, err := parser.ParseQuery(text); err == nil {
 		rows, _, err := r.Query(req.Context(), sess, text)
 		if err != nil {
-			respondError(w, req, err)
+			fail(w, err)
 			return
 		}
 		defer rows.Close()
@@ -184,7 +118,7 @@ func handleStatement(r *Router, w http.ResponseWriter, req *http.Request) {
 		for {
 			row, err := rows.Next()
 			if err != nil {
-				respondError(w, req, err)
+				fail(w, err)
 				return
 			}
 			if row == nil {
@@ -192,73 +126,63 @@ func handleStatement(r *Router, w http.ResponseWriter, req *http.Request) {
 			}
 			out = append(out, row)
 		}
-		respond(w, req, http.StatusOK, map[string]any{
-			"cols": rows.Cols(), "rows": out, "row_count": len(out),
-		})
+		ok(w, wire.QueryResult{Cols: rows.Cols(), Rows: out, RowCount: len(out)})
 		return
 	}
 	if err := r.Exec(req.Context(), sess, text); err != nil {
-		respondError(w, req, err)
+		fail(w, err)
 		return
 	}
-	respond(w, req, http.StatusOK, map[string]bool{"ok": true})
+	ok(w, wire.Ack{OK: true})
 }
 
 // handleStream serves the NDJSON cursor: header, rows as they are gathered
 // from the shards, trailer. Mid-scatter failures arrive in the trailer with
 // their typed code, like a shard's own stream.
 func handleStream(r *Router, w http.ResponseWriter, req *http.Request) {
-	sess, body, ok := decodeStatement(r, w, req)
-	if !ok {
+	sess, body, found := decodeStatement(r, w, req)
+	if !found {
 		return
 	}
-	rows, _, err := r.Query(req.Context(), sess, body.text())
+	rows, _, err := r.Query(req.Context(), sess, body.Text())
 	if err != nil {
-		respondError(w, req, err)
+		fail(w, err)
 		return
 	}
 	defer rows.Close()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	_ = enc.Encode(map[string]any{"cols": rows.Cols()})
-	if flusher != nil {
-		flusher.Flush()
+	sw, err := wire.NewStreamWriter(w, wire.StreamHeader{Cols: rows.Cols()})
+	if err != nil {
+		return
 	}
-	n := 0
+	sw.Flush()
 	for {
 		row, err := rows.Next()
 		if err != nil {
-			code, hint, _ := classify(err)
-			msg := err.Error()
-			if re, ok := err.(*wire.RemoteError); ok {
-				msg = re.Message
-			}
-			_ = enc.Encode(map[string]any{"error": msg, "code": string(code), "leader_hint": hint})
+			sw.Fail(wire.AsRemote(err, wire.CodeInternal))
 			return
 		}
 		if row == nil {
 			break
 		}
-		n++
-		_ = enc.Encode(map[string]any{"row": row})
-		if flusher != nil && n%64 == 0 {
-			flusher.Flush()
+		if sw.Row(row) != nil {
+			return // client went away; closing the cursors cancels the legs
+		}
+		if sw.Rows()%64 == 0 {
+			sw.Flush()
 		}
 	}
-	_ = enc.Encode(map[string]any{"done": true, "row_count": n})
+	sw.Done(wire.StreamTrailer{})
 }
 
 func handleExplain(r *Router, w http.ResponseWriter, req *http.Request) {
-	sess, body, ok := decodeStatement(r, w, req)
-	if !ok {
+	sess, body, found := decodeStatement(r, w, req)
+	if !found {
 		return
 	}
-	out, err := r.Explain(req.Context(), sess, body.text())
+	out, err := r.Explain(req.Context(), sess, body.Text())
 	if err != nil {
-		respondError(w, req, err)
+		fail(w, err)
 		return
 	}
-	respond(w, req, http.StatusOK, map[string]string{"explain": out})
+	ok(w, map[string]string{"explain": out})
 }

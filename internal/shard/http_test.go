@@ -1,153 +1,217 @@
-// HTTP-surface test of the router handler: the versioned wire API (v0
-// legacy shapes, v1 envelope), /query-/exec aliasing and the NDJSON stream
-// with typed trailer errors.
+// HTTP-surface test of the router handler through the wire client: both
+// statement routes, the NDJSON stream and the routing counters. The envelope
+// shape, codes and statuses of every endpoint are pinned by contract_test.go.
 package shard_test
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"udfdecorr/internal/shard"
 	"udfdecorr/internal/wire"
 )
 
-func postRaw(t *testing.T, url string, v1 bool, body any) (*http.Response, []byte) {
-	t.Helper()
-	buf, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if v1 {
-		req.Header.Set("Accept", wire.V1Accept)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return resp, out.Bytes()
-}
-
 func TestRouterHTTP(t *testing.T) {
 	c := startCluster(t, 2)
 	ts := httptest.NewServer(shard.NewHandler(c.router))
 	defer ts.Close()
+	ctx := context.Background()
+	wc := wire.NewClient(ts.URL)
 
-	// v1 session create: enveloped with the router role.
-	resp, raw := postRaw(t, ts.URL+"/session", true, map[string]any{"mode": "rewrite"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("session: status %d: %s", resp.StatusCode, raw)
-	}
-	var env wire.Envelope
-	if err := json.Unmarshal(raw, &env); err != nil || env.V != wire.V1 || env.Role != "router" {
-		t.Fatalf("session v1 envelope = %s (err %v)", raw, err)
-	}
 	var sess struct {
 		Session string `json:"session"`
 		Shards  int    `json:"shards"`
+		Mode    string `json:"mode"`
 	}
-	if err := json.Unmarshal(env.Result, &sess); err != nil || sess.Session == "" || sess.Shards != 2 {
-		t.Fatalf("session result = %s", env.Result)
+	if err := wc.Post(ctx, "/session", map[string]any{"mode": "rewrite"}, &sess); err != nil {
+		t.Fatal(err)
 	}
-
-	// /exec and /query are aliases: DDL + insert through /query, select
-	// through /exec, both legacy-shaped without the Accept header.
-	resp, raw = postRaw(t, ts.URL+"/query", false, map[string]any{
-		"session": sess.Session,
-		"script":  "create table pts (k int primary key, v int) shard key (k); insert into pts values (1, 10); insert into pts values (2, 20); insert into pts values (3, 30);",
-	})
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"ok":true`) {
-		t.Fatalf("exec via /query: status %d: %s", resp.StatusCode, raw)
-	}
-	resp, raw = postRaw(t, ts.URL+"/exec", false, map[string]any{
-		"session": sess.Session, "sql": "select k, v from pts where k = 2",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query via /exec: status %d: %s", resp.StatusCode, raw)
-	}
-	var q struct {
-		Rows     [][]string `json:"rows"`
-		RowCount int        `json:"row_count"`
-	}
-	if err := json.Unmarshal(raw, &q); err != nil || q.RowCount != 1 || len(q.Rows) != 1 || q.Rows[0][1] != "20" {
-		t.Fatalf("query via /exec = %s", raw)
+	if sess.Session == "" || sess.Shards != 2 || sess.Mode != "rewrite" {
+		t.Fatalf("session result = %+v", sess)
 	}
 
-	// Unshardable SELECT over v1: typed UNSHARDABLE envelope naming the shape.
-	resp, raw = postRaw(t, ts.URL+"/query", true, map[string]any{
-		"session": sess.Session, "sql": "select k from pts order by v",
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unshardable: status %d: %s", resp.StatusCode, raw)
+	// /exec and /query are one handler: DDL + inserts through /query, a
+	// SELECT through /exec.
+	var ack wire.Ack
+	err := wc.Post(ctx, "/query", wire.Statement{Session: sess.Session,
+		Script: "create table pts (k int primary key, v int) shard key (k); insert into pts values (1, 10); insert into pts values (2, 20); insert into pts values (3, 30);"}, &ack)
+	if err != nil || !ack.OK {
+		t.Fatalf("exec via /query: ack=%+v err=%v", ack, err)
 	}
-	env = wire.Envelope{}
-	if err := json.Unmarshal(raw, &env); err != nil || env.Error == nil || env.Error.Code != wire.CodeUnshardable {
-		t.Fatalf("unshardable envelope = %s", raw)
-	}
-	if !strings.Contains(env.Error.Message, "ORDER BY") {
-		t.Fatalf("unshardable message %q does not name the shape", env.Error.Message)
+	var q wire.QueryResult
+	err = wc.Post(ctx, "/exec", wire.Statement{Session: sess.Session, SQL: "select k, v from pts where k = 2"}, &q)
+	if err != nil || q.RowCount != 1 || len(q.Rows) != 1 || q.Rows[0][1] != "20" {
+		t.Fatalf("query via /exec = %+v, err %v", q, err)
 	}
 
 	// Streaming: header, scattered rows, done trailer.
-	resp, raw = postRaw(t, ts.URL+"/stream", false, map[string]any{
-		"session": sess.Session, "sql": "select k, v from pts",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream: status %d: %s", resp.StatusCode, raw)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	var rows int
-	var sawHeader, sawDone bool
-	for sc.Scan() {
-		var line struct {
-			Cols []string `json:"cols"`
-			Row  []string `json:"row"`
-			Done bool     `json:"done"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		switch {
-		case !sawHeader:
-			sawHeader = true
-			if len(line.Cols) != 2 {
-				t.Fatalf("stream header cols = %v", line.Cols)
-			}
-		case line.Done:
-			sawDone = true
-		default:
-			rows++
-		}
-	}
-	if !sawHeader || !sawDone || rows != 3 {
-		t.Fatalf("stream shape: header=%v done=%v rows=%d", sawHeader, sawDone, rows)
-	}
-
-	// /stats reports the routing counters.
-	statsResp, err := http.Get(ts.URL + "/stats")
+	cur, err := wc.Stream(ctx, wire.Statement{Session: sess.Session, SQL: "select k, v from pts"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cur.Close()
+	if len(cur.Header.Cols) != 2 {
+		t.Fatalf("stream header cols = %v", cur.Header.Cols)
+	}
+	rows := 0
+	for {
+		row, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			break
+		}
+		rows++
+	}
+	if tr := cur.Trailer(); rows != 3 || tr == nil || !tr.Done || tr.RowCount != 3 {
+		t.Fatalf("stream shape: rows=%d trailer=%+v", rows, tr)
+	}
+
+	// /stats reports the routing counters.
 	var snap shard.StatsSnapshot
-	if err := json.NewDecoder(statsResp.Body).Decode(&snap); err != nil {
+	if err := wc.Get(ctx, "/stats", &snap); err != nil {
 		t.Fatal(err)
 	}
-	statsResp.Body.Close()
 	if snap.Shards != 2 || snap.InsertsRouted != 3 || snap.DDLBroadcast != 1 {
 		t.Fatalf("stats = %+v", snap)
+	}
+}
+
+// TestRouterReusesShardConnections: a cursor that has seen its trailer must
+// hand its connection back, so sequential statements open O(shards)
+// connections, not O(statements). The shards end each response a moment
+// after its last line, so the end-of-body marker is never already buffered
+// when the router reads the trailer — the case in which releasing the cursor
+// without draining it costs the connection.
+func TestRouterReusesShardConnections(t *testing.T) {
+	const shards, statements = 3, 200
+	c := startClusterWith(t, shards, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			time.Sleep(time.Millisecond)
+		})
+	})
+	ts := httptest.NewServer(shard.NewHandler(c.router))
+	defer ts.Close()
+	ctx := context.Background()
+	wc := wire.NewClient(ts.URL)
+	sess, err := wc.NewSession(ctx, map[string]any{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := "create table pts (k int primary key, v int) shard key (k);"
+	for k := 0; k < 30; k++ {
+		script += fmt.Sprintf(" insert into pts values (%d, %d);", k, k*10)
+	}
+	if err := wc.Exec(ctx, sess, script); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < statements; i++ {
+		sql := "select k, v from pts" // scatter-concat
+		if i%2 == 1 {
+			sql = "select count(*), sum(v) from pts" // scatter-merge
+		}
+		res, err := wc.Query(ctx, sess, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 30 - 29*(i%2); res.RowCount != want {
+			t.Fatalf("statement %d: %d rows, want %d", i, res.RowCount, want)
+		}
+	}
+	if got := c.conns.Load(); got > 2*shards {
+		t.Fatalf("%d scatter statements opened %d shard connections, want at most %d", statements, got, 2*shards)
+	}
+}
+
+// TestRouterForwardsTraceID: the X-Trace-Id of a router request reaches
+// every shard the statement contacts, verbatim, and comes back in the
+// envelope (or, for /stream, on the response header).
+func TestRouterForwardsTraceID(t *testing.T) {
+	const id = "t-123"
+	var mu sync.Mutex
+	seen := map[string][]string{} // "path shard" -> trace headers received
+	c := startClusterWith(t, 3, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			key := fmt.Sprintf("%s %d", r.URL.Path, i)
+			seen[key] = append(seen[key], r.Header.Get(wire.TraceHeader))
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		})
+	})
+	ts := httptest.NewServer(shard.NewHandler(c.router))
+	defer ts.Close()
+	post := func(path string, body any) *http.Response {
+		t.Helper()
+		buf, _ := json.Marshal(body)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(wire.TraceHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+		}
+		return resp
+	}
+	envelope := func(resp *http.Response) wire.Envelope {
+		t.Helper()
+		defer resp.Body.Close()
+		var env wire.Envelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		if env.TraceID != id {
+			t.Errorf("envelope trace_id = %q, want %q", env.TraceID, id)
+		}
+		return env
+	}
+	var sess struct {
+		Session string `json:"session"`
+	}
+	if err := json.Unmarshal(envelope(post("/session", map[string]any{})).Result, &sess); err != nil {
+		t.Fatal(err)
+	}
+	envelope(post("/exec", wire.Statement{Session: sess.Session,
+		Script: "create table pts (k int primary key, v int) shard key (k); insert into pts values (1, 10);"}))
+	envelope(post("/query", wire.Statement{Session: sess.Session, SQL: "select k, v from pts"}))
+	resp := post("/stream", wire.Statement{Session: sess.Session, SQL: "select count(*) from pts"})
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if got := resp.Header.Get(wire.TraceHeader); got != id {
+		t.Errorf("/stream response X-Trace-Id = %q, want %q", got, id)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < 3; i++ {
+		// /session and the broadcast DDL reach every shard once; the /query
+		// (scatter-concat) and the /stream (scatter-merge) each open one
+		// /stream leg per shard.
+		for path, want := range map[string]int{"/session": 1, "/exec": 1, "/stream": 2} {
+			got := seen[fmt.Sprintf("%s %d", path, i)]
+			if len(got) != want {
+				t.Errorf("shard %d saw %d %s requests, want %d", i, len(got), path, want)
+			}
+			for _, h := range got {
+				if h != id {
+					t.Errorf("shard %d %s arrived with X-Trace-Id %q, want %q", i, path, h, id)
+				}
+			}
+		}
 	}
 }

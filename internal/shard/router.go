@@ -20,7 +20,7 @@ import (
 // catalog (rebuilt from the DDL that flows through it) and its session
 // table (a router session is one session per shard).
 type Router struct {
-	shards []*shardClient
+	shards []*wire.Client
 	cat    *catalog.Catalog
 
 	mu       sync.Mutex
@@ -72,7 +72,7 @@ func New(shardURLs []string) (*Router, error) {
 	}
 	r := &Router{cat: catalog.New(), sessions: map[string]*Session{}}
 	for _, u := range shardURLs {
-		r.shards = append(r.shards, newShardClient(strings.TrimRight(u, "/")))
+		r.shards = append(r.shards, wire.NewClient(u))
 	}
 	return r, nil
 }
@@ -84,7 +84,7 @@ func (r *Router) NumShards() int { return len(r.shards) }
 func (r *Router) Snapshot() StatsSnapshot {
 	urls := make([]string, len(r.shards))
 	for i, s := range r.shards {
-		urls[i] = s.base
+		urls[i] = s.Base()
 	}
 	var sharded []string
 	for _, t := range r.cat.Tables() {
@@ -110,11 +110,6 @@ func (r *Router) Snapshot() StatsSnapshot {
 	}
 }
 
-// sessionResponse is the shard's /session result (v1 payload).
-type sessionResponse struct {
-	Session string `json:"session"`
-}
-
 // CreateSession opens one session per shard with the given settings
 // (forwarded verbatim: mode, profile, vectorized, parallelism, timeout_ms).
 // All shards must answer — a scatter cannot run on a partial cluster.
@@ -122,17 +117,13 @@ func (r *Router) CreateSession(ctx context.Context, settings map[string]any) (*S
 	ids := make([]string, len(r.shards))
 	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
-	for i, sc := range r.shards {
+	for i := range r.shards {
 		wg.Add(1)
-		go func(i int, sc *shardClient) {
+		go func(i int) {
 			defer wg.Done()
-			var resp sessionResponse
-			if err := sc.post(ctx, "/session", settings, &resp); err != nil {
-				errs[i] = err
-				return
-			}
-			ids[i] = resp.Session
-		}(i, sc)
+			ids[i], errs[i] = r.shards[i].NewSession(ctx, settings)
+			errs[i] = unavailable(r.shards[i], errs[i])
+		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -140,7 +131,7 @@ func (r *Router) CreateSession(ctx context.Context, settings map[string]any) (*S
 			// Best-effort close of the sessions that did open.
 			for j, id := range ids {
 				if id != "" {
-					_ = r.shards[j].post(ctx, "/session/close", map[string]any{"session": id}, nil)
+					_ = r.post(ctx, j, "/session/close", wire.Statement{Session: id}, nil)
 				}
 			}
 			return nil, fmt.Errorf("opening session on shard %d: %w", i, err)
@@ -163,10 +154,10 @@ func (r *Router) CloseSession(ctx context.Context, id string) error {
 	delete(r.sessions, id)
 	r.mu.Unlock()
 	if !ok {
-		return &wire.RemoteError{Code: wire.CodeUnknownSession, Message: fmt.Sprintf("unknown session %q", id)}
+		return wire.Errorf(wire.CodeUnknownSession, "unknown session %q", id)
 	}
 	for i, sid := range s.shardIDs {
-		_ = r.shards[i].post(ctx, "/session/close", map[string]any{"session": sid}, nil)
+		_ = r.post(ctx, i, "/session/close", wire.Statement{Session: sid}, nil)
 	}
 	return nil
 }
@@ -177,7 +168,7 @@ func (r *Router) Session(id string) (*Session, error) {
 	s, ok := r.sessions[id]
 	r.mu.Unlock()
 	if !ok {
-		return nil, &wire.RemoteError{Code: wire.CodeUnknownSession, Message: fmt.Sprintf("unknown session %q", id)}
+		return nil, wire.Errorf(wire.CodeUnknownSession, "unknown session %q", id)
 	}
 	return s, nil
 }
@@ -223,7 +214,7 @@ func (r *Router) Query(ctx context.Context, sess *Session, sql string) (Rows, pl
 	case plan.ShardSingle:
 		r.stats.SingleShard.Add(1)
 		i := r.pick(info)
-		st, err := r.shards[i].stream(ctx, sess.shardIDs[i], sql, false)
+		st, err := r.stream(ctx, i, sess, sql, false)
 		if err != nil {
 			return nil, info, err
 		}
@@ -254,19 +245,19 @@ func (r *Router) scatter(ctx context.Context, sess *Session, sql string, partial
 	streams := make([]*shardStream, len(r.shards))
 	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
-	for i, sc := range r.shards {
+	for i := range r.shards {
 		wg.Add(1)
-		go func(i int, sc *shardClient) {
+		go func(i int) {
 			defer wg.Done()
-			streams[i], errs[i] = sc.stream(ctx, sess.shardIDs[i], sql, partial)
-		}(i, sc)
+			streams[i], errs[i] = r.stream(ctx, i, sess, sql, partial)
+		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			for _, st := range streams {
 				if st != nil {
-					st.close()
+					st.Close()
 				}
 			}
 			return nil, scatterError(i, err)
@@ -320,7 +311,7 @@ func (r *Router) Explain(ctx context.Context, sess *Session, sql string) (string
 	var resp struct {
 		Explain string `json:"explain"`
 	}
-	if err := r.shards[i].post(ctx, "/explain", map[string]any{"session": sess.shardIDs[i], "sql": sql}, &resp); err != nil {
+	if err := r.post(ctx, i, "/explain", wire.Statement{Session: sess.shardIDs[i], SQL: sql}, &resp); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&b, "shard %d plan:\n%s", i, resp.Explain)
@@ -360,7 +351,7 @@ func (r *Router) Exec(ctx context.Context, sess *Session, script string) error {
 		case *ast.InsertStmt:
 			t, ok := r.cat.Table(st.Table)
 			if !ok {
-				return &wire.RemoteError{Code: wire.CodeBadRequest, Message: fmt.Sprintf("unknown table %s", st.Table)}
+				return wire.Errorf(wire.CodeBadRequest, "unknown table %s", st.Table)
 			}
 			if t.ShardKey == "" {
 				broadcast(st.SQL())
@@ -369,13 +360,13 @@ func (r *Router) Exec(ctx context.Context, sess *Session, script string) error {
 			}
 			idx := t.ColIndex(t.ShardKey)
 			if idx < 0 || idx >= len(st.Values) {
-				return &wire.RemoteError{Code: wire.CodeBadRequest,
-					Message: fmt.Sprintf("INSERT INTO %s: %d values, shard key %s is column %d", st.Table, len(st.Values), t.ShardKey, idx)}
+				return wire.Errorf(wire.CodeBadRequest,
+					"INSERT INTO %s: %d values, shard key %s is column %d", st.Table, len(st.Values), t.ShardKey, idx)
 			}
 			v, ok := litValue(st.Values[idx])
 			if !ok {
-				return &wire.RemoteError{Code: wire.CodeUnshardable,
-					Message: fmt.Sprintf("INSERT INTO %s: shard key %s must be a literal to route the row", st.Table, t.ShardKey)}
+				return wire.Errorf(wire.CodeUnshardable,
+					"INSERT INTO %s: shard key %s must be a literal to route the row", st.Table, t.ShardKey)
 			}
 			i := Hash(v, len(r.shards))
 			pending[i] = append(pending[i], st.SQL())
@@ -384,8 +375,8 @@ func (r *Router) Exec(ctx context.Context, sess *Session, script string) error {
 			return &wire.RemoteError{Code: wire.CodeUnshardable,
 				Message: "transactions cannot run through the shard router (no distributed commit protocol)"}
 		default:
-			return &wire.RemoteError{Code: wire.CodeUnshardable,
-				Message: fmt.Sprintf("%T statement cannot run through the shard router (only CREATE TABLE, CREATE FUNCTION and INSERT)", st)}
+			return wire.Errorf(wire.CodeUnshardable,
+				"%T statement cannot run through the shard router (only CREATE TABLE, CREATE FUNCTION and INSERT)", st)
 		}
 	}
 	return r.flush(ctx, sess, pending)
@@ -409,9 +400,7 @@ func (r *Router) flush(ctx context.Context, sess *Session, pending [][]string) e
 		wg.Add(1)
 		go func(i int, script string) {
 			defer wg.Done()
-			errs[i] = r.shards[i].post(ctx, "/exec", map[string]any{
-				"session": sess.shardIDs[i], "script": script,
-			}, nil)
+			errs[i] = r.post(ctx, i, "/exec", wire.Statement{Session: sess.shardIDs[i], Script: script}, nil)
 		}(i, strings.Join(stmts, "\n"))
 	}
 	wg.Wait()

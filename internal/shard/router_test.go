@@ -7,10 +7,12 @@ package shard_test
 
 import (
 	"context"
-	"strings"
-	"testing"
-
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
 
 	"udfdecorr/internal/bench"
 	"udfdecorr/internal/engine"
@@ -46,6 +48,7 @@ var extraQueries = []struct {
 type cluster struct {
 	router  *shard.Router
 	servers []*httptest.Server
+	conns   atomic.Int64 // connections the shards accepted
 }
 
 func (c *cluster) stop() {
@@ -54,14 +57,27 @@ func (c *cluster) stop() {
 	}
 }
 
-func startCluster(t *testing.T, n int) *cluster {
+func startCluster(t *testing.T, n int) *cluster { return startClusterWith(t, n, nil) }
+
+// startClusterWith starts n empty shards and a router over them. wrap, if
+// set, is middleware around shard i's handler.
+func startClusterWith(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler) *cluster {
 	t.Helper()
 	c := &cluster{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		eng := engine.New(engine.SYS1, engine.ModeRewrite)
-		svc := server.NewServiceFromEngine(eng, server.DefaultOptions())
-		ts := httptest.NewServer(server.NewHandler(svc))
+		h := server.NewHandler(server.NewServiceFromEngine(eng, server.DefaultOptions()))
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		ts := httptest.NewUnstartedServer(h)
+		ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				c.conns.Add(1)
+			}
+		}
+		ts.Start()
 		c.servers = append(c.servers, ts)
 		urls[i] = ts.URL
 	}

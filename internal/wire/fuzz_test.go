@@ -1,0 +1,152 @@
+package wire
+
+import (
+	"encoding/json"
+	"errors"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+	"unicode/utf8"
+)
+
+// Seeds are replies captured from server.NewHandler and shard.NewHandler.
+var envelopeSeeds = []string{
+	`{"v":1,"result":{"session":"s1","mode":"rewrite","profile":"SYS1","vectorized":false,"parallelism":0,"timeout_ms":0},"role":"leader"}`,
+	`{"v":1,"result":{"cols":["k","v"],"rows":[["1","'a'"],["2","'b'"]],"row_count":2,"rewritten":true,"cache_hit":false,"elapsed_us":97,"udf_calls":0,"plan_builds":0,"morsels":0,"workers":0},"role":"leader","trace_id":"t-1"}`,
+	`{"v":1,"result":{"ok":true},"role":"leader"}`,
+	`{"v":1,"error":{"code":"UNKNOWN_SESSION","message":"unknown session \"nope\""},"role":"leader"}`,
+	`{"v":1,"error":{"code":"READ_ONLY","message":"read-only replica: writes, DDL and transactions must go to the leader"},"role":"follower","leader_hint":"http://127.0.0.1:8093"}`,
+	`{"v":1,"result":{"session":"rs-1","shards":2},"role":"router","trace_id":"t-1"}`,
+	`{"v":1,"error":{"code":"UNSHARDABLE","message":"ORDER BY over a sharded table cannot be merged from concatenated shard streams"},"role":"router","trace_id":"t-1"}`,
+	`{"v":1,"error":{"code":"SHARD_UNAVAILABLE","message":"scatter leg 1: shard http://127.0.0.1:37847: Post \"http://127.0.0.1:37847/stream\": dial tcp 127.0.0.1:37847: connect: connection refused"},"role":"router"}`,
+	`{"error":"unknown session"}`,
+	`<html>502 Bad Gateway</html>`,
+}
+
+var streamSeeds = []string{
+	`{"cols":["k","v"],"rewritten":true,"cache_hit":true}`,
+	`{"cols":["k","v"],"rewritten":false,"cache_hit":false}`,
+	`{"row":["1","'a'"]}`,
+	`{"row":["1","NULL","2.5","'it''s'"]}`,
+	`{"done":true,"row_count":3,"elapsed_us":89}`,
+	`{"done":true,"row_count":21000,"elapsed_us":51234,"udf_calls":21000,"morsels":6,"workers":4}`,
+	`{"done":true}`,
+	`{"error":"division by zero","code":"BAD_REQUEST"}`,
+	`{"error":"scatter leg 1 failed after 7 gathered rows: boom","code":"PARTIAL_FAILURE"}`,
+	`{"error":"read-only replica","code":"READ_ONLY","leader_hint":"http://127.0.0.1:8093"}`,
+}
+
+// FuzzDecode: Decode never panics and every failure is typed; a body whose
+// envelope has "error" set yields that error's code, message and hint; and
+// what OK/Fail encode, Decode reads back.
+func FuzzDecode(f *testing.F) {
+	for _, s := range envelopeSeeds {
+		f.Add([]byte(s), 200, "msg", "http://leader:1")
+	}
+	f.Fuzz(func(t *testing.T, body []byte, status int, msg, hint string) {
+		var out any
+		err := Decode(body, status, &out)
+		var re *RemoteError
+		if err != nil && !errors.As(err, &re) {
+			t.Fatalf("Decode(%q) failed untyped: %v", body, err)
+		}
+		var env Envelope
+		if json.Unmarshal(body, &env) == nil && env.V == V1 && env.Error != nil {
+			want := RemoteError{Code: env.Error.Code, Message: env.Error.Message, LeaderHint: env.LeaderHint}
+			if re == nil || *re != want {
+				t.Fatalf("Decode(%q) = %v, want %+v", body, err, want)
+			}
+		}
+
+		if !utf8.ValidString(msg) || !utf8.ValidString(hint) {
+			return // encoding/json replaces invalid bytes, so no round trip
+		}
+		raw, err := json.Marshal(Fail(CodeReadOnly, msg, "follower", hint, "t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Decode(raw, CodeReadOnly.HTTPStatus(), nil)
+		if !errors.As(err, &re) || *re != (RemoteError{Code: CodeReadOnly, Message: msg, LeaderHint: hint}) {
+			t.Fatalf("Fail round trip of (%q, %q) = %v", msg, hint, err)
+		}
+		okEnv, err := OK(Statement{Session: hint, SQL: msg}, "leader", "", "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err = json.Marshal(okEnv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Statement
+		if err := Decode(raw, 200, &back); err != nil || back != (Statement{Session: hint, SQL: msg}) {
+			t.Fatalf("OK round trip of (%q, %q) = %+v, %v", msg, hint, back, err)
+		}
+	})
+}
+
+// reencode writes a decoded line back through StreamWriter and returns the
+// bytes it put on the wire.
+func reencode(t *testing.T, l StreamLine) []byte {
+	rec := httptest.NewRecorder()
+	var h StreamHeader
+	if l.Header != nil {
+		h = *l.Header
+	}
+	sw, err := NewStreamWriter(rec, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case l.Header != nil:
+	case l.Trailer != nil && l.Trailer.Done:
+		rec.Body.Reset()
+		sw.rows = l.Trailer.RowCount
+		sw.Done(*l.Trailer)
+	case l.Trailer != nil:
+		rec.Body.Reset()
+		sw.Fail(&RemoteError{Code: l.Trailer.Code, Message: l.Trailer.Error, LeaderHint: l.Trailer.LeaderHint})
+	default:
+		rec.Body.Reset()
+		if err := sw.Row(l.Row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rec.Body.Bytes()
+}
+
+// FuzzStreamLine: decoding never panics, and a line that decodes survives
+// the writer and a second decode unchanged (a failure trailer keeps the three
+// members a failure trailer has).
+func FuzzStreamLine(f *testing.F) {
+	for _, s := range streamSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		first, err := DecodeStreamLine(line)
+		if err != nil {
+			return
+		}
+		if n := btoi(first.Header != nil) + btoi(first.Row != nil) + btoi(first.Trailer != nil); n != 1 {
+			t.Fatalf("DecodeStreamLine(%q) set %d members", line, n)
+		}
+		want := first
+		if tr := first.Trailer; tr != nil && !tr.Done {
+			want.Trailer = &StreamTrailer{Error: tr.Error, Code: tr.Code, LeaderHint: tr.LeaderHint}
+		}
+		wireBytes := reencode(t, first)
+		second, err := DecodeStreamLine(wireBytes)
+		if err != nil {
+			t.Fatalf("re-encoded %q as %q, which does not decode: %v", line, wireBytes, err)
+		}
+		if !reflect.DeepEqual(second, want) {
+			t.Fatalf("%q -> %+v -> %q -> %+v", line, want, wireBytes, second)
+		}
+	})
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -3,14 +3,13 @@ package wire
 import (
 	"encoding/json"
 	"errors"
-	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
-// TestGoldenEnvelopes pins the exact v1 wire bytes. These are a protocol
-// contract shared with routers and load clients that may be one release
-// ahead or behind — any diff here is a breaking wire change and must ship
-// with a version bump, not silently.
+// TestGoldenEnvelopes pins the exact wire bytes. These are a protocol
+// contract shared by servers, routers and clients — any diff here is a
+// breaking wire change.
 func TestGoldenEnvelopes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -58,7 +57,7 @@ func mustOK(t *testing.T, result any, role, hint, trace string) *Envelope {
 	return env
 }
 
-func TestDecodeV1(t *testing.T) {
+func TestDecode(t *testing.T) {
 	env := Fail(CodeReadOnly, "read-only replica", "follower", "http://leader:1", "")
 	raw, _ := json.Marshal(env)
 	err := Decode(raw, 403, nil)
@@ -80,34 +79,42 @@ func TestDecodeV1(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacy keeps the v0 compatibility path honest: plain result
-// bodies and {"error": ...} bodies decode the way PR 2-era clients expect.
-func TestDecodeLegacy(t *testing.T) {
-	var out struct {
-		Session string `json:"session"`
-	}
-	if err := Decode([]byte(`{"session":"s1"}`), 200, &out); err != nil || out.Session != "s1" {
-		t.Fatalf("legacy success: %v %+v", err, out)
-	}
-	err := Decode([]byte(`{"error":"unknown session"}`), 404, nil)
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Message != "unknown session" {
-		t.Fatalf("legacy error: %v", err)
+// TestDecodeNotAnEnvelope: a body that is not an envelope — another
+// service's error page, a bare legacy-shaped object — is a typed INTERNAL
+// error quoting it, whatever the status, never a silent success.
+func TestDecodeNotAnEnvelope(t *testing.T) {
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{`{"session":"s1"}`, 200},
+		{`{"error":"unknown session"}`, 404},
+		{`<html>502 Bad Gateway</html>`, 502},
+		{``, 200},
+		{`{"v":0,"result":{}}`, 200},
+	} {
+		var out struct {
+			Session string `json:"session"`
+		}
+		err := Decode([]byte(tc.body), tc.status, &out)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != CodeInternal || out.Session != "" {
+			t.Errorf("Decode(%q, %d) = %v (out %+v), want INTERNAL", tc.body, tc.status, err, out)
+		}
+		if tc.body != "" && !strings.Contains(re.Message, tc.body) {
+			t.Errorf("Decode(%q): message %q does not quote the body", tc.body, re.Message)
+		}
 	}
 }
 
-func TestVersionNegotiation(t *testing.T) {
-	r := httptest.NewRequest("POST", "/query", nil)
-	if got := Version(r); got != V0 {
-		t.Fatalf("default version = %d, want v0", got)
-	}
-	r.Header.Set("Accept", V1Accept)
-	if got := Version(r); got != V1 {
-		t.Fatalf("Accept negotiation = %d, want v1", got)
-	}
-	r = httptest.NewRequest("POST", "/query", nil)
-	r.Header.Set(VersionHeader, "1")
-	if got := Version(r); got != V1 {
-		t.Fatalf("header negotiation = %d, want v1", got)
+// TestCodeStatusTable pins the one code ↔ HTTP status table.
+func TestCodeStatusTable(t *testing.T) {
+	for code, want := range map[Code]int{
+		CodeBadRequest: 400, CodeUnshardable: 400, CodeUnknownSession: 404, CodeReadOnly: 409,
+		CodeShardUnavailable: 502, CodePartialFailure: 502, CodeInternal: 500, "": 500,
+	} {
+		if got := code.HTTPStatus(); got != want {
+			t.Errorf("%q.HTTPStatus() = %d, want %d", code, got, want)
+		}
 	}
 }
