@@ -8,12 +8,15 @@ package udfdecorr_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"udfdecorr/internal/bench"
 	"udfdecorr/internal/engine"
 	"udfdecorr/internal/server"
+	"udfdecorr/internal/sqltypes"
+	"udfdecorr/internal/storage"
 )
 
 // benchCfg is a mid-scale dataset: large enough that the iterative and
@@ -236,6 +239,58 @@ func BenchmarkCostBasedSmall(b *testing.B) {
 func BenchmarkCostBasedLarge(b *testing.B) {
 	e := getEngine(b, engine.SYS1, engine.ModeCostBased)
 	runQuery(b, e, "select custkey, service_level(custkey) from customer where custkey <= 10000")
+}
+
+// --------------------------------------------------------------------------
+// Read after write: an indexed point lookup on a table that just grew.
+// --------------------------------------------------------------------------
+
+// BenchmarkIndexLookupAfterWrite appends 32 rows to a 40 960-row keyed table
+// (timer stopped), then runs one cached primary-key lookup through the
+// engine. Every append publishes a new table version, so this measures what
+// the first probe after a write pays: extending the shared index by the
+// appended rows. Its allocs/op is gated: an index rebuilt per version
+// allocates a whole table's worth of buckets per op.
+func BenchmarkIndexLookupAfterWrite(b *testing.B) {
+	const rows, batch = 40_960, 32
+	e := engine.New(engine.SYS1, engine.ModeRewrite)
+	if err := e.ExecScript("create table kv (k int primary key, v int)"); err != nil {
+		b.Fatal(err)
+	}
+	tab := e.Store.MustTable("kv")
+	next := 0
+	appendRows := func(n int) {
+		batchRows := make([]storage.Row, n)
+		for i := range batchRows {
+			batchRows[i] = storage.Row{sqltypes.NewInt(int64(next)), sqltypes.NewInt(int64(2 * next))}
+			next++
+		}
+		if err := tab.Append(batchRows...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	appendRows(rows)
+	p, err := e.Prepare("select v from kv where k = 12345")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !strings.Contains(strings.Join(p.Choices, " "), "IndexLookup(kv.k)") {
+		b.Fatalf("lookup is not an index probe: %v", p.Choices)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		appendRows(batch)
+		b.StartTimer()
+		res, err := e.Run(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			b.Fatalf("lookup returned %d rows", len(res.Rows))
+		}
+	}
 }
 
 // --------------------------------------------------------------------------

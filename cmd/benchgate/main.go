@@ -11,9 +11,10 @@
 //     -tolerance × the committed baseline ns/op. A generous factor (default
 //     4×) tolerates runner noise while still catching order-of-magnitude
 //     regressions.
-//   - Ratio: pairs of benchmarks measured in the same run (vectorized vs
-//     row executor, plan-cache hit vs cold prepare) must preserve a minimum
-//     speedup. Ratios divide out the runner's speed, so they gate tightly.
+//   - Ratio: pairs of benchmarks measured in the same run (rewritten vs
+//     iterative UDF invocation, vectorized vs row executor, plan-cache hit
+//     vs cold prepare) must preserve a minimum speedup. Ratios divide out
+//     the runner's speed, so they gate tightly.
 //   - Allocation ceiling: allocs/op is machine-independent, so ceilings
 //     gate absolutely with no tolerance factor. This is what keeps the
 //     zero-copy scan path honest: a change that silently reintroduces
@@ -56,7 +57,7 @@ type baselineFile struct {
 }
 
 type ratioGate struct {
-	// Name labels the ratio in reports, e.g. "scanfilter_vectorized_speedup".
+	// Name labels the ratio in reports, e.g. "exp1_rewrite_speedup".
 	Name string `json:"name"`
 	// Slow / Fast are benchmark names; the gate asserts slow/fast >= Min.
 	Slow string  `json:"slow"`
@@ -275,15 +276,20 @@ func main() {
 }
 
 // defaultRatios are the runner-independent invariants -init seeds: the
-// vectorized executor's win on the scan/filter pair, the columnar zero-copy
-// scan's tighter floor on the same pair, and the plan cache's win over cold
-// prepares. Floors sit well under the locally measured speedups so ordinary
-// noise passes but a real architectural regression — the vectorized path
-// losing its edge, a scan that starts pivoting rows again, the cache
-// stopping to hit — fails.
+// paper's result — the rewritten form of each of Figs. 10–12 against its
+// iterative original — the columnar vectorized executor's win on the
+// scan/filter pair, and the plan cache's win over cold prepares. Floors sit
+// at or below half the smallest of five local measurements, so ordinary
+// noise passes but a real architectural regression — the rewrite losing
+// its edge, a scan that starts pivoting rows again, the cache stopping to
+// hit — fails.
 var defaultRatios = []ratioGate{
-	{Name: "scanfilter_vectorized_speedup",
-		Slow: "BenchmarkScanFilterProject_Row", Fast: "BenchmarkScanFilterProject_Vectorized", Min: 1.4},
+	{Name: "exp1_rewrite_speedup",
+		Slow: "BenchmarkExperiment1_Original/n=10000", Fast: "BenchmarkExperiment1_Rewritten/n=10000", Min: 1.1},
+	{Name: "exp2_rewrite_speedup",
+		Slow: "BenchmarkExperiment2_Original/n=10000", Fast: "BenchmarkExperiment2_Rewritten/n=10000", Min: 0.6},
+	{Name: "exp3_rewrite_speedup",
+		Slow: "BenchmarkExperiment3_Original/n=200", Fast: "BenchmarkExperiment3_Rewritten/n=200", Min: 1.05},
 	{Name: "scanfilter_columnar_speedup",
 		Slow: "BenchmarkScanFilterProject_Row", Fast: "BenchmarkScanFilterProject_Vectorized", Min: 2.5},
 	{Name: "plancache_hit_speedup",
@@ -291,12 +297,14 @@ var defaultRatios = []ratioGate{
 }
 
 // defaultAllocCeilings seeds ceilings at 3× the measured allocs/op for the
-// scan/filter pair: loose enough for incidental churn, tight enough that
-// reintroducing a per-row or per-batch materialization (thousands of
-// allocations) fails.
+// scan/filter pair and the read-after-write lookup: loose enough for
+// incidental churn, tight enough that reintroducing a per-row or per-batch
+// materialization, or an index rebuilt per table version (thousands of
+// allocations), fails.
 func defaultAllocCeilings(allocs map[string]float64) map[string]float64 {
 	ceil := map[string]float64{}
-	for _, name := range []string{"BenchmarkScanFilterProject_Row", "BenchmarkScanFilterProject_Vectorized"} {
+	for _, name := range []string{"BenchmarkScanFilterProject_Row", "BenchmarkScanFilterProject_Vectorized",
+		"BenchmarkIndexLookupAfterWrite"} {
 		if a, ok := allocs[name]; ok {
 			ceil[name] = float64(int64(a*3) + 16)
 		}

@@ -56,19 +56,17 @@ func (n *IndexLookup) Schema() []algebra.Column { return n.schema }
 // Open implements Node.
 func (n *IndexLookup) Open(ctx *Ctx) (Iter, error) {
 	ver, overlay := ctx.TableVersion(n.Tab)
-	idx, err := ver.EnsureIndex(n.Col)
+	key, err := n.Key(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	key, err := n.Key(ctx, nil)
+	ordinals, err := ver.Lookup(n.Col, key)
 	if err != nil {
 		return nil, err
 	}
 	if key.IsNull() {
 		return &sliceIter{}, nil // NULL never matches an equality
 	}
-	probe := sqltypes.KeyOf(key)
-	ordinals := idx[probe]
 	rows := make([]storage.Row, len(ordinals), len(ordinals)+len(overlay))
 	for i, o := range ordinals {
 		// Per-ordinal materialization out of the column segments: a lookup
@@ -78,6 +76,7 @@ func (n *IndexLookup) Open(ctx *Ctx) (Iter, error) {
 	// Uncommitted transaction-local rows are not in the version's index;
 	// they are few, so a linear probe keeps read-your-writes correct.
 	if len(overlay) > 0 {
+		probe := sqltypes.KeyOf(key)
 		ord := n.Tab.Meta.ColIndex(n.Col)
 		for _, r := range overlay {
 			if !r[ord].IsNull() && sqltypes.KeyOf(r[ord]) == probe {

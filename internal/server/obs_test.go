@@ -140,13 +140,14 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 		t.Errorf("queries_total sums to %v, ran %d", queriesByMode, workers*perWorker)
 	}
 	for series, want := range map[string]float64{
-		"udfd_query_errors_total":           float64(st.QueryErrors),
-		"udfd_queries_cancelled_total":      float64(st.QueriesCancelled),
-		"udfd_plan_cache_hits_total":        float64(st.Cache.Hits),
-		"udfd_plan_cache_misses_total":      float64(st.Cache.Misses),
-		"udfd_query_duration_seconds_count": float64(st.QueryLatency.Count),
-		"udfd_slow_queries_total":           float64(st.SlowQueries),
-		"udfd_catalog_version":              float64(st.CatalogVersion),
+		"udfd_query_errors_total":              float64(st.QueryErrors),
+		"udfd_queries_cancelled_total":         float64(st.QueriesCancelled),
+		"udfd_plan_cache_hits_total":           float64(st.Cache.Hits),
+		"udfd_plan_cache_misses_total":         float64(st.Cache.Misses),
+		"udfd_query_duration_seconds_count":    float64(st.QueryLatency.Count),
+		"udfd_slow_queries_total":              float64(st.SlowQueries),
+		"udfd_catalog_version":                 float64(st.CatalogVersion),
+		"udfd_storage_index_rows_hashed_total": float64(st.Storage.IndexRowsHashed),
 	} {
 		if m[series] != want {
 			t.Errorf("%s = %v, /stats says %v", series, m[series], want)

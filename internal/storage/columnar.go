@@ -237,5 +237,5 @@ func (a *colAppender) version() *TableVersion {
 		segs = append(segs, NewSegment(cols, t.tailLen))
 		n += t.tailLen
 	}
-	return newVersion(t.Meta, segs, n)
+	return newVersion(t, segs, n)
 }

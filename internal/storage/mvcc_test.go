@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,7 +34,7 @@ func TestVersionImmutableUnderAppend(t *testing.T) {
 		}
 	}
 	ver := tab.Version()
-	idx, err := ver.EnsureIndex("k")
+	ords, err := ver.Lookup("k", sqltypes.NewInt(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +46,22 @@ func TestVersionImmutableUnderAppend(t *testing.T) {
 		if err := tab.Append(intRow(i % 5)); err != nil {
 			t.Fatal(err)
 		}
+		// Newer versions extend the shared index while ver stays pinned.
+		if _, err := tab.Version().Lookup("k", sqltypes.NewInt(3)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := len(ver.Rows()); got != 10 {
 		t.Errorf("pinned version grew: %d rows", got)
 	}
-	if got := len(idx); got != 10 {
-		t.Errorf("pinned index grew: %d buckets", got)
+	if len(ords) != 1 || ords[0] != 3 {
+		t.Errorf("pinned lookup = %v, want [3]", ords)
+	}
+	if again, _ := ver.Lookup("k", sqltypes.NewInt(3)); len(again) != 1 || again[0] != 3 {
+		t.Errorf("pinned lookup after appends = %v, want [3]", again)
+	}
+	if cur, _ := tab.Version().Lookup("k", sqltypes.NewInt(3)); len(cur) != 1+198 {
+		t.Errorf("current lookup has %d rows, want 199", len(cur))
 	}
 	if st.DistinctCount != 10 {
 		t.Errorf("pinned stats changed: distinct=%d", st.DistinctCount)
@@ -92,13 +101,13 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 			for !stop.Load() {
 				ver := tab.Version()
 				rows := ver.Rows()
-				idx, err := ver.EnsureIndex("k")
-				if err != nil {
-					t.Error(err)
-					return
-				}
 				total := 0
-				for _, ords := range idx {
+				for k := int64(0); k < 97; k++ {
+					ords, err := ver.Lookup("k", sqltypes.NewInt(k))
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					total += len(ords)
 					for _, o := range ords {
 						if o >= len(rows) {
@@ -270,42 +279,44 @@ func TestSnapshotFallsBackForUnknownTable(t *testing.T) {
 	}
 }
 
-// TestRacingIndexBuilds: many goroutines demanding the same index on one
-// version must all get the same mapping (first install wins; the rest are
-// discarded idempotently).
+// TestRacingIndexBuilds: many goroutines making the first probe of one
+// column must all end up reading one installed index (first install wins;
+// the rest are discarded idempotently).
 func TestRacingIndexBuilds(t *testing.T) {
 	tab := NewTable(metaNamed("t"))
 	for i := int64(0); i < 100; i++ {
-		if err := tab.Append(intRow(i)); err != nil {
+		if err := tab.Append(intRow(i % 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ver := tab.Version()
 	var wg sync.WaitGroup
-	results := make([]map[string][]int, 16)
+	results := make([][]int, 16)
 	for g := range results {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			idx, err := ver.EnsureIndex("k")
+			ords, err := ver.Lookup("k", sqltypes.NewInt(7))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[g] = idx
+			results[g] = ords
 		}(g)
 	}
 	wg.Wait()
-	for g := 1; g < len(results); g++ {
-		if fmt.Sprintf("%p", results[g]) == "" {
-			t.Fatal("missing result")
-		}
+	installed := tab.indexes[0].Load()
+	if installed == nil {
+		t.Fatal("no index installed")
 	}
-	// All goroutines must share one installed map (pointer-identical).
-	first := fmt.Sprintf("%p", results[0])
-	for g := 1; g < len(results); g++ {
-		if fmt.Sprintf("%p", results[g]) != first {
-			t.Fatalf("goroutine %d got a different index instance", g)
+	shared := installed.keys[sqltypes.KeyOf(sqltypes.NewInt(7))]
+	for g, ords := range results {
+		if len(ords) != 10 {
+			t.Fatalf("goroutine %d: %d ordinals, want 10", g, len(ords))
+		}
+		// A discarded build's bucket would be a different backing array.
+		if &ords[0] != &shared[0] {
+			t.Fatalf("goroutine %d read a discarded index build", g)
 		}
 	}
 }

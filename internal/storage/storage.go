@@ -5,12 +5,15 @@
 // Concurrency model (MVCC): a table's state is an immutable published
 // TableVersion reached through an atomic pointer. Readers pin a version (or
 // a store-wide Snapshot) and scan it without any locking; writers build the
-// next version and install it with a pointer swap. Index and statistics
-// caches live on the version, so an Append can never invalidate them under
-// a running query. Appends to the same table serialize on a per-table
-// writer lock; version installs additionally serialize on a store-wide
-// publish lock so Snapshot observes a consistent cut across tables (and a
-// multi-table transaction commit is all-or-nothing to every snapshot).
+// next version and install it with a pointer swap. Statistics are cached on
+// the version, so an Append can never invalidate them under a running
+// query. Hash indexes are not: each (table, column) has one append-only
+// index shared by every version, which a probe extends to its version's
+// rows and trims to them (see index.go). Appends to the same table
+// serialize on a per-table writer lock; version installs additionally
+// serialize on a store-wide publish lock so Snapshot observes a consistent
+// cut across tables (and a multi-table transaction commit is all-or-nothing
+// to every snapshot).
 //
 // Physical layout: a version's data is a list of immutable column-major
 // Segments (see columnar.go). The vectorized executor reads segment column
@@ -46,36 +49,26 @@ type ColStats struct {
 }
 
 // TableVersion is one immutable published state of a table: a column-major
-// segment list plus lazily built per-version index, statistics, and row-view
+// segment list plus lazily built per-version statistics and row-view
 // caches. Successive versions share segments (and the open tail segment's
 // backing arrays — writers extend the arrays strictly past every published
-// segment bound), so publishing an append is O(batch), not O(table).
+// segment bound), so publishing an append is O(batch), not O(table). Index
+// probes (Lookup) go through the owning table's shared column indexes.
 type TableVersion struct {
-	meta *catalog.Table
+	tab  *Table
 	segs []*Segment
 	n    int
 
 	// mu guards only the cache fields below. The segment data needs no
 	// lock: it is immutable for the lifetime of the version.
 	mu        sync.RWMutex
-	indexes   map[string]map[string][]int // column -> key -> row ordinals
 	stats     map[string]ColStats
 	rowview   []Row // lazily pivoted row-major view (row-executor fallback)
 	rowsReady bool
 }
 
-func newVersion(meta *catalog.Table, segs []*Segment, n int) *TableVersion {
-	return &TableVersion{meta: meta, segs: segs, n: n}
-}
-
-// NewVersionFromSegments builds a standalone version over pre-built
-// segments; for tests that need to exercise layouts directly.
-func NewVersionFromSegments(meta *catalog.Table, segs []*Segment) *TableVersion {
-	n := 0
-	for _, s := range segs {
-		n += s.n
-	}
-	return newVersion(meta, segs, n)
+func newVersion(tab *Table, segs []*Segment, n int) *TableVersion {
+	return &TableVersion{tab: tab, segs: segs, n: n}
 }
 
 // Segments returns the version's immutable column-major segments. Every
@@ -98,7 +91,7 @@ func (v *TableVersion) Rows() []Row {
 	if ready {
 		return rv
 	}
-	w := len(v.meta.Cols)
+	w := len(v.tab.Meta.Cols)
 	rows := make([]Row, v.n)
 	arena := make([]sqltypes.Value, v.n*w)
 	for i := range rows {
@@ -137,7 +130,7 @@ func (v *TableVersion) RowAt(i int) Row {
 	}
 	v.mu.RUnlock()
 	seg := v.segs[i/SegmentRows]
-	return seg.AppendRowTo(make(Row, 0, len(v.meta.Cols)), i%SegmentRows)
+	return seg.AppendRowTo(make(Row, 0, len(v.tab.Meta.Cols)), i%SegmentRows)
 }
 
 // forEachVal visits column ord of every row in ordinal order.
@@ -150,48 +143,14 @@ func (v *TableVersion) forEachVal(ord int, fn func(val sqltypes.Value)) {
 	}
 }
 
-// EnsureIndex builds (or reuses) a hash index on the named column. The scan
-// runs outside the lock — segments are immutable, so concurrent readers are
-// never stalled behind an index build; two racing builds are idempotent and
-// the first install wins.
-func (v *TableVersion) EnsureIndex(col string) (map[string][]int, error) {
-	ord := v.meta.ColIndex(col)
-	if ord < 0 {
-		return nil, fmt.Errorf("table %s: no column %q", v.meta.Name, col)
-	}
-	v.mu.RLock()
-	idx, ok := v.indexes[col]
-	v.mu.RUnlock()
-	if ok {
-		return idx, nil
-	}
-	idx = make(map[string][]int, v.n)
-	var key []byte
-	i := 0
-	v.forEachVal(ord, func(val sqltypes.Value) {
-		key = sqltypes.EncodeKey(key[:0], val)
-		idx[string(key)] = append(idx[string(key)], i)
-		i++
-	})
-	v.mu.Lock()
-	if prior, ok := v.indexes[col]; ok {
-		idx = prior
-	} else {
-		if v.indexes == nil {
-			v.indexes = map[string]map[string][]int{}
-		}
-		v.indexes[col] = idx
-	}
-	v.mu.Unlock()
-	return idx, nil
-}
-
-// Stats computes (and caches) statistics for a column. Like EnsureIndex,
-// the column scan happens outside the lock.
+// Stats computes (and caches) statistics for a column. The column scan runs
+// outside the lock — segments are immutable, so concurrent readers are
+// never stalled behind it; two racing computations are idempotent and the
+// first install wins.
 func (v *TableVersion) Stats(col string) (ColStats, error) {
-	ord := v.meta.ColIndex(col)
+	ord := v.tab.Meta.ColIndex(col)
 	if ord < 0 {
-		return ColStats{}, fmt.Errorf("table %s: no column %q", v.meta.Name, col)
+		return ColStats{}, fmt.Errorf("table %s: no column %q", v.tab.Meta.Name, col)
 	}
 	v.mu.RLock()
 	st, ok := v.stats[col]
@@ -252,6 +211,10 @@ type Table struct {
 	tail    [][]sqltypes.Value
 	tailLen int
 
+	// indexes holds one lazily built hash index per column, shared by every
+	// version (see index.go). Writers never touch it.
+	indexes []atomic.Pointer[colIndex]
+
 	// pub is the publish lock shared by every table of the owning Store
 	// (standalone tables get a private one): version installs take it
 	// exclusively, Store.Snapshot takes it shared to read a consistent cut.
@@ -264,8 +227,8 @@ type Table struct {
 
 // NewTable creates an empty table for the given metadata.
 func NewTable(meta *catalog.Table) *Table {
-	t := &Table{Meta: meta, pub: &sync.RWMutex{}}
-	t.version.Store(newVersion(meta, nil, 0))
+	t := &Table{Meta: meta, pub: &sync.RWMutex{}, indexes: make([]atomic.Pointer[colIndex], len(meta.Cols))}
+	t.version.Store(newVersion(t, nil, 0))
 	return t
 }
 
@@ -364,12 +327,6 @@ func (t *Table) nextVersionLocked(rows []Row) *TableVersion {
 	return a.version()
 }
 
-// EnsureIndex builds (or reuses) a hash index on the named column of the
-// current version.
-func (t *Table) EnsureIndex(col string) (map[string][]int, error) {
-	return t.version.Load().EnsureIndex(col)
-}
-
 // HasIndexableCol reports whether the column is declared indexed (primary
 // key or listed secondary index).
 func (t *Table) HasIndexableCol(col string) bool {
@@ -455,14 +412,15 @@ func (s *Store) MustTable(name string) *Table {
 }
 
 // StorageStats summarizes the store's physical state for the observability
-// endpoints, plus the process-wide scan-path counters.
+// endpoints, plus the process-wide scan-path and index counters.
 type StorageStats struct {
-	Tables        int   `json:"tables"`
-	Segments      int   `json:"segments"`
-	Rows          int64 `json:"rows"`
-	ColumnBytes   int64 `json:"column_bytes"`
-	ZeroCopyScans int64 `json:"zero_copy_scans"`
-	PivotedScans  int64 `json:"pivoted_scans"`
+	Tables          int   `json:"tables"`
+	Segments        int   `json:"segments"`
+	Rows            int64 `json:"rows"`
+	ColumnBytes     int64 `json:"column_bytes"`
+	ZeroCopyScans   int64 `json:"zero_copy_scans"`
+	PivotedScans    int64 `json:"pivoted_scans"`
+	IndexRowsHashed int64 `json:"index_rows_hashed"`
 }
 
 // StorageStats walks every table's current version and sums segment counts
@@ -476,9 +434,10 @@ func (s *Store) StorageStats() StorageStats {
 	}
 	s.mu.RUnlock()
 	st := StorageStats{
-		Tables:        len(tabs),
-		ZeroCopyScans: ZeroCopyScans(),
-		PivotedScans:  PivotedScans(),
+		Tables:          len(tabs),
+		ZeroCopyScans:   ZeroCopyScans(),
+		PivotedScans:    PivotedScans(),
+		IndexRowsHashed: IndexRowsHashed(),
 	}
 	for _, t := range tabs {
 		v := t.version.Load()

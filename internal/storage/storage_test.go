@@ -37,22 +37,35 @@ func TestIndexLookupAndInvalidation(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		tab.Append(Row{sqltypes.NewInt(i % 3), sqltypes.NewString("x")})
 	}
-	idx, err := tab.EnsureIndex("k")
+	before := tab.Version()
+	key := sqltypes.NewInt(1)
+	ords, err := before.Lookup("k", key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := sqltypes.KeyOf(sqltypes.NewInt(1))
-	if got := len(idx[key]); got != 3 {
-		t.Errorf("bucket size = %d", got)
+	if len(ords) != 3 {
+		t.Errorf("bucket size = %d", len(ords))
 	}
-	// Appending invalidates; a rebuilt index sees the new row.
+	// The next version's probe sees the new row; the pinned one does not.
 	tab.Append(Row{sqltypes.NewInt(1), sqltypes.NewString("y")})
-	idx2, _ := tab.EnsureIndex("k")
-	if got := len(idx2[key]); got != 4 {
-		t.Errorf("rebuilt bucket size = %d", got)
+	if ords, _ := tab.Version().Lookup("k", key); len(ords) != 4 || ords[3] != 10 {
+		t.Errorf("after append: ordinals %v, want 4 ending in 10", ords)
 	}
-	if _, err := tab.EnsureIndex("nosuch"); err == nil {
+	if ords, _ := before.Lookup("k", key); len(ords) != 3 {
+		t.Errorf("pinned version after append: bucket size = %d", len(ords))
+	}
+	// 1.0 encodes like 1; NULL matches nothing.
+	if ords, _ := tab.Version().Lookup("k", sqltypes.NewFloat(1)); len(ords) != 4 {
+		t.Errorf("float probe: bucket size = %d", len(ords))
+	}
+	if ords, err := tab.Version().Lookup("k", sqltypes.Null); err != nil || len(ords) != 0 {
+		t.Errorf("NULL probe = %v, %v", ords, err)
+	}
+	if _, err := tab.Version().Lookup("nosuch", key); err == nil {
 		t.Error("unknown column must fail")
+	}
+	if _, err := tab.Version().Lookup("nosuch", sqltypes.Null); err == nil {
+		t.Error("unknown column must fail even for a NULL key")
 	}
 }
 
