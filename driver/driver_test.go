@@ -29,6 +29,7 @@ import (
 	"udfdecorr/internal/server"
 	"udfdecorr/internal/sqltypes"
 	"udfdecorr/internal/storage"
+	"udfdecorr/internal/wal"
 )
 
 // canonicalRows is the shared multiset canonicalization (floats at 9
@@ -355,6 +356,53 @@ func TestDriverTransactions(t *testing.T) {
 	}
 	if n := count(); n != 2 {
 		t.Fatalf("rows after rollback = %d", n)
+	}
+}
+
+// TestDriverTransactionsDurable: a db.Begin/Commit transaction on a durable
+// service reaches the log, so it survives a restart with no checkpoint.
+func TestDriverTransactionsDurable(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*engine.Engine, *sql.DB) {
+		e, err := engine.OpenDurable(dir, engine.SYS1, engine.ModeRewrite,
+			engine.DurabilityOptions{Sync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := server.NewServiceFromEngine(e, server.DefaultOptions())
+		return e, sql.OpenDB(udfsql.NewConnector(svc, udfsql.Options{
+			Mode: engine.ModeIterative, Profile: engine.SYS1}))
+	}
+	e, db := open()
+	if _, err := db.Exec("create table t (k int primary key);"); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 32; k++ {
+		if _, err := tx.Exec(fmt.Sprintf("insert into t values (%d);", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	if err := e.Durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e, db = open()
+	defer e.Durable.Close()
+	defer db.Close()
+	var n int64
+	if err := db.QueryRow("select count(*) from t").Scan(&n); err != nil {
+		t.Fatal(err)
+	}
+	if n != 32 {
+		t.Fatalf("recovered %d rows, want 32", n)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Durability: the glue between the volatile engine and internal/wal. A
-// durable engine logs every schema mutation and acknowledged insert batch
-// write-ahead (via the catalog/storage commit hooks), checkpoints the full
-// catalog+store into a snapshot that truncates the log, and on open replays
-// snapshot + log tail into a consistent engine. Volatile engines (New /
-// NewShared) are completely unaffected: they have a nil Durable and no
-// hooks installed.
+// durable engine logs every schema mutation, loaded batch and committed
+// transaction write-ahead (via the catalog/storage commit hooks),
+// checkpoints the full catalog+store into a snapshot that truncates the log,
+// and on open replays snapshot + log tail into a consistent engine. The
+// hooks live on the catalog and store, so every engine view over them
+// (NewShared, as the query service builds per session) logs exactly as the
+// engine OpenDurable returned does. Volatile stores have no hooks installed.
 package engine
 
 import (
@@ -117,6 +118,7 @@ func OpenDurable(dir string, profile Profile, mode Mode, opts DurabilityOptions)
 	// before it commits.
 	cat.SetChangeHook(d.onCatalogChange)
 	store.SetAppendHook(d.onAppend)
+	store.SetBatchHook(d.logTxn)
 
 	e := NewShared(cat, store, profile, mode)
 	e.Durable = d
@@ -259,8 +261,9 @@ func (d *Durability) onAppend(meta *catalog.Table, rows []storage.Row) error {
 // BEGIN, one TxnInsert per table, COMMIT. AppendAll keeps the run
 // contiguous in the log (and inside one segment's rollback window), so
 // recovery sees either the whole transaction with its commit record or an
-// uncommitted prefix it discards. Called as the AppendBatch commit hook,
-// before any row becomes visible.
+// uncommitted prefix it discards. Installed as the store's batch hook, so
+// it runs before any row of the batch becomes visible, whichever engine view
+// committed it.
 func (d *Durability) logTxn(writes []storage.TableWrite) error {
 	txid := d.nextTxid.Add(1)
 	recs := make([]wal.Record, 0, len(writes)+2)
@@ -347,7 +350,7 @@ func (rp *replayer) apply(rec wal.Record) error {
 			byTable[ins.table] = len(writes)
 			writes = append(writes, storage.TableWrite{Table: st, Rows: rows})
 		}
-		return rp.store.AppendBatch(writes, nil)
+		return rp.store.AppendBatch(writes)
 	case wal.RecRollback:
 		txid, err := rec.Txid()
 		if err != nil {

@@ -200,9 +200,12 @@ func TestDurableIndexesSurviveRestart(t *testing.T) {
 func TestDurableTornTail(t *testing.T) {
 	dir := t.TempDir()
 	e1 := openDurable(t, dir)
+	// Two scripts, so the two inserts are two log groups.
 	if err := e1.ExecScript(`create table kv (k int primary key, v varchar);
-		insert into kv values (1, 'a');
-		insert into kv values (2, 'b');`); err != nil {
+		insert into kv values (1, 'a');`); err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.ExecScript("insert into kv values (2, 'b');"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e1.Durable.Close(); err != nil {
@@ -214,7 +217,8 @@ func TestDurableTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut into the final record's frame (the second insert).
+	// Cut into the final record's frame (the second insert's commit
+	// record: recovery must drop that whole group, not just the record).
 	if err := os.Truncate(seg, fi.Size()-5); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +270,7 @@ func TestDurableCorruptLogFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[len(buf)/2] ^= 0xff // flip a bit mid-log
+	buf[12] ^= 0xff // flip a bit in the first record's body (8-byte frame header)
 	if err := os.WriteFile(seg, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,9 @@ type Engine struct {
 	Mode    Mode
 	Profile Profile
 	// Durable is the write-ahead-log/checkpoint state of an engine opened
-	// with OpenDurable; nil for volatile engines (New / NewShared).
+	// with OpenDurable; nil for volatile engines (New) and for NewShared
+	// views, which still log every mutation through the hooks OpenDurable
+	// installed on the catalog and store.
 	Durable *Durability
 }
 
@@ -170,21 +172,36 @@ func (e *Engine) ExecScriptContext(ctx context.Context, src string) error {
 // order. BEGIN/COMMIT/ROLLBACK delimit script-local transactions: INSERTs
 // inside one are buffered and published atomically at COMMIT. A transaction
 // left open at end of script (or abandoned by an error) is rolled back.
+// INSERTs outside a transaction run as Autocommit runs: each maximal run
+// publishes (and is logged) as one group when another statement starts, at
+// script end, or — on an error or cancellation at a later statement —
+// before that error returns, so the already-applied prefix stays applied.
 // Sessions that span transactions across requests manage engine.Txn
 // themselves and must not send BEGIN through here with statements split
 // across calls.
-func (e *Engine) ExecParsedContext(ctx context.Context, script *ast.Script) error {
+func (e *Engine) ExecParsedContext(ctx context.Context, script *ast.Script) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var txn *Txn
+	run := e.Autocommit()
 	defer func() {
 		if txn != nil {
 			txn.Rollback()
 		}
+		err = run.Finish(err)
 	}()
 	for _, stmt := range script.Stmts {
 		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if ins, ok := stmt.(*ast.InsertStmt); ok && txn == nil {
+			if err := run.Insert(ctx, ins); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := run.Commit(); err != nil {
 			return err
 		}
 		switch s := stmt.(type) {
@@ -201,11 +218,7 @@ func (e *Engine) ExecParsedContext(ctx context.Context, script *ast.Script) erro
 				return err
 			}
 		case *ast.InsertStmt:
-			if txn != nil {
-				if err := txn.Insert(ctx, s); err != nil {
-					return err
-				}
-			} else if err := e.ExecInsert(ctx, s); err != nil {
+			if err := txn.Insert(ctx, s); err != nil {
 				return err
 			}
 		case *ast.TxnStmt:
@@ -236,17 +249,6 @@ func (e *Engine) ExecParsedContext(ctx context.Context, script *ast.Script) erro
 		}
 	}
 	return nil
-}
-
-// ExecInsert evaluates a top-level INSERT's value expressions (constants
-// and pure scalar expressions) and appends the row.
-func (e *Engine) ExecInsert(goctx context.Context, ins *ast.InsertStmt) error {
-	ctx := exec.NewCtxContext(goctx, e.Interp)
-	row, err := e.evalInsertRow(ctx, ins)
-	if err != nil {
-		return err
-	}
-	return e.Load(ins.Table, []storage.Row{row})
 }
 
 // evalInsertRow checks arity against the catalog and evaluates the value

@@ -2,11 +2,18 @@
 // and buffers INSERTs; queries run inside the transaction read the pinned
 // snapshot plus the buffered rows (read-your-writes), and Commit publishes
 // every buffered table atomically — no snapshot anywhere can observe half a
-// transaction. On durable engines Commit write-ahead-logs the transaction
-// as one contiguous Begin/insert/Commit record run, so recovery either
-// replays all of it or (when the commit record never reached disk) none.
-// INSERT is the only DML the engine has, so transactions are append-only
-// and snapshot-isolation write conflicts cannot arise.
+// transaction. On durable stores Commit write-ahead-logs the transaction as
+// one contiguous Begin/insert/Commit record run with one fsync (the store's
+// batch hook, installed by OpenDurable, so every engine view logs), and
+// recovery either replays all of it or (when the commit record never
+// reached disk) none. INSERT is the only DML the engine has, so
+// transactions are append-only and snapshot-isolation write conflicts
+// cannot arise.
+//
+// INSERTs outside BEGIN/COMMIT are transactions too: a script's maximal run
+// of them buffers in one implicit Txn (Autocommit) that commits when any
+// other statement starts, at script end, or before an error at a later
+// statement is returned — one log group and one publish per run.
 package engine
 
 import (
@@ -75,7 +82,7 @@ func (t *Txn) Insert(goctx context.Context, ins *ast.InsertStmt) error {
 	return nil
 }
 
-// Commit publishes every buffered row atomically. On durable engines the
+// Commit publishes every buffered row atomically. On durable stores the
 // transaction is logged (and fsynced per the log's policy) before anything
 // becomes visible; a logging error vetoes the whole transaction. Commit
 // finishes the transaction either way.
@@ -91,11 +98,7 @@ func (t *Txn) Commit() error {
 	for _, st := range t.order {
 		writes = append(writes, storage.TableWrite{Table: st, Rows: t.writes[st]})
 	}
-	var hook func() error
-	if t.eng.Durable != nil {
-		hook = func() error { return t.eng.Durable.logTxn(writes) }
-	}
-	return t.eng.Store.AppendBatch(writes, hook)
+	return t.eng.Store.AppendBatch(writes)
 }
 
 // Rollback discards the buffered writes. Nothing was logged or published,
@@ -104,4 +107,46 @@ func (t *Txn) Rollback() {
 	t.done = true
 	t.writes = nil
 	t.order = nil
+}
+
+// Autocommit is the implicit transaction around a script's autocommit
+// INSERTs (those outside BEGIN/COMMIT). Insert buffers into a Txn begun on
+// first use; Commit publishes the run so far, and the caller commits it
+// whenever a statement other than such an INSERT starts. Finish ends the
+// script: the run commits even when the script stopped with an error at a
+// later statement, so the statements before the failing one stay applied.
+type Autocommit struct {
+	eng *Engine
+	txn *Txn
+}
+
+// Autocommit starts an empty autocommit run on the engine view.
+func (e *Engine) Autocommit() *Autocommit { return &Autocommit{eng: e} }
+
+// Insert adds an autocommit INSERT to the run; reads inside its value
+// expressions see the run's earlier rows.
+func (a *Autocommit) Insert(ctx context.Context, ins *ast.InsertStmt) error {
+	if a.txn == nil {
+		a.txn = a.eng.Begin()
+	}
+	return a.txn.Insert(ctx, ins)
+}
+
+// Commit publishes the run (no-op when it is empty) and starts a new one.
+func (a *Autocommit) Commit() error {
+	if a.txn == nil {
+		return nil
+	}
+	txn := a.txn
+	a.txn = nil
+	return txn.Commit()
+}
+
+// Finish commits the run and returns the script's outcome: err (the
+// statement error that stopped the script, or nil) joined with the commit's.
+func (a *Autocommit) Finish(err error) error {
+	if cerr := a.Commit(); cerr != nil {
+		return errors.Join(err, cerr)
+	}
+	return err
 }

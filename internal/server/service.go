@@ -789,8 +789,12 @@ func (s *Service) Exec(sess *Session, script string) error {
 // ExecContext is Exec honoring cancellation (and the session statement
 // timeout): a cancelled script stops between statements, leaving the
 // already-applied prefix in place — DDL is not transactional, exactly as a
-// mid-script error behaves. Statements between BEGIN and COMMIT are the
-// exception: they buffer in the session's transaction and publish
+// mid-script error behaves. Autocommit INSERTs (outside BEGIN/COMMIT) of one
+// script publish together at the end of their run: a run of INSERTs is one
+// WAL group with one fsync, committed when another statement starts, at
+// script end, or before a failing or cancelled statement's error returns —
+// so the prefix before the failure is applied as a whole. Statements between
+// BEGIN and COMMIT buffer in the session's transaction and publish
 // atomically at COMMIT (or never).
 func (s *Service) ExecContext(ctx context.Context, sess *Session, script string) error {
 	parsed, err := parser.ParseScript(script)
@@ -866,19 +870,30 @@ func scriptMutates(script *ast.Script) bool {
 
 // execDML executes a DDL-free script's statements in order against the
 // session, threading INSERTs through the session's open transaction when
-// one is active. Caller holds the shared DDL gate.
-func (s *Service) execDML(ctx context.Context, sess *Session, script *ast.Script) error {
+// one is active. INSERTs outside one follow ExecParsedContext's rule: each
+// maximal run is one engine.Autocommit group, committed before the next
+// statement, at script end, or before a later statement's error returns.
+// Caller holds the shared DDL gate.
+func (s *Service) execDML(ctx context.Context, sess *Session, script *ast.Script) (err error) {
+	run := sess.Engine().Autocommit()
+	defer func() { err = run.Finish(err) }()
 	for _, stmt := range script.Stmts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		txn := sess.Txn()
+		if ins, ok := stmt.(*ast.InsertStmt); ok && txn == nil {
+			if err := run.Insert(ctx, ins); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := run.Commit(); err != nil {
+			return err
+		}
 		switch st := stmt.(type) {
 		case *ast.InsertStmt:
-			if txn := sess.Txn(); txn != nil {
-				if err := txn.Insert(ctx, st); err != nil {
-					return err
-				}
-			} else if err := sess.Engine().ExecInsert(ctx, st); err != nil {
+			if err := txn.Insert(ctx, st); err != nil {
 				return err
 			}
 		case *ast.TxnStmt:

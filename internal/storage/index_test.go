@@ -188,7 +188,7 @@ func TestSharedIndexMatchesScanUnderMVCC(t *testing.T) {
 				n += sz
 			case op < 28:
 				sz := 1 + rng.Intn(40)
-				err = s.AppendBatch([]TableWrite{{Table: tab, Rows: indexRows(n, n+sz)}}, nil)
+				err = s.AppendBatch([]TableWrite{{Table: tab, Rows: indexRows(n, n+sz)}})
 				n += sz
 			default:
 				sz := 1 + rng.Intn(200)

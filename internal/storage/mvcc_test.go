@@ -160,7 +160,7 @@ func TestSnapshotIsConsistentCut(t *testing.T) {
 			err := s.AppendBatch([]TableWrite{
 				{Table: a, Rows: []Row{intRow(i)}},
 				{Table: b, Rows: []Row{intRow(i)}},
-			}, nil)
+			})
 			if err != nil {
 				t.Error(err)
 				return
@@ -191,10 +191,11 @@ func TestAppendBatchVeto(t *testing.T) {
 	a, _ := s.CreateTable(metaNamed("a"))
 	b, _ := s.CreateTable(metaNamed("b"))
 	boom := errors.New("boom")
+	s.SetBatchHook(func([]TableWrite) error { return boom })
 	err := s.AppendBatch([]TableWrite{
 		{Table: a, Rows: []Row{intRow(1)}},
 		{Table: b, Rows: []Row{intRow(1)}},
-	}, func() error { return boom })
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -210,10 +211,11 @@ func TestAppendBatchArity(t *testing.T) {
 	a, _ := s.CreateTable(metaNamed("a"))
 	b, _ := s.CreateTable(metaNamed("b"))
 	hookRan := false
+	s.SetBatchHook(func([]TableWrite) error { hookRan = true; return nil })
 	err := s.AppendBatch([]TableWrite{
 		{Table: a, Rows: []Row{intRow(1)}},
 		{Table: b, Rows: []Row{{sqltypes.NewInt(1)}}}, // arity 1, want 2
-	}, func() error { hookRan = true; return nil })
+	})
 	if err == nil {
 		t.Fatal("arity mismatch must fail")
 	}

@@ -354,6 +354,7 @@ type Store struct {
 	mu       sync.RWMutex
 	tables   map[string]*Table
 	onAppend func(meta *catalog.Table, rows []Row) error
+	onBatch  func(writes []TableWrite) error
 
 	// pub serializes version installs (exclusive) against snapshot capture
 	// (shared): a Snapshot sees either all or none of any publish.
@@ -377,6 +378,17 @@ func (s *Store) SetAppendHook(fn func(meta *catalog.Table, rows []Row) error) {
 	for _, t := range s.tables {
 		t.onAppend = fn
 	}
+}
+
+// SetBatchHook installs the commit hook of AppendBatch: fn runs before a
+// batch's rows become visible, and an error from it publishes nothing. The
+// durability layer logs transactions through it, so every engine view over
+// a durable store logs its commits. Like SetAppendHook it is attached only
+// after recovery replay, and fn must not call back into the store.
+func (s *Store) SetBatchHook(fn func(writes []TableWrite) error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.onBatch = fn
 }
 
 // CreateTable registers an empty table for the metadata.
@@ -497,20 +509,23 @@ type TableWrite struct {
 	Rows  []Row
 }
 
-// AppendBatch publishes appends to several tables atomically: commit (the
-// durability hook; may be nil) runs first — write-ahead — and an error from
-// it vetoes the whole batch; then every new version is installed under one
-// publish-lock hold, so no snapshot can observe a partially applied
-// transaction. Writer locks are taken in table-name order to avoid
-// deadlocking with concurrent commits.
-func (s *Store) AppendBatch(writes []TableWrite, commit func() error) error {
+// AppendBatch publishes appends to several tables atomically: the batch
+// hook (see SetBatchHook; none on volatile stores) runs first — write-ahead
+// — and an error from it vetoes the whole batch; then every new version is
+// installed under one publish-lock hold, so no snapshot can observe a
+// partially applied transaction. Writer locks are taken in table-name order
+// to avoid deadlocking with concurrent commits.
+func (s *Store) AppendBatch(writes []TableWrite) error {
 	for _, w := range writes {
 		if err := w.Table.checkArity(w.Rows); err != nil {
 			return err
 		}
 	}
+	s.mu.RLock()
+	commit := s.onBatch
+	s.mu.RUnlock()
 	if commit != nil {
-		if err := commit(); err != nil {
+		if err := commit(writes); err != nil {
 			return err
 		}
 	}
