@@ -3,7 +3,8 @@ package engine
 // Golden EXPLAIN ANALYZE tests: the annotated operator trees for
 // representative queries are snapshotted on the row, vectorized, and
 // parallel (degree 4) executors. Row/batch counts and plan shape must stay
-// stable run to run; wall times are scrubbed. Regenerate alongside the
+// stable run to run; wall times and an Exchange's batch count (a scheduling
+// artefact) are scrubbed. Regenerate alongside the
 // EXPLAIN goldens with:
 //
 //	go test ./internal/engine -run TestExplainAnalyzeGolden -update
@@ -19,9 +20,18 @@ import (
 	"udfdecorr/internal/exec"
 )
 
-// analyzeTimeScrub blanks the measured durations — the only run-varying
-// fields in the output.
+// analyzeTimeScrub blanks the measured durations.
 var analyzeTimeScrub = regexp.MustCompile(`(worker_time|time)=[^ \n]+`)
+
+// exchangeBatchesScrub blanks an Exchange's output batch count, which
+// depends on how its workers' output interleaves; its row counts stay.
+var exchangeBatchesScrub = regexp.MustCompile(`(?m)^(\s*Exchange\(.*?) batches=[0-9]+`)
+
+// scrubAnalyze blanks the run-varying fields of EXPLAIN ANALYZE output.
+func scrubAnalyze(out string) string {
+	out = analyzeTimeScrub.ReplaceAllString(out, "${1}=<t>")
+	return exchangeBatchesScrub.ReplaceAllString(out, "${1} batches=<n>")
+}
 
 var analyzeCorpus = []struct {
 	name string
@@ -55,7 +65,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 					t.Fatalf("%s explain analyze: %v", tag, err)
 				}
 				b.WriteString("\n-- " + tag + " --\n")
-				b.WriteString(analyzeTimeScrub.ReplaceAllString(out, "${1}=<t>"))
+				b.WriteString(scrubAnalyze(out))
 			}
 			run("row", func(e *Engine) {})
 			run("vectorized", func(e *Engine) { e.SetVectorized(true) })

@@ -3,7 +3,8 @@ package engine_test
 // Autocommit grouping: a script's maximal run of INSERTs outside
 // BEGIN/COMMIT commits as one transaction — one BEGIN/TXN-INSERT/COMMIT log
 // group with one fsync, one publish — and a run cut short by an error or a
-// cancellation still commits the statements before it.
+// cancellation still commits the statements before it. Engine.Load commits
+// through the same group.
 
 import (
 	"context"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	"udfdecorr/internal/engine"
+	"udfdecorr/internal/sqltypes"
+	"udfdecorr/internal/storage"
 	"udfdecorr/internal/wal"
 )
 
@@ -256,16 +259,70 @@ end`); err != nil {
 }
 
 // TestAutocommitLogFailureVetoesRun: when the log cannot take the group,
-// no statement of the run becomes visible.
+// no row of the run — or of a loaded batch — becomes visible.
 func TestAutocommitLogFailureVetoesRun(t *testing.T) {
-	e := openAlwaysSync(t, t.TempDir())
-	if err := e.Durable.Close(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		write func(e *engine.Engine) error
+	}{
+		{"insert_run", func(e *engine.Engine) error { return e.ExecScript(insertScript(1, 8)) }},
+		{"load", func(e *engine.Engine) error { return e.Load("kv", kvRows(1, 8)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := openAlwaysSync(t, t.TempDir())
+			if err := e.Durable.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.write(e); err == nil {
+				t.Fatal("write on a closed log must fail")
+			}
+			if n := countOf(t, e, "kv"); n != 0 {
+				t.Fatalf("vetoed write published %d rows", n)
+			}
+		})
 	}
-	if err := e.ExecScript(insertScript(1, 8)); err == nil {
-		t.Fatal("insert run on a closed log must fail")
+}
+
+// kvRows renders rows (k, k) of kv for keys lo..hi.
+func kvRows(lo, hi int) []storage.Row {
+	rows := make([]storage.Row, 0, hi-lo+1)
+	for k := lo; k <= hi; k++ {
+		rows = append(rows, storage.Row{sqltypes.NewInt(int64(k)), sqltypes.NewInt(int64(k))})
 	}
-	if n := countOf(t, e, "kv"); n != 0 {
-		t.Fatalf("vetoed run published %d rows", n)
+	return rows
+}
+
+// TestLoadIsOneLogGroup: Engine.Load commits through the store's batch
+// hook like any transaction — one BEGIN/TXN-INSERT/COMMIT group and one
+// fsync, no legacy RecInsert — whether it runs on the durable engine or on
+// a session view over its store, and the rows survive a reopen with no
+// checkpoint in between.
+func TestLoadIsOneLogGroup(t *testing.T) {
+	for _, view := range []string{"durable", "shared"} {
+		t.Run(view, func(t *testing.T) {
+			dir := t.TempDir()
+			e := openAlwaysSync(t, dir)
+			loader := e
+			if view == "shared" {
+				loader = engine.NewShared(e.Cat, e.Store, engine.SYS1, engine.ModeRewrite)
+			}
+			fsyncs := countFsyncs(t)
+			if err := loader.Load("kv", kvRows(1, 1000)); err != nil {
+				t.Fatal(err)
+			}
+			if n := fsyncs.Load(); n != 1 {
+				t.Fatalf("1000-row Load: %d fsyncs, want 1", n)
+			}
+			if n := countOf(t, e, "kv"); n != 1000 {
+				t.Fatalf("kv rows = %d, want 1000", n)
+			}
+			assertTypes(t, logTypes(t, e, dir), wal.RecDDL, wal.RecBegin, wal.RecTxnInsert, wal.RecCommit)
+
+			re := openAlwaysSync(t, dir)
+			defer re.Durable.Close()
+			if n := countOf(t, re, "kv"); n != 1000 {
+				t.Fatalf("kv rows after reopen = %d, want 1000", n)
+			}
+		})
 	}
 }

@@ -16,14 +16,10 @@ import (
 	"udfdecorr/internal/wal"
 )
 
-// fillTable appends n fixture rows (i, 2i) to a durable engine's table in
+// fillTable loads n fixture rows (i, 2i) into a durable engine's table in
 // misaligned batches so the data spans several column segments.
 func fillTable(t *testing.T, e *engine.Engine, name string, n int) {
 	t.Helper()
-	st, ok := e.Store.Table(name)
-	if !ok {
-		t.Fatalf("table %s missing", name)
-	}
 	const per = 777
 	for lo := 0; lo < n; lo += per {
 		hi := lo + per
@@ -34,7 +30,7 @@ func fillTable(t *testing.T, e *engine.Engine, name string, n int) {
 		for i := lo; i < hi; i++ {
 			rows = append(rows, storage.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(2 * i))})
 		}
-		if err := st.Append(rows...); err != nil {
+		if err := e.Load(name, rows); err != nil {
 			t.Fatal(err)
 		}
 	}

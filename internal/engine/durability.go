@@ -1,11 +1,13 @@
 // Durability: the glue between the volatile engine and internal/wal. A
-// durable engine logs every schema mutation, loaded batch and committed
-// transaction write-ahead (via the catalog/storage commit hooks),
-// checkpoints the full catalog+store into a snapshot that truncates the log,
-// and on open replays snapshot + log tail into a consistent engine. The
-// hooks live on the catalog and store, so every engine view over them
-// (NewShared, as the query service builds per session) logs exactly as the
-// engine OpenDurable returned does. Volatile stores have no hooks installed.
+// durable engine logs every schema mutation write-ahead through the
+// catalog's change hook, and every row write — a committed transaction, a
+// script's autocommit run, or an Engine.Load batch — through the store's
+// one batch hook, as a BEGIN/TXN-INSERT/COMMIT group. It checkpoints the
+// full catalog+store into a snapshot that truncates the log, and on open
+// replays snapshot + log tail into a consistent engine. The hooks live on
+// the catalog and store, so every engine view over them (NewShared, as the
+// query service builds per session) logs exactly as the engine OpenDurable
+// returned does. Volatile stores have no hooks installed.
 package engine
 
 import (
@@ -89,9 +91,10 @@ type DurabilityStats struct {
 
 // OpenDurable opens (or creates) the durable engine rooted at dir: it
 // replays the checkpoint snapshot and the write-ahead-log tail into a fresh
-// catalog+store, attaches the commit hooks so subsequent DDL and inserts are
-// logged write-ahead, and returns the engine. The resulting engine behaves
-// exactly like a volatile one for queries; only mutations pay the log.
+// catalog+store, attaches the catalog change hook and the store batch hook
+// so subsequent DDL and row writes are logged write-ahead, and returns the
+// engine. The resulting engine behaves exactly like a volatile one for
+// queries; only mutations pay the log.
 func OpenDurable(dir string, profile Profile, mode Mode, opts DurabilityOptions) (*Engine, error) {
 	cat := catalog.New()
 	store := storage.NewStore()
@@ -117,7 +120,6 @@ func OpenDurable(dir string, profile Profile, mode Mode, opts DurabilityOptions)
 	// Recovery replay is complete: from here on, every mutation is logged
 	// before it commits.
 	cat.SetChangeHook(d.onCatalogChange)
-	store.SetAppendHook(d.onAppend)
 	store.SetBatchHook(d.logTxn)
 
 	e := NewShared(cat, store, profile, mode)
@@ -248,22 +250,13 @@ func (d *Durability) onCatalogChange(ch catalog.Change) error {
 	}
 }
 
-// onAppend is the storage commit hook: log the batch before it is visible.
-func (d *Durability) onAppend(meta *catalog.Table, rows []storage.Row) error {
-	vals := make([][]sqltypes.Value, len(rows))
-	for i, r := range rows {
-		vals[i] = r
-	}
-	return d.log.Append(wal.InsertRecord(meta.Name, vals))
-}
-
-// logTxn logs a multi-table transaction as one contiguous record run:
-// BEGIN, one TxnInsert per table, COMMIT. AppendAll keeps the run
-// contiguous in the log (and inside one segment's rollback window), so
-// recovery sees either the whole transaction with its commit record or an
-// uncommitted prefix it discards. Installed as the store's batch hook, so
-// it runs before any row of the batch becomes visible, whichever engine view
-// committed it.
+// logTxn logs a batch of row writes — a transaction, an autocommit run or
+// an Engine.Load — as one contiguous record run: BEGIN, one TxnInsert per
+// table, COMMIT. AppendAll keeps the run contiguous in the log (and inside
+// one segment's rollback window), so recovery sees either the whole batch
+// with its commit record or an uncommitted prefix it discards. Installed as
+// the store's batch hook, so it runs before any row of the batch becomes
+// visible, whichever engine view committed it.
 func (d *Durability) logTxn(writes []storage.TableWrite) error {
 	txid := d.nextTxid.Add(1)
 	recs := make([]wal.Record, 0, len(writes)+2)
@@ -392,9 +385,10 @@ func applyRecord(cat *catalog.Catalog, store *storage.Store, rec wal.Record) err
 		}
 		return cat.AddIndex(table, col)
 	case wal.RecInsert:
-		// Live appends, and the snapshot data format of checkpoints written
-		// by pre-columnar binaries: replaying one pivots the rows into the
-		// columnar store, upgrading old checkpoints in place.
+		// Written only by earlier binaries — as loaded batches in the log,
+		// and as the data format of pre-columnar checkpoints: replaying one
+		// pivots the rows into the columnar store, upgrading old logs and
+		// checkpoints in place.
 		table, rows, err := rec.Insert()
 		if err != nil {
 			return err

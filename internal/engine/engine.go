@@ -280,13 +280,15 @@ func (e *Engine) CreateIndex(table, col string) error {
 	return e.Cat.AddIndex(table, col)
 }
 
-// Load appends rows to a table.
+// Load appends rows to a table as a one-table Store.AppendBatch, so on a
+// durable store it is logged exactly like a transaction: one
+// BEGIN/TXN-INSERT/COMMIT group written before the rows become visible.
 func (e *Engine) Load(table string, rows []storage.Row) error {
 	t, ok := e.Store.Table(table)
 	if !ok {
 		return fmt.Errorf("unknown table %q", table)
 	}
-	return t.Append(rows...)
+	return e.Store.AppendBatch([]storage.TableWrite{{Table: t, Rows: rows}})
 }
 
 // Result is a materialized query result.
@@ -444,13 +446,7 @@ const iterativeRowCost = 50
 // and store (the shared plan cache path): UDF calls resolve through this
 // engine's interpreter via the context.
 func (e *Engine) Run(p *Prepared) (*Result, error) {
-	return e.RunMaterialized(context.Background(), p)
-}
-
-// RunMaterialized executes a prepared query to completion under ctx,
-// returning the materialized result (or ctx's error if cancelled mid-run).
-func (e *Engine) RunMaterialized(ctx context.Context, p *Prepared) (*Result, error) {
-	rows, err := e.RunContext(ctx, p)
+	rows, err := e.RunContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +477,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 // ANALYZE). Instrumentation never changes results — the differential corpus
 // asserts it.
 func (e *Engine) QueryAnalyze(ctx context.Context, sql string) (*Result, string, error) {
-	p, err := e.PrepareContext(ctx, sql)
+	p, err := e.Prepare(sql)
 	if err != nil {
 		return nil, "", err
 	}

@@ -114,21 +114,11 @@ func (e *Engine) runContextSnap(ctx context.Context, p *Prepared, snap *storage.
 	return r, nil
 }
 
-// PrepareContext is Prepare honoring cancellation (planning is CPU-bound
-// and brief; the check brackets it rather than interleaving).
-func (e *Engine) PrepareContext(ctx context.Context, sql string) (*Prepared, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return e.Prepare(sql)
-}
-
 // QueryContext parses, plans and starts a SELECT, returning the streaming
-// cursor.
+// cursor. Planning is CPU-bound and brief, so a cancelled ctx is reported
+// by RunContext rather than checked around it.
 func (e *Engine) QueryContext(ctx context.Context, sql string) (*Rows, error) {
-	p, err := e.PrepareContext(ctx, sql)
+	p, err := e.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}

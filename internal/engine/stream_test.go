@@ -153,11 +153,14 @@ end
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	p, err := e.PrepareContext(ctx, "select spin(100000000) from t")
+	p, err := e.Prepare("select spin(100000000) from t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.RunMaterialized(ctx, p)
+	rows, err := e.RunContext(ctx, p)
+	if err == nil {
+		_, err = rows.Materialize()
+	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("runaway UDF returned %v, want context.DeadlineExceeded", err)
 	}

@@ -219,10 +219,6 @@ type Table struct {
 	// (standalone tables get a private one): version installs take it
 	// exclusively, Store.Snapshot takes it shared to read a consistent cut.
 	pub *sync.RWMutex
-
-	// onAppend is the durability commit hook (see Store.SetAppendHook): it
-	// runs before the rows become visible, so an error vetoes the append.
-	onAppend func(meta *catalog.Table, rows []Row) error
 }
 
 // NewTable creates an empty table for the given metadata.
@@ -254,21 +250,12 @@ func (t *Table) checkArity(rows []Row) error {
 }
 
 // Append adds rows by publishing a new version; running queries keep the
-// version they pinned. When a commit hook is installed (durable stores) it
-// runs first — write-ahead — so rows the hook could not make durable are
-// never visible. The hook runs outside the writer lock so concurrent
-// appends to one table can share a group-commit fsync; replay order within
-// a table may therefore differ from publish order, which is fine because
-// tables are multisets (an acknowledged row is present, order is not part
-// of the contract).
+// version they pinned. It is a hook-free primitive for recovery replay and
+// tests: nothing it publishes is logged. Only Store.AppendBatch runs the
+// store's commit hook, so every logged write goes through it.
 func (t *Table) Append(rows ...Row) error {
 	if err := t.checkArity(rows); err != nil {
 		return err
-	}
-	if t.onAppend != nil {
-		if err := t.onAppend(t.Meta, rows); err != nil {
-			return fmt.Errorf("table %s: commit hook: %w", t.Meta.Name, err)
-		}
 	}
 	t.appendMu.Lock()
 	defer t.appendMu.Unlock()
@@ -283,7 +270,8 @@ func (t *Table) Append(rows ...Row) error {
 // publishing a new version. When the chunk aligns with a segment boundary
 // the vectors are installed as published segments without copying, so
 // columnar checkpoint replay rebuilds a table at memcpy-free cost; callers
-// transfer ownership of the vectors either way.
+// transfer ownership of the vectors either way. Like Append it is hook-free:
+// nothing it publishes is logged.
 func (t *Table) AppendCols(cols [][]sqltypes.Value, nrows int) error {
 	if len(cols) != len(t.Meta.Cols) {
 		return fmt.Errorf("table %s: column arity %d, want %d", t.Meta.Name, len(cols), len(t.Meta.Cols))
@@ -291,19 +279,6 @@ func (t *Table) AppendCols(cols [][]sqltypes.Value, nrows int) error {
 	for c, col := range cols {
 		if len(col) != nrows {
 			return fmt.Errorf("table %s: column %d has %d values, want %d", t.Meta.Name, c, len(col), nrows)
-		}
-	}
-	if t.onAppend != nil {
-		rows := make([]Row, nrows)
-		for i := range rows {
-			r := make(Row, len(cols))
-			for c := range cols {
-				r[c] = cols[c][i]
-			}
-			rows[i] = r
-		}
-		if err := t.onAppend(t.Meta, rows); err != nil {
-			return fmt.Errorf("table %s: commit hook: %w", t.Meta.Name, err)
 		}
 	}
 	t.appendMu.Lock()
@@ -351,10 +326,9 @@ func (t *Table) Stats(col string) (ColStats, error) {
 
 // Store is a collection of tables.
 type Store struct {
-	mu       sync.RWMutex
-	tables   map[string]*Table
-	onAppend func(meta *catalog.Table, rows []Row) error
-	onBatch  func(writes []TableWrite) error
+	mu      sync.RWMutex
+	tables  map[string]*Table
+	onBatch func(writes []TableWrite) error
 
 	// pub serializes version installs (exclusive) against snapshot capture
 	// (shared): a Snapshot sees either all or none of any publish.
@@ -366,25 +340,13 @@ func NewStore() *Store {
 	return &Store{tables: map[string]*Table{}}
 }
 
-// SetAppendHook installs a commit hook on every table (existing and future):
-// fn runs before each Append's rows become visible, and an error from it
-// aborts the append. The durability layer uses this to emit write-ahead-log
-// records; it is attached only after recovery replay, so replayed rows are
-// not re-logged. The hook must not call back into the store.
-func (s *Store) SetAppendHook(fn func(meta *catalog.Table, rows []Row) error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onAppend = fn
-	for _, t := range s.tables {
-		t.onAppend = fn
-	}
-}
-
 // SetBatchHook installs the commit hook of AppendBatch: fn runs before a
 // batch's rows become visible, and an error from it publishes nothing. The
-// durability layer logs transactions through it, so every engine view over
-// a durable store logs its commits. Like SetAppendHook it is attached only
-// after recovery replay, and fn must not call back into the store.
+// durability layer logs every row write through it — transactions,
+// autocommit runs and loaded batches alike — so every engine view over a
+// durable store logs its commits; Table.Append and Table.AppendCols never
+// run it. It is attached only after recovery replay, so replayed rows are
+// not re-logged, and fn must not call back into the store.
 func (s *Store) SetBatchHook(fn func(writes []TableWrite) error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -401,7 +363,6 @@ func (s *Store) CreateTable(meta *catalog.Table) (*Table, error) {
 	}
 	t := NewTable(meta)
 	t.pub = &s.pub
-	t.onAppend = s.onAppend
 	s.tables[name] = t
 	return t, nil
 }
@@ -514,7 +475,11 @@ type TableWrite struct {
 // — and an error from it vetoes the whole batch; then every new version is
 // installed under one publish-lock hold, so no snapshot can observe a
 // partially applied transaction. Writer locks are taken in table-name order
-// to avoid deadlocking with concurrent commits.
+// to avoid deadlocking with concurrent commits. The hook runs before any
+// lock so concurrent commits can share a group-commit fsync; two of them
+// may therefore be logged in one order and published in the other, which
+// replay tolerates because tables are multisets (an acknowledged row is
+// present, order is not part of the contract).
 func (s *Store) AppendBatch(writes []TableWrite) error {
 	for _, w := range writes {
 		if err := w.Table.checkArity(w.Rows); err != nil {

@@ -25,7 +25,9 @@ const (
 	RecDDL byte = 1
 	// RecIndex carries a secondary-index declaration (table, column).
 	RecIndex byte = 2
-	// RecInsert carries an acknowledged batch of rows for one table.
+	// RecInsert carries an acknowledged batch of rows for one table. Current
+	// binaries log every row write as a transaction (RecTxnInsert); replay
+	// still accepts RecInsert in logs and checkpoints from earlier binaries.
 	RecInsert byte = 3
 	// RecBegin opens a multi-statement transaction. Replay buffers the
 	// transaction's RecTxnInsert records and applies nothing until the
@@ -91,7 +93,8 @@ func (r Record) Index() (table, col string, err error) {
 	return table, col, nil
 }
 
-// InsertRecord encodes a batch of rows appended to one table.
+// InsertRecord encodes a batch of rows appended to one table, in the legacy
+// format earlier binaries wrote (kept so tests can produce such logs).
 func InsertRecord(table string, rows [][]sqltypes.Value) Record {
 	return Record{Type: RecInsert, Payload: encodeInsert(nil, table, rows)}
 }
