@@ -7,6 +7,7 @@
 package udfdecorr_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -283,7 +284,11 @@ func BenchmarkIndexLookupAfterWrite(b *testing.B) {
 		b.StopTimer()
 		appendRows(batch)
 		b.StartTimer()
-		res, err := e.Run(p)
+		rows, err := e.Run(context.Background(), p, engine.RunOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := rows.Materialize()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -279,7 +279,7 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []driver.Nam
 		}
 		return &planRows{lines: strings.Split(strings.TrimRight(out, "\n"), "\n")}, nil
 	}
-	st, err := c.svc.QueryStream(ctx, c.sess, query)
+	st, err := c.svc.QueryStream(ctx, c.sess, query, server.StreamOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +301,9 @@ func cutExplainAnalyze(query string) (string, bool) {
 }
 
 // ExecContext implements driver.ExecerContext: DDL/DML scripts (CREATE
-// TABLE / CREATE FUNCTION / INSERT) run under the exclusive DDL gate.
+// TABLE / CREATE FUNCTION / INSERT / transaction control) run through the
+// session's Service.ExecContext — DDL under the exclusive side of the DDL
+// gate, everything else under the shared side, concurrently with queries.
 func (c *conn) ExecContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Result, error) {
 	if len(args) > 0 {
 		return nil, fmt.Errorf("udfsql: the dialect has no placeholder parameters (got %d args)", len(args))

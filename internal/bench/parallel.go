@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -47,6 +48,15 @@ func ParallelBenchConfig() Config {
 	}
 }
 
+// runToEnd executes a prepared plan and materializes its result.
+func runToEnd(e *engine.Engine, prep *engine.Prepared) (*engine.Result, error) {
+	rows, err := e.Run(context.Background(), prep, engine.RunOpts{})
+	if err != nil {
+		return nil, err
+	}
+	return rows.Materialize()
+}
+
 // timeQuery runs a prepared plan repeatedly for at least minWall (and at
 // least 3 iterations), returning the best per-query duration.
 func timeQuery(e *engine.Engine, prep *engine.Prepared, minWall time.Duration) (time.Duration, int, error) {
@@ -56,7 +66,7 @@ func timeQuery(e *engine.Engine, prep *engine.Prepared, minWall time.Duration) (
 	start := time.Now()
 	for iters < 3 || time.Since(start) < minWall {
 		t0 := time.Now()
-		res, err := e.Run(prep)
+		res, err := runToEnd(e, prep)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -96,10 +106,10 @@ func RunParallelBench(cfg Config, degree int) (*ParallelBenchResult, error) {
 		return nil, err
 	}
 	// Warm up (index/statistics builds, allocator steady state).
-	if _, err := serial.Run(serialPrep); err != nil {
+	if _, err := runToEnd(serial, serialPrep); err != nil {
 		return nil, err
 	}
-	if _, err := parallel.Run(parallelPrep); err != nil {
+	if _, err := runToEnd(parallel, parallelPrep); err != nil {
 		return nil, err
 	}
 

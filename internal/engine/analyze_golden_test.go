@@ -10,7 +10,6 @@ package engine
 //	go test ./internal/engine -run TestExplainAnalyzeGolden -update
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -57,19 +56,18 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		t.Run(q.name, func(t *testing.T) {
 			var b strings.Builder
 			b.WriteString("query: " + strings.Join(strings.Fields(q.sql), " ") + "\n")
-			run := func(tag string, configure func(*Engine)) {
-				e := fullEngine(t, ModeRewrite)
-				configure(e)
-				out, err := e.ExplainAnalyze(context.Background(), q.sql)
-				if err != nil {
-					t.Fatalf("%s explain analyze: %v", tag, err)
-				}
+			run := func(tag string, profile Profile) {
+				out := explainAnalyze(t, fullEngineProfile(t, profile, ModeRewrite), q.sql)
 				b.WriteString("\n-- " + tag + " --\n")
 				b.WriteString(scrubAnalyze(out))
 			}
-			run("row", func(e *Engine) {})
-			run("vectorized", func(e *Engine) { e.SetVectorized(true) })
-			run("parallel-4", func(e *Engine) { e.SetVectorized(true); e.SetParallelism(4) })
+			vectorized := SYS1
+			vectorized.Vectorized = true
+			parallel := vectorized
+			parallel.Parallelism = 4
+			run("row", SYS1)
+			run("vectorized", vectorized)
+			run("parallel-4", parallel)
 			got := b.String()
 
 			path := filepath.Join("testdata", "explain_analyze", q.name+".golden")
@@ -103,13 +101,10 @@ func TestExplainAnalyzeParallelWorkers(t *testing.T) {
 	// The rewritten form is a hash join whose probe pipeline segmentizes into
 	// an Exchange; the IndexNLJoin plans keep their serial form.
 	const sql = "select custkey, service_level(custkey) from customer"
-	e := fullEngine(t, ModeRewrite)
-	e.SetVectorized(true)
-	e.SetParallelism(4)
-	out, err := e.ExplainAnalyze(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
+	profile := SYS1
+	profile.Vectorized = true
+	profile.Parallelism = 4
+	out := explainAnalyze(t, fullEngineProfile(t, profile, ModeRewrite), sql)
 	for _, want := range []string{"rows=", "time=", "workers=4", "worker_rows=", "worker_time="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("parallel EXPLAIN ANALYZE missing %q:\n%s", want, out)

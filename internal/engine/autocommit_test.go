@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"udfdecorr/internal/engine"
+	"udfdecorr/internal/parser"
 	"udfdecorr/internal/sqltypes"
 	"udfdecorr/internal/storage"
 	"udfdecorr/internal/wal"
@@ -36,6 +37,16 @@ func openAlwaysSync(t *testing.T, dir string) *engine.Engine {
 		}
 	}
 	return e
+}
+
+// execScript parses src and runs it through Exec under ctx with
+// script-local transactions.
+func execScript(ctx context.Context, e *engine.Engine, src string) error {
+	script, err := parser.ParseScript(src)
+	if err != nil {
+		return err
+	}
+	return e.Exec(ctx, script, nil)
 }
 
 // countFsyncs counts WAL log-file fsyncs until the test ends.
@@ -177,7 +188,7 @@ func TestAutocommitCancelBetweenStatementsCommitsPrefix(t *testing.T) {
 	e := openAlwaysSync(t, dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := e.ExecScriptContext(&cancelAtCheck{Context: ctx, cancel: cancel, left: 17}, insertScript(1, 32))
+	err := execScript(&cancelAtCheck{Context: ctx, cancel: cancel, left: 17}, e, insertScript(1, 32))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancel before statement 17: got %v, want context.Canceled", err)
 	}
@@ -201,7 +212,7 @@ end`); err != nil {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	script := insertScript(1, 16) + "insert into kv values (17, spin(1000000000));\n" + insertScript(18, 32)
-	if err := e.ExecScriptContext(ctx, script); !errors.Is(err, context.DeadlineExceeded) {
+	if err := execScript(ctx, e, script); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout inside statement 17: got %v, want context.DeadlineExceeded", err)
 	}
 	assertPrefixDurable(t, e, dir)

@@ -259,12 +259,20 @@ func TestDifferentialExplainAnalyze(t *testing.T) {
 				if err != nil {
 					t.Fatalf("plain: %v", err)
 				}
-				got, plan, err := e.QueryAnalyze(context.Background(), q.SQL)
+				p, err := e.Prepare(q.SQL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := e.Run(context.Background(), p, engine.RunOpts{Analyze: true})
+				if err != nil {
+					t.Fatalf("analyze: %v", err)
+				}
+				got, err := rows.Materialize()
 				if err != nil {
 					t.Fatalf("analyze: %v", err)
 				}
 				assertSameRowMultiset(t, "plain vs analyze", want.Rows, got.Rows)
-				if !strings.Contains(plan, "rows=") || !strings.Contains(plan, "time=") {
+				if plan := rows.Analyze(); !strings.Contains(plan, "rows=") || !strings.Contains(plan, "time=") {
 					t.Errorf("analyze plan missing per-operator stats:\n%s", plan)
 				}
 			})

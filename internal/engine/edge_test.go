@@ -155,22 +155,14 @@ func TestNullParameterThroughUDF(t *testing.T) {
 }
 
 func TestExplainOutput(t *testing.T) {
-	e := fullEngine(t, ModeRewrite)
-	out, err := e.Explain("select custkey, service_level(custkey) from customer")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := explain(t, fullEngine(t, ModeRewrite), "select custkey, service_level(custkey) from customer")
 	if !strings.Contains(out, "rewritten: true") {
 		t.Errorf("explain should report the rewrite:\n%s", out)
 	}
 	if !strings.Contains(out, "Join") {
 		t.Errorf("explain should show join choices:\n%s", out)
 	}
-	it := fullEngine(t, ModeIterative)
-	out2, err := it.Explain("select custkey, service_level(custkey) from customer")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out2 := explain(t, fullEngine(t, ModeIterative), "select custkey, service_level(custkey) from customer")
 	if !strings.Contains(out2, "rewritten: false") {
 		t.Errorf("iterative explain:\n%s", out2)
 	}

@@ -1,8 +1,9 @@
 // Package engine is the database facade: it owns the catalog, storage, the
-// planner and the UDF interpreter, and exposes Query/Explain entry points
-// with three execution modes — iterative UDF invocation (the paper's
-// baseline), forced decorrelation (the paper's rewrite tool), and
-// cost-based choice between the two (the integration the paper argues for).
+// planner and the UDF interpreter. Statements come in through one prepare
+// path (Prepare), one run path (Run) and one script loop (Exec), with three
+// execution modes — iterative UDF invocation (the paper's baseline), forced
+// decorrelation (the paper's rewrite tool), and cost-based choice between
+// the two (the integration the paper argues for).
 package engine
 
 import (
@@ -79,14 +80,13 @@ var (
 
 // Engine is an in-memory SQL engine with procedural UDF support.
 //
-// Concurrency: Query, Explain, Prepare, Run and RewriteSQL are safe to call
-// concurrently from many goroutines on one Engine, PROVIDED no DDL or data
-// load runs concurrently (ExecScript, CreateIndex and Load require exclusive
-// access — the query service serializes them behind a write lock). The
-// Mode/Profile fields and SetVectorized are configuration, not runtime
-// switches: mutate them only while no queries are in flight. Sessions that
-// need distinct settings over the same data use NewShared to get independent
-// engine views of one catalog+store.
+// Concurrency: Prepare, Run, RunContext, Query and RewriteSQL are safe to
+// call concurrently from many goroutines on one Engine, PROVIDED no DDL runs
+// concurrently (scripts with CREATE statements and CreateIndex require
+// exclusive access — the query service serializes them behind a write
+// lock). The Mode/Profile fields are configuration fixed at construction,
+// not runtime switches. Sessions that need distinct settings over the same
+// data use NewShared to get independent engine views of one catalog+store.
 type Engine struct {
 	Cat     *catalog.Catalog
 	Store   *storage.Store
@@ -124,20 +124,6 @@ func NewShared(cat *catalog.Catalog, store *storage.Store, profile Profile, mode
 	return e
 }
 
-// SetVectorized toggles the batch execution path at runtime (both for
-// top-level queries and for embedded statements planned after the call).
-func (e *Engine) SetVectorized(on bool) {
-	e.Profile.Vectorized = on
-	e.Planner.Vectorized = on
-}
-
-// SetParallelism sets the intra-query worker degree for subsequent
-// top-level vectorized plans (<= 1 disables).
-func (e *Engine) SetParallelism(n int) {
-	e.Profile.Parallelism = n
-	e.Planner.Parallelism = n
-}
-
 // planEmbedded algebrizes and plans a query embedded in a UDF body. The
 // normalization pass gives embedded queries the ordinary optimizations
 // (predicate pushdown into joins) a commercial system performs.
@@ -152,60 +138,59 @@ func (e *Engine) planEmbedded(sel *ast.SelectStmt) (exec.Node, error) {
 	return e.Planner.BuildSerial(core.Normalize(e.Cat, rel))
 }
 
-// ExecScript runs DDL: CREATE TABLE and CREATE FUNCTION statements.
-// Any SELECT statements in the script are ignored (use Query).
+// ExecScript parses src and executes it with Exec under a background
+// context, with script-local transactions.
 func (e *Engine) ExecScript(src string) error {
-	return e.ExecScriptContext(context.Background(), src)
-}
-
-// ExecScriptContext is ExecScript honoring cancellation between statements
-// (and inside INSERT value evaluation, which may invoke UDFs).
-func (e *Engine) ExecScriptContext(ctx context.Context, src string) error {
 	script, err := parser.ParseScript(src)
 	if err != nil {
 		return err
 	}
-	return e.ExecParsedContext(ctx, script)
+	return e.Exec(context.Background(), script, nil)
 }
 
-// ExecParsedContext executes an already-parsed script's statements in source
-// order. BEGIN/COMMIT/ROLLBACK delimit script-local transactions: INSERTs
-// inside one are buffered and published atomically at COMMIT. A transaction
-// left open at end of script (or abandoned by an error) is rolled back.
-// INSERTs outside a transaction run as Autocommit runs: each maximal run
+// Exec executes a parsed script's statements in source order. It is the one
+// statement loop behind ExecScript, the query service's /exec and the
+// database/sql driver, and it honors cancellation between statements (and
+// inside INSERT value evaluation, which may invoke UDFs).
+//
+// BEGIN/COMMIT/ROLLBACK open and end the transaction held in slot, and
+// INSERTs inside one are buffered and published atomically at COMMIT. A
+// session's slot outlives the call, so BEGIN and COMMIT may arrive in
+// different scripts. A nil slot makes transactions script-local: one left
+// open at script end (or abandoned by an error) is rolled back. DDL while a
+// transaction is open is refused.
+//
+// INSERTs outside a transaction run as autocommit runs: each maximal run
 // publishes (and is logged) as one group when another statement starts, at
-// script end, or — on an error or cancellation at a later statement —
-// before that error returns, so the already-applied prefix stays applied.
-// Sessions that span transactions across requests manage engine.Txn
-// themselves and must not send BEGIN through here with statements split
-// across calls.
-func (e *Engine) ExecParsedContext(ctx context.Context, script *ast.Script) (err error) {
-	if ctx == nil {
-		ctx = context.Background()
+// script end, or — on an error or cancellation at a later statement — before
+// that error returns, so the already-applied prefix stays applied. Bare
+// SELECTs are ignored (queries go through Prepare and Run).
+func (e *Engine) Exec(ctx context.Context, script *ast.Script, slot *TxnSlot) (err error) {
+	if slot == nil {
+		slot = &TxnSlot{}
+		defer slot.Rollback()
 	}
-	var txn *Txn
-	run := e.Autocommit()
-	defer func() {
-		if txn != nil {
-			txn.Rollback()
-		}
-		err = run.Finish(err)
-	}()
+	run := autocommit{eng: e}
+	defer func() { err = run.finish(err) }()
 	for _, stmt := range script.Stmts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		txn := slot.Txn()
 		if ins, ok := stmt.(*ast.InsertStmt); ok && txn == nil {
-			if err := run.Insert(ctx, ins); err != nil {
+			if err := run.insert(ctx, ins); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := run.Commit(); err != nil {
+		if err := run.commit(); err != nil {
 			return err
 		}
 		switch s := stmt.(type) {
 		case *ast.CreateTableStmt:
+			if txn != nil {
+				return errDDLInTxn
+			}
 			meta, err := e.Cat.AddTableFromAST(s)
 			if err != nil {
 				return err
@@ -214,6 +199,9 @@ func (e *Engine) ExecParsedContext(ctx context.Context, script *ast.Script) (err
 				return err
 			}
 		case *ast.CreateFunctionStmt:
+			if txn != nil {
+				return errDDLInTxn
+			}
 			if _, err := e.Cat.AddFunction(s); err != nil {
 				return err
 			}
@@ -222,30 +210,9 @@ func (e *Engine) ExecParsedContext(ctx context.Context, script *ast.Script) (err
 				return err
 			}
 		case *ast.TxnStmt:
-			switch s.Kind {
-			case ast.TxnBegin:
-				if txn != nil {
-					return fmt.Errorf("BEGIN: transaction already in progress")
-				}
-				txn = e.Begin()
-			case ast.TxnCommit:
-				if txn == nil {
-					return fmt.Errorf("COMMIT: no transaction in progress")
-				}
-				err := txn.Commit()
-				txn = nil
-				if err != nil {
-					return err
-				}
-			case ast.TxnRollback:
-				if txn == nil {
-					return fmt.Errorf("ROLLBACK: no transaction in progress")
-				}
-				txn.Rollback()
-				txn = nil
+			if err := slot.control(e, s.Kind); err != nil {
+				return err
 			}
-		case *ast.SelectStmt:
-			// Scripts ignore bare SELECTs (use Query).
 		}
 	}
 	return nil
@@ -334,9 +301,9 @@ type Prepared struct {
 	Parallelism int
 }
 
-// Describe renders the plan description shown by EXPLAIN (shared by
-// Engine.Explain and the query service's /explain endpoint, so the two
-// surfaces cannot drift; the golden tests pin this format).
+// Describe renders the plan description shown by EXPLAIN (the query
+// service's /explain endpoint and EXPLAIN ANALYZE's header; the golden tests
+// pin this format).
 func (p *Prepared) Describe(mode Mode, vectorized bool) string {
 	var b strings.Builder
 	executor := "row"
@@ -440,62 +407,17 @@ func (e *Engine) prepare(sql string, partialAgg bool) (*Prepared, error) {
 // iteratively (each invocation runs at least one embedded query).
 const iterativeRowCost = 50
 
-// Run executes a prepared query under a fresh context, materializing the
-// full result (a thin wrapper over the streaming RunContext). The Prepared
-// may have been compiled by a different engine view over the same catalog
-// and store (the shared plan cache path): UDF calls resolve through this
-// engine's interpreter via the context.
-func (e *Engine) Run(p *Prepared) (*Result, error) {
-	rows, err := e.RunContext(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Materialize()
-}
-
 // Query executes a SELECT statement, materializing the full result.
 func (e *Engine) Query(sql string) (*Result, error) {
 	p, err := e.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(p)
-}
-
-// Explain returns a description of the chosen plan: whether the query was
-// rewritten and which physical operators were selected.
-func (e *Engine) Explain(sql string) (string, error) {
-	p, err := e.Prepare(sql)
+	rows, err := e.Run(context.Background(), p, RunOpts{})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return p.Describe(e.Mode, e.Profile.Vectorized), nil
-}
-
-// QueryAnalyze executes sql with per-operator instrumentation, returning
-// both the materialized result and the annotated plan tree (EXPLAIN
-// ANALYZE). Instrumentation never changes results — the differential corpus
-// asserts it.
-func (e *Engine) QueryAnalyze(ctx context.Context, sql string) (*Result, string, error) {
-	p, err := e.Prepare(sql)
-	if err != nil {
-		return nil, "", err
-	}
-	rows, err := e.RunContextAnalyze(ctx, p, nil, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := rows.Materialize()
-	if err != nil {
-		return nil, "", err
-	}
-	return res, rows.Analyze(), nil
-}
-
-// ExplainAnalyze executes sql and returns only the annotated plan tree.
-func (e *Engine) ExplainAnalyze(ctx context.Context, sql string) (string, error) {
-	_, plan, err := e.QueryAnalyze(ctx, sql)
-	return plan, err
+	return rows.Materialize()
 }
 
 // RewriteSQL runs only the rewrite pipeline and reports the decorrelated

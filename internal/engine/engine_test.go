@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,5 +159,51 @@ func assertSameRows(t *testing.T, a, b []storage.Row) {
 		if v != 0 {
 			t.Fatalf("row multiset mismatch (key %x: %+d)", k, v)
 		}
+	}
+}
+
+// explain returns sql's plan description as EXPLAIN shows it.
+func explain(t *testing.T, e *Engine, sql string) string {
+	t.Helper()
+	p, err := e.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Describe(e.Mode, e.Profile.Vectorized)
+}
+
+// explainAnalyze runs sql with per-operator instrumentation and returns the
+// annotated plan tree as EXPLAIN ANALYZE shows it.
+func explainAnalyze(t *testing.T, e *Engine, sql string) string {
+	t.Helper()
+	p, err := e.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := e.Run(context.Background(), p, RunOpts{Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rows.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	return rows.Analyze()
+}
+
+// TestEngineSurface pins *Engine's exported methods: one prepare path, one
+// run path, one statement loop, and their conveniences. A new way into the
+// engine is a deliberate edit of this list.
+func TestEngineSurface(t *testing.T) {
+	want := []string{
+		"Begin", "Checkpoint", "CreateIndex", "Exec", "ExecScript", "Load", "MustLoadInts",
+		"Prepare", "PreparePartialAgg", "Query", "RewriteSQL", "Run", "RunContext",
+	}
+	typ := reflect.TypeOf(&Engine{})
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Engine methods = %v\nwant %v", got, want)
 	}
 }

@@ -88,7 +88,14 @@ end
 // a deterministic dataset covering all tables.
 func fullEngine(t *testing.T, mode Mode) *Engine {
 	t.Helper()
-	e := New(SYS1, mode)
+	return fullEngineProfile(t, SYS1, mode)
+}
+
+// fullEngineProfile is fullEngine under the given profile (executor and
+// parallelism settings).
+func fullEngineProfile(t *testing.T, profile Profile, mode Mode) *Engine {
+	t.Helper()
+	e := New(profile, mode)
 	ddl := paperSchema + serviceLevelUDF + discountSimpleUDF + totalBusinessUDF +
 		discountUDF + totalLossUDFs + bigOrdersUDF
 	if err := e.ExecScript(ddl); err != nil {

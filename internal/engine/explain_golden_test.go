@@ -48,13 +48,8 @@ func TestExplainGolden(t *testing.T) {
 			var b strings.Builder
 			b.WriteString("query: " + strings.Join(strings.Fields(q.sql), " ") + "\n")
 			for _, mode := range []Mode{ModeIterative, ModeRewrite} {
-				e := fullEngine(t, mode)
-				out, err := e.Explain(q.sql)
-				if err != nil {
-					t.Fatalf("%s explain: %v", mode, err)
-				}
 				b.WriteString("\n-- " + mode.String() + " --\n")
-				b.WriteString(out)
+				b.WriteString(explain(t, fullEngine(t, mode), q.sql))
 			}
 			got := b.String()
 
@@ -83,15 +78,11 @@ func TestExplainGolden(t *testing.T) {
 // knob must be visible in EXPLAIN output without changing plan choices.
 func TestExplainGoldenVectorizedHeader(t *testing.T) {
 	e := fullEngine(t, ModeRewrite)
-	rowOut, err := e.Explain(example1Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetVectorized(true)
-	vecOut, err := e.Explain(example1Query)
-	if err != nil {
-		t.Fatal(err)
-	}
+	profile := SYS1
+	profile.Vectorized = true
+	vec := NewShared(e.Cat, e.Store, profile, ModeRewrite)
+	rowOut := explain(t, e, example1Query)
+	vecOut := explain(t, vec, example1Query)
 	if !strings.Contains(rowOut, "executor: row") || !strings.Contains(vecOut, "executor: vectorized") {
 		t.Fatalf("executor header missing:\n%s\n%s", rowOut, vecOut)
 	}

@@ -192,11 +192,16 @@ func TestExplainShowsParallelism(t *testing.T) {
 	profile := engine.SYS1
 	profile.Vectorized = true
 	profile.Parallelism = 4
-	eng := diffEngine(t, profile, engine.ModeIterative, bench.SmallConfig())
-	out, err := eng.Explain("select custkey, count(*), sum(totalprice) from orders group by custkey")
-	if err != nil {
-		t.Fatal(err)
+	explain := func(e *engine.Engine, sql string) string {
+		t.Helper()
+		p, err := e.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Describe(e.Mode, e.Profile.Vectorized)
 	}
+	eng := diffEngine(t, profile, engine.ModeIterative, bench.SmallConfig())
+	out := explain(eng, "select custkey, count(*), sum(totalprice) from orders group by custkey")
 	if !strings.Contains(out, "parallelism: 4") {
 		t.Fatalf("EXPLAIN missing parallelism line:\n%s", out)
 	}
@@ -207,10 +212,7 @@ func TestExplainShowsParallelism(t *testing.T) {
 	// The serial engine's EXPLAIN is unchanged (golden tests pin the exact
 	// serial format; this guards the conditional here).
 	serial := diffEngine(t, engine.SYS1, engine.ModeIterative, bench.SmallConfig())
-	out, err = serial.Explain("select custkey, count(*) from orders group by custkey")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out = explain(serial, "select custkey, count(*) from orders group by custkey")
 	if strings.Contains(out, "parallelism") {
 		t.Fatalf("serial EXPLAIN mentions parallelism:\n%s", out)
 	}

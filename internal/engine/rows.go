@@ -1,10 +1,10 @@
-// Streaming query API: Rows is a pull cursor over an executing plan, the
-// context-aware counterpart of the materializing Query/Run entry points
-// (which are now thin wrappers over it). A Rows lazily drives the underlying
-// exec.Node — batch-wise when the plan has a native vectorized path, row-wise
-// otherwise — so the first row is visible before the last is computed, and a
-// cancelled or timed-out context stops execution at the next row/batch
-// boundary with context.Canceled / context.DeadlineExceeded.
+// Streaming query API: Rows is a pull cursor over an executing plan, and Run
+// is the one way to start one (Query materializes a cursor). A Rows lazily
+// drives the underlying exec.Node — batch-wise when the plan has a native
+// vectorized path, row-wise otherwise — so the first row is visible before
+// the last is computed, and a cancelled or timed-out context stops
+// execution at the next row/batch boundary with context.Canceled /
+// context.DeadlineExceeded.
 package engine
 
 import (
@@ -18,7 +18,9 @@ import (
 
 // Rows is a streaming query result cursor:
 //
-//	rows, err := eng.QueryContext(ctx, sql)
+//	p, err := eng.Prepare(sql)
+//	if err != nil { ... }
+//	rows, err := eng.Run(ctx, p, engine.RunOpts{})
 //	if err != nil { ... }
 //	defer rows.Close()
 //	for rows.Next() {
@@ -55,45 +57,38 @@ type Rows struct {
 	header string
 }
 
-// RunContext starts executing a prepared query under the given context,
-// returning a pull cursor. Planning side-effects are the same as Run's; no
-// rows are produced until Next is called (pipeline breakers — sorts,
-// aggregations — still do their work on the first pull).
-func (e *Engine) RunContext(ctx context.Context, p *Prepared) (*Rows, error) {
-	return e.RunContextSnap(ctx, p, nil, nil)
+// RunOpts selects how Run executes a prepared statement.
+type RunOpts struct {
+	// Txn runs the statement inside an open transaction: it reads the
+	// transaction's pinned snapshot plus its own uncommitted rows. Nil pins
+	// the store's current consistent cut, so every statement is
+	// snapshot-consistent: concurrent commits never surface mid-scan.
+	Txn *Txn
+	// Analyze enables per-operator instrumentation (EXPLAIN ANALYZE): every
+	// operator edge is wrapped with a timing shim, and after the stream ends
+	// Rows.Analyze renders the annotated plan tree. Results are identical to
+	// an uninstrumented run.
+	Analyze bool
 }
 
-// RunContextSnap is RunContext executing against an explicit storage
-// snapshot (plus an optional uncommitted-row overlay, as when a session
-// transaction reads its own writes). A nil snap pins the store's current
-// consistent cut, so every statement is snapshot-consistent: concurrent
-// commits never surface mid-scan.
-func (e *Engine) RunContextSnap(ctx context.Context, p *Prepared, snap *storage.Snapshot, overlay map[*storage.Table][]storage.Row) (*Rows, error) {
-	return e.runContextSnap(ctx, p, snap, overlay, false)
-}
-
-// RunContextAnalyze is RunContextSnap with per-operator instrumentation
-// enabled (EXPLAIN ANALYZE): every operator edge is wrapped with a timing
-// shim, and after the stream ends Analyze renders the annotated plan tree.
-// Results are identical to an uninstrumented run.
-func (e *Engine) RunContextAnalyze(ctx context.Context, p *Prepared, snap *storage.Snapshot, overlay map[*storage.Table][]storage.Row) (*Rows, error) {
-	return e.runContextSnap(ctx, p, snap, overlay, true)
-}
-
-func (e *Engine) runContextSnap(ctx context.Context, p *Prepared, snap *storage.Snapshot, overlay map[*storage.Table][]storage.Row, analyze bool) (*Rows, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Run starts executing a prepared query under ctx, returning a pull cursor.
+// No rows are produced until Next is called (pipeline breakers — sorts,
+// aggregations — still do their work on the first pull). The Prepared may
+// have been compiled by a different engine view over the same catalog and
+// store (the shared plan cache path): UDF calls resolve through this
+// engine's interpreter via the context.
+func (e *Engine) Run(ctx context.Context, p *Prepared, opts RunOpts) (*Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ectx := exec.NewCtxContext(ctx, e.Interp)
-	if snap == nil {
-		snap = e.Store.Snapshot()
+	if opts.Txn != nil {
+		ectx.SetSnapshot(opts.Txn.snap, opts.Txn.writes)
+	} else {
+		ectx.SetSnapshot(e.Store.Snapshot(), nil)
 	}
-	ectx.SetSnapshot(snap, overlay)
 	r := &Rows{cols: p.Cols, rewritten: p.Rewritten, ectx: ectx}
-	if analyze {
+	if opts.Analyze {
 		r.prof = ectx.EnableProfiling()
 		r.root = p.Node
 		r.header = p.Describe(e.Mode, e.Profile.Vectorized)
@@ -114,15 +109,10 @@ func (e *Engine) runContextSnap(ctx context.Context, p *Prepared, snap *storage.
 	return r, nil
 }
 
-// QueryContext parses, plans and starts a SELECT, returning the streaming
-// cursor. Planning is CPU-bound and brief, so a cancelled ctx is reported
-// by RunContext rather than checked around it.
-func (e *Engine) QueryContext(ctx context.Context, sql string) (*Rows, error) {
-	p, err := e.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx, p)
+// RunContext is Run with default options: outside any transaction, without
+// instrumentation.
+func (e *Engine) RunContext(ctx context.Context, p *Prepared) (*Rows, error) {
+	return e.Run(ctx, p, RunOpts{})
 }
 
 // Columns returns the output column names.
@@ -240,7 +230,7 @@ func (r *Rows) Counters() exec.Counters { return *r.ectx.Counters }
 func (r *Rows) RowsReturned() int64 { return r.returned }
 
 // Analyze renders the annotated per-operator plan tree of a cursor started
-// with RunContextAnalyze ("" otherwise). Call after the stream finished —
+// with RunOpts.Analyze ("" otherwise). Call after the stream finished —
 // parallel workers' stats are absorbed on close, and operator times keep
 // accumulating until then.
 func (r *Rows) Analyze() string {
@@ -309,7 +299,7 @@ func (r *Rows) Close() error {
 
 // Materialize drains the remaining stream into a Result and closes the
 // cursor. On the batch path rows are carved out arena-wise per batch, so
-// Run/Query keep their pre-streaming materialization cost.
+// Query keeps its pre-streaming materialization cost.
 func (r *Rows) Materialize() (*Result, error) {
 	defer r.Close()
 	if r.err != nil {

@@ -33,12 +33,21 @@ func streamFixture(t *testing.T, profile engine.Profile, mode engine.Mode, n int
 	return e
 }
 
+// startQuery prepares sql and starts it under ctx.
+func startQuery(ctx context.Context, e *engine.Engine, sql string) (*engine.Rows, error) {
+	p, err := e.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(ctx, p, engine.RunOpts{})
+}
+
 func TestRowsCursorBasics(t *testing.T) {
 	for _, vectorized := range []bool{false, true} {
 		profile := engine.SYS1
 		profile.Vectorized = vectorized
 		e := streamFixture(t, profile, engine.ModeRewrite, 10)
-		rows, err := e.QueryContext(context.Background(), "select k, v from t where k < 4")
+		rows, err := startQuery(context.Background(), e, "select k, v from t where k < 4")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +86,7 @@ func TestRowsCursorBasics(t *testing.T) {
 
 func TestRowsEarlyCloseFiresOnCloseOnce(t *testing.T) {
 	e := streamFixture(t, engine.SYS1, engine.ModeRewrite, 100)
-	rows, err := e.QueryContext(context.Background(), "select k from t")
+	rows, err := startQuery(context.Background(), e, "select k from t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +112,8 @@ func TestQueryContextCancelledBeforeRun(t *testing.T) {
 	e := streamFixture(t, engine.SYS1, engine.ModeRewrite, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.QueryContext(ctx, "select k from t"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := startQuery(ctx, e, "select k from t"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -113,7 +122,7 @@ func TestCancelMidScanRowPath(t *testing.T) {
 	e := streamFixture(t, engine.SYS1, engine.ModeRewrite, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rows, err := e.QueryContext(ctx, "select k from t where v >= 0")
+	rows, err := startQuery(ctx, e, "select k from t where v >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +269,11 @@ func TestParallelStreamCompletesAfterCancelledSiblings(t *testing.T) {
 	}
 	rows.Close()
 
-	res, err := e.Run(p)
+	rows, err = e.Run(context.Background(), p, engine.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rows.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,15 +11,21 @@
 // cannot arise.
 //
 // INSERTs outside BEGIN/COMMIT are transactions too: a script's maximal run
-// of them buffers in one implicit Txn (Autocommit) that commits when any
-// other statement starts, at script end, or before an error at a later
+// of them buffers in one implicit Txn (an autocommit run) that commits when
+// any other statement starts, at script end, or before an error at a later
 // statement is returned — one log group and one publish per run.
+//
+// BEGIN/COMMIT/ROLLBACK statements keep their transaction in a TxnSlot: a
+// query-service session owns one, so a transaction spans requests, while
+// Exec with a nil slot makes it script-local.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"udfdecorr/internal/ast"
 	"udfdecorr/internal/exec"
@@ -40,22 +46,6 @@ type Txn struct {
 // Begin starts a transaction reading from the current consistent cut.
 func (e *Engine) Begin() *Txn {
 	return &Txn{eng: e, snap: e.Store.Snapshot(), writes: map[*storage.Table][]storage.Row{}}
-}
-
-// Snapshot returns the transaction's pinned read snapshot.
-func (t *Txn) Snapshot() *storage.Snapshot { return t.snap }
-
-// Overlay returns the buffered uncommitted rows per table, in the shape
-// exec.Ctx.SetSnapshot consumes.
-func (t *Txn) Overlay() map[*storage.Table][]storage.Row { return t.writes }
-
-// Pending reports the number of buffered rows.
-func (t *Txn) Pending() int {
-	n := 0
-	for _, rows := range t.writes {
-		n += len(rows)
-	}
-	return n
 }
 
 // Insert evaluates an INSERT's value expressions (constants and pure scalar
@@ -109,31 +99,99 @@ func (t *Txn) Rollback() {
 	t.order = nil
 }
 
-// Autocommit is the implicit transaction around a script's autocommit
-// INSERTs (those outside BEGIN/COMMIT). Insert buffers into a Txn begun on
-// first use; Commit publishes the run so far, and the caller commits it
-// whenever a statement other than such an INSERT starts. Finish ends the
-// script: the run commits even when the script stopped with an error at a
-// later statement, so the statements before the failing one stay applied.
-type Autocommit struct {
+// errDDLInTxn refuses CREATE statements while a transaction is open: DDL is
+// not transactional, so it could neither roll back nor wait for COMMIT.
+var errDDLInTxn = errors.New("cannot run DDL inside a transaction")
+
+// TxnSlot holds the transaction a BEGIN opened until its COMMIT or ROLLBACK,
+// across Exec calls. It is safe for concurrent use; the zero value is an
+// empty slot.
+type TxnSlot struct {
+	mu  sync.Mutex
+	txn *Txn
+	// ObserveCommit, when set, receives the duration of every COMMIT through
+	// the slot.
+	ObserveCommit func(time.Duration)
+}
+
+// Txn returns the open transaction, or nil.
+func (s *TxnSlot) Txn() *Txn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.txn
+}
+
+// Rollback discards the open transaction, if any.
+func (s *TxnSlot) Rollback() {
+	if txn := s.take(); txn != nil {
+		txn.Rollback()
+	}
+}
+
+// take detaches and returns the open transaction (nil if none).
+func (s *TxnSlot) take() *Txn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	txn := s.txn
+	s.txn = nil
+	return txn
+}
+
+// control executes BEGIN, COMMIT or ROLLBACK against the slot. BEGIN is an
+// atomic check-and-set, so two racing BEGINs cannot both win.
+func (s *TxnSlot) control(e *Engine, kind ast.TxnKind) error {
+	switch kind {
+	case ast.TxnBegin:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.txn != nil {
+			return errors.New("BEGIN: transaction already in progress")
+		}
+		s.txn = e.Begin()
+		return nil
+	case ast.TxnCommit:
+		txn := s.take()
+		if txn == nil {
+			return errors.New("COMMIT: no transaction in progress")
+		}
+		start := time.Now()
+		err := txn.Commit()
+		if s.ObserveCommit != nil {
+			s.ObserveCommit(time.Since(start))
+		}
+		return err
+	default:
+		txn := s.take()
+		if txn == nil {
+			return errors.New("ROLLBACK: no transaction in progress")
+		}
+		txn.Rollback()
+		return nil
+	}
+}
+
+// autocommit is the implicit transaction around a script's autocommit
+// INSERTs (those outside BEGIN/COMMIT). insert buffers into a Txn begun on
+// first use; commit publishes the run so far, and Exec commits it whenever
+// a statement other than such an INSERT starts. finish ends the script: the
+// run commits even when the script stopped with an error at a later
+// statement, so the statements before the failing one stay applied.
+type autocommit struct {
 	eng *Engine
 	txn *Txn
 }
 
-// Autocommit starts an empty autocommit run on the engine view.
-func (e *Engine) Autocommit() *Autocommit { return &Autocommit{eng: e} }
-
-// Insert adds an autocommit INSERT to the run; reads inside its value
+// insert adds an autocommit INSERT to the run; reads inside its value
 // expressions see the run's earlier rows.
-func (a *Autocommit) Insert(ctx context.Context, ins *ast.InsertStmt) error {
+func (a *autocommit) insert(ctx context.Context, ins *ast.InsertStmt) error {
 	if a.txn == nil {
 		a.txn = a.eng.Begin()
 	}
 	return a.txn.Insert(ctx, ins)
 }
 
-// Commit publishes the run (no-op when it is empty) and starts a new one.
-func (a *Autocommit) Commit() error {
+// commit publishes the run (no-op when it is empty) and starts a new one.
+func (a *autocommit) commit() error {
 	if a.txn == nil {
 		return nil
 	}
@@ -142,10 +200,10 @@ func (a *Autocommit) Commit() error {
 	return txn.Commit()
 }
 
-// Finish commits the run and returns the script's outcome: err (the
+// finish commits the run and returns the script's outcome: err (the
 // statement error that stopped the script, or nil) joined with the commit's.
-func (a *Autocommit) Finish(err error) error {
-	if cerr := a.Commit(); cerr != nil {
+func (a *autocommit) finish(err error) error {
+	if cerr := a.commit(); cerr != nil {
 		return errors.Join(err, cerr)
 	}
 	return err

@@ -8,6 +8,8 @@ package engine_test
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"udfdecorr/internal/ast"
@@ -130,7 +132,7 @@ func TestTxnInvisibleUntilCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := e.RunContextSnap(context.Background(), p, txn.Snapshot(), txn.Overlay())
+	rows, err := e.Run(context.Background(), p, engine.RunOpts{Txn: txn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestTxnSnapshotIgnoresConcurrentCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := e.RunContextSnap(context.Background(), p, txn.Snapshot(), txn.Overlay())
+	rows, err := e.Run(context.Background(), p, engine.RunOpts{Txn: txn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +196,39 @@ func TestTxnFinishedIsDead(t *testing.T) {
 	script, _ := parser.ParseScript("insert into acct values (1, 1);")
 	if err := txn.Insert(context.Background(), script.Inserts[0]); err == nil {
 		t.Fatal("insert after commit must fail")
+	}
+}
+
+// TestTxnSlotRacingBegins: BEGINs racing on one slot open exactly one
+// transaction, and a reader sees either no transaction or that one.
+func TestTxnSlotRacingBegins(t *testing.T) {
+	e := txnEngine(t)
+	begin, err := parser.ParseScript("begin;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slot engine.TxnSlot
+	var won atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e.Exec(context.Background(), begin, &slot) == nil {
+				won.Add(1)
+			}
+			if slot.Txn() == nil {
+				t.Error("reader saw no transaction after a BEGIN returned")
+			}
+		}()
+	}
+	wg.Wait()
+	if n := won.Load(); n != 1 {
+		t.Fatalf("%d racing BEGINs succeeded, want 1", n)
+	}
+	slot.Rollback()
+	if slot.Txn() != nil {
+		t.Fatal("Rollback left the transaction in the slot")
 	}
 }
 
@@ -286,10 +321,9 @@ func TestDurableUncommittedSuffixDiscarded(t *testing.T) {
 	}
 }
 
-// TestExecParsedContextOrdering: parsed scripts execute in source order
-// across statement kinds (table created, row inserted, txn committed — all
-// interleaved).
-func TestExecParsedContextOrdering(t *testing.T) {
+// TestExecOrdering: parsed scripts execute in source order across statement
+// kinds (table created, row inserted, txn committed — all interleaved).
+func TestExecOrdering(t *testing.T) {
 	e := engine.New(engine.SYS1, engine.ModeRewrite)
 	script, err := parser.ParseScript(`
 create table a (x int primary key);
@@ -309,7 +343,7 @@ insert into b values (7);
 	if _, ok := script.Stmts[2].(*ast.TxnStmt); !ok {
 		t.Fatalf("statement 2 is %T, want TxnStmt", script.Stmts[2])
 	}
-	if err := e.ExecParsedContext(context.Background(), script); err != nil {
+	if err := e.Exec(context.Background(), script, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := countOf(t, e, "a"); n != 2 {

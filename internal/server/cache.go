@@ -20,8 +20,8 @@ type CacheKey struct {
 	Parallelism    int // intra-query degree (parallel plans differ structurally)
 	CatalogVersion int64
 	// Partial marks shard-local partial-aggregate plans (see
-	// Service.QueryStreamPartial) — same SQL, structurally different plan,
-	// so it must never collide with the final-aggregate entry.
+	// StreamOpts.Partial) — same SQL, structurally different plan, so it
+	// must never collide with the final-aggregate entry.
 	Partial bool
 }
 

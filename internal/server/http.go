@@ -55,8 +55,8 @@ import (
 // counts as cancelled, not errored, in /stats.
 //
 // A /stream request may set "shard_partial":true to execute in shard-local
-// partial-aggregate mode (see Service.QueryStreamPartial) — the layout the
-// shard router's scatter-merge gather consumes.
+// partial-aggregate mode (see StreamOpts.Partial) — the layout the shard
+// router's scatter-merge gather consumes.
 func NewHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/session", func(w http.ResponseWriter, r *http.Request) { handleSession(svc, w, r) })
@@ -321,13 +321,7 @@ func handleStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if !found {
 		return
 	}
-	var st *Stream
-	var err error
-	if req.ShardPartial {
-		st, err = svc.QueryStreamPartial(traceContext(r), sess, req.Text())
-	} else {
-		st, err = svc.QueryStream(traceContext(r), sess, req.Text())
-	}
+	st, err := svc.QueryStream(traceContext(r), sess, req.Text(), StreamOpts{Partial: req.ShardPartial})
 	if err != nil {
 		fail(svc, w, wire.CodeBadRequest, err)
 		return

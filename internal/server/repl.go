@@ -7,6 +7,7 @@ package server
 
 import (
 	"errors"
+	"time"
 
 	"udfdecorr/internal/repl"
 )
@@ -102,12 +103,14 @@ func (s *Service) rejectOnReplica() error {
 }
 
 // ApplyExclusive runs fn under the exclusive side of the DDL gate and
-// invalidates the plan cache if the schema version changed — the follower's
-// apply path for replicated DDL, mirroring what ExecContext does for local
-// DDL so replica readers never see a half-applied schema change (and never
-// reuse plans compiled against the previous catalog version).
+// invalidates the plan cache if the schema version changed — the one DDL
+// path behind ExecContext's DDL scripts, CreateIndex and the follower's
+// replicated DDL, so readers never see a half-applied schema change (and
+// never reuse plans compiled against the previous catalog version).
 func (s *Service) ApplyExclusive(fn func() error) error {
+	gateStart := time.Now()
 	s.ddl.Lock()
+	s.metrics.ddlWait.Observe(time.Since(gateStart))
 	defer s.ddl.Unlock()
 	before := s.cat.Version()
 	err := fn()

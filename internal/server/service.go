@@ -8,7 +8,7 @@
 // entirely, across any number of concurrent clients.
 //
 // Locking order (outermost first): admission slot → ddl gate → session lock
-// → catalog/storage/cache internal locks. Queries, INSERTs and transaction
+// or the session's transaction slot → catalog/storage/cache internal locks. Queries, INSERTs and transaction
 // control hold the ddl gate in read mode, so any number run concurrently —
 // readers scan immutable published table versions (snapshot-consistent per
 // statement), so writers never disturb them. Only actual DDL (CREATE
@@ -213,9 +213,11 @@ type Service struct {
 	inflight map[CacheKey]*prepCall
 
 	// durable is the WAL/checkpoint state when the service runs over a
-	// durable engine; nil for in-memory deployments. Log appends happen
-	// inside Exec/CreateIndex, which already hold the DDL write gate, so
-	// WAL record order always matches mutation commit order.
+	// durable engine; nil for in-memory deployments. DDL is logged under the
+	// exclusive DDL gate, so its log order equals its commit order. Row
+	// writes commit under the shared gate, and two concurrent commits may be
+	// logged in one order and published in the other (see
+	// storage.Store.AppendBatch).
 	durable *engine.Durability
 
 	defaultParallelism int
@@ -331,10 +333,10 @@ type Session struct {
 	// timeout bounds each statement's execution (0 = none); it composes
 	// with the caller's context (whichever fires first cancels the query).
 	timeout time.Duration
-	// txn is the session's open transaction (BEGIN without COMMIT yet), nil
-	// otherwise. Queries on the session read the transaction's snapshot plus
-	// its uncommitted rows while one is open.
-	txn *engine.Txn
+	// txn holds the session's open transaction (BEGIN without COMMIT yet)
+	// across requests. Queries on the session read the transaction's
+	// snapshot plus its uncommitted rows while one is open.
+	txn engine.TxnSlot
 }
 
 // CreateSession registers a new session with the given settings.
@@ -342,13 +344,19 @@ func (s *Service) CreateSession(profile engine.Profile, mode engine.Mode) *Sessi
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
+	return s.newSession(fmt.Sprintf("s%d", s.seq), profile, mode)
+}
+
+// newSession registers a session under id (caller holds s.mu).
+func (s *Service) newSession(id string, profile engine.Profile, mode engine.Mode) *Session {
 	sess := &Session{
-		ID:      fmt.Sprintf("s%d", s.seq),
+		ID:      id,
 		svc:     s,
 		eng:     engine.NewShared(s.cat, s.store, profile, mode),
 		created: time.Now(),
 	}
-	s.sessions[sess.ID] = sess
+	sess.txn.ObserveCommit = s.metrics.txnCommitDur.Observe
+	s.sessions[id] = sess
 	return sess
 }
 
@@ -374,14 +382,7 @@ func (s *Service) defaultSession() *Session {
 	}
 	profile := engine.SYS1
 	profile.Parallelism = s.defaultParallelism
-	sess := &Session{
-		ID:      defaultSessionID,
-		svc:     s,
-		eng:     engine.NewShared(s.cat, s.store, profile, engine.ModeRewrite),
-		created: time.Now(),
-	}
-	s.sessions[defaultSessionID] = sess
-	return sess
+	return s.newSession(defaultSessionID, profile, engine.ModeRewrite)
 }
 
 // CloseSession drops a session, rolling back any open transaction. Closing
@@ -392,9 +393,7 @@ func (s *Service) CloseSession(id string) {
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	if sess != nil {
-		if txn := sess.takeTxn(); txn != nil {
-			txn.Rollback()
-		}
+		sess.txn.Rollback()
 	}
 }
 
@@ -410,34 +409,6 @@ func (sess *Session) Engine() *engine.Engine {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.eng
-}
-
-// Txn returns the session's open transaction, or nil.
-func (sess *Session) Txn() *engine.Txn {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.txn
-}
-
-// beginTxn opens a transaction on the session (atomic check-and-set, so two
-// racing BEGINs cannot both win).
-func (sess *Session) beginTxn() error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.txn != nil {
-		return errors.New("BEGIN: transaction already in progress")
-	}
-	sess.txn = sess.eng.Begin()
-	return nil
-}
-
-// takeTxn detaches and returns the open transaction (nil if none).
-func (sess *Session) takeTxn() *engine.Txn {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	t := sess.txn
-	sess.txn = nil
-	return t
 }
 
 // Settings returns the session's current profile and mode.
@@ -564,7 +535,7 @@ func (s *Service) Query(sess *Session, sql string) (*QueryResult, error) {
 // context.Canceled / DeadlineExceeded with the session's worker-budget
 // slots returned to the pool.
 func (s *Service) QueryContext(ctx context.Context, sess *Session, sql string) (*QueryResult, error) {
-	st, err := s.QueryStream(ctx, sess, sql)
+	st, err := s.QueryStream(ctx, sess, sql, StreamOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -589,41 +560,25 @@ type Stream struct {
 	TraceID string
 }
 
-// QueryStream starts a SELECT through the session and the shared plan
-// cache, returning a streaming cursor: rows become visible as the plan
-// produces them instead of after full materialization. A parallel session
-// claims its worker degree from the admission pool up front (the degree is
-// known before planning; acquiring after taking the ddl lock could deadlock
-// against Exec, which acquires in the opposite order), then hands back the
-// excess as soon as the compiled plan turns out serial — LIMIT/DISTINCT
-// barriers, row-bridge shapes — so non-parallelizable workloads don't hold
-// phantom workers during execution. Waiting for admission itself honors
-// ctx, so a cancelled client leaves the queue without claiming slots.
-func (s *Service) QueryStream(ctx context.Context, sess *Session, sql string) (*Stream, error) {
-	return s.queryStream(ctx, sess, sql, false, false)
-}
-
-// QueryStreamPartial is QueryStream in shard-local partial-aggregate mode:
-// the plan's root GROUP BY emits mergeable partial states (avg decomposed
-// into sum+count) instead of final values, in the canonical
-// keys-then-partials column layout the shard router's gather merges. Only
-// plans whose root is a projection over an all-mergeable GROUP BY qualify;
-// anything else fails at prepare time.
-func (s *Service) QueryStreamPartial(ctx context.Context, sess *Session, sql string) (*Stream, error) {
-	return s.queryStream(ctx, sess, sql, false, true)
-}
-
-// QueryStreamAnalyze is QueryStream with EXPLAIN ANALYZE instrumentation:
-// once the stream ends, Stream.Rows.Analyze renders the per-operator plan
-// tree. Rows are identical to an uninstrumented run.
-func (s *Service) QueryStreamAnalyze(ctx context.Context, sess *Session, sql string) (*Stream, error) {
-	return s.queryStream(ctx, sess, sql, true, false)
+// StreamOpts selects how QueryStream prepares and runs a statement.
+type StreamOpts struct {
+	// Partial runs in shard-local partial-aggregate mode: the plan's root
+	// GROUP BY emits mergeable partial states (avg decomposed into
+	// sum+count) instead of final values, in the canonical
+	// keys-then-partials column layout the shard router's gather merges.
+	// Only plans whose root is a projection over an all-mergeable GROUP BY
+	// qualify; anything else fails at prepare time.
+	Partial bool
+	// Analyze adds EXPLAIN ANALYZE instrumentation: once the stream ends,
+	// Stream.Rows.Analyze renders the per-operator plan tree. Rows are
+	// identical to an uninstrumented run.
+	Analyze bool
 }
 
 // ExplainAnalyze executes sql to completion with per-operator
 // instrumentation and returns the annotated plan tree.
 func (s *Service) ExplainAnalyze(ctx context.Context, sess *Session, sql string) (string, error) {
-	st, err := s.QueryStreamAnalyze(ctx, sess, sql)
+	st, err := s.QueryStream(ctx, sess, sql, StreamOpts{Analyze: true})
 	if err != nil {
 		return "", err
 	}
@@ -633,7 +588,19 @@ func (s *Service) ExplainAnalyze(ctx context.Context, sess *Session, sql string)
 	return st.Rows.Analyze(), nil
 }
 
-func (s *Service) queryStream(ctx context.Context, sess *Session, sql string, analyze, partial bool) (*Stream, error) {
+// QueryStream starts a SELECT through the session and the shared plan
+// cache, returning a streaming cursor: rows become visible as the plan
+// produces them instead of after full materialization. Inside an open
+// session transaction the statement reads the transaction's snapshot plus
+// its own uncommitted rows. A parallel session claims its worker degree
+// from the admission pool up front (the degree is known before planning;
+// acquiring after taking the ddl lock could deadlock against Exec, which
+// acquires in the opposite order), then hands back the excess as soon as
+// the compiled plan turns out serial — LIMIT/DISTINCT barriers, row-bridge
+// shapes — so non-parallelizable workloads don't hold phantom workers
+// during execution. Waiting for admission itself honors ctx, so a
+// cancelled client leaves the queue without claiming slots.
+func (s *Service) QueryStream(ctx context.Context, sess *Session, sql string, opts StreamOpts) (*Stream, error) {
 	traceID := s.nextTraceID(ctx)
 	qctx, cancel := sess.queryCtx(ctx)
 	eng := sess.Engine()
@@ -664,7 +631,7 @@ func (s *Service) queryStream(ctx context.Context, sess *Session, sql string, an
 		s.maybeLogSlow(traceID, sess, eng, sql, prep, hit, wait, elapsed, rowsReturned, qerr)
 	}
 
-	prep, hit, err = s.prepare(eng, sql, partial)
+	prep, hit, err = s.prepare(eng, sql, opts.Partial)
 	if err != nil {
 		// Count with slots=1: the query never executed, so it must not
 		// inflate the parallel_queries stat no matter the session's budget.
@@ -678,20 +645,7 @@ func (s *Service) queryStream(ctx context.Context, sess *Session, sql string, an
 		s.admission.release(held - 1)
 		held = 1
 	}
-	// Inside an open session transaction, statements read the transaction's
-	// pinned snapshot plus its own uncommitted rows; otherwise each statement
-	// pins the store's current consistent cut (RunContextSnap with nil snap).
-	var snap *storage.Snapshot
-	var overlay map[*storage.Table][]storage.Row
-	if txn := sess.Txn(); txn != nil {
-		snap, overlay = txn.Snapshot(), txn.Overlay()
-	}
-	var rows *engine.Rows
-	if analyze {
-		rows, err = eng.RunContextAnalyze(qctx, prep, snap, overlay)
-	} else {
-		rows, err = eng.RunContextSnap(qctx, prep, snap, overlay)
-	}
+	rows, err := eng.Run(qctx, prep, engine.RunOpts{Txn: sess.txn.Txn(), Analyze: opts.Analyze})
 	if err != nil {
 		finish(err, nil, 0)
 		return nil, err
@@ -789,13 +743,14 @@ func (s *Service) Exec(sess *Session, script string) error {
 // ExecContext is Exec honoring cancellation (and the session statement
 // timeout): a cancelled script stops between statements, leaving the
 // already-applied prefix in place — DDL is not transactional, exactly as a
-// mid-script error behaves. Autocommit INSERTs (outside BEGIN/COMMIT) of one
-// script publish together at the end of their run: a run of INSERTs is one
-// WAL group with one fsync, committed when another statement starts, at
-// script end, or before a failing or cancelled statement's error returns —
-// so the prefix before the failure is applied as a whole. Statements between
-// BEGIN and COMMIT buffer in the session's transaction and publish
-// atomically at COMMIT (or never).
+// mid-script error behaves. The script runs through engine.Exec with the
+// session's transaction slot, so a BEGIN opens a transaction that later
+// requests on the session continue, and DDL while one is open is refused.
+// Autocommit INSERTs (outside BEGIN/COMMIT) of one script publish together
+// at the end of their run: a run of INSERTs is one WAL group with one
+// fsync, committed when another statement starts, at script end, or before
+// a failing or cancelled statement's error returns — so the prefix before
+// the failure is applied as a whole.
 func (s *Service) ExecContext(ctx context.Context, sess *Session, script string) error {
 	parsed, err := parser.ParseScript(script)
 	if err != nil {
@@ -820,32 +775,18 @@ func (s *Service) ExecContext(ctx context.Context, sess *Session, script string)
 		s.mu.Unlock()
 	}(time.Now())
 
-	if !scriptHasDDL(parsed) {
-		// DML and transaction control only: the shared side of the gate, so
-		// writers run alongside readers (and alongside each other, which is
-		// what lets the WAL group-commit batch their fsyncs).
-		gateStart := time.Now()
-		s.ddl.RLock()
-		s.metrics.ddlWait.Observe(time.Since(gateStart))
-		defer s.ddl.RUnlock()
-		return s.execDML(qctx, sess, parsed)
+	run := func() error { return sess.Engine().Exec(qctx, parsed, &sess.txn) }
+	if scriptHasDDL(parsed) {
+		return s.ApplyExclusive(run)
 	}
-
-	if sess.Txn() != nil {
-		return errors.New("cannot run DDL inside a transaction")
-	}
+	// DML and transaction control only: the shared side of the gate, so
+	// writers run alongside readers (and alongside each other, which is what
+	// lets the WAL group-commit batch their fsyncs).
 	gateStart := time.Now()
-	s.ddl.Lock()
+	s.ddl.RLock()
 	s.metrics.ddlWait.Observe(time.Since(gateStart))
-	defer s.ddl.Unlock()
-	before := s.cat.Version()
-	err = sess.Engine().ExecParsedContext(qctx, parsed)
-	if s.cat.Version() != before {
-		// DDL happened (possibly partially, on error): drop stale plans.
-		// Version-keying already makes them unreachable; purging frees them.
-		s.cache.Purge()
-	}
-	return err
+	defer s.ddl.RUnlock()
+	return run()
 }
 
 // scriptHasDDL reports whether the script contains schema statements.
@@ -868,66 +809,6 @@ func scriptMutates(script *ast.Script) bool {
 	return false
 }
 
-// execDML executes a DDL-free script's statements in order against the
-// session, threading INSERTs through the session's open transaction when
-// one is active. INSERTs outside one follow ExecParsedContext's rule: each
-// maximal run is one engine.Autocommit group, committed before the next
-// statement, at script end, or before a later statement's error returns.
-// Caller holds the shared DDL gate.
-func (s *Service) execDML(ctx context.Context, sess *Session, script *ast.Script) (err error) {
-	run := sess.Engine().Autocommit()
-	defer func() { err = run.Finish(err) }()
-	for _, stmt := range script.Stmts {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		txn := sess.Txn()
-		if ins, ok := stmt.(*ast.InsertStmt); ok && txn == nil {
-			if err := run.Insert(ctx, ins); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := run.Commit(); err != nil {
-			return err
-		}
-		switch st := stmt.(type) {
-		case *ast.InsertStmt:
-			if err := txn.Insert(ctx, st); err != nil {
-				return err
-			}
-		case *ast.TxnStmt:
-			switch st.Kind {
-			case ast.TxnBegin:
-				if err := sess.beginTxn(); err != nil {
-					return err
-				}
-			case ast.TxnCommit:
-				txn := sess.takeTxn()
-				if txn == nil {
-					return errors.New("COMMIT: no transaction in progress")
-				}
-				commitStart := time.Now()
-				err := txn.Commit()
-				s.metrics.txnCommitDur.Observe(time.Since(commitStart))
-				if err != nil {
-					return err
-				}
-			case ast.TxnRollback:
-				txn := sess.takeTxn()
-				if txn == nil {
-					return errors.New("ROLLBACK: no transaction in progress")
-				}
-				txn.Rollback()
-			}
-		case *ast.SelectStmt:
-			// Scripts ignore bare SELECTs, as ExecScript always has (queries
-			// go through Query/QueryStream).
-		}
-	}
-	return nil
-}
-
 // CreateIndex declares a secondary index (DDL: exclusive, invalidates).
 func (s *Service) CreateIndex(table, col string) error {
 	if err := s.rejectOnReplica(); err != nil {
@@ -935,18 +816,7 @@ func (s *Service) CreateIndex(table, col string) error {
 	}
 	held := s.admission.acquire(1)
 	defer func() { s.admission.release(held) }()
-	gateStart := time.Now()
-	s.ddl.Lock()
-	s.metrics.ddlWait.Observe(time.Since(gateStart))
-	defer s.ddl.Unlock()
-	before := s.cat.Version()
-	if err := s.cat.AddIndex(table, col); err != nil {
-		return err
-	}
-	if s.cat.Version() != before {
-		s.cache.Purge()
-	}
-	return nil
+	return s.ApplyExclusive(func() error { return s.cat.AddIndex(table, col) })
 }
 
 func (s *Service) countQueryResult(mode engine.Mode, qerr error, slots int, res *engine.Result) {

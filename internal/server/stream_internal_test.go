@@ -46,7 +46,7 @@ func TestStreamCancelRestoresWorkerSlots(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		st, err := svc.QueryStream(ctx, sess, "select k from t where v >= 0")
+		st, err := svc.QueryStream(ctx, sess, "select k from t where v >= 0", StreamOpts{})
 		if err != nil {
 			cancel()
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestStreamAbandonedWithoutCloseDoesNotBlockDDLForever(t *testing.T) {
 	// stream auto-releases (so only an *abandoned* cursor requires Close).
 	svc := newStreamService(t, 100, Options{CacheSize: 16, MaxConcurrent: 2})
 	sess := svc.CreateSession(engine.SYS1, engine.ModeRewrite)
-	st, err := svc.QueryStream(context.Background(), sess, "select k from t")
+	st, err := svc.QueryStream(context.Background(), sess, "select k from t", StreamOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

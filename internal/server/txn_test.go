@@ -2,12 +2,15 @@ package server_test
 
 // Service-level transaction and concurrent-write tests: session
 // BEGIN/COMMIT/ROLLBACK semantics across requests, snapshot isolation
-// between sessions, DDL rejection inside transactions, and the narrowed DDL
-// gate (concurrent INSERT writers making progress alongside readers).
+// between sessions, DDL rejection inside transactions (one rule wherever the
+// BEGIN came from), the commit-latency metric, and the narrowed DDL gate
+// (concurrent INSERT writers making progress alongside readers).
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -99,6 +102,86 @@ func TestCloseSessionRollsBackOpenTransaction(t *testing.T) {
 	other := svc.CreateSession(engine.SYS1, engine.ModeIterative)
 	if n := queryInt(t, svc, other, "select count(*) from txgone"); n != 0 {
 		t.Fatalf("closed session leaked %d uncommitted rows", n)
+	}
+}
+
+// newEmptyService builds a service over an empty volatile engine.
+func newEmptyService() *server.Service {
+	return server.NewServiceFromEngine(engine.New(engine.SYS1, engine.ModeIterative), server.DefaultOptions())
+}
+
+// TestSessionTransactionBesideDDL: a BEGIN in a script that also creates a
+// table opens the session's transaction, as it does in a DDL-free script,
+// so the next request's COMMIT publishes the buffered row.
+func TestSessionTransactionBesideDDL(t *testing.T) {
+	svc := newEmptyService()
+	sess := svc.CreateSession(engine.SYS1, engine.ModeIterative)
+	observer := svc.CreateSession(engine.SYS1, engine.ModeIterative)
+	mustExec(t, svc, sess, "create table x (k int); begin; insert into x values (1);")
+	if n := queryInt(t, svc, observer, "select count(*) from x"); n != 0 {
+		t.Fatalf("observer sees %d uncommitted rows", n)
+	}
+	mustExec(t, svc, sess, "commit;")
+	if n := queryInt(t, svc, observer, "select count(*) from x"); n != 1 {
+		t.Fatalf("rows after commit = %d, want 1", n)
+	}
+}
+
+// TestDDLRefusedInsideTransaction: DDL after a BEGIN is refused with one
+// error whether the BEGIN came in an earlier request or earlier in the same
+// script, nothing is created, and the transaction stays open.
+func TestDDLRefusedInsideTransaction(t *testing.T) {
+	svc := newEmptyService()
+	earlier := svc.CreateSession(engine.SYS1, engine.ModeIterative)
+	mustExec(t, svc, earlier, "begin;")
+	same := svc.CreateSession(engine.SYS1, engine.ModeIterative)
+	for name, run := range map[string]func() error{
+		"begin in an earlier request": func() error { return svc.Exec(earlier, "create table y (k int);") },
+		"begin in the same script":    func() error { return svc.Exec(same, "begin; create table y (k int);") },
+	} {
+		if err := run(); err == nil || err.Error() != "cannot run DDL inside a transaction" {
+			t.Errorf("%s: got %v, want the DDL-inside-a-transaction error", name, err)
+		}
+	}
+	if _, ok := svc.Catalog().Table("y"); ok {
+		t.Fatal("refused DDL created table y")
+	}
+	mustExec(t, svc, earlier, "rollback;")
+	mustExec(t, svc, same, "rollback;")
+}
+
+// TestTxnCommitMetricCountsSessionCommits: every session COMMIT, in a
+// DDL-free script or beside DDL, adds one observation to the commit-latency
+// histogram; autocommit runs add none.
+func TestTxnCommitMetricCountsSessionCommits(t *testing.T) {
+	svc := newEmptyService()
+	sess := svc.CreateSession(engine.SYS1, engine.ModeIterative)
+	commits := func() string {
+		t.Helper()
+		var b bytes.Buffer
+		if err := svc.Metrics().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if n, ok := strings.CutPrefix(line, "udfd_txn_commit_duration_seconds_count "); ok {
+				return n
+			}
+		}
+		t.Fatal("udfd_txn_commit_duration_seconds_count missing from /metrics")
+		return ""
+	}
+	steps := []struct{ script, want string }{
+		{"create table m (k int);", "0"},
+		{"begin; insert into m values (1); commit;", "1"},
+		{"insert into m values (2);", "1"},
+		{"create table m2 (k int); begin; insert into m values (3);", "1"},
+		{"commit;", "2"},
+	}
+	for _, st := range steps {
+		mustExec(t, svc, sess, st.script)
+		if got := commits(); got != st.want {
+			t.Fatalf("after %q: commit count = %s, want %s", st.script, got, st.want)
+		}
 	}
 }
 

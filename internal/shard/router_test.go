@@ -157,7 +157,7 @@ func newBaseline(t *testing.T) *server.Service {
 // stream does.
 func baselineRows(t *testing.T, svc *server.Service, sess *server.Session, sql string) [][]string {
 	t.Helper()
-	st, err := svc.QueryStream(context.Background(), sess, sql)
+	st, err := svc.QueryStream(context.Background(), sess, sql, server.StreamOpts{})
 	if err != nil {
 		t.Fatalf("baseline %q: %v", sql, err)
 	}
