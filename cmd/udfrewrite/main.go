@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	udfrewrite [-explain] [-dot] file.sql [file2.sql ...]
+//	udfrewrite [-explain] file.sql [file2.sql ...]
 //	udfrewrite -e "create table t (...); create function f ...; select ..."
 //
 // When the rules cannot remove every Apply operator, the tool reports the
@@ -22,7 +22,6 @@ import (
 
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/catalog"
-	"udfdecorr/internal/cfg"
 	"udfdecorr/internal/core"
 	"udfdecorr/internal/parser"
 	"udfdecorr/internal/sqlgen"
@@ -30,14 +29,13 @@ import (
 
 func main() {
 	explain := flag.Bool("explain", false, "print the rule trace and algebra trees")
-	dot := flag.Bool("dot", false, "print each UDF's control-flow graph in Graphviz format")
 	inline := flag.String("e", "", "inline script instead of files")
 	flag.Parse()
 
 	src := *inline
 	if src == "" {
 		if flag.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "usage: udfrewrite [-explain] [-dot] file.sql ...")
+			fmt.Fprintln(os.Stderr, "usage: udfrewrite [-explain] file.sql ...")
 			os.Exit(2)
 		}
 		var parts []string
@@ -64,9 +62,6 @@ func main() {
 	for _, f := range script.Functions {
 		if _, err := cat.AddFunction(f); err != nil {
 			fatal(err)
-		}
-		if *dot {
-			fmt.Printf("-- CFG of %s\n%s\n", f.Name, cfg.Build(f.Body).Dot())
 		}
 	}
 	if len(script.Queries) == 0 {

@@ -201,8 +201,9 @@ type MergeAssign struct {
 // ApplyMerge (AM) evaluates the single-tuple right child per left tuple and
 // merges the listed columns into the left tuple (Section III). An empty
 // Assigns list means "assign all common attributes". When the right child
-// produces no row the targets become NULL (see DESIGN.md on ⊥/empty
-// semantics); more than one row is a runtime error.
+// produces no row the targets become NULL — an empty SELECT INTO leaves its
+// targets at ⊥, exactly as iterative invocation does; more than one row is a
+// runtime error.
 type ApplyMerge struct {
 	Assigns []MergeAssign
 	L, R    Rel

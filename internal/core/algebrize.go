@@ -51,6 +51,13 @@ func (a *Algebrizer) Query(sel *ast.SelectStmt) (algebra.Rel, error) {
 	return a.query(sel, nil)
 }
 
+// Expr algebrizes an expression outside any FROM clause, as it appears in
+// a UDF body or an INSERT's VALUES: bare names become parameters (the
+// body's variables) and subqueries become relational subtrees.
+func (a *Algebrizer) Expr(e ast.Expr) (algebra.Expr, error) {
+	return a.expr(e, nil)
+}
+
 func (a *Algebrizer) query(sel *ast.SelectStmt, outer *scope) (algebra.Rel, error) {
 	// FROM clause.
 	var rel algebra.Rel = &algebra.Single{}
@@ -69,7 +76,7 @@ func (a *Algebrizer) query(sel *ast.SelectStmt, outer *scope) (algebra.Rel, erro
 
 	// WHERE clause.
 	if sel.Where != nil {
-		pred, err := a.expr(sel.Where, sc)
+		pred, err := a.pred(sel.Where, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +252,7 @@ func (a *Algebrizer) tableRef(tr ast.TableRef, outer *scope) (algebra.Rel, error
 		j := &algebra.Join{Kind: kind, L: l, R: r}
 		if t.On != nil {
 			sc := &scope{schema: j.Schema(), outer: outer}
-			cond, err := a.expr(t.On, sc)
+			cond, err := a.pred(t.On, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -415,24 +422,12 @@ func (a *Algebrizer) expr(e ast.Expr, sc *scope) (algebra.Expr, error) {
 		return &algebra.Exists{Neg: x.Neg, Rel: sub}, nil
 
 	case *ast.InExpr:
+		if x.Select != nil {
+			return a.inSubquery(x, sc, false)
+		}
 		lhs, err := a.expr(x.E, sc)
 		if err != nil {
 			return nil, err
-		}
-		if x.Select != nil {
-			sub, err := a.query(x.Select, sc)
-			if err != nil {
-				return nil, err
-			}
-			cols := sub.Schema()
-			if len(cols) != 1 {
-				return nil, fmt.Errorf("IN subquery must produce one column")
-			}
-			// x IN (q) ≡ EXISTS(σ_{x = col}(q)); NOT IN likewise negated.
-			// This keeps IN inside the Apply framework (semijoin/antijoin).
-			pred := &algebra.Cmp{Op: sqltypes.CmpEQ, L: lhs,
-				R: &algebra.ColRef{Qual: cols[0].Qual, Name: cols[0].Name}}
-			return &algebra.Exists{Neg: x.Neg, Rel: &algebra.Select{Pred: pred, In: sub}}, nil
 		}
 		var out algebra.Expr
 		for _, le := range x.List {
@@ -456,6 +451,98 @@ func (a *Algebrizer) expr(e ast.Expr, sc *scope) (algebra.Expr, error) {
 		return out, nil
 	}
 	return nil, fmt.Errorf("unsupported expression %T", e)
+}
+
+// pred algebrizes a filter condition (WHERE, ON), where UNKNOWN rejects a
+// row just as FALSE does. AND and OR are monotone, so below them an
+// IN-subquery may take its filter form, a plain [NOT] EXISTS that the
+// rewriter turns into a semijoin or antijoin.
+func (a *Algebrizer) pred(e ast.Expr, sc *scope) (algebra.Expr, error) {
+	switch x := e.(type) {
+	case *ast.BinExpr:
+		if x.Op != ast.BinAnd && x.Op != ast.BinOr {
+			break
+		}
+		l, err := a.pred(x.L, sc)
+		if err != nil {
+			return nil, err
+		}
+		r, err := a.pred(x.R, sc)
+		if err != nil {
+			return nil, err
+		}
+		op := algebra.LogicAnd
+		if x.Op == ast.BinOr {
+			op = algebra.LogicOr
+		}
+		return &algebra.Logic{Op: op, L: l, R: r}, nil
+	case *ast.InExpr:
+		if x.Select != nil {
+			return a.inSubquery(x, sc, true)
+		}
+	}
+	return a.expr(e, sc)
+}
+
+// inSubquery algebrizes x [NOT] IN (q), where q yields one column c. SQL
+// reads it in three values: TRUE if some c equals x; otherwise UNKNOWN if x
+// is NULL and q is not empty, or if some c is NULL; otherwise FALSE. As a
+// filter only TRUE counts, so IN is EXISTS(σ x=c (q)) and NOT IN is
+// NOT EXISTS(σ x=c ∨ x IS NULL ∨ c IS NULL (q)). As a value, IN is
+// CASE WHEN EXISTS(σ x=c (q)) THEN TRUE WHEN EXISTS(σ x IS NULL ∨ c IS NULL
+// (q)) THEN NULL ELSE FALSE END, and NOT IN its negation.
+func (a *Algebrizer) inSubquery(x *ast.InExpr, sc *scope, filter bool) (algebra.Expr, error) {
+	// exists builds EXISTS(σ cond(x, c) (q)) from a fresh algebrization of
+	// x and q, so that no subtree is shared between two EXISTS.
+	exists := func(neg bool, cond func(lhs, col algebra.Expr) algebra.Expr) (algebra.Expr, error) {
+		lhs, err := a.expr(x.E, sc)
+		if err != nil {
+			return nil, err
+		}
+		sub, err := a.query(x.Select, sc)
+		if err != nil {
+			return nil, err
+		}
+		cols := sub.Schema()
+		if len(cols) != 1 {
+			return nil, fmt.Errorf("IN subquery must produce one column")
+		}
+		col := &algebra.ColRef{Qual: cols[0].Qual, Name: cols[0].Name}
+		return &algebra.Exists{Neg: neg, Rel: &algebra.Select{Pred: cond(lhs, col), In: sub}}, nil
+	}
+	eq := func(lhs, col algebra.Expr) algebra.Expr {
+		return &algebra.Cmp{Op: sqltypes.CmpEQ, L: lhs, R: col}
+	}
+	eitherNull := func(lhs, col algebra.Expr) algebra.Expr {
+		return &algebra.Logic{Op: algebra.LogicOr, L: &algebra.IsNull{E: lhs}, R: &algebra.IsNull{E: col}}
+	}
+	if filter && !x.Neg {
+		return exists(false, eq)
+	}
+	if filter {
+		return exists(true, func(lhs, col algebra.Expr) algebra.Expr {
+			return &algebra.Logic{Op: algebra.LogicOr, L: eq(lhs, col), R: eitherNull(lhs, col)}
+		})
+	}
+	match, err := exists(false, eq)
+	if err != nil {
+		return nil, err
+	}
+	unknown, err := exists(false, eitherNull)
+	if err != nil {
+		return nil, err
+	}
+	var out algebra.Expr = &algebra.Case{
+		Whens: []algebra.CaseWhen{
+			{Cond: match, Then: &algebra.Const{Val: sqltypes.NewBool(true)}},
+			{Cond: unknown, Then: algebra.NullConst()},
+		},
+		Else: &algebra.Const{Val: sqltypes.NewBool(false)},
+	}
+	if x.Neg {
+		out = &algebra.Not{E: out}
+	}
+	return out, nil
 }
 
 // aggCollector extracts aggregate calls from select items and HAVING,

@@ -261,7 +261,8 @@ func ruleR2MergeProjectSingle(rw *Rewriter, n algebra.Rel) (algebra.Rel, bool) {
 //
 // Deviation from the paper's literal statement: the Apply is left-outer
 // rather than cross, because our AM semantics assign NULL when e(r) is
-// empty (SELECT INTO over a missing row — see DESIGN.md). When e(r) is
+// empty (a SELECT INTO over a missing row sets its targets to ⊥, as the
+// interpreter does). When e(r) is
 // provably exactly one row the left-outer Apply immediately normalizes
 // back to a cross Apply.
 func ruleR4MergeRemoval(rw *Rewriter, n algebra.Rel) (algebra.Rel, bool) {

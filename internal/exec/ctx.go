@@ -1,6 +1,6 @@
 // Package exec implements the physical execution engine: volcano-style
-// iterators (scans, index lookups, filters, projections, nested-loop, hash
-// and merge joins, hash aggregation, sorting), a correlated Apply operator
+// iterators (scans, index lookups, filters, projections, nested-loop and
+// hash joins, hash aggregation, sorting), a correlated Apply operator
 // for iterative plans, a compiled expression evaluator, and the UDF
 // interpreter that provides the paper's baseline of tuple-at-a-time UDF
 // invocation.
@@ -42,6 +42,7 @@ func (c *Counters) absorb(o *Counters) {
 // catalog, storage, cached plans — lives behind locks in those packages).
 type Ctx struct {
 	frames   []map[string]sqltypes.Value
+	base     int // the innermost UDF-call frame, where name lookup stops
 	Interp   *Interp
 	Counters *Counters
 	depth    int // current UDF call nesting (bounded by maxCallDepth)
@@ -160,7 +161,7 @@ func (c *Ctx) forkWorker() *Ctx {
 		}
 		frames[i] = nf
 	}
-	w := &Ctx{frames: frames, Interp: c.Interp, Counters: &Counters{}, depth: c.depth,
+	w := &Ctx{frames: frames, base: c.base, Interp: c.Interp, Counters: &Counters{}, depth: c.depth,
 		goctx: c.goctx, done: c.done, snap: c.snap, overlay: c.overlay}
 	if c.prof != nil {
 		// A private profiler per worker: stats merge into the parent's via
@@ -183,12 +184,30 @@ func (c *Ctx) Pop() {
 	c.frames = c.frames[:len(c.frames)-1]
 }
 
+// pushCall adds the frame of a UDF call and makes it the scope boundary:
+// a body sees its own parameters and locals, never its caller's (scope is
+// lexical), while Apply and subquery frames pushed above it stay visible.
+// It returns the previous boundary, which popCall restores.
+func (c *Ctx) pushCall() int {
+	prev := c.base
+	c.Push()
+	c.base = len(c.frames) - 1
+	return prev
+}
+
+// popCall removes a call frame and restores the previous boundary.
+func (c *Ctx) popCall(prev int) {
+	c.Pop()
+	c.base = prev
+}
+
 // Depth reports the frame stack depth.
 func (c *Ctx) Depth() int { return len(c.frames) }
 
-// Get looks a variable up, innermost frame first.
+// Get looks a variable up, innermost frame first, down to the innermost
+// UDF-call frame.
 func (c *Ctx) Get(name string) (sqltypes.Value, bool) {
-	for i := len(c.frames) - 1; i >= 0; i-- {
+	for i := len(c.frames) - 1; i >= c.base; i-- {
 		if v, ok := c.frames[i][name]; ok {
 			return v, true
 		}
@@ -201,10 +220,11 @@ func (c *Ctx) Set(name string, v sqltypes.Value) {
 	c.frames[len(c.frames)-1][name] = v
 }
 
-// Assign overwrites the innermost existing binding of name, or defines it
-// in the top frame when absent (assignment to an undeclared variable).
+// Assign overwrites the innermost binding of name visible to Get, or
+// defines it in the top frame when absent (assignment to an undeclared
+// variable).
 func (c *Ctx) Assign(name string, v sqltypes.Value) {
-	for i := len(c.frames) - 1; i >= 0; i-- {
+	for i := len(c.frames) - 1; i >= c.base; i-- {
 		if _, ok := c.frames[i][name]; ok {
 			c.frames[i][name] = v
 			return

@@ -53,7 +53,7 @@ func Compile(e algebra.Expr, schema []algebra.Column, r CallResolver) (Evaluator
 			if v, ok := ctx.Get(name); ok {
 				return v, nil
 			}
-			return sqltypes.Null, Errorf("unbound parameter :%s", name)
+			return sqltypes.Null, Errorf("unknown variable %q", name)
 		}, nil
 
 	case *algebra.Const:

@@ -160,38 +160,6 @@ func TestHashJoinMatchesNLJoin(t *testing.T) {
 	}
 }
 
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	l, r, lsc, rsc := buildJoinInputs()
-	mj := NewMergeJoin(colEval(t, "lk", lsc), colEval(t, "rk", rsc), l, r)
-	mjRows, err := Drain(mj, NewCtx(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, r2, _, _ := buildJoinInputs()
-	hj := NewHashJoin(algebra.InnerJoin,
-		[]Evaluator{colEval(t, "lk", lsc)},
-		[]Evaluator{colEval(t, "rk", rsc)}, nil, l2, r2)
-	hjRows, err := Drain(hj, NewCtx(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mjRows) != len(hjRows) {
-		t.Fatalf("merge %d vs hash %d", len(mjRows), len(hjRows))
-	}
-	count := map[string]int{}
-	for _, r := range mjRows {
-		count[sqltypes.KeyOf(r...)]++
-	}
-	for _, r := range hjRows {
-		count[sqltypes.KeyOf(r...)]--
-	}
-	for _, v := range count {
-		if v != 0 {
-			t.Fatal("merge join and hash join disagree")
-		}
-	}
-}
-
 func TestLeftOuterNullExtension(t *testing.T) {
 	l, r, lsc, rsc := buildJoinInputs()
 	hj := NewHashJoin(algebra.LeftOuterJoin,
@@ -323,7 +291,7 @@ func TestUserDefinedAggregate(t *testing.T) {
 	if err := cat.AddAggregate(def); err != nil {
 		t.Fatal(err)
 	}
-	interp := NewInterp(cat, nil, true)
+	interp := newTestInterp(cat)
 	sc := schema2("profit")
 	rows := []storage.Row{intRow(-5), intRow(3), intRow(-2), intRow(10)}
 	agg := NewHashAgg(nil, []*AggSpec{{Func: "aux_agg",

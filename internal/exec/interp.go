@@ -1,11 +1,13 @@
 package exec
 
 import (
-	"strings"
 	"sync"
+	"sync/atomic"
 
+	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/ast"
 	"udfdecorr/internal/catalog"
+	"udfdecorr/internal/core"
 	"udfdecorr/internal/sqltypes"
 	"udfdecorr/internal/storage"
 )
@@ -16,51 +18,82 @@ const maxLoopIterations = 100_000_000
 // maxCallDepth bounds UDF call recursion.
 const maxCallDepth = 64
 
-// Interp interprets procedural UDF bodies statement by statement. This is
-// the paper's baseline: when a query's plan invokes a UDF per tuple, each
+// BodyPlanner is what lowering needs from the engine's planner (a
+// *plan.Planner): serial plans for the queries embedded in a body, and the
+// UDFs a body calls, resolved as CallResolver resolves them for queries.
+type BodyPlanner interface {
+	BuildSerial(rel algebra.Rel) (Node, error)
+	ResolveScalarCall(name string, argc int) (func(ctx *Ctx, args []sqltypes.Value) (sqltypes.Value, error), bool)
+}
+
+// Interp runs procedural UDF bodies statement by statement. This is the
+// paper's baseline: when a query's plan invokes a UDF per tuple, each
 // embedded SQL statement is executed as a fresh (parameterized) query.
 //
-// PlanSelect is wired by the engine to algebrize and plan an embedded
-// SELECT; when CachePlans is set, plans are cached per statement (profile
-// SYS1), otherwise every invocation re-plans (profile SYS2, modelling a
-// system with heavier per-invocation overhead).
+// A body is lowered once per Interp, at its first call: every expression is
+// algebrized by core (a bare name no FROM clause binds becomes a parameter:
+// the body's variable) and compiled by Compile — the evaluator decorrelated
+// plans use — and every embedded query is algebrized. Each execution of an
+// embedded query counts one QueryExecs. With CachePlans (profile SYS1) its
+// plan is built at its first execution and kept; without (SYS2) every
+// execution plans it anew, modelling a system with heavier per-invocation
+// overhead. Every plan built counts one PlanBuilds.
 //
 // An Interp is safe for concurrent use by multiple queries: the only
-// mutable state it owns is the embedded-plan cache, guarded by mu. All
-// per-invocation state (variable frames, call depth, counters, cursors)
-// lives in the Ctx each caller supplies, and cached plan Nodes are immutable
-// after construction (each Open yields an independent iterator). Fields are
-// set once at construction and must not be reassigned afterwards.
+// mutable state it owns is the lowered-body cache, a sync.Map whose hits
+// take no lock, and each embedded query's kept plan, published atomically.
+// All per-invocation state (variable frames, call depth, counters, cursors)
+// lives in the Ctx each caller supplies or in the call itself, and plan
+// Nodes are immutable after construction (each Open yields an independent
+// iterator). Fields are set once, before the first call (Planner right
+// after the planner that holds this Interp is built), and must not be
+// reassigned afterwards.
 type Interp struct {
 	Cat        *catalog.Catalog
-	PlanSelect func(sel *ast.SelectStmt) (Node, error)
+	Planner    BodyPlanner
 	CachePlans bool
 
-	mu        sync.Mutex // guards planCache
-	planCache map[*ast.SelectStmt]Node
+	bodies sync.Map // *body, keyed by *ast.CreateFunctionStmt or *catalog.Aggregate
 }
 
-// NewInterp builds an interpreter over a catalog.
-func NewInterp(cat *catalog.Catalog, planSelect func(*ast.SelectStmt) (Node, error), cachePlans bool) *Interp {
-	return &Interp{Cat: cat, PlanSelect: planSelect, CachePlans: cachePlans,
-		planCache: map[*ast.SelectStmt]Node{}}
+// NewInterp builds an interpreter over a catalog; set Planner before the
+// first call.
+func NewInterp(cat *catalog.Catalog, cachePlans bool) *Interp {
+	return &Interp{Cat: cat, CachePlans: cachePlans}
 }
 
-// procState is per-call interpreter state: open cursors and table variables.
-type procState struct {
-	cursors map[string]*cursorState
-	tables  map[string][]storage.Row
+// body is a lowered UDF or aggregate body. Cursors and table variables are
+// resolved to slots at lowering; table slot 0 is a table-valued function's
+// result. Scalar variables are deliberately still looked up by name, in the
+// call's frame of the Ctx.
+type body struct {
+	stmts   []stmt
+	cursors int
+	tables  int
+}
+
+// stmt is a body statement paired with what lowering compiled for it.
+type stmt struct {
+	src   ast.Stmt
+	expr  Evaluator      // DECLARE's init, SET's value, IF's/WHILE's condition, RETURN's value (nil: none)
+	vals  []Evaluator    // INSERT's values
+	query *embeddedQuery // SELECT INTO's or DECLARE CURSOR's query
+	then  []stmt         // IF's THEN branch, WHILE's body
+	els   []stmt         // IF's ELSE branch
+	slot  int            // the cursor or table variable a statement names
+}
+
+// callState is one call's cursors and table variables, by slot.
+type callState struct {
+	cursors []cursorState
+	tables  [][]storage.Row
 }
 
 type cursorState struct {
-	sel  *ast.SelectStmt
+	q    *embeddedQuery // nil until DECLARE, and again after DEALLOCATE
 	rows []storage.Row
 	pos  int
 	open bool
-}
-
-func newProcState() *procState {
-	return &procState{cursors: map[string]*cursorState{}, tables: map[string][]storage.Row{}}
 }
 
 // control indicates how statement execution terminated.
@@ -71,112 +104,263 @@ const (
 	ctlReturn
 )
 
-// planFor plans (or fetches a cached plan of) an embedded SELECT.
-func (in *Interp) planFor(ctx *Ctx, sel *ast.SelectStmt) (Node, error) {
-	if in.PlanSelect == nil {
-		return nil, Errorf("interpreter has no query planner")
+// lowered returns the lowered form of a body, lowering it on first use.
+// tableName names a table-valued function's result table ("" otherwise).
+// When two first calls race, both lower and the first body stored wins.
+func (in *Interp) lowered(key any, stmts []ast.Stmt, tableName string) (*body, error) {
+	if b, ok := in.bodies.Load(key); ok {
+		return b.(*body), nil
 	}
-	if in.CachePlans {
-		in.mu.Lock()
-		n, ok := in.planCache[sel]
-		in.mu.Unlock()
-		if ok {
-			return n, nil
-		}
+	if in.Planner == nil {
+		return nil, Errorf("interpreter has no planner")
 	}
-	ctx.Counters.PlanBuilds++
-	n, err := in.PlanSelect(sel)
+	lw := &lowerer{in: in, cursors: map[string]int{}, tables: map[string]int{}}
+	if tableName != "" {
+		lw.tables[tableName] = 0
+	}
+	lowered, err := lw.stmts(stmts)
 	if err != nil {
 		return nil, err
 	}
-	if in.CachePlans {
-		in.mu.Lock()
-		in.planCache[sel] = n
-		in.mu.Unlock()
+	b, _ := in.bodies.LoadOrStore(key, &body{stmts: lowered, cursors: len(lw.cursors), tables: len(lw.tables)})
+	return b.(*body), nil
+}
+
+// run executes the body once; rows is a table-valued function's result.
+func (b *body) run(ctx *Ctx) (ctl control, ret sqltypes.Value, rows []storage.Row, err error) {
+	var st callState
+	if b.cursors > 0 {
+		st.cursors = make([]cursorState, b.cursors)
 	}
+	if b.tables > 0 {
+		st.tables = make([][]storage.Row, b.tables)
+	}
+	ctl, ret, err = execStmts(ctx, &st, b.stmts)
+	if b.tables > 0 {
+		rows = st.tables[0]
+	}
+	return ctl, ret, rows, err
+}
+
+// lowerer lowers one body, assigning cursor and table-variable slots.
+type lowerer struct {
+	in      *Interp
+	cursors map[string]int
+	tables  map[string]int
+}
+
+func slot(slots map[string]int, name string) int {
+	i, ok := slots[name]
+	if !ok {
+		i = len(slots)
+		slots[name] = i
+	}
+	return i
+}
+
+func (lw *lowerer) stmts(src []ast.Stmt) ([]stmt, error) {
+	out := make([]stmt, len(src))
+	for i, s := range src {
+		if err := lw.stmt(&out[i], s); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (lw *lowerer) stmt(l *stmt, s ast.Stmt) (err error) {
+	l.src = s
+	compile := lw.in.CompileExpr
+	switch n := s.(type) {
+	case *ast.DeclareStmt:
+		if n.Init != nil {
+			l.expr, err = compile(n.Init)
+		}
+	case *ast.AssignStmt:
+		l.expr, err = compile(n.Expr)
+	case *ast.IfStmt:
+		if l.expr, err = compile(n.Cond); err == nil {
+			if l.then, err = lw.stmts(n.Then); err == nil {
+				l.els, err = lw.stmts(n.Else)
+			}
+		}
+	case *ast.WhileStmt:
+		if l.expr, err = compile(n.Cond); err == nil {
+			l.then, err = lw.stmts(n.Body)
+		}
+	case *ast.ReturnStmt:
+		// RETURN tt; in a table-valued function names the table variable,
+		// not a scalar: lowered without a value.
+		if cn, ok := n.Expr.(*ast.ColName); ok && cn.Qual == "" {
+			if _, isTable := lw.tables[cn.Name]; isTable {
+				return nil
+			}
+		}
+		if n.Table == "" {
+			l.expr, err = compile(n.Expr)
+		}
+	case *ast.SelectIntoStmt:
+		l.query, err = lw.query(n.Select)
+	case *ast.DeclareCursorStmt:
+		l.slot = slot(lw.cursors, n.Name)
+		l.query, err = lw.query(n.Select)
+	case *ast.OpenStmt:
+		l.slot = slot(lw.cursors, n.Cursor)
+	case *ast.FetchStmt:
+		l.slot = slot(lw.cursors, n.Cursor)
+	case *ast.CloseStmt:
+		l.slot = slot(lw.cursors, n.Cursor)
+	case *ast.DeallocateStmt:
+		l.slot = slot(lw.cursors, n.Cursor)
+	case *ast.InsertStmt:
+		l.slot = slot(lw.tables, n.Table)
+		l.vals = make([]Evaluator, len(n.Values))
+		for i, e := range n.Values {
+			if l.vals[i], err = compile(e); err != nil {
+				return err
+			}
+		}
+	default:
+		return Errorf("cannot interpret statement %T", s)
+	}
+	return err
+}
+
+func (lw *lowerer) query(sel *ast.SelectStmt) (*embeddedQuery, error) {
+	rel, err := core.NewAlgebrizer(lw.in.Cat).Query(sel)
+	if err != nil {
+		return nil, err
+	}
+	return &embeddedQuery{in: lw.in, rel: rel}, nil
+}
+
+// CompileExpr compiles one procedural expression exactly as a body's
+// expressions are lowered; INSERT ... VALUES evaluates its values with it.
+func (in *Interp) CompileExpr(e ast.Expr) (Evaluator, error) {
+	ae, err := core.NewAlgebrizer(in.Cat).Expr(e)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(ae, nil, bodyResolver{in})
+}
+
+// bodyResolver resolves calls through the Planner and turns the
+// subqueries of a body's expressions into embedded queries. Body
+// expressions compile against an empty schema, so nothing correlates.
+type bodyResolver struct{ in *Interp }
+
+func (r bodyResolver) ResolveScalarCall(name string, argc int) (func(ctx *Ctx, args []sqltypes.Value) (sqltypes.Value, error), bool) {
+	return r.in.Planner.ResolveScalarCall(name, argc)
+}
+
+func (r bodyResolver) BuildSubplan(rel algebra.Rel, _ []algebra.Column) (Node, []CorrBinding, error) {
+	return &embeddedQuery{in: r.in, rel: rel}, nil, nil
+}
+
+// embeddedQuery is a query inside a UDF body: SELECT INTO, a cursor's
+// query, or a scalar subquery, EXISTS or IN subquery in an expression.
+type embeddedQuery struct {
+	in   *Interp
+	rel  algebra.Rel
+	plan atomic.Pointer[Node] // the kept plan under CachePlans
+}
+
+// node returns the plan for one execution, counting it. Normalization gives
+// embedded queries the ordinary optimizations (predicate pushdown into
+// joins) a commercial system performs. They execute once per UDF
+// invocation, so they plan serially (worker fan-out per invocation would
+// only add overhead).
+func (q *embeddedQuery) node(ctx *Ctx) (Node, error) {
+	if p := q.plan.Load(); p != nil {
+		ctx.Counters.QueryExecs++
+		return *p, nil
+	}
+	ctx.Counters.PlanBuilds++
+	n, err := q.in.Planner.BuildSerial(core.Normalize(q.in.Cat, q.rel))
+	if err != nil {
+		return nil, err
+	}
+	if q.in.CachePlans {
+		q.plan.Store(&n)
+	}
+	ctx.Counters.QueryExecs++
 	return n, nil
 }
 
-func (in *Interp) runQuery(ctx *Ctx, sel *ast.SelectStmt) ([]storage.Row, error) {
-	n, err := in.planFor(ctx, sel)
+// Schema implements Node.
+func (q *embeddedQuery) Schema() []algebra.Column { return q.rel.Schema() }
+
+// Open implements Node: one execution, streamed.
+func (q *embeddedQuery) Open(ctx *Ctx) (Iter, error) {
+	n, err := q.node(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ctx.Counters.QueryExecs++
+	return OpenRows(n, ctx)
+}
+
+// rows runs one execution to completion.
+func (q *embeddedQuery) rows(ctx *Ctx) ([]storage.Row, error) {
+	n, err := q.node(ctx)
+	if err != nil {
+		return nil, err
+	}
 	return Drain(n, ctx)
 }
 
 // CallScalar invokes a scalar UDF with the given arguments.
 func (in *Interp) CallScalar(ctx *Ctx, name string, args []sqltypes.Value) (sqltypes.Value, error) {
-	fn, ok := in.Cat.Function(name)
-	if !ok {
-		return sqltypes.Null, Errorf("unknown function %q", name)
-	}
-	if fn.IsTableValued() {
-		return sqltypes.Null, Errorf("function %q returns a table; scalar context", name)
-	}
-	if len(args) != len(fn.Def.Params) {
-		return sqltypes.Null, Errorf("function %q expects %d args, got %d", name, len(fn.Def.Params), len(args))
-	}
-	ctx.depth++
-	defer func() { ctx.depth-- }()
-	if ctx.depth > maxCallDepth {
-		return sqltypes.Null, Errorf("UDF call depth exceeded in %q", name)
-	}
-	ctx.Counters.UDFCalls++
-	ctx.Push()
-	defer ctx.Pop()
-	for i, p := range fn.Def.Params {
-		ctx.Set(p.Name, args[i])
-	}
-	st := newProcState()
-	ctl, ret, err := in.execStmts(ctx, st, fn.Def.Body)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	if ctl != ctlReturn {
-		return sqltypes.Null, nil
-	}
-	return ret, nil
+	v, _, err := in.call(ctx, name, args, false)
+	return v, err
 }
 
 // CallTable invokes a table-valued UDF, returning its materialized rows.
 func (in *Interp) CallTable(ctx *Ctx, name string, args []sqltypes.Value) ([]storage.Row, error) {
+	_, rows, err := in.call(ctx, name, args, true)
+	return rows, err
+}
+
+// call runs a UDF's body with its arguments bound in a fresh call frame. A
+// scalar function that ends without RETURN yields NULL.
+func (in *Interp) call(ctx *Ctx, name string, args []sqltypes.Value, table bool) (sqltypes.Value, []storage.Row, error) {
 	fn, ok := in.Cat.Function(name)
-	if !ok {
-		return nil, Errorf("unknown function %q", name)
+	switch {
+	case !ok:
+		return sqltypes.Null, nil, Errorf("unknown function %q", name)
+	case table && !fn.IsTableValued():
+		return sqltypes.Null, nil, Errorf("function %q is scalar; table context", name)
+	case !table && fn.IsTableValued():
+		return sqltypes.Null, nil, Errorf("function %q returns a table; scalar context", name)
+	case len(args) != len(fn.Def.Params):
+		return sqltypes.Null, nil, Errorf("function %q expects %d args, got %d", name, len(fn.Def.Params), len(args))
 	}
-	if !fn.IsTableValued() {
-		return nil, Errorf("function %q is scalar; table context", name)
-	}
-	if len(args) != len(fn.Def.Params) {
-		return nil, Errorf("function %q expects %d args, got %d", name, len(fn.Def.Params), len(args))
+	b, err := in.lowered(fn.Def, fn.Def.Body, fn.Def.TableName)
+	if err != nil {
+		return sqltypes.Null, nil, err
 	}
 	ctx.depth++
 	defer func() { ctx.depth-- }()
 	if ctx.depth > maxCallDepth {
-		return nil, Errorf("UDF call depth exceeded in %q", name)
+		return sqltypes.Null, nil, Errorf("UDF call depth exceeded in %q", name)
 	}
 	ctx.Counters.UDFCalls++
-	ctx.Push()
-	defer ctx.Pop()
+	defer ctx.popCall(ctx.pushCall())
 	for i, p := range fn.Def.Params {
 		ctx.Set(p.Name, args[i])
 	}
-	st := newProcState()
-	st.tables[fn.Def.TableName] = nil
-	_, _, err := in.execStmts(ctx, st, fn.Def.Body)
+	ctl, ret, rows, err := b.run(ctx)
 	if err != nil {
-		return nil, err
+		return sqltypes.Null, nil, err
 	}
-	rows := st.tables[fn.Def.TableName]
-	want := len(fn.Def.TableCols)
+	if ctl != ctlReturn {
+		ret = sqltypes.Null
+	}
 	for _, r := range rows {
-		if len(r) != want {
-			return nil, Errorf("function %q: inserted row arity %d, want %d", name, len(r), want)
+		if len(r) != len(fn.Def.TableCols) {
+			return sqltypes.Null, nil, Errorf("function %q: inserted row arity %d, want %d", name, len(r), len(fn.Def.TableCols))
 		}
 	}
-	return rows, nil
+	return ret, rows, nil
 }
 
 // Accumulate runs a user-defined aggregate's accumulate body once, updating
@@ -185,16 +369,18 @@ func (in *Interp) Accumulate(ctx *Ctx, def *catalog.Aggregate, state map[string]
 	if len(args) != len(def.Params) {
 		return Errorf("aggregate %q expects %d args, got %d", def.Name, len(def.Params), len(args))
 	}
-	ctx.Push()
-	defer ctx.Pop()
+	b, err := in.lowered(def, def.Body, "")
+	if err != nil {
+		return err
+	}
+	defer ctx.popCall(ctx.pushCall())
 	for k, v := range state {
 		ctx.Set(k, v)
 	}
 	for i, p := range def.Params {
 		ctx.Set(p, args[i])
 	}
-	st := newProcState()
-	if _, _, err := in.execStmts(ctx, st, def.Body); err != nil {
+	if _, _, _, err := b.run(ctx); err != nil {
 		return err
 	}
 	for k := range state {
@@ -208,81 +394,69 @@ func (in *Interp) Accumulate(ctx *Ctx, def *catalog.Aggregate, state map[string]
 // execStmts executes a statement list. The per-statement cancellation check
 // is what makes a runaway UDF (e.g. a hot WHILE loop, whose body re-enters
 // here every iteration) respond to query cancellation and timeouts.
-func (in *Interp) execStmts(ctx *Ctx, st *procState, stmts []ast.Stmt) (control, sqltypes.Value, error) {
-	for _, s := range stmts {
+func execStmts(ctx *Ctx, st *callState, stmts []stmt) (control, sqltypes.Value, error) {
+	for i := range stmts {
 		if err := ctx.Cancelled(); err != nil {
 			return ctlNext, sqltypes.Null, err
 		}
-		ctl, v, err := in.execStmt(ctx, st, s)
-		if err != nil {
-			return ctlNext, sqltypes.Null, err
-		}
-		if ctl == ctlReturn {
-			return ctlReturn, v, nil
+		ctl, v, err := execStmt(ctx, st, &stmts[i])
+		if err != nil || ctl == ctlReturn {
+			return ctl, v, err
 		}
 	}
 	return ctlNext, sqltypes.Null, nil
 }
 
-func (in *Interp) execStmt(ctx *Ctx, st *procState, s ast.Stmt) (control, sqltypes.Value, error) {
-	switch n := s.(type) {
+func execStmt(ctx *Ctx, st *callState, s *stmt) (control, sqltypes.Value, error) {
+	switch n := s.src.(type) {
 	case *ast.DeclareStmt:
 		v := sqltypes.Null // ⊥
-		if n.Init != nil {
+		if s.expr != nil {
 			var err error
-			v, err = in.EvalProcExpr(ctx, n.Init)
-			if err != nil {
+			if v, err = s.expr(ctx, nil); err != nil {
 				return ctlNext, sqltypes.Null, err
 			}
 		}
 		ctx.Set(n.Name, v)
-		return ctlNext, sqltypes.Null, nil
 
 	case *ast.AssignStmt:
-		v, err := in.EvalProcExpr(ctx, n.Expr)
+		v, err := s.expr(ctx, nil)
 		if err != nil {
 			return ctlNext, sqltypes.Null, err
 		}
 		ctx.Assign(n.Name, v)
-		return ctlNext, sqltypes.Null, nil
 
 	case *ast.IfStmt:
-		c, err := in.EvalProcExpr(ctx, n.Cond)
+		c, err := s.expr(ctx, nil)
 		if err != nil {
 			return ctlNext, sqltypes.Null, err
 		}
 		if sqltypes.TriOf(c) == sqltypes.True {
-			return in.execStmts(ctx, st, n.Then)
+			return execStmts(ctx, st, s.then)
 		}
-		return in.execStmts(ctx, st, n.Else)
+		return execStmts(ctx, st, s.els)
 
 	case *ast.ReturnStmt:
-		if n.Table != "" {
-			// Table return: rows stay in st.tables; signal return.
+		if s.expr == nil {
+			// Table return: the rows stay in the call's table slot.
 			return ctlReturn, sqltypes.Null, nil
 		}
-		// RETURN tt; in a table-valued function: tt resolves to the table
-		// variable, not a scalar.
-		if cn, ok := n.Expr.(*ast.ColName); ok && cn.Qual == "" {
-			if _, isTable := st.tables[cn.Name]; isTable {
-				return ctlReturn, sqltypes.Null, nil
-			}
-		}
-		v, err := in.EvalProcExpr(ctx, n.Expr)
+		v, err := s.expr(ctx, nil)
 		if err != nil {
 			return ctlNext, sqltypes.Null, err
 		}
 		return ctlReturn, v, nil
 
 	case *ast.SelectIntoStmt:
-		rows, err := in.runQuery(ctx, n.Select)
+		rows, err := s.query.rows(ctx)
 		if err != nil {
 			return ctlNext, sqltypes.Null, err
 		}
 		targets := n.Select.Into
 		switch len(rows) {
 		case 0:
-			// Empty result: assign NULL (see DESIGN.md on ⊥/empty).
+			// An empty result leaves the targets at ⊥ (NULL), as
+			// ApplyMerge does in the decorrelated form.
 			for _, t := range targets {
 				ctx.Assign(t, sqltypes.Null)
 			}
@@ -296,27 +470,24 @@ func (in *Interp) execStmt(ctx *Ctx, st *procState, s ast.Stmt) (control, sqltyp
 		default:
 			return ctlNext, sqltypes.Null, Errorf("SELECT INTO returned %d rows", len(rows))
 		}
-		return ctlNext, sqltypes.Null, nil
 
 	case *ast.DeclareCursorStmt:
-		st.cursors[n.Name] = &cursorState{sel: n.Select}
-		return ctlNext, sqltypes.Null, nil
+		st.cursors[s.slot] = cursorState{q: s.query}
 
 	case *ast.OpenStmt:
-		cur, ok := st.cursors[n.Cursor]
-		if !ok {
+		cur := &st.cursors[s.slot]
+		if cur.q == nil {
 			return ctlNext, sqltypes.Null, Errorf("unknown cursor %q", n.Cursor)
 		}
-		rows, err := in.runQuery(ctx, cur.sel)
+		rows, err := cur.q.rows(ctx)
 		if err != nil {
 			return ctlNext, sqltypes.Null, err
 		}
 		cur.rows, cur.pos, cur.open = rows, 0, true
-		return ctlNext, sqltypes.Null, nil
 
 	case *ast.FetchStmt:
-		cur, ok := st.cursors[n.Cursor]
-		if !ok || !cur.open {
+		cur := &st.cursors[s.slot]
+		if !cur.open {
 			return ctlNext, sqltypes.Null, Errorf("cursor %q is not open", n.Cursor)
 		}
 		if cur.pos >= len(cur.rows) {
@@ -332,7 +503,6 @@ func (in *Interp) execStmt(ctx *Ctx, st *procState, s ast.Stmt) (control, sqltyp
 			ctx.Assign(t, row[i])
 		}
 		ctx.Assign("@@fetch_status", sqltypes.NewInt(0))
-		return ctlNext, sqltypes.Null, nil
 
 	case *ast.WhileStmt:
 		for iter := 0; ; iter++ {
@@ -342,248 +512,35 @@ func (in *Interp) execStmt(ctx *Ctx, st *procState, s ast.Stmt) (control, sqltyp
 			if err := ctx.Cancelled(); err != nil {
 				return ctlNext, sqltypes.Null, err
 			}
-			c, err := in.EvalProcExpr(ctx, n.Cond)
+			c, err := s.expr(ctx, nil)
 			if err != nil {
 				return ctlNext, sqltypes.Null, err
 			}
 			if sqltypes.TriOf(c) != sqltypes.True {
 				return ctlNext, sqltypes.Null, nil
 			}
-			ctl, v, err := in.execStmts(ctx, st, n.Body)
-			if err != nil {
-				return ctlNext, sqltypes.Null, err
-			}
-			if ctl == ctlReturn {
-				return ctlReturn, v, nil
+			ctl, v, err := execStmts(ctx, st, s.then)
+			if err != nil || ctl == ctlReturn {
+				return ctl, v, err
 			}
 		}
 
 	case *ast.CloseStmt:
-		if cur, ok := st.cursors[n.Cursor]; ok {
-			cur.open = false
-		}
-		return ctlNext, sqltypes.Null, nil
+		st.cursors[s.slot].open = false
 
 	case *ast.DeallocateStmt:
-		delete(st.cursors, n.Cursor)
-		return ctlNext, sqltypes.Null, nil
+		st.cursors[s.slot] = cursorState{}
 
 	case *ast.InsertStmt:
-		row := make(storage.Row, len(n.Values))
-		for i, e := range n.Values {
-			v, err := in.EvalProcExpr(ctx, e)
+		row := make(storage.Row, len(s.vals))
+		for i, ev := range s.vals {
+			v, err := ev(ctx, nil)
 			if err != nil {
 				return ctlNext, sqltypes.Null, err
 			}
 			row[i] = v
 		}
-		st.tables[n.Table] = append(st.tables[n.Table], row)
-		return ctlNext, sqltypes.Null, nil
+		st.tables[s.slot] = append(st.tables[s.slot], row)
 	}
-	return ctlNext, sqltypes.Null, Errorf("cannot interpret statement %T", s)
-}
-
-// EvalProcExpr evaluates an AST expression in procedural scope: unqualified
-// column names resolve as local variables, subqueries execute as embedded
-// queries.
-func (in *Interp) EvalProcExpr(ctx *Ctx, e ast.Expr) (sqltypes.Value, error) {
-	switch n := e.(type) {
-	case *ast.Lit:
-		return n.Val, nil
-
-	case *ast.ColName:
-		if n.Qual != "" {
-			return sqltypes.Null, Errorf("qualified name %s.%s outside query context", n.Qual, n.Name)
-		}
-		if v, ok := ctx.Get(n.Name); ok {
-			return v, nil
-		}
-		return sqltypes.Null, Errorf("unknown variable %q", n.Name)
-
-	case *ast.ParamRef:
-		if v, ok := ctx.Get(n.Name); ok {
-			return v, nil
-		}
-		return sqltypes.Null, Errorf("unknown variable %q", n.Name)
-
-	case *ast.BinExpr:
-		l, err := in.EvalProcExpr(ctx, n.L)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		// Short-circuit logic.
-		switch n.Op {
-		case ast.BinAnd:
-			if sqltypes.TriOf(l) == sqltypes.False {
-				return sqltypes.NewBool(false), nil
-			}
-		case ast.BinOr:
-			if sqltypes.TriOf(l) == sqltypes.True {
-				return sqltypes.NewBool(true), nil
-			}
-		}
-		r, err := in.EvalProcExpr(ctx, n.R)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		switch {
-		case n.Op == ast.BinAnd:
-			return sqltypes.TriValue(sqltypes.TriOf(l).And(sqltypes.TriOf(r))), nil
-		case n.Op == ast.BinOr:
-			return sqltypes.TriValue(sqltypes.TriOf(l).Or(sqltypes.TriOf(r))), nil
-		case n.Op == ast.BinConcat:
-			return sqltypes.Concat(l, r), nil
-		case n.Op.IsComparison():
-			return sqltypes.TriValue(sqltypes.Cmp(astCmpOp(n.Op), l, r)), nil
-		default:
-			return sqltypes.Arith(astArithOp(n.Op), l, r)
-		}
-
-	case *ast.UnaryExpr:
-		v, err := in.EvalProcExpr(ctx, n.E)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if n.Op == "NOT" {
-			return sqltypes.TriValue(sqltypes.TriOf(v).Not()), nil
-		}
-		return sqltypes.Neg(v)
-
-	case *ast.IsNullExpr:
-		v, err := in.EvalProcExpr(ctx, n.E)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewBool(v.IsNull() != n.Neg), nil
-
-	case *ast.CaseExpr:
-		for _, w := range n.Whens {
-			c, err := in.EvalProcExpr(ctx, w.Cond)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if sqltypes.TriOf(c) == sqltypes.True {
-				return in.EvalProcExpr(ctx, w.Then)
-			}
-		}
-		if n.Else != nil {
-			return in.EvalProcExpr(ctx, n.Else)
-		}
-		return sqltypes.Null, nil
-
-	case *ast.FuncCall:
-		args := make([]sqltypes.Value, len(n.Args))
-		for i, a := range n.Args {
-			v, err := in.EvalProcExpr(ctx, a)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			args[i] = v
-		}
-		if fn, ok := builtinScalar(strings.ToLower(n.Name), len(args)); ok {
-			return fn(args)
-		}
-		return in.CallScalar(ctx, n.Name, args)
-
-	case *ast.SubqueryExpr:
-		rows, err := in.runQuery(ctx, n.Select)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		switch len(rows) {
-		case 0:
-			return sqltypes.Null, nil
-		case 1:
-			if len(rows[0]) != 1 {
-				return sqltypes.Null, Errorf("scalar subquery produced %d columns", len(rows[0]))
-			}
-			return rows[0][0], nil
-		default:
-			return sqltypes.Null, Errorf("scalar subquery returned %d rows", len(rows))
-		}
-
-	case *ast.ExistsExpr:
-		rows, err := in.runQuery(ctx, n.Select)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewBool((len(rows) > 0) != n.Neg), nil
-
-	case *ast.InExpr:
-		v, err := in.EvalProcExpr(ctx, n.E)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		var candidates []sqltypes.Value
-		if n.Select != nil {
-			rows, err := in.runQuery(ctx, n.Select)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			for _, r := range rows {
-				if len(r) != 1 {
-					return sqltypes.Null, Errorf("IN subquery produced %d columns", len(r))
-				}
-				candidates = append(candidates, r[0])
-			}
-		} else {
-			for _, le := range n.List {
-				lv, err := in.EvalProcExpr(ctx, le)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				candidates = append(candidates, lv)
-			}
-		}
-		res := sqltypes.False
-		for _, c := range candidates {
-			t := sqltypes.Cmp(sqltypes.CmpEQ, v, c)
-			if t == sqltypes.True {
-				res = sqltypes.True
-				break
-			}
-			if t == sqltypes.Unknown {
-				res = sqltypes.Unknown
-			}
-		}
-		if n.Neg {
-			res = res.Not()
-		}
-		return sqltypes.TriValue(res), nil
-	}
-	return sqltypes.Null, Errorf("cannot evaluate expression %T in procedural scope", e)
-}
-
-// astCmpOp maps AST comparison operators to value comparisons.
-func astCmpOp(op ast.BinOp) sqltypes.CmpOp {
-	switch op {
-	case ast.BinEQ:
-		return sqltypes.CmpEQ
-	case ast.BinNE:
-		return sqltypes.CmpNE
-	case ast.BinLT:
-		return sqltypes.CmpLT
-	case ast.BinLE:
-		return sqltypes.CmpLE
-	case ast.BinGT:
-		return sqltypes.CmpGT
-	default:
-		return sqltypes.CmpGE
-	}
-}
-
-// astArithOp maps AST arithmetic operators to value arithmetic.
-func astArithOp(op ast.BinOp) sqltypes.ArithOp {
-	switch op {
-	case ast.BinAdd:
-		return sqltypes.OpAdd
-	case ast.BinSub:
-		return sqltypes.OpSub
-	case ast.BinMul:
-		return sqltypes.OpMul
-	case ast.BinDiv:
-		return sqltypes.OpDiv
-	default:
-		return sqltypes.OpMod
-	}
+	return ctlNext, sqltypes.Null, nil
 }

@@ -4,11 +4,34 @@ import (
 	"strings"
 	"testing"
 
+	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/ast"
 	"udfdecorr/internal/catalog"
 	"udfdecorr/internal/parser"
 	"udfdecorr/internal/sqltypes"
 )
+
+// noQueryPlanner resolves UDF calls as the engine's planner does but plans
+// no queries, so the bodies under test embed none.
+type noQueryPlanner struct{ cat *catalog.Catalog }
+
+func (noQueryPlanner) BuildSerial(algebra.Rel) (Node, error) { return nil, Errorf("no query planner") }
+
+func (f noQueryPlanner) ResolveScalarCall(name string, argc int) (func(*Ctx, []sqltypes.Value) (sqltypes.Value, error), bool) {
+	fn, ok := f.cat.Function(name)
+	if !ok || fn.IsTableValued() || len(fn.Def.Params) != argc {
+		return nil, false
+	}
+	return func(ctx *Ctx, args []sqltypes.Value) (sqltypes.Value, error) {
+		return ctx.Interp.CallScalar(ctx, name, args)
+	}, true
+}
+
+func newTestInterp(cat *catalog.Catalog) *Interp {
+	in := NewInterp(cat, true)
+	in.Planner = noQueryPlanner{cat}
+	return in
+}
 
 // mustParseBody parses a statement list by wrapping it in a function.
 func mustParseBody(t *testing.T, body string) []ast.Stmt {
@@ -35,7 +58,7 @@ func interpWith(t *testing.T, src string) *Interp {
 			t.Fatal(err)
 		}
 	}
-	return NewInterp(cat, nil, true)
+	return newTestInterp(cat)
 }
 
 func callScalar(t *testing.T, in *Interp, name string, args ...sqltypes.Value) sqltypes.Value {
@@ -193,9 +216,9 @@ func TestInterpAccumulateSharedState(t *testing.T) {
 	}
 }
 
-func TestInterpEvalProcExprUnknownVariable(t *testing.T) {
-	in := interpWith(t, `create function dummy() returns int as begin return 1; end`)
-	_, err := in.EvalProcExpr(NewCtx(in), &ast.ColName{Name: "ghost"})
+func TestInterpUnknownVariable(t *testing.T) {
+	in := interpWith(t, `create function ghostly() returns int as begin return ghost; end`)
+	_, err := in.CallScalar(NewCtx(in), "ghostly", nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown variable") {
 		t.Errorf("err = %v", err)
 	}

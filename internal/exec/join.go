@@ -243,7 +243,8 @@ func (j *HashJoin) Open(ctx *Ctx) (Iter, error) {
 		return nil, err
 	}
 	return &hashJoinIter{j: j, ctx: ctx, li: li, table: table, intTable: intTable,
-		intsOnly: intsOnly, rWidth: len(j.R.Schema())}, nil
+		intsOnly: intsOnly, rWidth: len(j.R.Schema()),
+		keys: make([]sqltypes.Value, len(j.LKeys))}, nil
 }
 
 type hashJoinIter struct {
@@ -254,6 +255,7 @@ type hashJoinIter struct {
 	intTable map[int64][]storage.Row
 	intsOnly bool
 	rWidth   int
+	keys     []sqltypes.Value // probe-key buffer, reused for every left row
 
 	left    storage.Row
 	bucket  []storage.Row
@@ -295,7 +297,6 @@ outer:
 			it.active = true
 			it.bucket = nil
 			nullKey := false
-			keys := make([]sqltypes.Value, len(it.j.LKeys))
 			for i, k := range it.j.LKeys {
 				v, err := k(it.ctx, l)
 				if err != nil {
@@ -305,10 +306,10 @@ outer:
 					nullKey = true
 					break
 				}
-				keys[i] = v
+				it.keys[i] = v
 			}
 			if !nullKey {
-				it.bucket = it.lookup(keys)
+				it.bucket = it.lookup(it.keys)
 			}
 		}
 		for it.pos < len(it.bucket) {
@@ -351,91 +352,3 @@ outer:
 }
 
 func (it *hashJoinIter) Close() error { return it.li.Close() }
-
-// ---------------------------------------------------------------------------
-// Merge join
-// ---------------------------------------------------------------------------
-
-// MergeJoin is an inner equi-join over inputs sorted on the key expressions.
-// It sorts both inputs at open time (a sort-merge join); the planner uses it
-// for ablation benchmarks against the hash join.
-type MergeJoin struct {
-	LKey, RKey Evaluator
-	L, R       Node
-	schema     []algebra.Column
-}
-
-// NewMergeJoin builds a sort-merge inner join on a single equi-key.
-func NewMergeJoin(lkey, rkey Evaluator, l, r Node) *MergeJoin {
-	return &MergeJoin{LKey: lkey, RKey: rkey, L: l, R: r,
-		schema: joinSchema(algebra.InnerJoin, l, r)}
-}
-
-// Schema implements Node.
-func (j *MergeJoin) Schema() []algebra.Column { return j.schema }
-
-// Open implements Node.
-func (j *MergeJoin) Open(ctx *Ctx) (Iter, error) {
-	lRows, err := Drain(&Sort{Keys: []SortSpec{{Key: j.LKey}}, Child: j.L}, ctx)
-	if err != nil {
-		return nil, err
-	}
-	rRows, err := Drain(&Sort{Keys: []SortSpec{{Key: j.RKey}}, Child: j.R}, ctx)
-	if err != nil {
-		return nil, err
-	}
-	var out []storage.Row
-	i, k := 0, 0
-	for i < len(lRows) && k < len(rRows) {
-		lv, err := j.LKey(ctx, lRows[i])
-		if err != nil {
-			return nil, err
-		}
-		rv, err := j.RKey(ctx, rRows[k])
-		if err != nil {
-			return nil, err
-		}
-		if lv.IsNull() {
-			i++
-			continue
-		}
-		if rv.IsNull() {
-			k++
-			continue
-		}
-		c := sqltypes.TotalCompare(lv, rv)
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			k++
-		default:
-			// Emit the cross product of the equal runs.
-			kEnd := k
-			for kEnd < len(rRows) {
-				rv2, err := j.RKey(ctx, rRows[kEnd])
-				if err != nil {
-					return nil, err
-				}
-				if rv2.IsNull() || sqltypes.TotalCompare(lv, rv2) != 0 {
-					break
-				}
-				kEnd++
-			}
-			for ; i < len(lRows); i++ {
-				lv2, err := j.LKey(ctx, lRows[i])
-				if err != nil {
-					return nil, err
-				}
-				if lv2.IsNull() || sqltypes.TotalCompare(lv2, lv) != 0 {
-					break
-				}
-				for x := k; x < kEnd; x++ {
-					out = append(out, concatRows(lRows[i], rRows[x]))
-				}
-			}
-			k = kEnd
-		}
-	}
-	return &sliceIter{rows: out}, nil
-}

@@ -33,8 +33,6 @@ func PlanChildren(n Node) []Node {
 		return []Node{x.L, x.R}
 	case *HashJoin:
 		return []Node{x.L, x.R}
-	case *MergeJoin:
-		return []Node{x.L, x.R}
 	case *BatchFilter:
 		return []Node{x.Child}
 	case *BatchProject:
@@ -85,8 +83,6 @@ func PlanLabel(n Node) string {
 		return "NLJoin(" + x.Kind.String() + ")"
 	case *HashJoin:
 		return "HashJoin(" + x.Kind.String() + ")"
-	case *MergeJoin:
-		return "MergeJoin(inner)"
 	case *HashAgg:
 		if len(x.Keys) == 0 {
 			return "ScalarAgg"

@@ -158,7 +158,7 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
 				v, ok := ctx.Get(name)
 				if !ok {
-					return nil, Errorf("unbound parameter :%s", name)
+					return nil, Errorf("unknown variable %q", name)
 				}
 				buf = vecBuf(buf, b.Physical())
 				for i := range buf {

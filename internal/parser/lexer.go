@@ -80,13 +80,6 @@ func (l *lexer) errf(format string, args ...any) error {
 	return fmt.Errorf("line %d: %s", l.line, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) skipSpaceAndComments() error {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]

@@ -38,7 +38,7 @@ func testDB(t *testing.T) (*Planner, *catalog.Catalog) {
 	}
 	mk("big", 10000, true)
 	mk("small", 100, false)
-	interp := exec.NewInterp(cat, nil, true)
+	interp := exec.NewInterp(cat, true)
 	return New(cat, store, interp), cat
 }
 

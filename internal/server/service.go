@@ -317,8 +317,9 @@ func (s *Service) Catalog() *catalog.Catalog { return s.cat }
 func (s *Service) Store() *storage.Store { return s.store }
 
 // Session is one client session: a named engine view with its own
-// mode/profile/executor settings (and its own embedded-statement plan cache
-// via the view's interpreter) over the service's shared data. Settings
+// mode/profile/executor settings (and its own lowered UDF bodies and
+// embedded-query plans, via the view's interpreter) over the service's
+// shared data. Settings
 // changes swap in a fresh engine view rather than mutating the old one, so
 // in-flight queries on the previous view are unaffected.
 type Session struct {

@@ -87,20 +87,6 @@ func Arith(op ArithOp, a, b Value) (Value, error) {
 	return Null, fmt.Errorf("unknown arithmetic operator")
 }
 
-// Neg returns the arithmetic negation of a numeric value.
-func Neg(a Value) (Value, error) {
-	switch a.kind {
-	case KindNull:
-		return Null, nil
-	case KindInt:
-		return NewInt(-a.i), nil
-	case KindFloat:
-		return NewFloat(-a.f), nil
-	default:
-		return Null, fmt.Errorf("negation of non-numeric value %s", a)
-	}
-}
-
 // Concat concatenates two values as strings with NULL propagation.
 func Concat(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {

@@ -233,17 +233,23 @@ func TestArithErrors(t *testing.T) {
 	}
 }
 
+// TestNeg pins negation as the algebrizer compiles unary minus: -x is
+// 0 - x, so -(0.0) is +0 and renders as 0.
 func TestNeg(t *testing.T) {
-	if v, _ := Neg(NewInt(3)); !Equal(v, NewInt(-3)) {
+	neg := func(v Value) (Value, error) { return Arith(OpSub, NewInt(0), v) }
+	if v, _ := neg(NewInt(3)); !Equal(v, NewInt(-3)) {
 		t.Error("neg int")
 	}
-	if v, _ := Neg(NewFloat(2.5)); !Equal(v, NewFloat(-2.5)) {
+	if v, _ := neg(NewFloat(2.5)); !Equal(v, NewFloat(-2.5)) {
 		t.Error("neg float")
 	}
-	if v, _ := Neg(Null); !v.IsNull() {
+	if v, _ := neg(NewFloat(0)); v.Display() != "0" {
+		t.Errorf("neg 0.0 renders %q, want 0", v.Display())
+	}
+	if v, _ := neg(Null); !v.IsNull() {
 		t.Error("neg NULL")
 	}
-	if _, err := Neg(NewString("x")); err == nil {
+	if _, err := neg(NewString("x")); err == nil {
 		t.Error("neg string should error")
 	}
 }
