@@ -297,16 +297,18 @@ var defaultRatios = []ratioGate{
 }
 
 // defaultAllocCeilings seeds ceilings at 3× the measured allocs/op for the
-// scan/filter pair, the read-after-write lookup and the paper's iterative
-// cursor-loop experiment: loose enough for incidental churn, tight enough
-// that reintroducing a per-row or per-batch materialization, an index
-// rebuilt per table version (thousands of allocations), or an allocation
-// per hash-join probe row (millions, in Experiment 3's embedded joins),
-// fails.
+// scan/filter pair, the read-after-write lookup, the row and vectorized hash
+// joins, and the paper's iterative experiments 2 (a keyless row aggregation
+// inside every UDF call) and 3 (a cursor loop over embedded joins): loose
+// enough for incidental churn, tight enough that reintroducing a per-row or
+// per-batch materialization, an index rebuilt per table version (thousands
+// of allocations), or an allocation per hash-join build or probe row or per
+// aggregated row (millions, in Experiment 3's embedded joins), fails.
 func defaultAllocCeilings(allocs map[string]float64) map[string]float64 {
 	ceil := map[string]float64{}
 	for _, name := range []string{"BenchmarkScanFilterProject_Row", "BenchmarkScanFilterProject_Vectorized",
-		"BenchmarkIndexLookupAfterWrite", "BenchmarkExperiment3_Original/n=200"} {
+		"BenchmarkIndexLookupAfterWrite", "BenchmarkHashJoin_Row", "BenchmarkHashJoin_Vectorized",
+		"BenchmarkExperiment2_Original/n=10000", "BenchmarkExperiment3_Original/n=200"} {
 		if a, ok := allocs[name]; ok {
 			ceil[name] = float64(int64(a*3) + 16)
 		}

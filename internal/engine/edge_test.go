@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -258,6 +259,50 @@ func TestOrderByOverUDFResult(t *testing.T) {
 	for i := range r1.Rows {
 		if sqltypes.KeyOf(r1.Rows[i]...) != sqltypes.KeyOf(r2.Rows[i]...) {
 			t.Fatalf("row %d differs: %v vs %v", i, r1.Rows[i], r2.Rows[i])
+		}
+	}
+}
+
+// TestBigIntegerKeysStayDistinct: float64 rounds 2^53+1 to 2^53, so a key
+// encoding that went through float64 merged the two in DISTINCT,
+// count(distinct), GROUP BY and index probes, on both executors.
+func TestBigIntegerKeysStayDistinct(t *testing.T) {
+	for _, vectorized := range []bool{false, true} {
+		for _, indexed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("vectorized=%v/indexed=%v", vectorized, indexed), func(t *testing.T) {
+				profile := SYS1
+				profile.Vectorized = vectorized
+				e := New(profile, ModeIterative)
+				if err := e.ExecScript(`
+create table t (a int, b int);
+insert into t values (9007199254740993, 1), (9007199254740992, 2);
+create table u (a int, b int);
+insert into u values (9007199254740993, 1), (9007199254740992, 1);`); err != nil {
+					t.Fatal(err)
+				}
+				if indexed {
+					if err := e.CreateIndex("t", "a"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, c := range []struct {
+					q    string
+					want string
+				}{
+					{"select distinct a from t order by a", "[[9007199254740992] [9007199254740993]]"},
+					{"select count(distinct a) from t", "[[2]]"},
+					{"select a, b, count(*) from u group by a, b order by a", "[[9007199254740992 1 1] [9007199254740993 1 1]]"},
+					{"select b from t where a = 9007199254740993", "[[1]]"},
+				} {
+					res, err := e.Query(c.q)
+					if err != nil {
+						t.Fatalf("%s: %v", c.q, err)
+					}
+					if got := fmt.Sprint(res.Rows); got != c.want {
+						t.Errorf("%s = %s, want %s", c.q, got, c.want)
+					}
+				}
+			})
 		}
 	}
 }

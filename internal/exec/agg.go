@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"sort"
-
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/catalog"
 	"udfdecorr/internal/sqltypes"
-	"udfdecorr/internal/storage"
 )
 
 // aggState is the running state of one aggregate within one group.
@@ -261,13 +258,6 @@ func NewHashAgg(keys []Evaluator, aggs []*AggSpec, child Node, schema []algebra.
 // Schema implements Node.
 func (h *HashAgg) Schema() []algebra.Column { return h.schema }
 
-type aggGroup struct {
-	keyVals  []sqltypes.Value
-	states   []aggState
-	distinct []map[string]bool // per agg, for DISTINCT
-	order    int
-}
-
 // Open implements Node.
 func (h *HashAgg) Open(ctx *Ctx) (Iter, error) {
 	it, err := OpenRows(h.Child, ctx)
@@ -275,30 +265,9 @@ func (h *HashAgg) Open(ctx *Ctx) (Iter, error) {
 		return nil, err
 	}
 	defer it.Close()
-	groups := map[string]*aggGroup{}
-	// Fast path: single-column grouping keys that stay integers avoid the
-	// per-row key encoding (the common case for foreign-key grouping).
-	intGroups := map[int64]*aggGroup{}
-	intsOnly := len(h.Keys) == 1
-	nGroups := 0
-	newGroup := func(keyVals []sqltypes.Value) (*aggGroup, error) {
-		g := &aggGroup{keyVals: keyVals, states: make([]aggState, len(h.Aggs)),
-			distinct: make([]map[string]bool, len(h.Aggs)), order: nGroups}
-		nGroups++
-		for i, a := range h.Aggs {
-			st, err := a.newState()
-			if err != nil {
-				return nil, err
-			}
-			g.states[i] = st
-			if a.Distinct {
-				g.distinct[i] = map[string]bool{}
-			}
-		}
-		return g, nil
-	}
-	keyVals := make([]sqltypes.Value, len(h.Keys))
-	argBuf := make([]sqltypes.Value, 8)
+	gt := newGroupTable(h.Aggs, len(h.Keys))
+	keys := make([]sqltypes.Value, len(h.Keys))
+	var args []sqltypes.Value
 	for {
 		if err := ctx.Cancelled(); err != nil {
 			return nil, err
@@ -311,102 +280,31 @@ func (h *HashAgg) Open(ctx *Ctx) (Iter, error) {
 			break
 		}
 		for i, k := range h.Keys {
-			v, err := k(ctx, row)
-			if err != nil {
+			if keys[i], err = k(ctx, row); err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
 		}
-		cloneKeys := func() []sqltypes.Value {
-			out := make([]sqltypes.Value, len(keyVals))
-			copy(out, keyVals)
-			return out
-		}
-		var g *aggGroup
-		if intsOnly && len(keyVals) == 1 && keyVals[0].Kind() == sqltypes.KindInt {
-			ik := keyVals[0].Int()
-			g, ok = intGroups[ik]
-			if !ok {
-				g, err = newGroup(cloneKeys())
-				if err != nil {
-					return nil, err
-				}
-				intGroups[ik] = g
-			}
-		} else {
-			if intsOnly {
-				// Mixed key kinds: fold the integer groups into the
-				// general map and disable the fast path.
-				intsOnly = false
-				var buf []byte
-				for ik, ig := range intGroups {
-					buf = sqltypes.EncodeKey(buf[:0], sqltypes.NewInt(ik))
-					groups[string(buf)] = ig
-				}
-				intGroups = nil
-			}
-			key := sqltypes.KeyOf(keyVals...)
-			g, ok = groups[key]
-			if !ok {
-				g, err = newGroup(cloneKeys())
-				if err != nil {
-					return nil, err
-				}
-				groups[key] = g
-			}
+		grp, _, err := gt.find(keys, nil)
+		if err != nil {
+			return nil, err
 		}
 		for i, a := range h.Aggs {
-			if cap(argBuf) < len(a.Args) {
-				argBuf = make([]sqltypes.Value, len(a.Args))
-			}
-			args := argBuf[:len(a.Args)]
-			for j, ae := range a.Args {
+			args = args[:0]
+			for _, ae := range a.Args {
 				v, err := ae(ctx, row)
 				if err != nil {
 					return nil, err
 				}
-				args[j] = v
+				args = append(args, v)
 			}
-			if a.Distinct {
-				dk := sqltypes.KeyOf(args...)
-				if g.distinct[i][dk] {
-					continue
-				}
-				g.distinct[i][dk] = true
-			}
-			if err := g.states[i].add(ctx, args); err != nil {
+			if err := gt.add(ctx, grp, i, args); err != nil {
 				return nil, err
 			}
 		}
 	}
-	// Scalar aggregation over empty input yields one row of "empty" results.
-	if len(h.Keys) == 0 && nGroups == 0 {
-		g, err := newGroup(nil)
-		if err != nil {
-			return nil, err
-		}
-		groups[""] = g
-	}
-	ordered := make([]*aggGroup, 0, nGroups)
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	for _, g := range intGroups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].order < ordered[j].order })
-	rows := make([]storage.Row, 0, len(ordered))
-	for _, g := range ordered {
-		row := make(storage.Row, 0, len(h.Keys)+len(h.Aggs))
-		row = append(row, g.keyVals...)
-		for _, st := range g.states {
-			v, err := st.result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		rows = append(rows, row)
+	rows, err := gt.rows(ctx, len(h.Keys) == 0)
+	if err != nil {
+		return nil, err
 	}
 	return &sliceIter{rows: rows}, nil
 }

@@ -47,83 +47,23 @@ func (a *Apply) Open(ctx *Ctx) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &applyIter{a: a, ctx: ctx, li: li, rWidth: len(a.R.Schema())}, nil
+	return &rowJoinIter{kind: a.Kind, ctx: ctx, li: li, rWidth: len(a.R.Schema()),
+		candidates: func(left storage.Row) ([]storage.Row, error) { return a.eval(ctx, left) }}, nil
 }
 
-type applyIter struct {
-	a      *Apply
-	ctx    *Ctx
-	li     Iter
-	rWidth int
-
-	left    storage.Row
-	inner   []storage.Row
-	pos     int
-	matched bool
-	active  bool
-}
-
-func (it *applyIter) bindAndEval(left storage.Row) ([]storage.Row, error) {
-	ctx := it.ctx
+// eval runs the right side with the parameters bound from left.
+func (a *Apply) eval(ctx *Ctx, left storage.Row) ([]storage.Row, error) {
 	ctx.Push()
 	defer ctx.Pop()
-	for _, c := range it.a.Corr {
+	for _, c := range a.Corr {
 		ctx.Set(c.Param, left[c.Col])
 	}
-	for _, b := range it.a.Binds {
+	for _, b := range a.Binds {
 		v, err := b.Arg(ctx, left)
 		if err != nil {
 			return nil, err
 		}
 		ctx.Set(b.Param, v)
 	}
-	return Drain(it.a.R, ctx)
+	return Drain(a.R, ctx)
 }
-
-func (it *applyIter) Next() (storage.Row, bool, error) {
-outer:
-	for {
-		if !it.active {
-			if err := it.ctx.Cancelled(); err != nil {
-				return nil, false, err
-			}
-			l, ok, err := it.li.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			rows, err := it.bindAndEval(l)
-			if err != nil {
-				return nil, false, err
-			}
-			it.left, it.inner, it.pos, it.matched, it.active = l, rows, 0, false, true
-		}
-		for it.pos < len(it.inner) {
-			r := it.inner[it.pos]
-			it.pos++
-			it.matched = true
-			switch it.a.Kind {
-			case algebra.SemiJoin:
-				it.active = false
-				return it.left, true, nil
-			case algebra.AntiJoin:
-				it.active = false
-				continue outer
-			default:
-				return concatRows(it.left, r), true, nil
-			}
-		}
-		it.active = false
-		switch it.a.Kind {
-		case algebra.AntiJoin:
-			if !it.matched {
-				return it.left, true, nil
-			}
-		case algebra.LeftOuterJoin:
-			if !it.matched {
-				return concatRows(it.left, nullRow(it.rWidth)), true, nil
-			}
-		}
-	}
-}
-
-func (it *applyIter) Close() error { return it.li.Close() }

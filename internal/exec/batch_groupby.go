@@ -8,13 +8,12 @@ import (
 	"udfdecorr/internal/storage"
 )
 
-// BatchGroupBy is the vectorized grouped-aggregation operator: grouping keys
-// and aggregate arguments evaluate batch-at-a-time and feed the same
-// aggregate states as the row HashAgg, so results (values, and first-seen
-// group order) are identical. It accepts every aggregate HashAgg accepts —
-// builtins, DISTINCT, and user-defined (interpreted) aggregates — which is
-// what lets grouped queries (the shape every decorrelated UDF rewrite
-// produces) stay on the batch path instead of bridging to the row engine.
+// BatchGroupBy is the vectorized aggregation operator, keyed or not: grouping
+// keys and aggregate arguments evaluate batch-at-a-time into the groupTable
+// the row HashAgg also fills. It accepts every aggregate — builtins,
+// DISTINCT, and user-defined (interpreted) aggregates — which is what lets
+// grouped queries (the shape every decorrelated UDF rewrite produces) stay
+// on the batch path instead of bridging to the row engine.
 type BatchGroupBy struct {
 	Keys   []VecFactory
 	Aggs   []*AggSpec     // row specs: state construction + DISTINCT flags
@@ -65,27 +64,34 @@ func instantiateArgs(args [][]VecFactory) [][]VecEvaluator {
 // groupTable
 // ---------------------------------------------------------------------------
 
-// groupTable accumulates aggregate groups from batches. It mirrors the row
-// HashAgg exactly (including the single-integer-key fast path and first-seen
-// group ordering) and additionally supports merging another table's partial
-// groups, which is what the parallel group-by's merge phase uses.
+// groupTable accumulates aggregate groups, in first-seen order, for the row
+// HashAgg, BatchGroupBy and the parallel group-by, whose merge phase
+// absorbs one worker's table into another. While every key is a single
+// integer value it keeps an integer map and skips key encoding; the first
+// key of another kind moves it to encoded keys for good.
 type groupTable struct {
 	aggs      []*AggSpec
 	nKeys     int
 	groups    map[string]*aggGroup
-	intGroups map[int64]*aggGroup
-	intsOnly  bool
+	intGroups map[int64]*aggGroup // non-nil while every key is an integer
 	n         int
 }
 
+// aggGroup is one group: its key values, one state per aggregate, and the
+// seen-set of each DISTINCT aggregate.
+type aggGroup struct {
+	keyVals  []sqltypes.Value
+	states   []aggState
+	distinct []map[string]bool
+	order    int
+}
+
 func newGroupTable(aggs []*AggSpec, nKeys int) *groupTable {
-	return &groupTable{
-		aggs:      aggs,
-		nKeys:     nKeys,
-		groups:    map[string]*aggGroup{},
-		intGroups: map[int64]*aggGroup{},
-		intsOnly:  nKeys == 1,
+	g := &groupTable{aggs: aggs, nKeys: nKeys, groups: map[string]*aggGroup{}}
+	if nKeys == 1 {
+		g.intGroups = map[int64]*aggGroup{}
 	}
+	return g
 }
 
 func (g *groupTable) newGroup(keyVals []sqltypes.Value) (*aggGroup, error) {
@@ -120,22 +126,18 @@ func (g *groupTable) find(keyVals []sqltypes.Value, adopt *aggGroup) (*aggGroup,
 		copy(clone, keyVals)
 		return g.newGroup(clone)
 	}
-	if g.intsOnly && len(keyVals) == 1 && keyVals[0].Kind() == sqltypes.KindInt {
-		ik := keyVals[0].Int()
-		if grp, ok := g.intGroups[ik]; ok {
-			return grp, false, nil
+	if g.intGroups != nil {
+		if ik, ok := intKeyOf(keyVals); ok {
+			if grp, ok := g.intGroups[ik]; ok {
+				return grp, false, nil
+			}
+			grp, err := install()
+			if err != nil {
+				return nil, false, err
+			}
+			g.intGroups[ik] = grp
+			return grp, true, nil
 		}
-		grp, err := install()
-		if err != nil {
-			return nil, false, err
-		}
-		g.intGroups[ik] = grp
-		return grp, true, nil
-	}
-	if g.intsOnly {
-		// Mixed key kinds: fold the integer groups into the general map and
-		// disable the fast path (exactly like HashAgg).
-		g.intsOnly = false
 		var buf []byte
 		for ik, ig := range g.intGroups {
 			buf = sqltypes.EncodeKey(buf[:0], sqltypes.NewInt(ik))
@@ -155,6 +157,19 @@ func (g *groupTable) find(keyVals []sqltypes.Value, adopt *aggGroup) (*aggGroup,
 	return grp, true, nil
 }
 
+// add feeds one row's arguments to aggregate i of grp, skipping them when
+// the aggregate is DISTINCT and has seen them.
+func (g *groupTable) add(ctx *Ctx, grp *aggGroup, i int, args []sqltypes.Value) error {
+	if g.aggs[i].Distinct {
+		dk := sqltypes.KeyOf(args...)
+		if grp.distinct[i][dk] {
+			return nil
+		}
+		grp.distinct[i][dk] = true
+	}
+	return grp.states[i].add(ctx, args)
+}
+
 // consume drains a batch iterator into the table, evaluating keys and
 // aggregate arguments batch-at-a-time.
 func (g *groupTable) consume(ctx *Ctx, in BatchIter, keys []VecEvaluator, args [][]VecEvaluator) error {
@@ -164,7 +179,11 @@ func (g *groupTable) consume(ctx *Ctx, in BatchIter, keys []VecEvaluator, args [
 	for i := range args {
 		argVecs[i] = make([][]sqltypes.Value, len(args[i]))
 	}
-	argBuf := make([]sqltypes.Value, 8)
+	width := 0
+	for _, vecs := range argVecs {
+		width = max(width, len(vecs))
+	}
+	rowArgs := make([]sqltypes.Value, width) // one row's arguments
 	for {
 		if err := ctx.Cancelled(); err != nil {
 			return err
@@ -177,48 +196,41 @@ func (g *groupTable) consume(ctx *Ctx, in BatchIter, keys []VecEvaluator, args [
 			return nil
 		}
 		for i, k := range keys {
-			v, err := k(ctx, b)
-			if err != nil {
+			if keyVecs[i], err = k(ctx, b); err != nil {
 				return err
 			}
-			keyVecs[i] = v
 		}
 		for i := range args {
 			for c, ev := range args[i] {
-				v, err := ev(ctx, b)
-				if err != nil {
+				if argVecs[i][c], err = ev(ctx, b); err != nil {
 					return err
 				}
-				argVecs[i][c] = v
 			}
 		}
 		n := b.Len()
-		for r := 0; r < n; r++ {
-			p := b.LiveAt(r)
-			for i := range keys {
-				keyBuf[i] = keyVecs[i][p]
-			}
-			grp, _, err := g.find(keyBuf, nil)
-			if err != nil {
+		// Without keys every row is in the one group: look it up per batch.
+		var grp *aggGroup
+		if len(keys) == 0 {
+			if grp, _, err = g.find(nil, nil); err != nil {
 				return err
 			}
-			for i, spec := range g.aggs {
-				vecs := argVecs[i]
-				if cap(argBuf) < len(vecs) {
-					argBuf = make([]sqltypes.Value, len(vecs))
+		}
+		for r := 0; r < n; r++ {
+			p := b.LiveAt(r)
+			if len(keys) > 0 {
+				for i := range keys {
+					keyBuf[i] = keyVecs[i][p]
 				}
-				rowArgs := argBuf[:len(vecs)]
-				for c := range vecs {
-					rowArgs[c] = vecs[c][p]
+				if grp, _, err = g.find(keyBuf, nil); err != nil {
+					return err
 				}
-				if spec.Distinct {
-					dk := sqltypes.KeyOf(rowArgs...)
-					if grp.distinct[i][dk] {
-						continue
-					}
-					grp.distinct[i][dk] = true
+			}
+			for i, vecs := range argVecs {
+				vals := rowArgs[:len(vecs)]
+				for c, vec := range vecs {
+					vals[c] = vec[p]
 				}
-				if err := grp.states[i].add(ctx, rowArgs); err != nil {
+				if err := g.add(ctx, grp, i, vals); err != nil {
 					return err
 				}
 			}
@@ -269,11 +281,9 @@ func (g *groupTable) ordered() []*aggGroup {
 // aggregate results, matching scalar-aggregation semantics.
 func (g *groupTable) rows(ctx *Ctx, scalarOneRow bool) ([]storage.Row, error) {
 	if scalarOneRow && g.n == 0 {
-		grp, err := g.newGroup(nil)
-		if err != nil {
+		if _, _, err := g.find(nil, nil); err != nil {
 			return nil, err
 		}
-		g.groups[""] = grp
 	}
 	ordered := g.ordered()
 	rows := make([]storage.Row, 0, len(ordered))

@@ -122,7 +122,7 @@ func (s *rowFeedIter) NextBatch(max int) (*Batch, bool, error) {
 		end = len(s.rows)
 	}
 	if s.buf == nil {
-		s.buf = NewBatch(s.width, max)
+		s.buf = NewBatch(s.width, min(max, len(s.rows)))
 	}
 	b := s.buf
 	b.Sel = nil
@@ -589,119 +589,3 @@ func (it *batchHashJoinIter) NextBatch(max int) (*Batch, bool, error) {
 }
 
 func (it *batchHashJoinIter) Close() error { return it.li.Close() }
-
-// ---------------------------------------------------------------------------
-// BatchScalarAgg
-// ---------------------------------------------------------------------------
-
-// BatchScalarAgg is the vectorized scalar-aggregation path (GROUP BY with no
-// keys): aggregate arguments evaluate batch-at-a-time and feed the same
-// aggregate states as the row operator, so results (including the one-row
-// output for empty input) are identical.
-type BatchScalarAgg struct {
-	Aggs   []*AggSpec // compiled row specs (used for state construction)
-	Args   [][]VecFactory
-	Child  Node
-	schema []algebra.Column
-}
-
-// NewBatchScalarAgg builds a vectorized scalar aggregation. args[i] are the
-// batched argument evaluators of Aggs[i].
-func NewBatchScalarAgg(aggs []*AggSpec, args [][]VecFactory, child Node, schema []algebra.Column) *BatchScalarAgg {
-	return &BatchScalarAgg{Aggs: aggs, Args: args, Child: child, schema: schema}
-}
-
-// Schema implements Node.
-func (a *BatchScalarAgg) Schema() []algebra.Column { return a.schema }
-
-// Open implements Node.
-func (a *BatchScalarAgg) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatches(a, ctx) }
-
-// OpenBatch implements BatchNode.
-func (a *BatchScalarAgg) OpenBatch(ctx *Ctx) (BatchIter, error) {
-	in, err := OpenBatches(a.Child, ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	states := make([]aggState, len(a.Aggs))
-	for i, spec := range a.Aggs {
-		st, err := spec.newState()
-		if err != nil {
-			return nil, err
-		}
-		states[i] = st
-	}
-	argEvs := make([][]VecEvaluator, len(a.Aggs))
-	argVecs := make([][][]sqltypes.Value, len(a.Aggs))
-	for i := range argVecs {
-		argEvs[i] = Instantiate(a.Args[i])
-		argVecs[i] = make([][]sqltypes.Value, len(a.Args[i]))
-	}
-	var rowArgs []sqltypes.Value
-	for {
-		if err := ctx.Cancelled(); err != nil {
-			return nil, err
-		}
-		b, ok, err := in.NextBatch(DefaultBatchSize)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		for i := range a.Aggs {
-			for c, ev := range argEvs[i] {
-				v, err := ev(ctx, b)
-				if err != nil {
-					return nil, err
-				}
-				argVecs[i][c] = v
-			}
-		}
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			p := b.LiveAt(r)
-			for i := range a.Aggs {
-				vecs := argVecs[i]
-				if cap(rowArgs) < len(vecs) {
-					rowArgs = make([]sqltypes.Value, len(vecs))
-				}
-				args := rowArgs[:len(vecs)]
-				for c := range vecs {
-					args[c] = vecs[c][p]
-				}
-				if err := states[i].add(ctx, args); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	row := make(storage.Row, 0, len(states))
-	for _, st := range states {
-		v, err := st.result(ctx)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	out := NewBatch(len(row), 1)
-	out.AppendRow(row)
-	return &singleBatchIter{b: out}, nil
-}
-
-// singleBatchIter yields one batch then EOS.
-type singleBatchIter struct {
-	b    *Batch
-	done bool
-}
-
-func (s *singleBatchIter) NextBatch(int) (*Batch, bool, error) {
-	if s.done || s.b == nil {
-		return nil, false, nil
-	}
-	s.done = true
-	return s.b, true, nil
-}
-
-func (s *singleBatchIter) Close() error { return nil }

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -400,6 +401,168 @@ func TestBatchHashJoinHotKeyResumeOrder(t *testing.T) {
 	}
 }
 
+// aggDef is one aggregate of a TestGroupByEquivalence case: fn over column
+// v (arg false means count(*)).
+type aggDef struct {
+	fn       string
+	arg      bool
+	distinct bool
+}
+
+// TestGroupByEquivalence runs each aggregation through the row HashAgg,
+// BatchGroupBy and its plan parallelized at degree 4, which is the parallel
+// group-by when every aggregate merges. All must return the same rows in
+// first-seen group order; a parallel run over more than one morsel has
+// several workers, so there the rows must match as a multiset. The mixed
+// keys start with an int and go on to integral floats, strings and NULLs,
+// so the group table leaves its integer map mid-input.
+func TestGroupByEquivalence(t *testing.T) {
+	I, F, S, N := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString, sqltypes.Null
+	mixed := []storage.Row{
+		{I(1), I(10)}, {I(2), I(5)}, {F(2), I(20)}, {S("a"), I(7)}, {N, I(3)},
+		{I(1), N}, {F(1), I(4)}, {S("a"), I(7)}, {N, I(8)}, {I(3), I(-6)},
+		{S("b"), N}, {F(3.5), I(2)}, {I(2), I(5)},
+	}
+	many := func(n int) []storage.Row {
+		rows := make([]storage.Row, n)
+		for i := range rows {
+			rows[i] = storage.Row{I(int64(i % 11)), I(int64(i))}
+		}
+		return rows
+	}
+	vals := func(vs ...sqltypes.Value) []storage.Row {
+		rows := make([]storage.Row, len(vs))
+		for i, v := range vs {
+			rows[i] = storage.Row{I(0), v}
+		}
+		return rows
+	}
+	builtins := []aggDef{{fn: "count"}, {fn: "count", arg: true}, {fn: "sum", arg: true},
+		{fn: "min", arg: true}, {fn: "max", arg: true}, {fn: "avg", arg: true}}
+	distinct := []aggDef{{fn: "count", arg: true, distinct: true},
+		{fn: "sum", arg: true, distinct: true}, {fn: "count"}}
+	userDef := []aggDef{{fn: "aux_agg", arg: true}, {fn: "sum", arg: true}}
+	for _, tc := range []struct {
+		name  string
+		keyed bool
+		rows  []storage.Row
+		aggs  []aggDef
+	}{
+		{"keyed/mixed_builtins", true, mixed, builtins},
+		{"keyed/mixed_distinct", true, mixed, distinct},
+		{"keyed/mixed_user_defined", true, mixed, userDef},
+		{"keyed/empty_input_no_rows", true, nil, builtins},
+		{"keyed/rows=20000", true, many(20_000), builtins},
+		{"keyless/empty_input_one_row_out", false, nil, builtins},
+		{"keyless/nulls_skipped", false, vals(I(5), N, I(3), N, I(9)), builtins},
+		{"keyless/all_null_sum_is_null", false, vals(N, N), builtins},
+		{"keyless/mixed_distinct", false, mixed, distinct},
+		{"keyless/mixed_user_defined", false, mixed, userDef},
+		{"keyless/rows=5", false, many(5), builtins},
+		{"keyless/rows=20000", false, many(20_000), builtins},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := newTestTable(t, "t", []string{"k", "v"}, tc.rows)
+			sc := schema2("k", "v")
+			var keys []Evaluator
+			var vecKeys []VecFactory
+			out := schema2()
+			if tc.keyed {
+				key, _ := Compile(col("k"), sc, nil)
+				vecKey, _ := CompileVec(col("k"), sc, nil)
+				keys, vecKeys = []Evaluator{key}, []VecFactory{vecKey}
+				out = schema2("k")
+			}
+			cat := catalog.New()
+			aux := &catalog.Aggregate{
+				Name:   "aux_agg",
+				State:  []catalog.AggStateVar{{Name: "total_loss", Init: sqltypes.NewInt(0)}},
+				Params: []string{"profit"},
+				Body:   mustParseBody(t, "if (profit < 0) total_loss = total_loss - profit;"),
+				Result: "total_loss",
+			}
+			if err := cat.AddAggregate(aux); err != nil {
+				t.Fatal(err)
+			}
+			specs := make([]*AggSpec, len(tc.aggs))
+			args := make([][]VecFactory, len(tc.aggs))
+			for i, a := range tc.aggs {
+				specs[i] = &AggSpec{Func: a.fn, Distinct: a.distinct}
+				if a.fn == aux.Name {
+					specs[i].UserDef = aux
+				}
+				if a.arg {
+					ev, _ := Compile(col("v"), sc, nil)
+					vec, _ := CompileVec(col("v"), sc, nil)
+					specs[i].Args, args[i] = []Evaluator{ev}, []VecFactory{vec}
+				}
+				out = append(out, algebra.Column{Name: fmt.Sprintf("agg%d", i)})
+			}
+			ctx := func() *Ctx { return NewCtx(newTestInterp(cat)) }
+			want, err := Drain(NewHashAgg(keys, specs, NewTableScan(tab, sc), out), ctx())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The groups are the distinct keys in first-seen order.
+			firstSeen := []storage.Row{{}}
+			if tc.keyed {
+				firstSeen = nil
+				seen := map[string]bool{}
+				for _, r := range tc.rows {
+					if k := sqltypes.KeyOf(r[0]); !seen[k] {
+						seen[k] = true
+						firstSeen = append(firstSeen, r[:1])
+					}
+				}
+			}
+			if len(want) != len(firstSeen) {
+				t.Fatalf("HashAgg returned %d groups, want %d", len(want), len(firstSeen))
+			}
+			for i, keys := range firstSeen {
+				if !reflect.DeepEqual(want[i][:len(keys)], keys) {
+					t.Fatalf("group %d has keys %v, want %v", i, want[i][:len(keys)], keys)
+				}
+			}
+			batch := NewBatchGroupBy(vecKeys, specs, args, NewBatchScan(tab, sc), out)
+			got, err := Drain(batch, ctx())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameValues(t, got, want)
+			// Aggregates that do not merge stay serial over a parallel scan.
+			par := parallelPair(t, batch)
+			if _, isPar := par.(*parallelGroupBy); isPar != allMergeable(specs) {
+				t.Fatalf("Parallelize built a %T root", par)
+			}
+			got, err = Drain(par, ctx())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tc.rows) <= MorselRows {
+				assertSameValues(t, got, want)
+			} else {
+				assertSameMultiset(t, got, want)
+			}
+		})
+	}
+}
+
+// assertSameValues requires got and want to hold the same values, kinds
+// included, in the same order.
+func assertSameValues(t *testing.T, got, want []storage.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("row counts differ: got %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("row %d differs: got %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestBatchScalarAggEquivalence checks the keyless BatchGroupBy, the batch
+// form of a scalar aggregate, against the row HashAgg at several batch sizes.
 func TestBatchScalarAggEquivalence(t *testing.T) {
 	sc := schema2("a")
 	aggOf := func(fn string, args ...algebra.Expr) *algebra.AggCall {
@@ -445,7 +608,7 @@ func TestBatchScalarAggEquivalence(t *testing.T) {
 				rowSpecs[i], vecArgs[i] = spec, vecs
 			}
 			rowPlan := NewHashAgg(nil, rowSpecs, in, outSchema)
-			batchPlan := NewBatchScalarAgg(rowSpecs, vecArgs, in, outSchema)
+			batchPlan := NewBatchGroupBy(nil, rowSpecs, vecArgs, in, outSchema)
 			want, err := Drain(rowPlan, NewCtx(nil))
 			if err != nil {
 				t.Fatal(err)

@@ -125,7 +125,7 @@ func TestHashJoinMatchesNLJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nl := NewNLJoin(kind, cond, l, r, false)
+		nl := NewNLJoin(kind, cond, l, r)
 		nlRows, err := Drain(nl, NewCtx(nil))
 		if err != nil {
 			t.Fatal(err)
@@ -432,17 +432,29 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-// Property: hash join equals nested loop join on random data.
+// Property: every hash join build — the row HashJoin, BatchHashJoin and
+// the partitioned build of a parallel probe — returns what the nested loop
+// join does, in the same order, on random keys that mix ints, integral
+// floats, strings and NULLs.
 type joinCase struct {
-	L, R []int64
+	L, R []sqltypes.Value
 }
 
 func (joinCase) Generate(r *rand.Rand, _ int) reflect.Value {
-	mk := func() []int64 {
-		n := r.Intn(20)
-		out := make([]int64, n)
+	mk := func() []sqltypes.Value {
+		out := make([]sqltypes.Value, r.Intn(20))
 		for i := range out {
-			out[i] = int64(r.Intn(8))
+			n := int64(r.Intn(4))
+			switch r.Intn(4) {
+			case 0:
+				out[i] = sqltypes.NewInt(n)
+			case 1:
+				out[i] = sqltypes.NewFloat(float64(n))
+			case 2:
+				out[i] = sqltypes.NewString(string(rune('a' + n)))
+			default:
+				out[i] = sqltypes.Null
+			}
 		}
 		return out
 	}
@@ -450,48 +462,75 @@ func (joinCase) Generate(r *rand.Rand, _ int) reflect.Value {
 }
 
 func TestQuickHashJoinEqualsNLJoin(t *testing.T) {
-	lsc, rsc := schema2("lk"), schema2("rk")
+	lsc, rsc := schema2("lk", "lid"), schema2("rk", "rid")
+	values := func(keys []sqltypes.Value, sc []algebra.Column) Node {
+		rows := make([]storage.Row, len(keys))
+		for i, k := range keys {
+			rows[i] = storage.Row{k, sqltypes.NewInt(int64(i))}
+		}
+		return NewValues(rows, sc)
+	}
+	joined := append(append([]algebra.Column{}, lsc...), rsc...)
+	cond, err := Compile(&algebra.Cmp{Op: sqltypes.CmpEQ,
+		L: &algebra.ColRef{Name: "lk"}, R: &algebra.ColRef{Name: "rk"}}, joined, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, rk := colEval(t, "lk", lsc), colEval(t, "rk", rsc)
+	lkVec, _ := CompileVec(&algebra.ColRef{Name: "lk"}, lsc, nil)
+	rkVec, _ := CompileVec(&algebra.ColRef{Name: "rk"}, rsc, nil)
 	f := func(c joinCase) bool {
-		mkRows := func(vals []int64) []storage.Row {
-			out := make([]storage.Row, len(vals))
-			for i, v := range vals {
-				out[i] = intRow(v)
-			}
-			return out
-		}
-		joined := append(append([]algebra.Column{}, lsc...), rsc...)
-		cond, err := Compile(&algebra.Cmp{Op: sqltypes.CmpEQ,
-			L: &algebra.ColRef{Name: "lk"}, R: &algebra.ColRef{Name: "rk"}}, joined, nil)
-		if err != nil {
-			return false
-		}
 		for _, kind := range []algebra.JoinKind{algebra.InnerJoin, algebra.LeftOuterJoin,
 			algebra.SemiJoin, algebra.AntiJoin} {
-			nl, err := Drain(NewNLJoin(kind, cond,
-				NewValues(mkRows(c.L), lsc), NewValues(mkRows(c.R), rsc), false), NewCtx(nil))
+			l, r := values(c.L, lsc), values(c.R, rsc)
+			want, err := Drain(NewNLJoin(kind, cond, l, r), NewCtx(nil))
 			if err != nil {
+				t.Error(err)
 				return false
 			}
-			lk, _ := Compile(&algebra.ColRef{Name: "lk"}, lsc, nil)
-			rk, _ := Compile(&algebra.ColRef{Name: "rk"}, rsc, nil)
-			hj, err := Drain(NewHashJoin(kind, []Evaluator{lk}, []Evaluator{rk}, nil,
-				NewValues(mkRows(c.L), lsc), NewValues(mkRows(c.R), rsc)), NewCtx(nil))
+			row, err := Drain(NewHashJoin(kind, []Evaluator{lk}, []Evaluator{rk}, nil, l, r), NewCtx(nil))
 			if err != nil {
+				t.Error(err)
 				return false
 			}
-			if len(nl) != len(hj) {
+			bj := NewBatchHashJoin(kind, []VecFactory{lkVec}, []VecFactory{rkVec}, nil, l, r)
+			batch, err := Drain(bj, NewCtx(nil))
+			if err != nil {
+				t.Error(err)
 				return false
 			}
-			count := map[string]int{}
-			for _, r := range nl {
-				count[sqltypes.KeyOf(r...)]++
+			ctx := NewCtx(nil)
+			jt, err := buildJoinTable(ctx, r, bj.RKeys, 4)
+			if err != nil {
+				t.Error(err)
+				return false
 			}
-			for _, r := range hj {
-				count[sqltypes.KeyOf(r...)]--
+			li, err := OpenBatches(l, ctx)
+			if err != nil {
+				t.Error(err)
+				return false
 			}
-			for _, v := range count {
-				if v != 0 {
+			var parted []storage.Row
+			it := newBatchHashJoinIter(bj, ctx, li, jt)
+			for {
+				b, ok, err := it.NextBatch(DefaultBatchSize)
+				if err != nil {
+					t.Error(err)
 					return false
+				}
+				if !ok {
+					break
+				}
+				parted = b.AppendTo(parted)
+			}
+			for _, got := range [][]storage.Row{row, batch, parted} {
+				if len(got) != len(want) {
+					return false
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						return false
+					}
 				}
 			}
 		}

@@ -30,27 +30,91 @@ func joinSchema(kind algebra.JoinKind, l, r Node) []algebra.Column {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Nested-loop join
-// ---------------------------------------------------------------------------
+// rowJoinIter is the row executor's join loop, shared by NLJoin, HashJoin
+// and Apply. For each left row, candidates returns the right rows that may
+// match; cond, when non-nil, must hold over the concatenated row for a
+// candidate to match. Inner and left outer joins emit each match, and a
+// left outer join null-extends a left row without one; a semi join emits
+// the left row at its first match, an anti join when it has none.
+type rowJoinIter struct {
+	kind       algebra.JoinKind
+	cond       Evaluator // over concat(L, R)
+	candidates func(left storage.Row) ([]storage.Row, error)
+	ctx        *Ctx
+	li         Iter
+	rWidth     int
 
-// NLJoin is a nested-loop join. The right side is re-opened per left row, so
-// it supports parameterized right children (e.g. index lookups keyed on the
-// left row via correlation parameters set by an enclosing Apply) — but in
-// its plain form the right side is materialized once for efficiency.
-// Cond is evaluated against the concatenated row; nil means always true.
+	left    storage.Row
+	rows    []storage.Row // candidates for left
+	pos     int
+	matched bool
+	active  bool
+}
+
+func (it *rowJoinIter) Next() (storage.Row, bool, error) {
+	for {
+		if !it.active {
+			if err := it.ctx.Cancelled(); err != nil {
+				return nil, false, err
+			}
+			l, ok, err := it.li.Next()
+			if err != nil || !ok {
+				return nil, false, err
+			}
+			rows, err := it.candidates(l)
+			if err != nil {
+				return nil, false, err
+			}
+			it.left, it.rows, it.pos, it.matched, it.active = l, rows, 0, false, true
+		}
+		for it.pos < len(it.rows) {
+			r := it.rows[it.pos]
+			it.pos++
+			var joined storage.Row
+			if it.cond != nil {
+				joined = concatRows(it.left, r)
+				v, err := it.cond(it.ctx, joined)
+				if err != nil {
+					return nil, false, err
+				}
+				if sqltypes.TriOf(v) != sqltypes.True {
+					continue
+				}
+			}
+			it.matched = true
+			if it.kind == algebra.SemiJoin || it.kind == algebra.AntiJoin {
+				break // the first match decides
+			}
+			if joined == nil {
+				joined = concatRows(it.left, r)
+			}
+			return joined, true, nil
+		}
+		it.active = false
+		switch {
+		case it.kind == algebra.SemiJoin && it.matched, it.kind == algebra.AntiJoin && !it.matched:
+			return it.left, true, nil
+		case it.kind == algebra.LeftOuterJoin && !it.matched:
+			return concatRows(it.left, nullRow(it.rWidth)), true, nil
+		}
+	}
+}
+
+func (it *rowJoinIter) Close() error { return it.li.Close() }
+
+// NLJoin is a nested-loop join: the right side is materialized once and
+// every left row is matched against all of it. Cond is evaluated against
+// the concatenated row; nil means always true.
 type NLJoin struct {
 	Kind   algebra.JoinKind
 	Cond   Evaluator // over concat(L, R) schema
 	L, R   Node
-	Rescan bool // re-open R per left row instead of materializing
 	schema []algebra.Column
 }
 
 // NewNLJoin builds a nested-loop join node.
-func NewNLJoin(kind algebra.JoinKind, cond Evaluator, l, r Node, rescan bool) *NLJoin {
-	return &NLJoin{Kind: kind, Cond: cond, L: l, R: r, Rescan: rescan,
-		schema: joinSchema(kind, l, r)}
+func NewNLJoin(kind algebra.JoinKind, cond Evaluator, l, r Node) *NLJoin {
+	return &NLJoin{Kind: kind, Cond: cond, L: l, R: r, schema: joinSchema(kind, l, r)}
 }
 
 // Schema implements Node.
@@ -62,114 +126,14 @@ func (j *NLJoin) Open(ctx *Ctx) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &nlJoinIter{j: j, ctx: ctx, li: li, rWidth: len(j.R.Schema())}
-	if !j.Rescan {
-		rows, err := Drain(j.R, ctx)
-		if err != nil {
-			li.Close()
-			return nil, err
-		}
-		it.rRows = rows
-		it.haveRRows = true
+	rRows, err := Drain(j.R, ctx)
+	if err != nil {
+		li.Close()
+		return nil, err
 	}
-	return it, nil
+	return &rowJoinIter{kind: j.Kind, cond: j.Cond, ctx: ctx, li: li, rWidth: len(j.R.Schema()),
+		candidates: func(storage.Row) ([]storage.Row, error) { return rRows, nil }}, nil
 }
-
-type nlJoinIter struct {
-	j         *NLJoin
-	ctx       *Ctx
-	li        Iter
-	rRows     []storage.Row
-	haveRRows bool
-	rWidth    int
-
-	left     storage.Row
-	rPos     int
-	matched  bool
-	active   bool
-	emitLeft storage.Row // pending left-outer null-extension
-}
-
-func (it *nlJoinIter) Next() (storage.Row, bool, error) {
-outer:
-	for {
-		if it.emitLeft != nil {
-			row := concatRows(it.emitLeft, nullRow(it.rWidth))
-			it.emitLeft = nil
-			return row, true, nil
-		}
-		if !it.active {
-			if err := it.ctx.Cancelled(); err != nil {
-				return nil, false, err
-			}
-			l, ok, err := it.li.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			it.left = l
-			it.rPos = 0
-			it.matched = false
-			it.active = true
-			if it.j.Rescan {
-				rows, err := Drain(it.j.R, it.ctx)
-				if err != nil {
-					return nil, false, err
-				}
-				it.rRows = rows
-			}
-		}
-		for it.rPos < len(it.rRows) {
-			r := it.rRows[it.rPos]
-			it.rPos++
-			match := true
-			var joined storage.Row
-			if it.j.Cond != nil {
-				joined = concatRows(it.left, r)
-				v, err := it.j.Cond(it.ctx, joined)
-				if err != nil {
-					return nil, false, err
-				}
-				match = sqltypes.TriOf(v) == sqltypes.True
-			}
-			if !match {
-				continue
-			}
-			it.matched = true
-			switch it.j.Kind {
-			case algebra.SemiJoin:
-				it.active = false
-				return it.left, true, nil
-			case algebra.AntiJoin:
-				it.active = false
-				continue outer
-			default:
-				if joined == nil {
-					joined = concatRows(it.left, r)
-				}
-				return joined, true, nil
-			}
-		}
-		// Right side exhausted for this left row.
-		it.active = false
-		switch it.j.Kind {
-		case algebra.AntiJoin:
-			if !it.matched {
-				return it.left, true, nil
-			}
-		case algebra.LeftOuterJoin:
-			if !it.matched {
-				row := concatRows(it.left, nullRow(it.rWidth))
-				return row, true, nil
-			}
-		}
-	}
-}
-
-func (it *nlJoinIter) Close() error { return it.li.Close() }
-
-// ---------------------------------------------------------------------------
-// Hash join
-// ---------------------------------------------------------------------------
 
 // HashJoin is an equi-join that builds a hash table on the right input.
 // LKeys and RKeys are the compiled equi-key expressions (over the left and
@@ -195,160 +159,44 @@ func (j *HashJoin) Schema() []algebra.Column { return j.schema }
 
 // Open implements Node.
 func (j *HashJoin) Open(ctx *Ctx) (Iter, error) {
-	// Build phase on the right input. Single integer keys use a dedicated
-	// map to avoid per-row key encoding (the common foreign-key case).
 	rRows, err := Drain(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	table := make(map[string][]storage.Row)
-	intTable := make(map[int64][]storage.Row, len(rRows))
-	intsOnly := len(j.RKeys) == 1
-	keyBuf := make([]sqltypes.Value, len(j.RKeys))
+	table := newJoinPart(len(j.RKeys), len(rRows))
+	keys := make([]sqltypes.Value, len(j.RKeys)) // build keys, then probe keys
 	for _, r := range rRows {
-		nullKey := false
-		for i, k := range j.RKeys {
-			v, err := k(ctx, r)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				nullKey = true
-				break
-			}
-			keyBuf[i] = v
+		ok, err := evalJoinKeys(ctx, j.RKeys, r, keys)
+		if err != nil {
+			return nil, err
 		}
-		if nullKey {
-			continue // NULL keys never join
+		if ok {
+			table.add(keys, r)
 		}
-		if intsOnly && keyBuf[0].Kind() == sqltypes.KindInt {
-			ik := keyBuf[0].Int()
-			intTable[ik] = append(intTable[ik], r)
-			continue
-		}
-		if intsOnly {
-			intsOnly = false
-			var buf []byte
-			for ik, rows := range intTable {
-				buf = sqltypes.EncodeKey(buf[:0], sqltypes.NewInt(ik))
-				table[string(buf)] = rows
-			}
-			intTable = nil
-		}
-		k := sqltypes.KeyOf(keyBuf...)
-		table[k] = append(table[k], r)
 	}
 	li, err := OpenRows(j.L, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinIter{j: j, ctx: ctx, li: li, table: table, intTable: intTable,
-		intsOnly: intsOnly, rWidth: len(j.R.Schema()),
-		keys: make([]sqltypes.Value, len(j.LKeys))}, nil
+	return &rowJoinIter{kind: j.Kind, cond: j.Residual, ctx: ctx, li: li, rWidth: len(j.R.Schema()),
+		candidates: func(l storage.Row) ([]storage.Row, error) {
+			ok, err := evalJoinKeys(ctx, j.LKeys, l, keys)
+			if !ok {
+				return nil, err
+			}
+			return table.get(keys), nil
+		}}, nil
 }
 
-type hashJoinIter struct {
-	j        *HashJoin
-	ctx      *Ctx
-	li       Iter
-	table    map[string][]storage.Row
-	intTable map[int64][]storage.Row
-	intsOnly bool
-	rWidth   int
-	keys     []sqltypes.Value // probe-key buffer, reused for every left row
-
-	left    storage.Row
-	bucket  []storage.Row
-	pos     int
-	matched bool
-	active  bool
-}
-
-// lookup finds the build-side bucket for probe key values.
-func (it *hashJoinIter) lookup(keys []sqltypes.Value) []storage.Row {
-	if it.intsOnly {
-		if keys[0].Kind() == sqltypes.KindInt {
-			return it.intTable[keys[0].Int()]
+// evalJoinKeys evaluates key expressions over row into keys and reports
+// whether every key is non-NULL (NULL keys never join).
+func evalJoinKeys(ctx *Ctx, evs []Evaluator, row storage.Row, keys []sqltypes.Value) (bool, error) {
+	for i, k := range evs {
+		v, err := k(ctx, row)
+		if err != nil || v.IsNull() {
+			return false, err
 		}
-		// Numeric cross-kind probe (float against int build keys): fall
-		// back to the encoded form against the int table.
-		if f, ok := keys[0].AsFloat(); ok && f == float64(int64(f)) {
-			return it.intTable[int64(f)]
-		}
-		return nil
+		keys[i] = v
 	}
-	return it.table[sqltypes.KeyOf(keys...)]
+	return true, nil
 }
-
-func (it *hashJoinIter) Next() (storage.Row, bool, error) {
-outer:
-	for {
-		if !it.active {
-			if err := it.ctx.Cancelled(); err != nil {
-				return nil, false, err
-			}
-			l, ok, err := it.li.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			it.left = l
-			it.matched = false
-			it.pos = 0
-			it.active = true
-			it.bucket = nil
-			nullKey := false
-			for i, k := range it.j.LKeys {
-				v, err := k(it.ctx, l)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() {
-					nullKey = true
-					break
-				}
-				it.keys[i] = v
-			}
-			if !nullKey {
-				it.bucket = it.lookup(it.keys)
-			}
-		}
-		for it.pos < len(it.bucket) {
-			r := it.bucket[it.pos]
-			it.pos++
-			joined := concatRows(it.left, r)
-			if it.j.Residual != nil {
-				v, err := it.j.Residual(it.ctx, joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if sqltypes.TriOf(v) != sqltypes.True {
-					continue
-				}
-			}
-			it.matched = true
-			switch it.j.Kind {
-			case algebra.SemiJoin:
-				it.active = false
-				return it.left, true, nil
-			case algebra.AntiJoin:
-				it.active = false
-				continue outer
-			default:
-				return joined, true, nil
-			}
-		}
-		it.active = false
-		switch it.j.Kind {
-		case algebra.AntiJoin:
-			if !it.matched {
-				return it.left, true, nil
-			}
-		case algebra.LeftOuterJoin:
-			if !it.matched {
-				return concatRows(it.left, nullRow(it.rWidth)), true, nil
-			}
-		}
-	}
-}
-
-func (it *hashJoinIter) Close() error { return it.li.Close() }

@@ -622,19 +622,6 @@ func parallelize(n Node, degree int) (Node, []string, bool) {
 			cp.Child = child
 			return &cp, notes, true
 		}
-	case *BatchScalarAgg:
-		if allMergeable(x.Aggs) {
-			if seg, ok := segmentize(x.Child); ok {
-				pg := &parallelGroupBy{aggs: x.Aggs, args: x.Args,
-					seg: seg, degree: degree, sch: x.schema}
-				return pg, []string{pg.Describe()}, true
-			}
-		}
-		if child, notes, ok := parallelize(x.Child, degree); ok {
-			cp := *x
-			cp.Child = child
-			return &cp, notes, true
-		}
 	case *BatchHashJoin:
 		// Not segmentizable as a whole (e.g. an aggregation below the
 		// probe): parallelize the two inputs independently.

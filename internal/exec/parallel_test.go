@@ -234,12 +234,14 @@ func TestParallelGroupByEquivalence(t *testing.T) {
 	assertSameMultiset(t, got, want)
 }
 
+// TestParallelScalarAggEquivalence checks the parallel keyless group-by
+// against the serial one over empty, single-morsel and many-morsel inputs.
 func TestParallelScalarAggEquivalence(t *testing.T) {
 	for _, n := range []int{0, 5, 20_000} {
 		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
 			tab := intTable(t, "t", n, 11)
 			sc := schema2("a", "b", "c")
-			mk := func() *BatchScalarAgg {
+			mk := func() *BatchGroupBy {
 				argA, _ := CompileVec(col("a"), sc, nil)
 				aggs := []*AggSpec{
 					{Func: "count"},
@@ -247,7 +249,7 @@ func TestParallelScalarAggEquivalence(t *testing.T) {
 					{Func: "min", Args: make([]Evaluator, 1)},
 				}
 				args := [][]VecFactory{nil, {argA}, {argA}}
-				return NewBatchScalarAgg(aggs, args, NewBatchScan(tab, sc),
+				return NewBatchGroupBy(nil, aggs, args, NewBatchScan(tab, sc),
 					schema2("n", "s", "mn"))
 			}
 			want, err := Drain(mk(), NewCtx(nil))

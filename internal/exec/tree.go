@@ -39,8 +39,6 @@ func PlanChildren(n Node) []Node {
 		return []Node{x.Child}
 	case *BatchLimit:
 		return []Node{x.Child}
-	case *BatchScalarAgg:
-		return []Node{x.Child}
 	case *BatchGroupBy:
 		return []Node{x.Child}
 	case *BatchHashJoin:
@@ -101,8 +99,6 @@ func PlanLabel(n Node) string {
 		return fmt.Sprintf("BatchLimit(%d)", x.N)
 	case *BatchHashJoin:
 		return "BatchHashJoin(" + x.Kind.String() + ")"
-	case *BatchScalarAgg:
-		return "BatchScalarAgg"
 	case *BatchGroupBy:
 		return "BatchGroupBy"
 	case *Exchange:

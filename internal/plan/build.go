@@ -454,7 +454,7 @@ func (p *Planner) buildNLJoin(n *algebra.Join) (exec.Node, error) {
 			return nil, err
 		}
 	}
-	return exec.NewNLJoin(n.Kind, cond, l, r, false), nil
+	return exec.NewNLJoin(n.Kind, cond, l, r), nil
 }
 
 func (p *Planner) buildGroupBy(n *algebra.GroupBy) (exec.Node, error) {
@@ -462,14 +462,7 @@ func (p *Planner) buildGroupBy(n *algebra.GroupBy) (exec.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.Vectorized && len(n.Keys) == 0 {
-		if node, ok, err := p.buildBatchScalarAgg(n, child); err != nil {
-			return nil, err
-		} else if ok {
-			return node, nil
-		}
-	}
-	if p.Vectorized && len(n.Keys) > 0 {
+	if p.Vectorized {
 		return p.buildBatchGroupBy(n, child)
 	}
 	keys := make([]exec.Evaluator, len(n.Keys))
@@ -498,9 +491,9 @@ func (p *Planner) buildGroupBy(n *algebra.GroupBy) (exec.Node, error) {
 	return exec.NewHashAgg(keys, aggs, child, n.Schema()), nil
 }
 
-// buildBatchGroupBy lowers a keyed GROUP BY onto the vectorized grouped
+// buildBatchGroupBy lowers a GROUP BY, keyed or not, onto the vectorized
 // aggregation operator: keys and aggregate arguments evaluate
-// batch-at-a-time and feed the same states as the row HashAgg, so every
+// batch-at-a-time into the same group table as the row HashAgg, so every
 // aggregate kind (builtin, DISTINCT, user-defined) is supported and grouped
 // queries — the shape the decorrelated UDF rewrites produce — no longer
 // bridge to the row engine.
@@ -532,36 +525,6 @@ func (p *Planner) buildBatchGroupBy(n *algebra.GroupBy, child exec.Node) (exec.N
 		aggs[i], args[i] = spec, vecs
 	}
 	return exec.NewBatchGroupBy(keys, aggs, args, child, n.Schema()), nil
-}
-
-// buildBatchScalarAgg lowers a key-less GROUP BY with builtin non-DISTINCT
-// aggregates onto the vectorized scalar-aggregation operator. DISTINCT and
-// user-defined aggregates keep the row operator (ok=false).
-func (p *Planner) buildBatchScalarAgg(n *algebra.GroupBy, child exec.Node) (exec.Node, bool, error) {
-	aggs := make([]*exec.AggSpec, len(n.Aggs))
-	args := make([][]exec.VecFactory, len(n.Aggs))
-	for i, a := range n.Aggs {
-		if a.Distinct {
-			return nil, false, nil
-		}
-		if _, userDef := p.Cat.Aggregate(a.Func); userDef {
-			return nil, false, nil
-		}
-		// The spec's Args carry only the arity (count(expr) vs count(*))
-		// for state construction; BatchScalarAgg evaluates arguments
-		// exclusively through the batched evaluators.
-		spec := &exec.AggSpec{Func: a.Func, Args: make([]exec.Evaluator, len(a.Args))}
-		vecs := make([]exec.VecFactory, len(a.Args))
-		for j, arg := range a.Args {
-			ev, err := exec.CompileVec(arg, child.Schema(), p)
-			if err != nil {
-				return nil, false, err
-			}
-			vecs[j] = ev
-		}
-		aggs[i], args[i] = spec, vecs
-	}
-	return exec.NewBatchScalarAgg(aggs, args, child, n.Schema()), true, nil
 }
 
 // buildApply plans a correlated Apply operator: the right side is executed

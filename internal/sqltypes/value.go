@@ -338,13 +338,17 @@ func EncodeKey(dst []byte, v Value) []byte {
 		}
 		return append(dst, 0x01, 0x00)
 	case KindInt, KindFloat:
-		// Encode all numerics as floats so 1 and 1.0 join.
+		// Numerics encode as float64 bits, so 1 and 1.0 share a key. An
+		// int that float64 cannot hold exactly (beyond ±2^53) encodes its
+		// own bits under a tag of its own, so no other value shares its key.
 		f, _ := v.AsFloat()
-		bits := math.Float64bits(f)
-		if f == 0 { // normalize -0.0
+		tag, bits := byte(0x02), math.Float64bits(f)
+		if v.kind == KindInt && (f >= 1<<63 || int64(f) != v.i) {
+			tag, bits = 0x04, uint64(v.i)
+		} else if f == 0 { // normalize -0.0
 			bits = 0
 		}
-		dst = append(dst, 0x02)
+		dst = append(dst, tag)
 		for shift := 56; shift >= 0; shift -= 8 {
 			dst = append(dst, byte(bits>>uint(shift)))
 		}

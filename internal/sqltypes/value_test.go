@@ -1,6 +1,7 @@
 package sqltypes
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -307,6 +308,9 @@ func TestEncodeKeyDistinctness(t *testing.T) {
 	vals := []Value{
 		Null, NewBool(false), NewBool(true), NewInt(0), NewInt(1),
 		NewFloat(0.5), NewString(""), NewString("a"), NewString("ab"),
+		// Beyond 2^53 float64 rounds ...993 to ...992.
+		NewInt(9007199254740993), NewInt(9007199254740992),
+		NewInt(math.MaxInt64), NewInt(math.MinInt64 + 1),
 	}
 	seen := map[string]Value{}
 	for _, v := range vals {
@@ -319,6 +323,9 @@ func TestEncodeKeyDistinctness(t *testing.T) {
 	// Numeric promotion: 1 and 1.0 must encode the same.
 	if KeyOf(NewInt(1)) != KeyOf(NewFloat(1)) {
 		t.Error("1 and 1.0 should share a key")
+	}
+	if KeyOf(NewInt(9007199254740992)) != KeyOf(NewFloat(9007199254740992)) {
+		t.Error("2^53 and 2^53.0 should share a key")
 	}
 	// -0.0 and 0.0 normalize.
 	if KeyOf(NewFloat(0)) != KeyOf(NewFloat(-0.0)) {
