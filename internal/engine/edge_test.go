@@ -306,3 +306,97 @@ insert into u values (9007199254740993, 1), (9007199254740992, 1);`); err != nil
 		}
 	}
 }
+
+// TestIntFloatCompareExact: above 2^53 float64 rounds an int, so an int
+// compared with a float as float64 made 9007199254740993 equal to
+// 9007199254740992.0 in a filter, while the keys of a hash join, a GROUP BY
+// and an index probe keep them apart. Every path must agree.
+func TestIntFloatCompareExact(t *testing.T) {
+	for _, vectorized := range []bool{false, true} {
+		for _, indexed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("vectorized=%v/indexed=%v", vectorized, indexed), func(t *testing.T) {
+				profile := SYS1
+				profile.Vectorized = vectorized
+				e := New(profile, ModeIterative)
+				if err := e.ExecScript(`
+create table t (a int, b int);
+insert into t values (9007199254740993, 1), (9007199254740992, 2), (9007199254740991, 3), (9007199254740992.0, 4), (1, 5), (2, 6);
+create table f (x float);
+insert into f values (9007199254740992.0), (0.5), (1.5);`); err != nil {
+					t.Fatal(err)
+				}
+				if indexed {
+					if err := e.CreateIndex("t", "a"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				query := func(q string) string {
+					t.Helper()
+					res, err := e.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					return fmt.Sprint(res.Rows)
+				}
+				for _, c := range []struct{ op, want string }{
+					{"=", "[[2] [4]]"},
+					{"<", "[[3] [5] [6]]"},
+					{">", "[[1]]"},
+				} {
+					for _, q := range []string{
+						"select b from t where a " + c.op + " 9007199254740992.0 order by b",
+						"select t.b from t, f where t.a " + c.op + " f.x and f.x > 2.0 order by t.b",
+						"select min(b) from t where a " + c.op + " 9007199254740992.0 group by b order by b",
+					} {
+						if got := query(q); got != c.want {
+							t.Errorf("%s = %s, want %s", q, got, c.want)
+						}
+					}
+				}
+				const join = "select t.b from t, f where t.a = f.x order by t.b"
+				p, err := e.Prepare(join)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if choices := strings.Join(p.Choices, " "); !strings.Contains(choices, "HashJoin") && !strings.Contains(choices, "IndexNLJoin") {
+					t.Fatalf("%s: plan %s hashes no key", join, choices)
+				}
+				if got := query(join); got != "[[2] [4]]" {
+					t.Errorf("%s = %s, want [[2] [4]]", join, got)
+				}
+				const group = "select a, count(*) from t where a > 2 group by a order by a"
+				if got := query(group); got != "[[9007199254740991 1] [9007199254740992 2] [9007199254740993 1]]" {
+					t.Errorf("%s = %s", group, got)
+				}
+			})
+		}
+	}
+}
+
+// TestFloatModuloByFractionFailsSmall: float modulo truncates its divisor to
+// int64, and a divisor in (-1, 1) once divided by integer zero and panicked.
+// It is a statement error now, and the engine answers the next statement.
+func TestFloatModuloByFractionFailsSmall(t *testing.T) {
+	for _, vectorized := range []bool{false, true} {
+		t.Run(fmt.Sprintf("vectorized=%v", vectorized), func(t *testing.T) {
+			profile := SYS1
+			profile.Vectorized = vectorized
+			e := New(profile, ModeIterative)
+			if err := e.ExecScript(`
+create table t (a int);
+insert into t values (7), (8);`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Query("select a % 0.5 from t"); err == nil || !strings.Contains(err.Error(), "modulo by zero") {
+				t.Fatalf("a %% 0.5: err = %v, want modulo by zero", err)
+			}
+			res, err := e.Query("select a % 2.5 from t order by a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(res.Rows); got != "[[1] [0]]" {
+				t.Fatalf("a %% 2.5 = %s, want [[1] [0]]", got)
+			}
+		})
+	}
+}

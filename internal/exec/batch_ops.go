@@ -184,10 +184,7 @@ func (f *batchFilterIter) NextBatch(max int) (*Batch, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if cap(f.tri) < b.Physical() {
-			f.tri = make([]sqltypes.Tri, b.Physical())
-		}
-		f.tri = f.tri[:b.Physical()]
+		f.tri = triBuf(f.tri, b.Physical())
 		if err := f.pred(f.ctx, b, f.tri); err != nil {
 			return nil, false, err
 		}

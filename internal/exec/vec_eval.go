@@ -2,6 +2,7 @@ package exec
 
 import (
 	"strings"
+	"sync"
 
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/sqltypes"
@@ -49,66 +50,10 @@ func vecBuf(buf []sqltypes.Value, n int) []sqltypes.Value {
 	return buf[:n]
 }
 
-// cmpAccepts maps a comparison operator to its outcome table: which
-// three-way compare results (-1/0/1, offset by +1) satisfy the operator.
-// Hoisting this out of the per-row loop removes the operator dispatch the
-// generic sqltypes.Cmp performs per call.
-func cmpAccepts(op sqltypes.CmpOp) ([3]bool, bool) {
-	switch op {
-	case sqltypes.CmpEQ:
-		return [3]bool{false, true, false}, true
-	case sqltypes.CmpNE:
-		return [3]bool{true, false, true}, true
-	case sqltypes.CmpLT:
-		return [3]bool{true, false, false}, true
-	case sqltypes.CmpLE:
-		return [3]bool{true, true, false}, true
-	case sqltypes.CmpGT:
-		return [3]bool{false, false, true}, true
-	case sqltypes.CmpGE:
-		return [3]bool{false, true, true}, true
-	default:
-		return [3]bool{}, false
-	}
-}
-
-// numericThreeWay is the inlined numeric comparison kernel shared by the
-// batched Value and Tri comparison evaluators. It mirrors sqltypes.Compare
-// exactly (including NaN falling through to "equal"); ok is false when
-// either operand is non-numeric or NULL, in which case callers must take
-// the generic sqltypes.Cmp path.
-func numericThreeWay(a, c sqltypes.Value) (int, bool) {
-	ak, ck := a.Kind(), c.Kind()
-	if ak == sqltypes.KindInt && ck == sqltypes.KindInt {
-		ai, ci := a.Int(), c.Int()
-		switch {
-		case ai < ci:
-			return -1, true
-		case ai > ci:
-			return 1, true
-		default:
-			return 0, true
-		}
-	}
-	if (ak == sqltypes.KindInt || ak == sqltypes.KindFloat) &&
-		(ck == sqltypes.KindInt || ck == sqltypes.KindFloat) {
-		af, _ := a.AsFloat()
-		cf, _ := c.AsFloat()
-		switch {
-		case af < cf:
-			return -1, true
-		case af > cf:
-			return 1, true
-		default:
-			return 0, true
-		}
-	}
-	return 0, false
-}
-
 // CompileVec translates an algebra expression into a factory of batched
-// evaluators against the given input schema. Arithmetic, comparisons, logic,
-// CASE and builtin calls evaluate column-at-a-time; AND/OR/CASE mask the
+// evaluators against the given input schema. Arithmetic, CASE and builtin
+// calls evaluate column-at-a-time; comparisons, logic and IS NULL compile
+// through CompilePred and widen its truth vector. AND/OR/CASE mask the
 // positions they evaluate so short-circuit semantics (e.g. guarded division)
 // match the row engine exactly. Expressions the vectorized path cannot
 // handle natively (UDF calls, subqueries) fall back to per-row evaluation of
@@ -131,25 +76,7 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 		return nil, Errorf("unresolved column %s", x)
 
 	case *algebra.Const:
-		v := x.Val
-		// The constant vector is precomputed once and served read-only, so
-		// all instances (and concurrent executions) can share it; batches
-		// larger than the default size allocate per call.
-		shared := make([]sqltypes.Value, DefaultBatchSize)
-		for i := range shared {
-			shared[i] = v
-		}
-		return stateless(func(_ *Ctx, b *Batch) ([]sqltypes.Value, error) {
-			n := b.Physical()
-			if n <= len(shared) {
-				return shared[:n], nil
-			}
-			buf := make([]sqltypes.Value, n)
-			for i := range buf {
-				buf[i] = v
-			}
-			return buf, nil
-		}), nil
+		return stateless((&constVec{v: x.Val}).eval), nil
 
 	case *algebra.ParamRef:
 		name := x.Name
@@ -174,246 +101,40 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 		if idx, fn, ok := floatKernelExpr(x, schema); ok && fn != nil {
 			return compileArithKernel(x, idx, fn, schema, r)
 		}
-		lF, err := CompileVec(x.L, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		rF, err := CompileVec(x.R, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return func() VecEvaluator {
-			l, rhs := lF(), rF()
-			var buf []sqltypes.Value
-			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-				lv, err := l(ctx, b)
-				if err != nil {
-					return nil, err
-				}
-				rv, err := rhs(ctx, b)
-				if err != nil {
-					return nil, err
-				}
-				buf = vecBuf(buf, b.Physical())
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					p := b.LiveAt(i)
-					a, c := lv[p], rv[p]
-					// Inlined numeric kernels for the non-erroring cases; zero
-					// divisors and non-numeric operands take the generic path so
-					// errors and NULL propagation match the row engine exactly.
-					ak, ck := a.Kind(), c.Kind()
-					if ak == sqltypes.KindInt && ck == sqltypes.KindInt {
-						x, y := a.Int(), c.Int()
-						switch op {
-						case sqltypes.OpAdd:
-							buf[p] = sqltypes.NewInt(x + y)
-							continue
-						case sqltypes.OpSub:
-							buf[p] = sqltypes.NewInt(x - y)
-							continue
-						case sqltypes.OpMul:
-							buf[p] = sqltypes.NewInt(x * y)
-							continue
-						case sqltypes.OpDiv:
-							if y != 0 {
-								buf[p] = sqltypes.NewInt(x / y)
-								continue
-							}
-						case sqltypes.OpMod:
-							if y != 0 {
-								buf[p] = sqltypes.NewInt(x % y)
-								continue
-							}
-						}
-					} else if (ak == sqltypes.KindInt || ak == sqltypes.KindFloat) &&
-						(ck == sqltypes.KindInt || ck == sqltypes.KindFloat) {
-						x, _ := a.AsFloat()
-						y, _ := c.AsFloat()
-						switch op {
-						case sqltypes.OpAdd:
-							buf[p] = sqltypes.NewFloat(x + y)
-							continue
-						case sqltypes.OpSub:
-							buf[p] = sqltypes.NewFloat(x - y)
-							continue
-						case sqltypes.OpMul:
-							buf[p] = sqltypes.NewFloat(x * y)
-							continue
-						case sqltypes.OpDiv:
-							if y != 0 {
-								buf[p] = sqltypes.NewFloat(x / y)
-								continue
-							}
-						}
-					}
-					v, err := sqltypes.Arith(op, a, c)
-					if err != nil {
-						return nil, err
-					}
-					buf[p] = v
-				}
-				return buf, nil
-			}
-		}, nil
+		return compileArith(x, schema, r)
 
-	case *algebra.Cmp:
-		lF, err := CompileVec(x.L, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		rF, err := CompileVec(x.R, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		accepts, haveTable := cmpAccepts(op)
-		trueV, falseV := sqltypes.NewBool(true), sqltypes.NewBool(false)
-		return func() VecEvaluator {
-			l, rhs := lF(), rF()
-			var buf []sqltypes.Value
-			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-				lv, err := l(ctx, b)
-				if err != nil {
-					return nil, err
-				}
-				rv, err := rhs(ctx, b)
-				if err != nil {
-					return nil, err
-				}
-				buf = vecBuf(buf, b.Physical())
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					p := b.LiveAt(i)
-					a, c := lv[p], rv[p]
-					if haveTable {
-						if cmp, ok := numericThreeWay(a, c); ok {
-							if accepts[cmp+1] {
-								buf[p] = trueV
-							} else {
-								buf[p] = falseV
-							}
-							continue
-						}
-					}
-					buf[p] = sqltypes.TriValue(sqltypes.Cmp(op, a, c))
-				}
-				return buf, nil
-			}
-		}, nil
-
-	case *algebra.Logic:
-		lF, err := CompileVec(x.L, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		rF, err := CompileVec(x.R, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		isAnd := x.Op == algebra.LogicAnd
-		return func() VecEvaluator {
-			l, rhs := lF(), rF()
-			var buf []sqltypes.Value
-			var need []int
-			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-				lv, err := l(ctx, b)
-				if err != nil {
-					return nil, err
-				}
-				buf = vecBuf(buf, b.Physical())
-				need = need[:0]
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					p := b.LiveAt(i)
-					lt := sqltypes.TriOf(lv[p])
-					// Short circuit exactly as the row evaluator does: AND with a
-					// false side (or OR with a true side) never evaluates the
-					// right operand, so guarded expressions cannot fail.
-					if isAnd && lt == sqltypes.False {
-						buf[p] = sqltypes.NewBool(false)
-						continue
-					}
-					if !isAnd && lt == sqltypes.True {
-						buf[p] = sqltypes.NewBool(true)
-						continue
-					}
-					buf[p] = sqltypes.TriValue(lt) // stash the left truth value
-					need = append(need, p)
-				}
-				if len(need) == 0 {
-					return buf, nil
-				}
-				rv, err := rhs(ctx, b.Narrow(need))
-				if err != nil {
-					return nil, err
-				}
-				for _, p := range need {
-					lt := sqltypes.TriOf(buf[p])
-					rt := sqltypes.TriOf(rv[p])
-					if isAnd {
-						buf[p] = sqltypes.TriValue(lt.And(rt))
-					} else {
-						buf[p] = sqltypes.TriValue(lt.Or(rt))
-					}
-				}
-				return buf, nil
-			}
-		}, nil
-
-	case *algebra.Not:
-		innerF, err := CompileVec(x.E, schema, r)
+	case *algebra.Cmp, *algebra.Logic, *algebra.Not, *algebra.IsNull:
+		// A boolean's batch form is its truth vector; the value vector is
+		// only its widening.
+		pF, err := CompilePred(e, schema, r)
 		if err != nil {
 			return nil, err
 		}
 		return func() VecEvaluator {
-			inner := innerF()
+			pred := pF()
+			var tri []sqltypes.Tri
 			var buf []sqltypes.Value
 			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-				iv, err := inner(ctx, b)
-				if err != nil {
+				tri = triBuf(tri, b.Physical())
+				if err := pred(ctx, b, tri); err != nil {
 					return nil, err
 				}
 				buf = vecBuf(buf, b.Physical())
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					p := b.LiveAt(i)
-					buf[p] = sqltypes.TriValue(sqltypes.TriOf(iv[p]).Not())
-				}
-				return buf, nil
-			}
-		}, nil
-
-	case *algebra.IsNull:
-		innerF, err := CompileVec(x.E, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		neg := x.Neg
-		return func() VecEvaluator {
-			inner := innerF()
-			var buf []sqltypes.Value
-			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-				iv, err := inner(ctx, b)
-				if err != nil {
-					return nil, err
-				}
-				buf = vecBuf(buf, b.Physical())
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					p := b.LiveAt(i)
-					buf[p] = sqltypes.NewBool(iv[p].IsNull() != neg)
+				for p, t := range tri { // dead positions widen stale bytes, unread
+					buf[p] = sqltypes.TriValue(t)
 				}
 				return buf, nil
 			}
 		}, nil
 
 	case *algebra.Case:
-		type armF struct{ cond, then VecFactory }
+		type armF struct {
+			cond PredFactory
+			then VecFactory
+		}
 		armFs := make([]armF, len(x.Whens))
 		for i, w := range x.Whens {
-			c, err := CompileVec(w.Cond, schema, r)
+			c, err := CompilePred(w.Cond, schema, r)
 			if err != nil {
 				return nil, err
 			}
@@ -423,30 +144,46 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 			}
 			armFs[i] = armF{c, t}
 		}
-		var elseF VecFactory
-		if x.Else != nil {
-			var err error
-			elseF, err = CompileVec(x.Else, schema, r)
-			if err != nil {
-				return nil, err
-			}
+		elseE := x.Else
+		if elseE == nil {
+			elseE = &algebra.Const{Val: sqltypes.Null}
+		}
+		elseF, err := CompileVec(elseE, schema, r)
+		if err != nil {
+			return nil, err
 		}
 		return func() VecEvaluator {
-			type arm struct{ cond, then VecEvaluator }
+			type arm struct {
+				cond VecPredicate
+				then VecEvaluator
+			}
 			arms := make([]arm, len(armFs))
 			for i, f := range armFs {
 				arms[i] = arm{f.cond(), f.then()}
 			}
-			var elseEv VecEvaluator
-			if elseF != nil {
-				elseEv = elseF()
-			}
+			elseEv := elseF()
 			var buf []sqltypes.Value
+			var tri []sqltypes.Tri
 			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
 				buf = vecBuf(buf, b.Physical())
+				tri = triBuf(tri, b.Physical())
+				// settle evaluates a branch on the positions that take it, and
+				// only there, as the row path does.
+				settle := func(ev VecEvaluator, sel []int) error {
+					if len(sel) == 0 {
+						return nil
+					}
+					v, err := ev(ctx, b.Narrow(sel))
+					if err != nil {
+						return err
+					}
+					for _, p := range sel {
+						buf[p] = v[p]
+					}
+					return nil
+				}
 				// Rows still undecided: start with all live positions, and peel
-				// off the ones each WHEN arm settles (conditions and THEN values
-				// evaluate only on undecided/matching rows, as in the row path).
+				// off the ones each WHEN arm settles.
 				undecided := make([]int, 0, b.Len())
 				n := b.Len()
 				for i := 0; i < n; i++ {
@@ -456,43 +193,24 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 					if len(undecided) == 0 {
 						break
 					}
-					cv, err := a.cond(ctx, b.Narrow(undecided))
-					if err != nil {
+					if err := a.cond(ctx, b.Narrow(undecided), tri); err != nil {
 						return nil, err
 					}
 					var taken, rest []int
 					for _, p := range undecided {
-						if sqltypes.TriOf(cv[p]) == sqltypes.True {
+						if tri[p] == sqltypes.True {
 							taken = append(taken, p)
 						} else {
 							rest = append(rest, p)
 						}
 					}
-					if len(taken) > 0 {
-						tv, err := a.then(ctx, b.Narrow(taken))
-						if err != nil {
-							return nil, err
-						}
-						for _, p := range taken {
-							buf[p] = tv[p]
-						}
+					if err := settle(a.then, taken); err != nil {
+						return nil, err
 					}
 					undecided = rest
 				}
-				if len(undecided) > 0 {
-					if elseEv != nil {
-						ev, err := elseEv(ctx, b.Narrow(undecided))
-						if err != nil {
-							return nil, err
-						}
-						for _, p := range undecided {
-							buf[p] = ev[p]
-						}
-					} else {
-						for _, p := range undecided {
-							buf[p] = sqltypes.Null
-						}
-					}
+				if err := settle(elseEv, undecided); err != nil {
+					return nil, err
 				}
 				return buf, nil
 			}
@@ -500,13 +218,9 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 
 	case *algebra.Call:
 		if fn, ok := builtinScalar(strings.ToLower(x.Name), len(x.Args)); ok {
-			argFs := make([]VecFactory, len(x.Args))
-			for i, a := range x.Args {
-				f, err := CompileVec(a, schema, r)
-				if err != nil {
-					return nil, err
-				}
-				argFs[i] = f
+			argFs, err := CompileVecAll(x.Args, schema, r)
+			if err != nil {
+				return nil, err
 			}
 			return func() VecEvaluator {
 				args := Instantiate(argFs)
@@ -545,6 +259,121 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 		// Subqueries, EXISTS and anything newly added evaluate row-at-a-time.
 		return rowFallbackVec(e, schema, r)
 	}
+}
+
+// compileArith is the generic vectorized form of an arithmetic node: both
+// operands evaluate as value vectors, then combine element by element.
+func compileArith(x *algebra.Arith, schema []algebra.Column, r CallResolver) (VecFactory, error) {
+	lF, err := CompileVec(x.L, schema, r)
+	if err != nil {
+		return nil, err
+	}
+	rF, err := CompileVec(x.R, schema, r)
+	if err != nil {
+		return nil, err
+	}
+	op := x.Op
+	return func() VecEvaluator {
+		l, rhs := lF(), rF()
+		var buf []sqltypes.Value
+		return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
+			lv, err := l(ctx, b)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := rhs(ctx, b)
+			if err != nil {
+				return nil, err
+			}
+			buf = vecBuf(buf, b.Physical())
+			n := b.Len()
+			for i := 0; i < n; i++ {
+				p := b.LiveAt(i)
+				a, c := lv[p], rv[p]
+				// Inlined numeric kernels for the non-erroring cases; zero
+				// divisors and non-numeric operands take the generic path so
+				// errors and NULL propagation match the row engine exactly.
+				ak, ck := a.Kind(), c.Kind()
+				if ak == sqltypes.KindInt && ck == sqltypes.KindInt {
+					x, y := a.Int(), c.Int()
+					switch op {
+					case sqltypes.OpAdd:
+						buf[p] = sqltypes.NewInt(x + y)
+						continue
+					case sqltypes.OpSub:
+						buf[p] = sqltypes.NewInt(x - y)
+						continue
+					case sqltypes.OpMul:
+						buf[p] = sqltypes.NewInt(x * y)
+						continue
+					case sqltypes.OpDiv:
+						if y != 0 {
+							buf[p] = sqltypes.NewInt(x / y)
+							continue
+						}
+					case sqltypes.OpMod:
+						if y != 0 {
+							buf[p] = sqltypes.NewInt(x % y)
+							continue
+						}
+					}
+				} else if (ak == sqltypes.KindInt || ak == sqltypes.KindFloat) &&
+					(ck == sqltypes.KindInt || ck == sqltypes.KindFloat) {
+					x, _ := a.AsFloat()
+					y, _ := c.AsFloat()
+					switch op {
+					case sqltypes.OpAdd:
+						buf[p] = sqltypes.NewFloat(x + y)
+						continue
+					case sqltypes.OpSub:
+						buf[p] = sqltypes.NewFloat(x - y)
+						continue
+					case sqltypes.OpMul:
+						buf[p] = sqltypes.NewFloat(x * y)
+						continue
+					case sqltypes.OpDiv:
+						if y != 0 {
+							buf[p] = sqltypes.NewFloat(x / y)
+							continue
+						}
+					}
+				}
+				v, err := sqltypes.Arith(op, a, c)
+				if err != nil {
+					return nil, err
+				}
+				buf[p] = v
+			}
+			return buf, nil
+		}
+	}, nil
+}
+
+// constVec serves a constant as a read-only vector that all instances (and
+// concurrent executions) share. It is built at its first use, so a constant
+// that never runs (a kernel's fallback operand) costs no vector. Batches
+// larger than the default size allocate per call.
+type constVec struct {
+	v    sqltypes.Value
+	once sync.Once
+	vec  []sqltypes.Value
+}
+
+func (c *constVec) eval(_ *Ctx, b *Batch) ([]sqltypes.Value, error) {
+	n := b.Physical()
+	if n > DefaultBatchSize {
+		return c.fill(n), nil
+	}
+	c.once.Do(func() { c.vec = c.fill(DefaultBatchSize) })
+	return c.vec[:n], nil
+}
+
+func (c *constVec) fill(n int) []sqltypes.Value {
+	buf := make([]sqltypes.Value, n)
+	for i := range buf {
+		buf[i] = c.v
+	}
+	return buf
 }
 
 // rowFallbackVec wraps the row Evaluator for expressions with no native

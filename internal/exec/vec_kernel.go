@@ -8,14 +8,17 @@ package exec
 //
 // The specialization preserves the engine's SQL semantics exactly because a
 // float constant operand forces every intermediate onto the engine's float
-// promotion path regardless of the column's per-row kind; NULL and
-// non-numeric elements take a compiled row-expression fallback, so error
-// text and NULL propagation stay identical to the generic evaluator.
+// promotion path regardless of the column's per-row kind. NULLs are settled
+// in the loop. The loop only flags the positions it cannot compute
+// (non-numeric values, and in a bare-column compare an int float64 cannot
+// hold); after it, genericRest collects them and the generic vector form
+// (compileArith, compileCmpPred) evaluates them once over a batch narrowed
+// to them. Only a non-numeric value can fail, so the first error and its
+// text are the generic evaluator's.
 
 import (
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/sqltypes"
-	"udfdecorr/internal/storage"
 )
 
 // floatFn maps one column value (promoted to float64) to the expression's
@@ -124,22 +127,21 @@ func fuseConstLeft(op sqltypes.ArithOp, c float64, fn floatFn) (floatFn, bool) {
 
 // compileArithKernel builds the fused evaluator for a kernelizable
 // arithmetic expression: one column read, register arithmetic, one value
-// write per live row. rowEv handles the rare non-numeric elements with the
-// generic row semantics (exact error text included).
-func compileArithKernel(e algebra.Expr, idx int, fn floatFn, schema []algebra.Column, r CallResolver) (VecFactory, error) {
-	rowEv, err := Compile(e, schema, r)
+// write per live row.
+func compileArithKernel(x *algebra.Arith, idx int, fn floatFn, schema []algebra.Column, r CallResolver) (VecFactory, error) {
+	genF, err := compileArith(x, schema, r)
 	if err != nil {
 		return nil, err
 	}
 	return func() VecEvaluator {
 		var buf []sqltypes.Value
-		var rowBuf storage.Row
 		return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
 			if idx >= b.Width() {
 				return nil, Errorf("batch too narrow for fused column %d", idx)
 			}
 			col := b.Cols[idx]
 			buf = vecBuf(buf, b.Physical())
+			slow := false
 			n := b.Len()
 			for i := 0; i < n; i++ {
 				p := b.LiveAt(i)
@@ -152,18 +154,17 @@ func compileArithKernel(e algebra.Expr, idx int, fn floatFn, schema []algebra.Co
 				case sqltypes.KindNull:
 					buf[p] = sqltypes.Null
 				default:
-					if cap(rowBuf) < b.Width() {
-						rowBuf = make(storage.Row, b.Width())
-					}
-					rb := rowBuf[:b.Width()]
-					for j, c := range b.Cols {
-						rb[j] = c[p]
-					}
-					out, err := rowEv(ctx, rb)
-					if err != nil {
-						return nil, err
-					}
-					buf[p] = out
+					slow = true
+				}
+			}
+			if slow {
+				rest := genericRest(b, col, false)
+				rv, err := genF()(ctx, b.Narrow(rest))
+				if err != nil {
+					return nil, err
+				}
+				for _, p := range rest {
+					buf[p] = rv[p]
 				}
 			}
 			return buf, nil
@@ -175,57 +176,45 @@ func compileArithKernel(e algebra.Expr, idx int, fn floatFn, schema []algebra.Co
 // kernelizable side against a numeric constant: column read, register
 // arithmetic and compare, Tri write — no intermediate vectors at all. An
 // integer constant is admitted only against a non-trivial kernel (whose
-// intermediates are float either way); against a bare integer column the
-// engine compares in int64, which float64 cannot represent beyond 2^53.
+// intermediates are float either way) and only when float64 holds it
+// exactly; against a bare integer column the engine compares in int64.
 func compileCmpKernelPred(x *algebra.Cmp, schema []algebra.Column, r CallResolver) (PredFactory, bool) {
-	accepts, haveTable := cmpAccepts(x.Op)
-	if !haveTable {
+	accepts := cmpAccepts(x.Op)
+	// kernelSide matches e as a kernel and other as a constant it can be
+	// compared against in float64.
+	kernelSide := func(e, other algebra.Expr) (idx int, fn floatFn, c float64, ok bool) {
+		k, isConst := other.(*algebra.Const)
+		if idx, fn, ok = floatKernelExpr(e, schema); !ok || !isConst {
+			return 0, nil, 0, false
+		}
+		switch k.Val.Kind() {
+		case sqltypes.KindFloat:
+			return idx, fn, k.Val.Float(), true
+		case sqltypes.KindInt:
+			v := k.Val.Int()
+			return idx, fn, float64(v), fn != nil && floatExact(v)
+		}
+		return 0, nil, 0, false
+	}
+	idx, fn, c, ok := kernelSide(x.L, x.R)
+	flip := !ok
+	if flip {
+		idx, fn, c, ok = kernelSide(x.R, x.L)
+	}
+	if !ok {
 		return nil, false
 	}
-	cmpConst := func(e algebra.Expr, fn floatFn) (float64, bool) {
-		c, ok := e.(*algebra.Const)
-		if !ok {
-			return 0, false
-		}
-		switch c.Val.Kind() {
-		case sqltypes.KindFloat:
-			return c.Val.Float(), true
-		case sqltypes.KindInt:
-			if fn != nil {
-				return float64(c.Val.Int()), true
-			}
-		}
-		return 0, false
-	}
-	var idx int
-	var fn floatFn
-	var c float64
-	var flip bool
-	if i, f, ok := floatKernelExpr(x.L, schema); ok {
-		if k, okc := cmpConst(x.R, f); okc {
-			idx, fn, c, flip = i, f, k, false
-			goto build
-		}
-	}
-	if i, f, ok := floatKernelExpr(x.R, schema); ok {
-		if k, okc := cmpConst(x.L, f); okc {
-			idx, fn, c, flip = i, f, k, true
-			goto build
-		}
-	}
-	return nil, false
-build:
-	rowEv, err := Compile(x, schema, r)
+	genF, err := compileCmpPred(x, schema, r)
 	if err != nil {
 		return nil, false
 	}
 	return func() VecPredicate {
-		var rowBuf storage.Row
 		return func(ctx *Ctx, b *Batch, out []sqltypes.Tri) error {
 			if idx >= b.Width() {
 				return Errorf("batch too narrow for fused column %d", idx)
 			}
 			col := b.Cols[idx]
+			slow := false
 			n := b.Len()
 			for i := 0; i < n; i++ {
 				p := b.LiveAt(i)
@@ -235,37 +224,24 @@ build:
 				case sqltypes.KindFloat:
 					xv = v.Float()
 				case sqltypes.KindInt:
+					// A bare int column compares exactly against the float
+					// constant; float64 rounds ints beyond 2^53.
+					if fn == nil && !floatExact(v.Int()) {
+						slow = true
+						continue
+					}
 					xv = float64(v.Int())
 				case sqltypes.KindNull:
 					out[p] = sqltypes.Unknown
 					continue
 				default:
-					if cap(rowBuf) < b.Width() {
-						rowBuf = make(storage.Row, b.Width())
-					}
-					rb := rowBuf[:b.Width()]
-					for j, cc := range b.Cols {
-						rb[j] = cc[p]
-					}
-					rv, err := rowEv(ctx, rb)
-					if err != nil {
-						return err
-					}
-					out[p] = sqltypes.TriOf(rv)
+					slow = true
 					continue
 				}
 				if fn != nil {
 					xv = fn(xv)
 				}
-				// Mirrors sqltypes.Compare's float three-way, NaN included
-				// (neither branch taken → "equal").
-				cmp := 0
-				switch {
-				case xv < c:
-					cmp = -1
-				case xv > c:
-					cmp = 1
-				}
+				cmp := threeWay(xv, c)
 				if flip {
 					cmp = -cmp
 				}
@@ -275,7 +251,36 @@ build:
 					out[p] = sqltypes.False
 				}
 			}
+			if slow {
+				return genF()(ctx, b.Narrow(genericRest(b, col, fn == nil)), out)
+			}
 			return nil
 		}
 	}, true
+}
+
+// genericRest lists the live positions a kernel leaves to the generic
+// vector form: values neither numeric nor NULL and, with exactInts, ints
+// float64 cannot hold. Such values are rare (in arithmetic they are an
+// error), so the kernels instantiate the generic form only when they meet
+// one.
+func genericRest(b *Batch, col []sqltypes.Value, exactInts bool) (rest []int) {
+	for i := 0; i < b.Len(); i++ {
+		p := b.LiveAt(i)
+		switch v := col[p]; v.Kind() {
+		case sqltypes.KindFloat, sqltypes.KindNull:
+		case sqltypes.KindInt:
+			if exactInts && !floatExact(v.Int()) {
+				rest = append(rest, p)
+			}
+		default:
+			rest = append(rest, p)
+		}
+	}
+	return rest
+}
+
+// floatExact reports whether float64 holds the int exactly (|v| <= 2^53).
+func floatExact(v int64) bool {
+	return -1<<53 <= v && v <= 1<<53
 }

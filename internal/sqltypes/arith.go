@@ -79,7 +79,9 @@ func Arith(op ArithOp, a, b Value) (Value, error) {
 		}
 		return NewFloat(x / y), nil
 	case OpMod:
-		if y == 0 {
+		// Float modulo truncates both operands to int64, so any divisor in
+		// (-1, 1) is an integer zero.
+		if int64(y) == 0 {
 			return Null, fmt.Errorf("modulo by zero")
 		}
 		return NewFloat(float64(int64(x) % int64(y))), nil

@@ -253,7 +253,8 @@ func Compare(a, b Value) (int, bool) {
 		return 0, false
 	}
 	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
+		switch {
+		case a.kind == KindInt && b.kind == KindInt:
 			switch {
 			case a.i < b.i:
 				return -1, true
@@ -262,13 +263,15 @@ func Compare(a, b Value) (int, bool) {
 			default:
 				return 0, true
 			}
+		case a.kind == KindInt:
+			return CompareIntFloat(a.i, b.f), true
+		case b.kind == KindInt:
+			return -CompareIntFloat(b.i, a.f), true
 		}
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
 		switch {
-		case af < bf:
+		case a.f < b.f:
 			return -1, true
-		case af > bf:
+		case a.f > b.f:
 			return 1, true
 		default:
 			return 0, true
@@ -288,6 +291,35 @@ func Compare(a, b Value) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// CompareIntFloat orders an int against a float exactly: the int is not
+// rounded to float64 first, so 9007199254740993 > 9007199254740992.0, as
+// their EncodeKey keys differ. A NaN compares "equal" to everything, as in
+// the float-float order.
+func CompareIntFloat(i int64, f float64) int {
+	fi := float64(i)
+	switch {
+	case fi < f:
+		return -1
+	case fi > f:
+		return 1
+	case fi != f: // NaN
+		return 0
+	}
+	// Rounding to float64 is monotone, so only a tie can hide an order. A
+	// tie means f is an integer in [-2^63, 2^63]; all but 2^63 fit int64.
+	if f >= 1<<63 {
+		return -1
+	}
+	switch t := int64(f); {
+	case i < t:
+		return -1
+	case i > t:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // TotalCompare is a total order over values used for sorting: NULL sorts

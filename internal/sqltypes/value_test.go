@@ -158,6 +158,51 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareIntFloatExact pins the mixed int/float order beyond 2^53,
+// where float64 cannot hold every int: the int is never rounded.
+func TestCompareIntFloatExact(t *testing.T) {
+	const p53 = 1 << 53
+	cases := []struct {
+		i    int64
+		f    float64
+		want int
+	}{
+		{p53 + 1, p53, 1},
+		{p53, p53, 0},
+		{p53 - 1, p53, -1},
+		{-p53 - 1, -p53, -1},
+		{1, 1.5, -1},
+		{2, 1.5, 1},
+		{-1, -0.5, -1},
+		{0, math.Copysign(0, -1), 0},
+		{math.MaxInt64, 1 << 63, -1},
+		{math.MinInt64, -(1 << 63), 0},
+		{math.MinInt64, math.Inf(-1), 1},
+		{math.MaxInt64, math.Inf(1), -1},
+		{5, math.NaN(), 0},
+	}
+	for _, c := range cases {
+		if got := CompareIntFloat(c.i, c.f); got != c.want {
+			t.Errorf("CompareIntFloat(%d, %v) = %d, want %d", c.i, c.f, got, c.want)
+		}
+		got, ok := Compare(NewInt(c.i), NewFloat(c.f))
+		if !ok || got != c.want {
+			t.Errorf("Compare(%d, %v) = %d, want %d", c.i, c.f, got, c.want)
+		}
+		if got, _ := Compare(NewFloat(c.f), NewInt(c.i)); got != -c.want {
+			t.Errorf("Compare(%v, %d) = %d, want %d", c.f, c.i, got, -c.want)
+		}
+		// Equal under Compare iff the keys are equal, so a filter, a hash
+		// join and a GROUP BY agree.
+		if math.IsNaN(c.f) {
+			continue
+		}
+		if sameKey := KeyOf(NewInt(c.i)) == KeyOf(NewFloat(c.f)); sameKey != (c.want == 0) {
+			t.Errorf("%d vs %v: same key = %v, compare = %d", c.i, c.f, sameKey, c.want)
+		}
+	}
+}
+
 func TestTotalCompareIsTotalOrder(t *testing.T) {
 	vals := []Value{Null, NewBool(false), NewBool(true), NewInt(-1), NewInt(0),
 		NewFloat(0.5), NewInt(1), NewString(""), NewString("z")}
@@ -231,6 +276,25 @@ func TestArithErrors(t *testing.T) {
 	}
 	if _, err := Arith(OpAdd, NewString("a"), NewInt(1)); err == nil {
 		t.Error("string arithmetic should error")
+	}
+}
+
+// TestFloatModuloByFraction pins float modulo's int64 truncation: a divisor
+// in (-1, 1) truncates to zero and must be an error, not a runtime panic.
+func TestFloatModuloByFraction(t *testing.T) {
+	for _, y := range []float64{0.5, -0.5, 0.999} {
+		_, err := Arith(OpMod, NewInt(7), NewFloat(y))
+		if err == nil || err.Error() != "modulo by zero" {
+			t.Errorf("7 %% %v: err = %v, want modulo by zero", y, err)
+		}
+	}
+	for _, c := range []struct{ x, y, want float64 }{
+		{7.5, 2.5, 1}, {-7, 1.5, 0}, {7, -2.9, 1},
+	} {
+		got, err := Arith(OpMod, NewFloat(c.x), NewFloat(c.y))
+		if err != nil || got.Kind() != KindFloat || got.Float() != c.want {
+			t.Errorf("%v %% %v = %v, %v; want %v", c.x, c.y, got, err, c.want)
+		}
 	}
 }
 
