@@ -118,7 +118,10 @@ func (a *Aggregate) Fingerprint() string {
 }
 
 // BuiltinAggregates is the set of aggregate function names the engine
-// implements natively.
+// implements natively. Every one of them can be merged from partial states,
+// so this is also the list parallel aggregation (exec.AggSpec.Mergeable)
+// and the shard passes (plan.classifyMerge, engine's partial rewrite)
+// accept for merging.
 var BuiltinAggregates = map[string]bool{
 	"sum": true, "count": true, "min": true, "max": true, "avg": true,
 }

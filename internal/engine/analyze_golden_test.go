@@ -98,8 +98,8 @@ func TestExplainAnalyzeParallelWorkers(t *testing.T) {
 	defer func(n int) { exec.MorselRows = n }(exec.MorselRows)
 	exec.MorselRows = 8
 
-	// The rewritten form is a hash join whose probe pipeline segmentizes into
-	// an Exchange; the IndexNLJoin plans keep their serial form.
+	// The rewritten form is a hash join whose probe pipeline runs under an
+	// Exchange; the IndexNLJoin plans keep their serial form.
 	const sql = "select custkey, service_level(custkey) from customer"
 	profile := SYS1
 	profile.Vectorized = true

@@ -14,15 +14,8 @@ import (
 	"strings"
 
 	"udfdecorr/internal/algebra"
+	"udfdecorr/internal/catalog"
 )
-
-// MergeableAggFuncs is the set of builtin aggregates whose per-shard
-// results combine losslessly (DISTINCT forms excluded — a value may appear
-// on several shards). It mirrors exec.AggSpec.Mergeable and is exported so
-// the shard feasibility pass and this rewrite cannot drift apart.
-var MergeableAggFuncs = map[string]bool{
-	"sum": true, "count": true, "min": true, "max": true, "avg": true,
-}
 
 // PartialSumSuffix / PartialCountSuffix name the two columns an avg
 // decomposes into (visible in EXPLAIN output of partial plans).
@@ -48,7 +41,9 @@ func partialAggRewrite(rel algebra.Rel) (algebra.Rel, error) {
 	aggs := make([]algebra.AggCall, 0, len(gb.Aggs)+1)
 	for _, a := range gb.Aggs {
 		fn := strings.ToLower(a.Func)
-		if a.Distinct || !MergeableAggFuncs[fn] {
+		// Every builtin's per-shard results combine losslessly; DISTINCT
+		// forms do not (a value may appear on several shards).
+		if a.Distinct || !catalog.BuiltinAggregates[fn] {
 			return nil, fmt.Errorf("shard partial aggregation: aggregate %s is not mergeable across shards", a.String())
 		}
 		if fn == "avg" {

@@ -208,15 +208,7 @@ type AggSpec struct {
 // DISTINCT needs a global seen-set and user-defined aggregates run an
 // arbitrary interpreted body with no derivable merge function.
 func (a *AggSpec) Mergeable() bool {
-	if a.UserDef != nil || a.Distinct {
-		return false
-	}
-	switch a.Func {
-	case "sum", "count", "min", "max", "avg":
-		return true
-	default:
-		return false
-	}
+	return a.UserDef == nil && !a.Distinct && catalog.BuiltinAggregates[a.Func]
 }
 
 func (a *AggSpec) newState() (aggState, error) {

@@ -40,10 +40,22 @@ func (g *BatchGroupBy) OpenBatch(ctx *Ctx) (BatchIter, error) {
 		return nil, err
 	}
 	defer in.Close()
-	gt := newGroupTable(g.Aggs, len(g.Keys))
-	if err := gt.consume(ctx, in, Instantiate(g.Keys), instantiateArgs(g.Args)); err != nil {
+	gt, err := g.aggregate(ctx, in)
+	if err != nil {
 		return nil, err
 	}
+	return g.feed(ctx, gt)
+}
+
+// aggregate drains in into a fresh group table (the whole input serially,
+// one worker's share in parallel).
+func (g *BatchGroupBy) aggregate(ctx *Ctx, in BatchIter) (*groupTable, error) {
+	gt := newGroupTable(g.Aggs, len(g.Keys))
+	return gt, gt.consume(ctx, in, Instantiate(g.Keys), instantiateArgs(g.Args))
+}
+
+// feed serves a finished table's groups as batches.
+func (g *BatchGroupBy) feed(ctx *Ctx, gt *groupTable) (BatchIter, error) {
 	rows, err := gt.rows(ctx, len(g.Keys) == 0)
 	if err != nil {
 		return nil, err

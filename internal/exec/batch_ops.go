@@ -27,85 +27,84 @@ func (s *BatchScan) Schema() []algebra.Column { return s.schema }
 // Open implements Node.
 func (s *BatchScan) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatches(s, ctx) }
 
-// OpenBatch implements BatchNode.
+// OpenBatch implements BatchNode. A parallel worker's scan reads the
+// morsels of its pipeline's shared source; any other scan reads the whole
+// table as one morsel.
 func (s *BatchScan) OpenBatch(ctx *Ctx) (BatchIter, error) {
-	ver, overlay := ctx.TableVersion(s.Tab)
-	storage.NoteZeroCopyScan()
-	return &batchScanIter{segs: ver.Segments(), overlay: overlay, width: len(s.schema), ctx: ctx}, nil
+	w := len(s.schema)
+	it := &batchScanIter{width: w, feed: rowFeedIter{width: w}, ctx: ctx}
+	if p := ctx.pipe; p != nil && p.scan == s {
+		it.src, it.shared = p.src, true
+	} else {
+		ver, overlay := ctx.TableVersion(s.Tab)
+		storage.NoteZeroCopyScan()
+		it.src = newMorselSource(ver, overlay, 0)
+	}
+	return it, nil
 }
 
-// batchScanIter serves zero-copy batches straight out of a version's column
-// segments: the returned batch's column vectors alias storage (bounded so a
-// batch never spans a segment), with no per-batch pivot or copy. Uncommitted
-// transaction-overlay rows, when present, follow the segments through a
+// batchScanIter serves the morsels it claims from a source. Batches over
+// published data are zero-copy: the column vectors alias segment storage
+// (bounded so a batch never spans a segment or a morsel), with no pivot or
+// copy. Uncommitted transaction-overlay rows follow the segments through a
 // small pivot buffer.
 type batchScanIter struct {
-	segs    []*storage.Segment
-	seg     int // current segment index
-	off     int // next row offset within the current segment
-	overlay []storage.Row
-	ovPos   int
-	width   int
-	out     Batch  // reused batch header; Cols alias segment storage
-	buf     *Batch // pivot buffer, only for overlay rows
-	ctx     *Ctx
+	src    *morselSource
+	shared bool // src is a parallel pipeline's: count claimed morsels
+	lo, hi int  // unread ordinals of the current morsel
+	width  int
+	out    Batch       // reused batch header; Cols alias segment storage
+	feed   rowFeedIter // pivots overlay rows
+	ctx    *Ctx
 }
 
 func (s *batchScanIter) NextBatch(max int) (*Batch, bool, error) {
+	// Checked per batch, so a cancelled parallel worker stops within its
+	// current morsel; every worker's context shares the same Done channel.
 	if err := s.ctx.Cancelled(); err != nil {
 		return nil, false, err
 	}
-	for s.seg < len(s.segs) {
-		sg := s.segs[s.seg]
-		if s.off >= sg.Len() {
-			s.seg++
-			s.off = 0
+	for {
+		if b, ok, _ := s.feed.NextBatch(max); ok {
+			return b, true, nil
+		}
+		if s.lo >= s.hi {
+			lo, hi, ok := s.src.grab()
+			if !ok {
+				return nil, false, nil
+			}
+			s.lo, s.hi = lo, hi
+			if s.shared {
+				s.ctx.Counters.Morsels++
+			}
+		}
+		src := s.src
+		if s.lo >= src.segRows {
+			s.feed.rows, s.feed.pos = src.overlay[s.lo-src.segRows:s.hi-src.segRows], 0
+			s.lo = s.hi
 			continue
 		}
-		end := s.off + max
-		if end > sg.Len() {
-			end = sg.Len()
-		}
+		sg := src.segs[s.lo/storage.SegmentRows]
+		off := s.lo % storage.SegmentRows
+		end := min(off+max, off+s.hi-s.lo, sg.Len())
 		if s.out.Cols == nil {
 			s.out.Cols = make([][]sqltypes.Value, s.width)
 		}
 		for c := 0; c < s.width; c++ {
-			s.out.Cols[c] = sg.Col(c)[s.off:end]
+			s.out.Cols[c] = sg.Col(c)[off:end]
 		}
 		s.out.Sel = nil
-		s.out.n = end - s.off
-		s.off = end
+		s.out.n = end - off
+		s.lo += s.out.n
 		return &s.out, true, nil
 	}
-	if s.ovPos >= len(s.overlay) {
-		return nil, false, nil
-	}
-	end := s.ovPos + max
-	if end > len(s.overlay) {
-		end = len(s.overlay)
-	}
-	if s.buf == nil {
-		s.buf = NewBatch(s.width, max)
-	}
-	b := s.buf
-	b.Sel = nil
-	b.n = end - s.ovPos
-	chunk := s.overlay[s.ovPos:end]
-	for c := 0; c < s.width; c++ {
-		col := b.Cols[c][:0]
-		for _, r := range chunk {
-			col = append(col, r[c])
-		}
-		b.Cols[c] = col
-	}
-	s.ovPos = end
-	return b, true, nil
 }
 
 func (s *batchScanIter) Close() error { return nil }
 
 // rowFeedIter serves an already-materialized row slice as batches through a
-// reused pivot buffer; it feeds group-by results back into batch parents.
+// reused pivot buffer: group-by results, a scan's overlay rows and an
+// Exchange's worker chunks. Callers may refill rows/pos once it runs dry.
 type rowFeedIter struct {
 	rows  []storage.Row
 	pos   int
@@ -392,24 +391,25 @@ func (j *BatchHashJoin) Schema() []algebra.Column { return j.schema }
 // Open implements Node.
 func (j *BatchHashJoin) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatches(j, ctx) }
 
-// OpenBatch implements BatchNode.
+// OpenBatch implements BatchNode. A parallel worker's probe uses the join
+// table its pipeline prebuilt.
 func (j *BatchHashJoin) OpenBatch(ctx *Ctx) (BatchIter, error) {
-	table, err := buildJoinTable(ctx, j.R, j.RKeys, 1)
-	if err != nil {
-		return nil, err
+	var table *joinTable
+	if p := ctx.pipe; p != nil {
+		table = p.joins[j]
+	}
+	if table == nil {
+		var err error
+		if table, err = buildJoinTable(ctx, j.R, j.RKeys, 1); err != nil {
+			return nil, err
+		}
 	}
 	li, err := OpenBatches(j.L, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return newBatchHashJoinIter(j, ctx, li, table), nil
-}
-
-// newBatchHashJoinIter wires a probe iterator over an already-built join
-// table (shared by the serial path and the per-worker parallel probes).
-func newBatchHashJoinIter(j *BatchHashJoin, ctx *Ctx, li BatchIter, table *joinTable) *batchHashJoinIter {
 	return &batchHashJoinIter{j: j, ctx: ctx, li: li, table: table,
-		lkeys: Instantiate(j.LKeys), rWidth: len(j.R.Schema())}
+		lkeys: Instantiate(j.LKeys), rWidth: len(j.R.Schema())}, nil
 }
 
 type batchHashJoinIter struct {

@@ -21,9 +21,10 @@ import (
 //     elements are immutable and always safe to keep.
 //
 // This file provides a test hook that wraps every iterator handed across an
-// operator edge (OpenBatches and the parallel segment pipelines) with a
-// checker, so the differential corpus doubles as a property test of the
-// contract for every operator, including ones added later.
+// operator edge (OpenBatches, which parallel workers open their pipelines
+// through too) with a checker, so the differential corpus doubles as a
+// property test of the contract for every operator, including ones added
+// later.
 
 // batchContractHook, when set, wraps batch iterators at every operator
 // edge. Test-only: install with SetBatchContractHook before running queries

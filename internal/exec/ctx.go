@@ -67,6 +67,10 @@ type Ctx struct {
 	// prof collects per-operator execution stats for EXPLAIN ANALYZE; nil
 	// (the default) keeps instrumentation entirely off the execution path.
 	prof *Profiler
+
+	// pipe is the shared state of the parallel pipeline a worker runs (its
+	// scan's morsel source, its probes' join tables); nil outside workers.
+	pipe *pipeline
 }
 
 // NewCtx returns a non-cancellable context with one (global) frame.
@@ -146,13 +150,13 @@ func (c *Ctx) Cancelled() error {
 	}
 }
 
-// forkWorker clones the context for a parallel pipeline worker: a private
+// forkWorker clones the context for a worker of pipeline p: a private
 // snapshot of the variable frames (so correlation parameters visible at fork
 // time keep resolving, while UDF calls inside the worker push frames without
 // racing the parent) and private counters (absorbed by the parent when the
 // parallel operator finishes). The interpreter is shared; its cross-query
 // state is internally locked.
-func (c *Ctx) forkWorker() *Ctx {
+func (c *Ctx) forkWorker(p *pipeline) *Ctx {
 	frames := make([]map[string]sqltypes.Value, len(c.frames))
 	for i, f := range c.frames {
 		nf := make(map[string]sqltypes.Value, len(f))
@@ -162,7 +166,7 @@ func (c *Ctx) forkWorker() *Ctx {
 		frames[i] = nf
 	}
 	w := &Ctx{frames: frames, base: c.base, Interp: c.Interp, Counters: &Counters{}, depth: c.depth,
-		goctx: c.goctx, done: c.done, snap: c.snap, overlay: c.overlay}
+		goctx: c.goctx, done: c.done, snap: c.snap, overlay: c.overlay, pipe: p}
 	if c.prof != nil {
 		// A private profiler per worker: stats merge into the parent's via
 		// absorbWorker alongside Counters.absorb, never racing the parent.

@@ -499,29 +499,19 @@ func TestQuickHashJoinEqualsNLJoin(t *testing.T) {
 				t.Error(err)
 				return false
 			}
+			// Probe a 4-partition table through the same operator, as a
+			// parallel worker does.
 			ctx := NewCtx(nil)
 			jt, err := buildJoinTable(ctx, r, bj.RKeys, 4)
 			if err != nil {
 				t.Error(err)
 				return false
 			}
-			li, err := OpenBatches(l, ctx)
+			ctx.pipe = &pipeline{joins: map[*BatchHashJoin]*joinTable{bj: jt}}
+			parted, err := Drain(bj, ctx)
 			if err != nil {
 				t.Error(err)
 				return false
-			}
-			var parted []storage.Row
-			it := newBatchHashJoinIter(bj, ctx, li, jt)
-			for {
-				b, ok, err := it.NextBatch(DefaultBatchSize)
-				if err != nil {
-					t.Error(err)
-					return false
-				}
-				if !ok {
-					break
-				}
-				parted = b.AppendTo(parted)
 			}
 			for _, got := range [][]storage.Row{row, batch, parted} {
 				if len(got) != len(want) {

@@ -1,12 +1,15 @@
 // Morsel-driven intra-query parallelism for the vectorized path (after
 // Leis et al.): a scan is partitioned into row-range morsels handed out by
-// an atomic dispenser, and a pipeline segment — scan, filters, projections
-// and hash-join probes — runs on N workers, each with its own instantiated
-// evaluators and execution context. Pipeline breakers sit above (Exchange
-// merges worker output into one stream) or are parallelism-aware
-// themselves (parallelGroupBy builds per-worker partial aggregation states
-// and merges them). Plans stay immutable: all per-execution parallel state
-// lives in a segState built inside OpenBatch.
+// an atomic dispenser, and a pipeline — a BatchScan under filters,
+// projections and hash-join probes — runs on N workers. Each worker opens
+// the plan's own batch operators through OpenBatches under a forked
+// context, so it carries private evaluators, counters and profiler.
+// Pipeline breakers sit above (Exchange merges worker output into one
+// stream) or are parallelism-aware themselves (parallelGroupBy builds
+// per-worker partial group tables and merges them). Plans stay immutable:
+// the state workers share — the scan's morsel source and each probe's join
+// table — is a pipeline built inside OpenBatch and reached through the
+// worker's Ctx.
 package exec
 
 import (
@@ -15,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"udfdecorr/internal/algebra"
-	"udfdecorr/internal/sqltypes"
 	"udfdecorr/internal/storage"
 )
 
@@ -26,370 +28,245 @@ import (
 // it after init.
 var MorselRows = 4 * DefaultBatchSize
 
-// morselSource hands out row-ordinal ranges of a scanned table to workers.
-// Ordinals [0, segRows) address the pinned version's column segments
-// (relying on the storage invariant that every segment but the last holds
-// exactly storage.SegmentRows rows); ordinals past segRows address the
-// transaction overlay, scanned after the published data.
+// morselSource hands out row-ordinal ranges of a scanned table to scan
+// iterators. Ordinals [0, segRows) address the pinned version's column
+// segments (relying on the storage invariant that every segment but the
+// last holds exactly storage.SegmentRows rows); ordinals past segRows
+// address the transaction overlay, scanned after the published data. A
+// serial scan reads a private source whose one morsel is the whole table.
 type morselSource struct {
 	segs    []*storage.Segment
 	segRows int // total rows across segs
 	overlay []storage.Row
 	total   int   // segRows + len(overlay)
+	size    int   // rows per morsel
 	next    int64 // atomic cursor (in row ordinals)
 }
 
-func newMorselSource(ver *storage.TableVersion, overlay []storage.Row) *morselSource {
-	m := &morselSource{segs: ver.Segments(), segRows: ver.RowCount(), overlay: overlay}
+// newMorselSource returns a source over a version and its overlay that
+// hands out morsels of size rows; size 0 makes the whole table one morsel.
+func newMorselSource(ver *storage.TableVersion, overlay []storage.Row, size int) *morselSource {
+	m := &morselSource{segs: ver.Segments(), segRows: ver.RowCount(), overlay: overlay, size: size}
 	m.total = m.segRows + len(overlay)
+	if size == 0 {
+		m.size = max(m.total, 1)
+	}
 	return m
 }
 
 // grab claims the next morsel; ok=false when the table is exhausted.
 func (m *morselSource) grab() (lo, hi int, ok bool) {
-	size := MorselRows
-	end := atomic.AddInt64(&m.next, int64(size))
-	lo = int(end) - size
+	end := atomic.AddInt64(&m.next, int64(m.size))
+	lo = int(end) - m.size
 	if lo >= m.total {
 		return 0, 0, false
 	}
-	hi = int(end)
-	if hi > m.total {
-		hi = m.total
-	}
-	return lo, hi, true
+	return lo, min(int(end), m.total), true
 }
 
 // morselCount returns how many morsels the source will hand out.
 func (m *morselSource) morselCount() int {
-	return (m.total + MorselRows - 1) / MorselRows
+	return (m.total + m.size - 1) / m.size
 }
 
-// segState is the per-execution shared state of a parallel segment: the
-// scan's morsel dispenser and the hash-join build tables, constructed once
-// in prepare and then read-only for all workers.
-type segState struct {
+// pipeline is the per-execution state a parallel operator shares with its
+// workers: the morsel source of the pipeline's scan and the join table of
+// each probe, with one partition per worker. newPipeline builds it once on
+// the parent context; afterwards only the source's cursor changes.
+type pipeline struct {
+	root   Node // the serial pipeline each worker opens
 	degree int
+	scan   *BatchScan
 	src    *morselSource
-	joins  map[*segHashJoin]*joinTable
+	joins  map[*BatchHashJoin]*joinTable
 }
 
-// workers returns the worker count for this execution: the configured
-// degree, clamped to the available morsels so tiny tables do not spawn idle
-// goroutines (and always at least one).
-func (st *segState) workers() int {
-	w := st.degree
-	if st.src != nil {
-		if mc := st.src.morselCount(); mc < w {
-			w = mc
+// newPipeline builds the shared state of the pipeline rooted at n, which
+// pipelineShape accepts: it walks probe sides down to the scan, building
+// each probe's join table on the way.
+func newPipeline(ctx *Ctx, n Node, degree int) (*pipeline, error) {
+	p := &pipeline{root: n, degree: degree, joins: map[*BatchHashJoin]*joinTable{}}
+	for {
+		switch x := n.(type) {
+		case *BatchScan:
+			ver, overlay := ctx.TableVersion(x.Tab)
+			storage.NoteZeroCopyScan()
+			p.scan, p.src = x, newMorselSource(ver, overlay, MorselRows)
+			return p, nil
+		case *BatchHashJoin:
+			jt, err := buildJoinTable(ctx, x.R, x.RKeys, degree)
+			if err != nil {
+				return nil, err
+			}
+			p.joins[x] = jt
 		}
+		n = PlanChildren(n)[0] // a filter's or projection's input, a probe's left side
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
-// segment is a per-worker pipeline recipe: prepare runs the shared
-// once-per-execution work (morsel dispenser, hash-join builds), then open
-// instantiates one worker's iterator with private evaluators.
-type segment interface {
-	prepare(ctx *Ctx, st *segState) error
-	open(ctx *Ctx, st *segState) (BatchIter, error)
-	schema() []algebra.Column
-	describe() string
+// workers returns the worker count for this execution: the degree, clamped
+// to the available morsels so tiny tables do not spawn idle goroutines
+// (and always at least one).
+func (p *pipeline) workers() int {
+	return max(min(p.degree, p.src.morselCount()), 1)
 }
 
-// ---------------------------------------------------------------------------
-// Segment implementations
-// ---------------------------------------------------------------------------
-
-type segScan struct {
-	tab  *storage.Table
-	cols []algebra.Column
-}
-
-func (s *segScan) prepare(ctx *Ctx, st *segState) error {
-	ver, overlay := ctx.TableVersion(s.tab)
-	st.src = newMorselSource(ver, overlay)
-	storage.NoteZeroCopyScan()
-	return nil
-}
-
-func (s *segScan) open(ctx *Ctx, st *segState) (BatchIter, error) {
-	return contractWrap(&morselScanIter{src: st.src, width: len(s.cols), ctx: ctx}), nil
-}
-
-func (s *segScan) schema() []algebra.Column { return s.cols }
-func (s *segScan) describe() string         { return "scan(" + s.tab.Meta.Name + ")" }
-
-// morselScanIter reads batches out of morsels claimed from the shared
-// dispenser. Batches over published data are zero-copy segment slices
-// (clamped at segment boundaries); overlay rows pivot through a private
-// buffer.
-type morselScanIter struct {
-	src    *morselSource
-	width  int
-	ctx    *Ctx
-	lo, hi int    // remaining range of the current morsel
-	out    Batch  // reused batch header; Cols alias segment storage
-	buf    *Batch // pivot buffer, only for overlay rows
-}
-
-func (m *morselScanIter) NextBatch(max int) (*Batch, bool, error) {
-	// Checked per batch, so a cancelled worker stops within the current
-	// morsel; the dispenser itself stops handing out morsels because every
-	// worker's context shares the same Done channel.
-	if err := m.ctx.Cancelled(); err != nil {
-		return nil, false, err
-	}
-	if m.lo >= m.hi {
-		lo, hi, ok := m.src.grab()
-		if !ok {
-			return nil, false, nil
-		}
-		m.lo, m.hi = lo, hi
-		m.ctx.Counters.Morsels++
-	}
-	src := m.src
-	if m.lo < src.segRows {
-		sg := src.segs[m.lo/storage.SegmentRows]
-		off := m.lo % storage.SegmentRows
-		end := off + max
-		if lim := off + (m.hi - m.lo); lim < end {
-			end = lim
-		}
-		if sg.Len() < end {
-			end = sg.Len()
-		}
-		if m.out.Cols == nil {
-			m.out.Cols = make([][]sqltypes.Value, m.width)
-		}
-		for c := 0; c < m.width; c++ {
-			m.out.Cols[c] = sg.Col(c)[off:end]
-		}
-		m.out.Sel = nil
-		m.out.n = end - off
-		m.lo += m.out.n
-		return &m.out, true, nil
-	}
-	lo := m.lo - src.segRows
-	end := lo + max
-	if lim := lo + (m.hi - m.lo); lim < end {
-		end = lim
-	}
-	if len(src.overlay) < end {
-		end = len(src.overlay)
-	}
-	if m.buf == nil {
-		m.buf = NewBatch(m.width, max)
-	}
-	b := m.buf
-	b.Sel = nil
-	b.n = end - lo
-	chunk := src.overlay[lo:end]
-	for c := 0; c < m.width; c++ {
-		col := b.Cols[c][:0]
-		for _, r := range chunk {
-			col = append(col, r[c])
-		}
-		b.Cols[c] = col
-	}
-	m.lo += b.n
-	return b, true, nil
-}
-
-func (m *morselScanIter) Close() error { return nil }
-
-type segFilter struct {
-	pred  PredFactory
-	child segment
-}
-
-func (s *segFilter) prepare(ctx *Ctx, st *segState) error { return s.child.prepare(ctx, st) }
-
-func (s *segFilter) open(ctx *Ctx, st *segState) (BatchIter, error) {
-	in, err := s.child.open(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	return contractWrap(&batchFilterIter{pred: s.pred(), in: in, ctx: ctx}), nil
-}
-
-func (s *segFilter) schema() []algebra.Column { return s.child.schema() }
-func (s *segFilter) describe() string         { return s.child.describe() + "→filter" }
-
-type segProject struct {
-	exprs []VecFactory
-	child segment
-	cols  []algebra.Column
-}
-
-func (s *segProject) prepare(ctx *Ctx, st *segState) error { return s.child.prepare(ctx, st) }
-
-func (s *segProject) open(ctx *Ctx, st *segState) (BatchIter, error) {
-	in, err := s.child.open(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	return contractWrap(&batchProjectIter{exprs: Instantiate(s.exprs), in: in, ctx: ctx}), nil
-}
-
-func (s *segProject) schema() []algebra.Column { return s.cols }
-func (s *segProject) describe() string         { return s.child.describe() + "→project" }
-
-// segHashJoin probes a shared hash table from each worker; the build side
-// runs once per execution in prepare, populated with one goroutine per
-// partition.
-type segHashJoin struct {
-	j     *BatchHashJoin
-	child segment // probe (left) side
-}
-
-func (s *segHashJoin) prepare(ctx *Ctx, st *segState) error {
-	if err := s.child.prepare(ctx, st); err != nil {
-		return err
-	}
-	jt, err := buildJoinTable(ctx, s.j.R, s.j.RKeys, st.degree)
-	if err != nil {
-		return err
-	}
-	st.joins[s] = jt
-	return nil
-}
-
-func (s *segHashJoin) open(ctx *Ctx, st *segState) (BatchIter, error) {
-	in, err := s.child.open(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	return contractWrap(newBatchHashJoinIter(s.j, ctx, in, st.joins[s])), nil
-}
-
-func (s *segHashJoin) schema() []algebra.Column { return s.j.schema }
-func (s *segHashJoin) describe() string {
-	return s.child.describe() + "→probe(" + s.j.Kind.String() + ")"
-}
-
-// segmentize converts a batch operator chain into a per-worker segment
-// recipe. Supported: scan leaves, filters, non-DISTINCT projections, and
-// hash joins (probe side in the segment, build side shared). Anything else
-// — pipeline breakers, row operators, correlated applies — ends the
-// segment.
-func segmentize(n Node) (segment, bool) {
+// pipelineShape reports whether workers can run n — a BatchScan under
+// filters, non-DISTINCT projections and hash-join probes (probe side in
+// the pipeline, build side shared) — and renders it for EXPLAIN, bottom
+// up: scan(t)→probe(leftouter)→project. Anything else — pipeline
+// breakers, row operators, correlated applies — ends the pipeline.
+func pipelineShape(n Node) (string, bool) {
+	var in Node
+	var step string
 	switch x := n.(type) {
 	case *BatchScan:
-		return &segScan{tab: x.Tab, cols: x.schema}, true
+		return "scan(" + x.Tab.Meta.Name + ")", true
 	case *BatchFilter:
-		child, ok := segmentize(x.Child)
-		if !ok {
-			return nil, false
-		}
-		return &segFilter{pred: x.Pred, child: child}, true
+		in, step = x.Child, "filter"
 	case *BatchProject:
 		if x.Dedup {
-			return nil, false // DISTINCT needs a global seen-set
+			return "", false // DISTINCT needs a global seen-set
 		}
-		child, ok := segmentize(x.Child)
-		if !ok {
-			return nil, false
-		}
-		return &segProject{exprs: x.Exprs, child: child, cols: x.schema}, true
+		in, step = x.Child, "project"
 	case *BatchHashJoin:
-		child, ok := segmentize(x.L)
-		if !ok {
-			return nil, false
-		}
-		return &segHashJoin{j: x, child: child}, true
+		in, step = x.L, "probe("+x.Kind.String()+")"
+	default:
+		return "", false
 	}
-	return nil, false
+	s, ok := pipelineShape(in)
+	return s + "→" + step, ok
+}
+
+// ---------------------------------------------------------------------------
+// Workers
+// ---------------------------------------------------------------------------
+
+// workerSet is one execution's running workers.
+type workerSet struct {
+	parent   *Ctx
+	wctxs    []*Ctx
+	errs     []error // per worker, written before the worker exits
+	wg       sync.WaitGroup
+	absorbed bool
+}
+
+// startWorkers launches p.workers() goroutines. Each opens the pipeline
+// through OpenBatches under its own forked context, attributes the stream
+// to owner when profiling, and hands it to run. A panic in a worker becomes
+// that worker's error.
+func startWorkers(ctx *Ctx, p *pipeline, owner Node, run func(w int, wctx *Ctx, it BatchIter) error) *workerSet {
+	n := p.workers()
+	ctx.Counters.Workers += int64(n)
+	ws := &workerSet{parent: ctx, wctxs: make([]*Ctx, n), errs: make([]error, n)}
+	for w := range ws.wctxs {
+		wctx := ctx.forkWorker(p)
+		ws.wctxs[w] = wctx
+		ws.wg.Add(1)
+		go func() {
+			defer ws.wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					ws.errs[w] = Errorf("parallel worker panic: %v", r)
+				}
+			}()
+			it, err := OpenBatches(p.root, wctx)
+			if err != nil {
+				ws.errs[w] = err
+				return
+			}
+			if wctx.prof != nil {
+				// Attribute the worker's whole pipeline to the parallel
+				// operator; the private profiler merges into the parent's
+				// as worker stats.
+				it = &profBatchIter{in: it, st: wctx.prof.statsFor(owner)}
+			}
+			defer it.Close()
+			ws.errs[w] = run(w, wctx, it)
+		}()
+	}
+	return ws
+}
+
+// absorb folds the exited workers' counters and profiles into the parent
+// (once) and returns the first worker error. Call it on the parent's
+// goroutine after every worker has exited.
+func (ws *workerSet) absorb() error {
+	if !ws.absorbed {
+		ws.absorbed = true
+		for _, w := range ws.wctxs {
+			ws.parent.Counters.absorb(w.Counters)
+			if ws.parent.prof != nil {
+				ws.parent.prof.absorbWorker(w.prof)
+			}
+		}
+	}
+	for _, err := range ws.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Exchange
 // ---------------------------------------------------------------------------
 
-// Exchange runs a pipeline segment on N workers and merges their output
-// batches into one stream. Row order across workers is nondeterministic
-// (parents that need an order sort above the exchange).
+// Exchange runs a pipeline on N workers and merges their output batches
+// into one stream. Row order across workers is nondeterministic (parents
+// that need an order sort above the exchange).
 type Exchange struct {
 	Degree int
-	Seg    segment
-	sch    []algebra.Column
+	child  Node // the serial pipeline; pipelineShape accepts it
 }
 
 // Schema implements Node.
-func (e *Exchange) Schema() []algebra.Column { return e.sch }
+func (e *Exchange) Schema() []algebra.Column { return e.child.Schema() }
 
 // Open implements Node.
 func (e *Exchange) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatches(e, ctx) }
 
-// Describe names the segment for EXPLAIN.
+// Describe names the pipeline for EXPLAIN.
 func (e *Exchange) Describe() string {
-	return fmt.Sprintf("Exchange(%s, degree=%d)", e.Seg.describe(), e.Degree)
+	shape, _ := pipelineShape(e.child)
+	return fmt.Sprintf("Exchange(%s, degree=%d)", shape, e.Degree)
 }
 
-// OpenBatch implements BatchNode: it prepares the shared segment state,
-// spawns the workers, and returns the merging iterator.
+// OpenBatch implements BatchNode: it builds the shared pipeline state,
+// starts the workers, and returns the merging iterator.
 func (e *Exchange) OpenBatch(ctx *Ctx) (BatchIter, error) {
-	st := &segState{degree: e.Degree, joins: map[*segHashJoin]*joinTable{}}
-	if err := e.Seg.prepare(ctx, st); err != nil {
+	p, err := newPipeline(ctx, e.child, e.Degree)
+	if err != nil {
 		return nil, err
 	}
-	workers := st.workers()
 	x := &exchangeIter{
-		parent: ctx,
-		width:  len(e.sch),
-		out:    make(chan []storage.Row, workers),
-		errc:   make(chan error, workers),
-		done:   make(chan struct{}),
+		out:  make(chan []storage.Row, p.workers()),
+		done: make(chan struct{}),
+		feed: rowFeedIter{width: len(e.Schema())},
 	}
-	ctx.Counters.Workers += int64(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wctx := ctx.forkWorker()
-		x.wctxs = append(x.wctxs, wctx)
-		wg.Add(1)
-		go func(wctx *Ctx) {
-			defer wg.Done()
-			it, err := e.Seg.open(wctx, st)
-			if err != nil {
-				x.errc <- err
-				return
+	x.ws = startWorkers(ctx, p, e, func(_ int, _ *Ctx, it BatchIter) error {
+		for {
+			select {
+			case <-x.done:
+				return nil
+			default:
 			}
-			if wctx.prof != nil {
-				// Attribute the worker's whole pipeline to the Exchange; the
-				// private profiler merges into the parent's as worker stats.
-				it = &profBatchIter{in: it, st: wctx.prof.statsFor(e)}
+			b, ok, err := it.NextBatch(DefaultBatchSize)
+			if err != nil || !ok {
+				return err
 			}
-			defer it.Close()
-			for {
-				select {
-				case <-x.done:
-					return
-				default:
-				}
-				b, ok, err := it.NextBatch(DefaultBatchSize)
-				if err != nil {
-					x.errc <- err
-					return
-				}
-				if !ok {
-					return
-				}
-				// Batches are owned by the worker's iterator: materialize
-				// before crossing the channel.
-				rows := b.AppendTo(make([]storage.Row, 0, b.Len()))
-				select {
-				case x.out <- rows:
-				case <-x.done:
-					return
-				}
+			// Batches are owned by the worker's iterator: materialize
+			// before crossing the channel.
+			select {
+			case x.out <- b.AppendTo(make([]storage.Row, 0, b.Len())):
+			case <-x.done:
+				return nil
 			}
-		}(wctx)
-	}
+		}
+	})
 	go func() {
-		wg.Wait()
+		x.ws.wg.Wait()
 		close(x.out)
 	}()
 	return x, nil
@@ -397,72 +274,29 @@ func (e *Exchange) OpenBatch(ctx *Ctx) (BatchIter, error) {
 
 // exchangeIter merges worker row chunks into batches of the requested size.
 type exchangeIter struct {
-	parent  *Ctx
-	wctxs   []*Ctx
-	width   int
+	ws      *workerSet
 	out     chan []storage.Row
-	errc    chan error
 	done    chan struct{}
-	pending []storage.Row
-	pos     int
-	buf     *Batch
+	feed    rowFeedIter // pivots the current chunk
 	stopped bool
-	merged  bool
 }
 
 func (x *exchangeIter) NextBatch(max int) (*Batch, bool, error) {
-	for x.pos >= len(x.pending) {
+	for {
+		if b, ok, _ := x.feed.NextBatch(max); ok {
+			return b, true, nil
+		}
 		chunk, ok := <-x.out
 		if !ok {
-			x.finish()
-			select {
-			case err := <-x.errc:
+			if err := x.ws.absorb(); err != nil {
 				return nil, false, err
-			default:
-				// Workers can also exit by observing cancellation before
-				// producing an error (e.g. parked on a send when the parent
-				// closed done): report the cancellation, not a silent EOS.
-				if err := x.parent.Cancelled(); err != nil {
-					return nil, false, err
-				}
-				return nil, false, nil
 			}
+			// Workers can also exit by observing cancellation before
+			// producing an error (e.g. parked on a send when the parent
+			// closed done): report the cancellation, not a silent EOS.
+			return nil, false, x.ws.parent.Cancelled()
 		}
-		x.pending, x.pos = chunk, 0
-	}
-	n := len(x.pending) - x.pos
-	if n > max {
-		n = max
-	}
-	if x.buf == nil {
-		x.buf = NewBatch(x.width, max)
-	}
-	b := x.buf
-	b.Sel = nil
-	b.n = n
-	chunk := x.pending[x.pos : x.pos+n]
-	for c := 0; c < x.width; c++ {
-		col := b.Cols[c][:0]
-		for _, r := range chunk {
-			col = append(col, r[c])
-		}
-		b.Cols[c] = col
-	}
-	x.pos += n
-	return b, true, nil
-}
-
-// finish absorbs worker counters exactly once, after all workers exited.
-func (x *exchangeIter) finish() {
-	if x.merged {
-		return
-	}
-	x.merged = true
-	for _, w := range x.wctxs {
-		x.parent.Counters.absorb(w.Counters)
-		if x.parent.prof != nil {
-			x.parent.prof.absorbWorker(w.prof)
-		}
+		x.feed.rows, x.feed.pos = chunk, 0
 	}
 }
 
@@ -472,10 +306,11 @@ func (x *exchangeIter) Close() error {
 		close(x.done)
 	}
 	// Unblock any worker parked on a send, then wait for the channel close
-	// (the goroutine that observes wg completion) before absorbing counters.
+	// (the goroutine that observes the workers' exit) before absorbing
+	// counters.
 	for range x.out {
 	}
-	x.finish()
+	x.ws.absorb()
 	return nil
 }
 
@@ -483,21 +318,18 @@ func (x *exchangeIter) Close() error {
 // parallelGroupBy
 // ---------------------------------------------------------------------------
 
-// parallelGroupBy aggregates a pipeline segment with per-worker partial
-// group tables merged after all workers finish. Only mergeable (builtin
-// non-DISTINCT) aggregates are lowered onto it. With no keys it is parallel
-// scalar aggregation (one output row even for empty input).
+// parallelGroupBy runs a BatchGroupBy's input pipeline on N workers, each
+// filling a partial group table, and merges the tables after all workers
+// finish. Only mergeable (builtin non-DISTINCT) aggregates are lowered onto
+// it. With no keys it is parallel scalar aggregation (one output row even
+// for empty input).
 type parallelGroupBy struct {
-	keys   []VecFactory
-	aggs   []*AggSpec
-	args   [][]VecFactory
-	seg    segment
+	g      *BatchGroupBy
 	degree int
-	sch    []algebra.Column
 }
 
 // Schema implements Node.
-func (pg *parallelGroupBy) Schema() []algebra.Column { return pg.sch }
+func (pg *parallelGroupBy) Schema() []algebra.Column { return pg.g.schema }
 
 // Open implements Node.
 func (pg *parallelGroupBy) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatches(pg, ctx) }
@@ -505,60 +337,29 @@ func (pg *parallelGroupBy) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatc
 // Describe names the operator for EXPLAIN.
 func (pg *parallelGroupBy) Describe() string {
 	kind := "ParallelGroupBy"
-	if len(pg.keys) == 0 {
+	if len(pg.g.Keys) == 0 {
 		kind = "ParallelScalarAgg"
 	}
-	return fmt.Sprintf("%s(%s, degree=%d)", kind, pg.seg.describe(), pg.degree)
+	shape, _ := pipelineShape(pg.g.Child)
+	return fmt.Sprintf("%s(%s, degree=%d)", kind, shape, pg.degree)
 }
 
 // OpenBatch implements BatchNode. Aggregation is a pipeline breaker, so the
 // whole parallel phase runs here and the returned iterator serves the
 // materialized groups.
 func (pg *parallelGroupBy) OpenBatch(ctx *Ctx) (BatchIter, error) {
-	st := &segState{degree: pg.degree, joins: map[*segHashJoin]*joinTable{}}
-	if err := pg.seg.prepare(ctx, st); err != nil {
+	p, err := newPipeline(ctx, pg.g.Child, pg.degree)
+	if err != nil {
 		return nil, err
 	}
-	workers := st.workers()
-	ctx.Counters.Workers += int64(workers)
-	tables := make([]*groupTable, workers)
-	wctxs := make([]*Ctx, workers)
-	errc := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wctx := ctx.forkWorker()
-		wctxs[w] = wctx
-		wg.Add(1)
-		go func(w int, wctx *Ctx) {
-			defer wg.Done()
-			it, err := pg.seg.open(wctx, st)
-			if err != nil {
-				errc <- err
-				return
-			}
-			if wctx.prof != nil {
-				it = &profBatchIter{in: it, st: wctx.prof.statsFor(pg)}
-			}
-			defer it.Close()
-			gt := newGroupTable(pg.aggs, len(pg.keys))
-			if err := gt.consume(wctx, it, Instantiate(pg.keys), instantiateArgs(pg.args)); err != nil {
-				errc <- err
-				return
-			}
-			tables[w] = gt
-		}(w, wctx)
-	}
-	wg.Wait()
-	for _, w := range wctxs {
-		ctx.Counters.absorb(w.Counters)
-		if ctx.prof != nil {
-			ctx.prof.absorbWorker(w.prof)
-		}
-	}
-	select {
-	case err := <-errc:
+	tables := make([]*groupTable, p.workers())
+	ws := startWorkers(ctx, p, pg, func(w int, wctx *Ctx, it BatchIter) (err error) {
+		tables[w], err = pg.g.aggregate(wctx, it)
+		return err
+	})
+	ws.wg.Wait()
+	if err := ws.absorb(); err != nil {
 		return nil, err
-	default:
 	}
 	final := tables[0]
 	for _, gt := range tables[1:] {
@@ -566,11 +367,7 @@ func (pg *parallelGroupBy) OpenBatch(ctx *Ctx) (BatchIter, error) {
 			return nil, err
 		}
 	}
-	rows, err := final.rows(ctx, len(pg.keys) == 0)
-	if err != nil {
-		return nil, err
-	}
-	return &rowFeedIter{rows: rows, width: len(pg.sch)}, nil
+	return pg.g.feed(ctx, final)
 }
 
 // ---------------------------------------------------------------------------
@@ -587,8 +384,8 @@ func allMergeable(aggs []*AggSpec) bool {
 }
 
 // Parallelize rewrites a vectorized physical plan for intra-query
-// parallelism with the given degree: pipeline segments become Exchange
-// operators, and grouped/scalar aggregations over a segment become parallel
+// parallelism with the given degree: pipelines become Exchange operators,
+// and grouped/scalar aggregations over a pipeline become parallel
 // aggregations with per-worker partial states. Operators without a
 // parallel-safe decomposition keep their serial form (notably LIMIT, whose
 // first-N semantics would pick a nondeterministic subset, and DISTINCT
@@ -604,18 +401,15 @@ func Parallelize(n Node, degree int) (Node, []string, bool) {
 }
 
 func parallelize(n Node, degree int) (Node, []string, bool) {
-	if seg, ok := segmentize(n); ok {
-		ex := &Exchange{Degree: degree, Seg: seg, sch: n.Schema()}
+	if _, ok := pipelineShape(n); ok {
+		ex := &Exchange{Degree: degree, child: n}
 		return ex, []string{ex.Describe()}, true
 	}
 	switch x := n.(type) {
 	case *BatchGroupBy:
-		if allMergeable(x.Aggs) {
-			if seg, ok := segmentize(x.Child); ok {
-				pg := &parallelGroupBy{keys: x.Keys, aggs: x.Aggs, args: x.Args,
-					seg: seg, degree: degree, sch: x.schema}
-				return pg, []string{pg.Describe()}, true
-			}
+		if _, ok := pipelineShape(x.Child); ok && allMergeable(x.Aggs) {
+			pg := &parallelGroupBy{g: x, degree: degree}
+			return pg, []string{pg.Describe()}, true
 		}
 		if child, notes, ok := parallelize(x.Child, degree); ok {
 			cp := *x
@@ -623,8 +417,8 @@ func parallelize(n Node, degree int) (Node, []string, bool) {
 			return &cp, notes, true
 		}
 	case *BatchHashJoin:
-		// Not segmentizable as a whole (e.g. an aggregation below the
-		// probe): parallelize the two inputs independently.
+		// Not a pipeline as a whole (e.g. an aggregation below the probe):
+		// parallelize the two inputs independently.
 		l, lNotes, lok := parallelize(x.L, degree)
 		r, rNotes, rok := parallelize(x.R, degree)
 		if lok || rok {

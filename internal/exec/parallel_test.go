@@ -2,7 +2,7 @@ package exec
 
 // Parallel executor tests: the morsel dispenser must cover every row exactly
 // once, and every parallel operator (Exchange over scan/filter/project/probe
-// segments, parallel group-by and scalar aggregation) must produce the same
+// pipelines, parallel group-by and scalar aggregation) must produce the same
 // row multiset as its serial counterpart — exactly, since these fixtures
 // aggregate integers. Error propagation and early close must not leak
 // workers or deadlock.
@@ -63,7 +63,7 @@ func TestMorselSourceCoversEveryRowOnce(t *testing.T) {
 	// Published segments plus a transaction overlay: the dispenser must
 	// cover the combined ordinal space exactly once.
 	tab := newTestTable(t, "m", []string{"a"}, rows[:n-5])
-	src := newMorselSource(tab.Version(), rows[n-5:])
+	src := newMorselSource(tab.Version(), rows[n-5:], MorselRows)
 	if src.total != n {
 		t.Fatalf("total = %d, want %d", src.total, n)
 	}
@@ -363,5 +363,180 @@ func TestExchangeEarlyClose(t *testing.T) {
 	}
 	if err := bi.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExchangeTwoProbes runs a pipeline with two hash-join probes, one of
+// them above a filter: every probe's join table is prebuilt once and shared
+// by the workers.
+func TestExchangeTwoProbes(t *testing.T) {
+	probeTab := intTable(t, "probe", 9_000, 5)
+	b1Tab := intTable(t, "b1", 5, 5)  // one build row per probe key
+	b2Tab := intTable(t, "b2", 30, 7) // matches probe rows with a < 7 only
+	psc, b1sc, b2sc := schema2("a", "b", "c"), schema2("d", "e", "f"), schema2("g", "h", "i")
+	vec := func(name string, sc []algebra.Column) VecFactory {
+		f, err := CompileVec(col(name), sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	inner := NewBatchHashJoin(algebra.InnerJoin, []VecFactory{vec("b", psc)}, []VecFactory{vec("e", b1sc)},
+		nil, NewBatchScan(probeTab, psc), NewBatchScan(b1Tab, b1sc))
+	pred, err := CompilePred(cmp(sqltypes.CmpLT, col("c"), lit(12_000)), inner.Schema(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := &BatchFilter{Pred: pred, Child: inner}
+	plan := NewBatchHashJoin(algebra.LeftOuterJoin, []VecFactory{vec("a", filter.Schema())},
+		[]VecFactory{vec("h", b2sc)}, nil, filter, NewBatchScan(b2Tab, b2sc))
+	want, err := Drain(plan, NewCtx(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) <= 6_000 {
+		t.Fatalf("serial plan returned %d rows; the fixture should match some probe rows twice", len(want))
+	}
+	par := parallelPair(t, plan)
+	ex, ok := par.(*Exchange)
+	if !ok {
+		t.Fatalf("expected Exchange root, got %T", par)
+	}
+	if got, want := ex.Describe(), "Exchange(scan(probe)→probe(inner)→filter→probe(leftouter), degree=4)"; got != want {
+		t.Fatalf("Describe() = %q, want %q", got, want)
+	}
+	ctx := NewCtx(nil)
+	got, err := Drain(par, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMultiset(t, got, want)
+	if ctx.Counters.Workers < 2 {
+		t.Fatalf("launched %d workers, want several", ctx.Counters.Workers)
+	}
+}
+
+// TestParallelOverTransactionOverlay sends a transaction's uncommitted rows
+// through parallel plans. The overlay spans about 2.5 morsels, and the
+// published rows end mid-morsel, so one morsel straddles the boundary.
+func TestParallelOverTransactionOverlay(t *testing.T) {
+	defer func(n int) { MorselRows = n }(MorselRows)
+	MorselRows = 64
+	const published, overlaid = 1_000, 160 // 1000 = 15.6 morsels
+	tab := intTable(t, "t", published, 7)
+	overlay := make([]storage.Row, overlaid)
+	for i := range overlay {
+		a := int64(100_000 + i)
+		overlay[i] = storage.Row{sqltypes.NewInt(a), sqltypes.NewInt(a % 7), sqltypes.NewInt(2 * a)}
+	}
+	newCtx := func() *Ctx {
+		ctx := NewCtx(nil)
+		ctx.SetSnapshot(nil, map[*storage.Table][]storage.Row{tab: overlay})
+		return ctx
+	}
+	sc := schema2("a", "b", "c")
+	exprs, err := CompileVecAll([]algebra.Expr{col("a"), col("b")}, sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	project := NewBatchProject(exprs, false, NewBatchScan(tab, sc), schema2("a", "b"))
+	key, _ := CompileVec(col("b"), sc, nil)
+	argA, _ := CompileVec(col("a"), sc, nil)
+	group := NewBatchGroupBy([]VecFactory{key},
+		[]*AggSpec{{Func: "count"}, {Func: "sum", Args: make([]Evaluator, 1)}},
+		[][]VecFactory{nil, {argA}}, NewBatchScan(tab, sc), schema2("k", "n", "s"))
+
+	want, err := Drain(project, newCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != published+overlaid {
+		t.Fatalf("serial scan returned %d rows, want %d", len(want), published+overlaid)
+	}
+	ctx := newCtx()
+	got, err := Drain(parallelPair(t, project), ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMultiset(t, got, want)
+	seen := map[int64]int{}
+	for _, r := range got {
+		if a := r[0].Int(); a >= 100_000 {
+			seen[a]++
+		}
+	}
+	for i := range overlay {
+		if n := seen[overlay[i][0].Int()]; n != 1 {
+			t.Fatalf("overlay row %d returned %d times, want once", i, n)
+		}
+	}
+	if ctx.Counters.Workers != 4 || ctx.Counters.Morsels != (published+overlaid+63)/64 {
+		t.Fatalf("workers=%d morsels=%d, want 4 workers over %d morsels",
+			ctx.Counters.Workers, ctx.Counters.Morsels, (published+overlaid+63)/64)
+	}
+
+	wantGroups, err := Drain(group, newCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := parallelPair(t, group)
+	if _, ok := par.(*parallelGroupBy); !ok {
+		t.Fatalf("expected parallelGroupBy root, got %T", par)
+	}
+	gotGroups, err := Drain(par, newCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMultiset(t, gotGroups, wantGroups)
+	total := int64(0)
+	for _, r := range gotGroups {
+		total += r[1].Int()
+	}
+	if total != published+overlaid {
+		t.Fatalf("group counts add up to %d, want %d", total, published+overlaid)
+	}
+}
+
+// panicOn is a filter predicate that keeps every row but panics on the row
+// whose first column equals bad.
+func panicOn(bad int64) PredFactory {
+	return func() VecPredicate {
+		return func(_ *Ctx, b *Batch, out []sqltypes.Tri) error {
+			for i := 0; i < b.Len(); i++ {
+				p := b.LiveAt(i)
+				if b.Cols[0][p].Int() == bad {
+					panic("injected predicate panic")
+				}
+				out[p] = sqltypes.True
+			}
+			return nil
+		}
+	}
+}
+
+// TestParallelWorkerPanicIsError requires a worker's panic to come back as
+// the statement's error, from an Exchange and from a parallel group-by,
+// with the process intact for the next parallel plan.
+func TestParallelWorkerPanicIsError(t *testing.T) {
+	tab := intTable(t, "t", 20_000, 7)
+	sc := schema2("a", "b", "c")
+	filter := &BatchFilter{Pred: panicOn(15_000), Child: NewBatchScan(tab, sc)}
+	key, _ := CompileVec(col("b"), sc, nil)
+	argA, _ := CompileVec(col("a"), sc, nil)
+	group := NewBatchGroupBy([]VecFactory{key}, []*AggSpec{{Func: "sum", Args: make([]Evaluator, 1)}},
+		[][]VecFactory{{argA}}, filter, schema2("k", "s"))
+	for _, plan := range []Node{filter, group} {
+		par := parallelPair(t, plan)
+		_, err := Drain(par, NewCtx(nil))
+		if err == nil || err.Error() != "exec: parallel worker panic: injected predicate panic" {
+			t.Fatalf("%T returned %v, want the worker panic as an error", par, err)
+		}
+	}
+	got, err := Drain(parallelPair(t, NewBatchScan(tab, sc)), NewCtx(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 20_000 {
+		t.Fatalf("parallel scan after the panics returned %d rows, want 20000", len(got))
 	}
 }

@@ -29,17 +29,6 @@ func (s PartialAggSpec) Width() int {
 	return 1
 }
 
-// MergeablePartial reports whether the named builtin aggregate function can
-// be merged from per-shard partials at all.
-func MergeablePartial(fn string) bool {
-	switch fn {
-	case "sum", "count", "min", "max", "avg":
-		return true
-	default:
-		return false
-	}
-}
-
 // PartialMerge accumulates the per-shard partial tuples of one group and
 // finalizes them into the aggregates' global values.
 type PartialMerge struct {

@@ -11,8 +11,8 @@ import (
 
 // PlanChildren returns n's child plan nodes in display order (outer/probe
 // side first). Leaves — scans, index probes, Values, Single, table
-// functions, and parallel operators whose pipelines live inside opaque
-// segments — return nil.
+// functions, and parallel operators, whose Describe text names the
+// pipeline their workers run — return nil.
 func PlanChildren(n Node) []Node {
 	switch x := n.(type) {
 	case *Filter:
@@ -48,7 +48,7 @@ func PlanChildren(n Node) []Node {
 }
 
 // PlanLabel names an operator for the annotated tree. Parallel operators
-// reuse their EXPLAIN Describe text (which names the fused segment), so the
+// reuse their EXPLAIN Describe text (which names the pipeline), so the
 // analyze tree and the plan-choice notes agree.
 func PlanLabel(n Node) string {
 	switch x := n.(type) {

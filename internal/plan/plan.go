@@ -54,11 +54,12 @@ type Planner struct {
 	// executable.
 	Vectorized bool
 	// Parallelism is the intra-query degree for top-level vectorized plans:
-	// when > 1, pipeline segments become morsel-driven Exchange operators
-	// and aggregations get per-worker partial states where the operators
-	// support it (EXPLAIN notes each parallel operator). Embedded statements
-	// and Apply subplans always plan serially — they execute once per UDF
-	// invocation or outer row, where worker fan-out would only add overhead.
+	// when > 1, scan/filter/project/probe pipelines become morsel-driven
+	// Exchange operators and aggregations get per-worker partial states
+	// where the operators support it (EXPLAIN notes each parallel
+	// operator). Embedded statements and Apply subplans always plan
+	// serially — they execute once per UDF invocation or outer row, where
+	// worker fan-out would only add overhead.
 	Parallelism int
 
 	// Per-build scratch state; only ever touched on a fork (see fork).

@@ -510,12 +510,10 @@ func classifyMerge(proj *algebra.Project, gb *algebra.GroupBy, scan *algebra.Sca
 		if a.Distinct {
 			return rejected("DISTINCT aggregate %s cannot be merged across shards (a value may occur on several shards)", a.String())
 		}
-		switch fn {
-		case "sum", "count", "min", "max", "avg":
-			spec.Aggs = append(spec.Aggs, MergeAgg{Func: fn, Star: len(a.Args) == 0})
-		default:
+		if !catalog.BuiltinAggregates[fn] {
 			return rejected("aggregate %s has no shard merge function", a.String())
 		}
+		spec.Aggs = append(spec.Aggs, MergeAgg{Func: fn, Star: len(a.Args) == 0})
 	}
 	// Map the final projection onto the GROUP BY output: plain column
 	// references only — an expression over merged aggregates would need a
