@@ -330,12 +330,9 @@ func handleStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 	defer func(start time.Time) { svc.ObserveStreamDuration(time.Since(start)) }(time.Now())
 
 	w.Header().Set(wire.TraceHeader, st.TraceID)
-	sw, err := wire.NewStreamWriter(w, wire.StreamHeader{
+	sw := wire.NewStreamWriter(w, wire.StreamHeader{
 		Cols: st.Rows.Columns(), Rewritten: st.Rows.Rewritten(), CacheHit: st.CacheHit})
-	if err != nil {
-		return
-	}
-	sw.Flush()
+	defer sw.Close()
 
 	var cells []string
 	for st.Rows.Next() {
@@ -349,15 +346,13 @@ func handleStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 		}
 		if err := sw.Row(cells); err != nil {
 			// Client went away mid-stream; the request context cancels the
-			// query, Close (deferred) releases its slots.
+			// query, st.Rows.Close (deferred) releases its slots.
 			return
 		}
-		sw.Flush()
 	}
 	st.Rows.Close() // settle Err and absorb parallel counters
 	if err := st.Rows.Err(); err != nil {
 		sw.Fail(wireError(err, wire.CodeBadRequest))
-		sw.Flush()
 		return
 	}
 	c := st.Rows.Counters()
@@ -367,7 +362,6 @@ func handleStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 		Morsels:   c.Morsels,
 		Workers:   c.Workers,
 	})
-	sw.Flush()
 }
 
 func handleExplain(svc *Service, w http.ResponseWriter, r *http.Request) {

@@ -16,7 +16,8 @@ const role = "router"
 // NewHandler builds the router's HTTP API: /session, /session/close,
 // /query, /exec, /stream, /explain, /stats and /healthz, answering every
 // JSON endpoint with the one wire envelope (see internal/wire) whatever the
-// request's Accept header says, and /stream as NDJSON flushed every 64 rows.
+// request's Accept header says, and /stream as NDJSON under the one flush
+// policy of wire.StreamWriter.
 // /query and /exec are two routes over one statement handler, like the
 // single-node server's: a SELECT is classified and scattered, anything else
 // is routed as a DDL/INSERT script. A request's X-Trace-Id is echoed and
@@ -150,11 +151,8 @@ func handleStream(r *Router, w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer rows.Close()
-	sw, err := wire.NewStreamWriter(w, wire.StreamHeader{Cols: rows.Cols()})
-	if err != nil {
-		return
-	}
-	sw.Flush()
+	sw := wire.NewStreamWriter(w, wire.StreamHeader{Cols: rows.Cols()})
+	defer sw.Close()
 	for {
 		row, err := rows.Next()
 		if err != nil {
@@ -166,9 +164,6 @@ func handleStream(r *Router, w http.ResponseWriter, req *http.Request) {
 		}
 		if sw.Row(row) != nil {
 			return // client went away; closing the cursors cancels the legs
-		}
-		if sw.Rows()%64 == 0 {
-			sw.Flush()
 		}
 	}
 	sw.Done(wire.StreamTrailer{})

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ import (
 )
 
 func TestRouterHTTP(t *testing.T) {
-	c := startCluster(t, 2)
+	c := startCluster(t, 3)
 	ts := httptest.NewServer(shard.NewHandler(c.router))
 	defer ts.Close()
 	ctx := context.Background()
@@ -34,7 +35,7 @@ func TestRouterHTTP(t *testing.T) {
 	if err := wc.Post(ctx, "/session", map[string]any{"mode": "rewrite"}, &sess); err != nil {
 		t.Fatal(err)
 	}
-	if sess.Session == "" || sess.Shards != 2 || sess.Mode != "rewrite" {
+	if sess.Session == "" || sess.Shards != 3 || sess.Mode != "rewrite" {
 		t.Fatalf("session result = %+v", sess)
 	}
 
@@ -81,8 +82,58 @@ func TestRouterHTTP(t *testing.T) {
 	if err := wc.Get(ctx, "/stats", &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Shards != 2 || snap.InsertsRouted != 3 || snap.DDLBroadcast != 1 {
+	if snap.Shards != 3 || snap.InsertsRouted != 3 || snap.DDLBroadcast != 1 {
 		t.Fatalf("stats = %+v", snap)
+	}
+
+	// A stream longer than the router's 32 KiB write buffer, gathered from
+	// all three shards: every line whole, every row there, one done trailer.
+	const wideRows = 1500
+	pad := strings.Repeat("x", 40)
+	var script strings.Builder
+	script.WriteString("create table wide (k int primary key, v varchar) shard key (k);")
+	for k := 0; k < wideRows; k++ {
+		fmt.Fprintf(&script, " insert into wide values (%d, '%s%d');", k, pad, k)
+	}
+	if err := wc.Exec(ctx, sess.Session, script.String()); err != nil {
+		t.Fatal(err)
+	}
+	buf, _ := json.Marshal(wire.Statement{Session: sess.Session, SQL: "select k, v from wide"})
+	resp, err := http.Post(ts.URL+"/stream", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 32<<10 || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("stream of %d bytes, want over 32 KiB ending in a newline", len(body))
+	}
+	lines := bytes.Split(body[:len(body)-1], []byte("\n"))
+	seen := map[string]bool{}
+	for i, raw := range lines {
+		line, err := wire.DecodeStreamLine(raw)
+		if err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		switch {
+		case i == 0 && line.Header == nil, i == len(lines)-1 && line.Trailer == nil:
+			t.Fatalf("line %d is %q", i, raw)
+		case line.Trailer != nil:
+			if tr := line.Trailer; !tr.Done || tr.RowCount != wideRows {
+				t.Fatalf("trailer %+v, want done with %d rows", tr, wideRows)
+			}
+		case line.Row != nil:
+			if len(line.Row) != 2 || line.Row[1] != "'"+pad+line.Row[0]+"'" {
+				t.Fatalf("line %d is %q", i, raw)
+			}
+			seen[line.Row[0]] = true
+		}
+	}
+	if len(lines) != wideRows+2 || len(seen) != wideRows {
+		t.Fatalf("%d lines, %d distinct rows, want %d rows", len(lines), len(seen), wideRows)
 	}
 }
 

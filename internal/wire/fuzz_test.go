@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
@@ -34,6 +35,11 @@ var streamSeeds = []string{
 	`{"error":"division by zero","code":"BAD_REQUEST"}`,
 	`{"error":"scatter leg 1 failed after 7 gathered rows: boom","code":"PARTIAL_FAILURE"}`,
 	`{"error":"read-only replica","code":"READ_ONLY","leader_hint":"http://127.0.0.1:8093"}`,
+	`{"row":["a<b","x&y","p>q","<&>"]}`,
+	`{"row":["line\u2028sep","para\u2029sep"]}`,
+	`{"row":["bad \ufffd","\u0000\u0001\t\n\r\u001f","quote\" back\\ slash"]}`,
+	`{"row":["","'it''s'",""]}`,
+	`{"row":[]}`,
 }
 
 // FuzzDecode: Decode never panics and every failure is typed; a body whose
@@ -85,43 +91,50 @@ func FuzzDecode(f *testing.F) {
 }
 
 // reencode writes a decoded line back through StreamWriter and returns the
-// bytes it put on the wire.
+// bytes it put on the wire for that line. The writer buffers, so the
+// recorder is read only after the trailer or Close; the header line that
+// precedes a row or trailer is cut off.
 func reencode(t *testing.T, l StreamLine) []byte {
 	rec := httptest.NewRecorder()
 	var h StreamHeader
 	if l.Header != nil {
 		h = *l.Header
 	}
-	sw, err := NewStreamWriter(rec, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := NewStreamWriter(rec, h)
 	switch {
 	case l.Header != nil:
+		sw.Close()
+		return rec.Body.Bytes()
 	case l.Trailer != nil && l.Trailer.Done:
-		rec.Body.Reset()
 		sw.rows = l.Trailer.RowCount
 		sw.Done(*l.Trailer)
 	case l.Trailer != nil:
-		rec.Body.Reset()
 		sw.Fail(&RemoteError{Code: l.Trailer.Code, Message: l.Trailer.Error, LeaderHint: l.Trailer.LeaderHint})
 	default:
-		rec.Body.Reset()
 		if err := sw.Row(l.Row); err != nil {
 			t.Fatal(err)
 		}
+		sw.Close()
 	}
-	return rec.Body.Bytes()
+	_, line, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
+	return line
 }
 
 // FuzzStreamLine: decoding never panics, and a line that decodes survives
 // the writer and a second decode unchanged (a failure trailer keeps the three
-// members a failure trailer has).
+// members a failure trailer has). A row line the writer emits is byte for
+// byte what encoding/json writes for it, which NDJSON readers that digest
+// lines rely on.
 func FuzzStreamLine(f *testing.F) {
 	for _, s := range streamSeeds {
 		f.Add([]byte(s))
 	}
+	f.Add([]byte("{\"row\":[\"invalid \xff\xfe utf-8\",\"ctl \x7f\"]}"))
 	f.Fuzz(func(t *testing.T, line []byte) {
+		// Any bytes as a cell, valid UTF-8 or not.
+		cells := []string{string(line), ""}
+		checkRowBytes(t, cells, reencode(t, StreamLine{Row: cells}))
+
 		first, err := DecodeStreamLine(line)
 		if err != nil {
 			return
@@ -134,6 +147,9 @@ func FuzzStreamLine(f *testing.F) {
 			want.Trailer = &StreamTrailer{Error: tr.Error, Code: tr.Code, LeaderHint: tr.LeaderHint}
 		}
 		wireBytes := reencode(t, first)
+		if first.Row != nil {
+			checkRowBytes(t, first.Row, wireBytes)
+		}
 		second, err := DecodeStreamLine(wireBytes)
 		if err != nil {
 			t.Fatalf("re-encoded %q as %q, which does not decode: %v", line, wireBytes, err)
@@ -142,6 +158,20 @@ func FuzzStreamLine(f *testing.F) {
 			t.Fatalf("%q -> %+v -> %q -> %+v", line, want, wireBytes, second)
 		}
 	})
+}
+
+// checkRowBytes fails t unless got is what encoding/json writes for the row
+// line of cells.
+func checkRowBytes(t *testing.T, cells []string, got []byte) {
+	want, err := json.Marshal(struct {
+		Row []string `json:"row"`
+	}{cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("row %q encoded as %q, encoding/json writes %q", cells, got, want)
+	}
 }
 
 func btoi(b bool) int {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
+	"time"
 )
 
 // The /stream response is NDJSON outside the envelope (Content-Type
@@ -44,47 +46,156 @@ type StreamTrailer struct {
 	LeaderHint string `json:"leader_hint,omitempty"`
 }
 
-// StreamWriter writes one /stream response. Nothing is flushed to the client
-// until the handler calls Flush; how often is the handler's policy.
+// The flush policy of every /stream response. Lines are buffered; a buffered
+// run goes to the client at the first row line (so time-to-first-row does not
+// wait for the buffer), once it reaches flushBytes, once its oldest byte is
+// flushDelay old, and at the trailer.
+const (
+	flushBytes = 32 << 10
+	flushDelay = 5 * time.Millisecond
+)
+
+// StreamWriter writes one /stream response under the flush policy above. It
+// touches the ResponseWriter only under mu, because the flushDelay timer
+// flushes from its own goroutine. The handler must end every response with
+// Done, Fail or Close before it returns: each flushes what is buffered and
+// stops the timer.
 type StreamWriter struct {
-	enc  *json.Encoder
-	rc   *http.ResponseController
-	line streamRow
-	rows int
+	mu    sync.Mutex
+	w     http.ResponseWriter
+	rc    *http.ResponseController
+	buf   []byte      // lines not yet written to w
+	timer *time.Timer // armed while buf holds a run; nil otherwise
+	err   error       // first write or flush error
+	rows  int
 }
 
-// NewStreamWriter commits w to a 200 NDJSON response and writes the header
+// NewStreamWriter commits w to a 200 NDJSON response and buffers the header
 // line.
-func NewStreamWriter(w http.ResponseWriter, h StreamHeader) (*StreamWriter, error) {
+func NewStreamWriter(w http.ResponseWriter, h StreamHeader) *StreamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	s := &StreamWriter{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
-	return s, s.enc.Encode(&h)
+	s := &StreamWriter{w: w, rc: http.NewResponseController(w)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.arm()
+	s.buf = appendJSON(s.buf, &h)
+	return s
 }
 
-// Row writes one row line. An error means the client went away.
+// Row buffers one row line. An error means the client went away: it is the
+// first write or flush error, and every later Row returns it too.
 func (s *StreamWriter) Row(cells []string) error {
-	s.line.Row = cells
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
+	s.arm()
+	s.buf = appendRow(s.buf, cells)
 	s.rows++
-	return s.enc.Encode(&s.line)
+	if s.rows == 1 || len(s.buf) >= flushBytes {
+		s.flush()
+	}
+	return s.err
 }
 
-// Rows is the number of row lines written so far.
-func (s *StreamWriter) Rows() int { return s.rows }
-
-// Done writes the success trailer; RowCount is filled in from Rows.
+// Done writes the success trailer, RowCount filled in from the rows written,
+// and flushes.
 func (s *StreamWriter) Done(t StreamTrailer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	t.Done, t.RowCount = true, s.rows
-	_ = s.enc.Encode(&t)
+	s.buf = appendJSON(s.buf, &t)
+	s.flush()
 }
 
-// Fail writes the failure trailer for a mid-stream error.
+// Fail writes the failure trailer for a mid-stream error and flushes.
 func (s *StreamWriter) Fail(e *RemoteError) {
-	_ = s.enc.Encode(&StreamTrailer{Error: e.Message, Code: e.Code, LeaderHint: e.LeaderHint})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = appendJSON(s.buf, &StreamTrailer{Error: e.Message, Code: e.Code, LeaderHint: e.LeaderHint})
+	s.flush()
 }
 
-// Flush pushes everything written so far to the client.
-func (s *StreamWriter) Flush() { _ = s.rc.Flush() }
+// Close flushes whatever is buffered and stops the timer; after Done or Fail
+// it does nothing. A handler defers it to cover its early returns.
+func (s *StreamWriter) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flush()
+}
+
+// arm starts the flushDelay timer when a line is about to begin a new run.
+// The timer flushes only the run it was armed for: a flush clears s.timer,
+// so a callback that lost the race to it finds another timer (or none).
+func (s *StreamWriter) arm() {
+	if len(s.buf) > 0 {
+		return
+	}
+	var t *time.Timer
+	t = time.AfterFunc(flushDelay, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.timer == t {
+			s.flush()
+		}
+	})
+	s.timer = t
+}
+
+// flush writes the buffered run and flushes it to the client, keeping the
+// first error. It runs with mu held.
+func (s *StreamWriter) flush() {
+	if s.timer != nil {
+		s.timer.Stop()
+		s.timer = nil
+	}
+	if len(s.buf) > 0 && s.err == nil {
+		if _, err := s.w.Write(s.buf); err != nil {
+			s.err = err
+		} else if err := s.rc.Flush(); err != nil {
+			s.err = err
+		}
+	}
+	s.buf = s.buf[:0]
+}
+
+// appendJSON appends v's line. Header and trailers are plain structs of
+// strings, numbers and bools, which always encode.
+func appendJSON(b []byte, v any) []byte {
+	j, _ := json.Marshal(v)
+	return append(append(b, j...), '\n')
+}
+
+// appendRow appends cells' row line: byte for byte what encoding/json writes
+// for streamRow{cells}, newline included.
+func appendRow(b []byte, cells []string) []byte {
+	b = append(b, `{"row":[`...)
+	for i, c := range cells {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, c)
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendString appends s as a JSON string. A string with any byte
+// encoding/json would escape or validate (control bytes, non-ASCII, the
+// quote, the backslash and the HTML characters <, > and &) is left to
+// json.Marshal, so the output always matches it.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
 
 // StreamLine is one decoded /stream line: exactly one member is non-nil.
 type StreamLine struct {
