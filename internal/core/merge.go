@@ -28,6 +28,9 @@ type Result struct {
 // Apply operators with the rules of Section VI.
 type Decorrelator struct {
 	Cat *catalog.Catalog
+	// Estimate is the planner's row-count estimate, handed to the rule
+	// engine (Rewriter.Estimate); nil is allowed.
+	Estimate func(algebra.Rel) float64
 }
 
 // NewDecorrelator builds a pipeline over a catalog.
@@ -39,13 +42,18 @@ func NewDecorrelator(cat *catalog.Catalog) *Decorrelator {
 // the transformation rules to a fixpoint.
 func (d *Decorrelator) Rewrite(rel algebra.Rel) (*Result, error) {
 	rw := NewRewriter(d.Cat)
+	rw.Estimate = d.Estimate
 	builder := NewUDFBuilder(d.Cat, rw)
 	res := &Result{}
 
 	// Step 1+2: replace UDF invocations by their algebraic form under an
 	// Apply with the bind extension (Figure 6), repeating until no more
 	// invocations can be merged (innermost-first so arguments are simple).
-	for pass := 0; pass < maxRewritePasses; pass++ {
+	for pass := 0; ; pass++ {
+		if pass == maxRewritePasses {
+			passCapReached("Decorrelator.Rewrite")
+			break
+		}
 		merged, name, err := d.mergeOneCall(rw, builder, rel)
 		if err != nil {
 			return nil, err

@@ -25,11 +25,20 @@ type Rewriter struct {
 	Cat   *catalog.Catalog
 	Trace []string
 
+	// Estimate, when set, is the planner's row-count estimate; the rule
+	// key-restrict-across-join copies a restriction only where it lowers
+	// the estimate. Nil copies every restriction the rule matches.
+	Estimate func(algebra.Rel) float64
+
 	// auxAggs holds auxiliary aggregates synthesized during this rewrite
 	// (not yet registered in the catalog); the scalar-aggregate
 	// decorrelation needs their initial state to patch up empty groups
 	// across the outer join.
 	auxAggs map[string]*catalog.Aggregate
+
+	// keyRestricts remembers every restriction key-restrict-across-join
+	// has decided on (copied or refused), so it fires once per conjunct.
+	keyRestricts map[string]bool
 
 	nameSeq int
 	rules   []Rule
@@ -57,7 +66,7 @@ func (rw *Rewriter) auxInit(name string) (sqltypes.Value, bool) {
 // plus the decorrelation transformations of Galindo-Legaria & Joshi used by
 // the paper's examples.
 func NewRewriter(cat *catalog.Catalog) *Rewriter {
-	rw := &Rewriter{Cat: cat, auxAggs: map[string]*catalog.Aggregate{}}
+	rw := &Rewriter{Cat: cat, auxAggs: map[string]*catalog.Aggregate{}, keyRestricts: map[string]bool{}}
 	rw.rules = []Rule{
 		{"R9-bind-removal", ruleR9BindRemoval},
 		{"leftouter-to-cross", ruleLeftOuterToCross},
@@ -76,6 +85,7 @@ func NewRewriter(cat *catalog.Catalog) *Rewriter {
 		{"K3-select-pullup", ruleK3SelectPullup},
 		{"hoist-correlated-select", ruleHoistCorrelatedSelect},
 		{"K1K2-apply-to-join", ruleK1K2ApplyToJoin},
+		{"key-restrict-across-join", ruleKeyRestrictAcrossJoin},
 		{"apply-assoc", ruleApplyAssoc},
 		{"apply-union-distribute", ruleApplyUnionDistribute},
 		{"apply-join-pushdown", ruleApplyJoinPushdown},
@@ -108,6 +118,9 @@ func (rw *Rewriter) Rewrite(rel algebra.Rel) algebra.Rel {
 				for _, rule := range rw.rules {
 					if out, ok := rule.Apply(rw, n); ok {
 						rw.Trace = append(rw.Trace, rule.Name)
+						if c := observer.Load(); c != nil {
+							c.Fired(rule.Name, n, out)
+						}
 						n = out
 						fired = true
 						changed = true
@@ -120,9 +133,10 @@ func (rw *Rewriter) Rewrite(rel algebra.Rel) algebra.Rel {
 			}
 		})
 		if !changed {
-			break
+			return rel
 		}
 	}
+	passCapReached("Rewriter.Rewrite")
 	return rel
 }
 

@@ -469,3 +469,195 @@ func TestPushdownIntoJoinChildren(t *testing.T) {
 		t.Errorf("join conjunct should remain: %v", nj.Cond)
 	}
 }
+
+// ---------------------------------------------------------------------------
+// key-restrict-across-join
+// ---------------------------------------------------------------------------
+
+func cmpOp(op sqltypes.CmpOp, l, r algebra.Expr) *algebra.Cmp {
+	return &algebra.Cmp{Op: op, L: l, R: r}
+}
+
+// sumByKey is G_{i.k; sum(i.v) AS s}(in).
+func sumByKey(in algebra.Rel) *algebra.GroupBy {
+	return &algebra.GroupBy{Keys: []*algebra.ColRef{col("i", "k")},
+		Aggs: []algebra.AggCall{{Func: "sum", Args: []algebra.Expr{col("i", "v")}, As: "s"}},
+		In:   in}
+}
+
+// restrictJoin is σ_pred(o) ⋈_{o.a = i.k} G_{i.k; sum(i.v)}(i), the shape K1/K2
+// and GL-scalar-agg decorrelation leave behind.
+func restrictJoin(kind algebra.JoinKind, pred algebra.Expr) *algebra.Join {
+	return &algebra.Join{Kind: kind, Cond: eq(col("o", "a"), col("i", "k")),
+		L: &algebra.Select{Pred: pred, In: scanT("o", "a", "b")},
+		R: sumByKey(scanT("i", "k", "v"))}
+}
+
+// copiedRestriction returns the predicate the rule put under the group-by.
+func copiedRestriction(t *testing.T, out algebra.Rel) string {
+	t.Helper()
+	j, ok := out.(*algebra.Join)
+	if !ok {
+		t.Fatalf("want a join:\n%s", algebra.Print(out))
+	}
+	sel, ok := j.R.(*algebra.GroupBy).In.(*algebra.Select)
+	if !ok {
+		t.Fatalf("want a selection under the group-by:\n%s", algebra.Print(out))
+	}
+	return sel.Pred.String()
+}
+
+func TestKeyRestrictAcrossJoinFires(t *testing.T) {
+	between := algebra.AndAll([]algebra.Expr{
+		cmpOp(sqltypes.CmpGE, col("o", "a"), intC(3)),
+		cmpOp(sqltypes.CmpGT, intC(7), col("o", "a")), // constant on the left
+		cmpOp(sqltypes.CmpNE, col("o", "b"), intC(1)), // not the join column
+	})
+	for _, kind := range []algebra.JoinKind{algebra.LeftOuterJoin, algebra.InnerJoin} {
+		in := restrictJoin(kind, between)
+		out, ok := ruleKeyRestrictAcrossJoin(testRewriter(), in)
+		if !ok {
+			t.Fatalf("%s: should fire", kind)
+		}
+		if got, want := copiedRestriction(t, out), "((i.k >= 3) AND (7 > i.k))"; got != want {
+			t.Errorf("%s: copied %s, want %s", kind, got, want)
+		}
+		if j := out.(*algebra.Join); j.Kind != kind || j.L != in.L || j.Cond != in.Cond {
+			t.Errorf("%s: the join and its outer side must stay:\n%s", kind, algebra.Print(out))
+		}
+		if err := checkFiring(in, out); err != nil {
+			t.Error(err)
+		}
+	}
+	// The equality may name the key first.
+	in := restrictJoin(algebra.LeftOuterJoin, cmpOp(sqltypes.CmpEQ, col("o", "a"), intC(4)))
+	in.Cond = eq(col("i", "k"), col("o", "a"))
+	out, ok := ruleKeyRestrictAcrossJoin(testRewriter(), in)
+	if !ok || copiedRestriction(t, out) != "(i.k = 4)" {
+		t.Errorf("reversed equality: fired=%v\n%v", ok, out)
+	}
+}
+
+func TestKeyRestrictAcrossJoinRefuses(t *testing.T) {
+	onA := func(r algebra.Expr) algebra.Expr { return cmpOp(sqltypes.CmpLE, col("o", "a"), r) }
+	subq := &algebra.Subquery{Rel: &algebra.Project{
+		Cols: []algebra.ProjCol{{E: intC(5), As: "c"}}, In: &algebra.Single{}}}
+	cases := map[string]algebra.Rel{
+		// The paper_rewritten exp2 shape: the UDF's result and the key
+		// restriction share one selection above the join.
+		"restriction above the join": &algebra.Select{
+			Pred: cmpOp(sqltypes.CmpGT, col("o", "a"), intC(-3)),
+			In: &algebra.Join{Kind: algebra.LeftOuterJoin, Cond: eq(col("o", "a"), col("i", "k")),
+				L: scanT("o", "a", "b"), R: sumByKey(scanT("i", "k", "v"))}},
+		"UDF call":         restrictJoin(algebra.LeftOuterJoin, onA(&algebra.Call{Name: "f", Args: []algebra.Expr{intC(1)}})),
+		"UDF of the key":   restrictJoin(algebra.LeftOuterJoin, cmpOp(sqltypes.CmpLE, &algebra.Call{Name: "f", Args: []algebra.Expr{col("o", "a")}}, intC(1))),
+		"parameter":        restrictJoin(algebra.LeftOuterJoin, onA(&algebra.ParamRef{Name: "p"})),
+		"subquery":         restrictJoin(algebra.LeftOuterJoin, onA(subq)),
+		"other column":     restrictJoin(algebra.LeftOuterJoin, onA(col("o", "b"))),
+		"non-join column":  restrictJoin(algebra.LeftOuterJoin, cmpOp(sqltypes.CmpLE, col("o", "b"), intC(5))),
+		"not a comparison": restrictJoin(algebra.LeftOuterJoin, &algebra.IsNull{E: col("o", "a")}),
+	}
+	// The equality meets an aggregate, not a key.
+	agg := restrictJoin(algebra.LeftOuterJoin, onA(intC(5)))
+	agg.Cond = eq(col("o", "a"), col("", "s"))
+	cases["non-key column"] = agg
+	scalar := restrictJoin(algebra.LeftOuterJoin, onA(intC(5)))
+	scalar.R = &algebra.GroupBy{Aggs: []algebra.AggCall{{Func: "count", As: "k"}}, In: scanT("i", "v")}
+	scalar.Cond = eq(col("o", "a"), col("", "k"))
+	cases["scalar group-by"] = scalar
+	for _, kind := range []algebra.JoinKind{algebra.SemiJoin, algebra.AntiJoin, algebra.CrossJoin} {
+		cases[kind.String()+" join"] = restrictJoin(kind, onA(intC(5)))
+	}
+	for name, rel := range cases {
+		rw := testRewriter()
+		rw.Rewrite(rel)
+		for _, fired := range rw.Trace {
+			if fired == "key-restrict-across-join" {
+				t.Errorf("%s: must not fire:\n%s", name, algebra.Print(rel))
+			}
+		}
+	}
+}
+
+func TestKeyRestrictAcrossJoinEstimateGate(t *testing.T) {
+	// An estimator that sees no pruning refuses every copy; one that sees
+	// pruning lets each falling conjunct through on its own.
+	pred := algebra.AndAll([]algebra.Expr{
+		cmpOp(sqltypes.CmpGT, col("o", "a"), intC(-3)),
+		cmpOp(sqltypes.CmpLE, col("o", "a"), intC(15)),
+	})
+	flat := testRewriter()
+	flat.Estimate = func(algebra.Rel) float64 { return 100 }
+	if out, ok := ruleKeyRestrictAcrossJoin(flat, restrictJoin(algebra.LeftOuterJoin, pred)); ok {
+		t.Errorf("no estimated pruning should mean no copy:\n%s", algebra.Print(out))
+	}
+	upper := testRewriter()
+	upper.Estimate = func(r algebra.Rel) float64 {
+		if s, ok := r.(*algebra.Select); ok && strings.Contains(s.Pred.String(), "<=") {
+			return 15
+		}
+		return 100
+	}
+	out, ok := ruleKeyRestrictAcrossJoin(upper, restrictJoin(algebra.LeftOuterJoin, pred))
+	if !ok || copiedRestriction(t, out) != "(i.k <= 15)" {
+		t.Errorf("only the pruning conjunct should be copied: fired=%v\n%v", ok, out)
+	}
+}
+
+func TestKeyRestrictAcrossJoinIdempotent(t *testing.T) {
+	// Through a projection and through a join the copy is pushed down to
+	// the scans; the rule must not copy it again.
+	pred := algebra.AndAll([]algebra.Expr{
+		cmpOp(sqltypes.CmpGE, col("o", "a"), intC(3)),
+		cmpOp(sqltypes.CmpLE, col("o", "a"), intC(7)),
+	})
+	throughProject := restrictJoin(algebra.LeftOuterJoin, pred)
+	throughProject.R = sumByKey(&algebra.Project{
+		Cols: []algebra.ProjCol{{E: col("i", "k"), Qual: "i", As: "k"}, {E: col("i", "v"), Qual: "i", As: "v"}},
+		In:   scanT("i", "k", "v")})
+	throughJoin := restrictJoin(algebra.InnerJoin, pred)
+	throughJoin.R = sumByKey(&algebra.Join{Kind: algebra.InnerJoin, Cond: eq(col("i", "k"), col("p", "k")),
+		L: scanT("i", "k", "v"), R: scanT("p", "k")})
+	for name, rel := range map[string]algebra.Rel{"project": throughProject, "join": throughJoin} {
+		rw := testRewriter()
+		out := rw.Rewrite(rel)
+		fired := 0
+		for _, r := range rw.Trace {
+			if r == "key-restrict-across-join" {
+				fired++
+			}
+		}
+		printed := algebra.Print(out)
+		if fired != 1 || strings.Count(printed, "(i.k >= 3)") != 1 || strings.Count(printed, "(i.k <= 7)") != 1 {
+			t.Errorf("%s: %d firings, want 1 with each conjunct copied once:\n%s", name, fired, printed)
+		}
+		if _, still := out.(*algebra.Join).R.(*algebra.GroupBy).In.(*algebra.Select); still {
+			t.Errorf("%s: the copy should have been pushed below the group-by's input:\n%s", name, printed)
+		}
+	}
+}
+
+func TestSanitizerCheckFiring(t *testing.T) {
+	r := scanT("r", "a", "b")
+	if err := checkFiring(r, &algebra.Select{Pred: eq(col("r", "a"), intC(1)), In: r}); err != nil {
+		t.Errorf("a filter preserves the schema: %v", err)
+	}
+	if err := checkFiring(r, scanT("r", "a")); err == nil {
+		t.Error("a lost column should be reported")
+	}
+	if err := checkFiring(r, scanT("s", "a", "b")); err == nil {
+		t.Error("a changed qualifier should be reported")
+	}
+	if err := checkFiring(r, &algebra.Select{Pred: eq(col("r", "a"), col("x", "y")), In: r}); err == nil {
+		t.Error("a new free reference should be reported")
+	}
+	floats := scanT("r", "a", "b")
+	floats.Cols[1].Type = sqltypes.KindFloat
+	if err := checkFiring(r, floats); err == nil {
+		t.Error("a changed type should be reported")
+	}
+	floats.Cols[1].Type = sqltypes.KindNull
+	if err := checkFiring(r, floats); err != nil {
+		t.Errorf("KindNull is compatible with any type: %v", err)
+	}
+}

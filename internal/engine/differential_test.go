@@ -73,27 +73,38 @@ func runDifferential(t *testing.T, profile engine.Profile, cfg bench.Config) {
 	t.Helper()
 	iter := diffEngine(t, profile, engine.ModeIterative, cfg)
 	rewr := diffEngine(t, profile, engine.ModeRewrite, cfg)
-	for _, q := range differentialCorpus {
+	checkCorpus(t, differentialCorpus, iter, rewr)
+}
+
+// checkCorpus runs every query of a corpus on iter (the ground truth) and on
+// each of the other engines, then runs its decorrelated SQL text on iter, and
+// asserts all of them return the same rows. An engine in rewrite mode must
+// decorrelate the queries that want it.
+func checkCorpus(t *testing.T, corpus []bench.CorpusQuery, iter *engine.Engine, others ...*engine.Engine) {
+	t.Helper()
+	for _, q := range corpus {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			orig, err := iter.Query(q.SQL)
 			if err != nil {
 				t.Fatalf("iterative: %v", err)
 			}
-			// 1. Rewrite mode must agree with the iterative ground truth.
-			rw, err := rewr.Query(q.SQL)
-			if err != nil {
-				t.Fatalf("rewrite mode: %v", err)
-			}
-			if q.WantRewrite && !rw.Rewritten {
-				res, _ := rewr.RewriteSQL(q.SQL)
-				trace := ""
-				if res != nil && len(res.Trace) > 0 {
-					trace = "\nlast trace: " + res.Trace[len(res.Trace)-1]
+			// 1. Every other mode must agree with the iterative ground truth.
+			for _, e := range others {
+				rw, err := e.Query(q.SQL)
+				if err != nil {
+					t.Fatalf("%s mode: %v", e.Mode, err)
 				}
-				t.Fatalf("expected decorrelation%s", trace)
+				if e.Mode == engine.ModeRewrite && q.WantRewrite && !rw.Rewritten {
+					res, _ := e.RewriteSQL(q.SQL)
+					trace := ""
+					if res != nil && len(res.Trace) > 0 {
+						trace = "\nlast trace: " + res.Trace[len(res.Trace)-1]
+					}
+					t.Fatalf("expected decorrelation%s", trace)
+				}
+				assertSameRowMultiset(t, "iterative vs "+e.Mode.String()+"-mode", orig.Rows, rw.Rows)
 			}
-			assertSameRowMultiset(t, "iterative vs rewrite-mode", orig.Rows, rw.Rows)
 
 			// 2. The emitted decorrelated SQL, run verbatim on the iterative
 			// engine, must also agree (the rewrite-tool contract).
@@ -121,6 +132,71 @@ func runDifferential(t *testing.T, profile engine.Profile, cfg bench.Config) {
 			}
 			assertSameRowMultiset(t, "iterative vs generated SQL", orig.Rows, again.Rows)
 		})
+	}
+}
+
+// keyRestrictVariants restrict the outer key of the UDF shapes whose rewrite
+// joins a group-by on that key: the branching UDF (service_level) and the
+// cursor loops (totalloss, partcount). The rule key-restrict-across-join
+// copies the restriction below the aggregate, or declines where the range
+// covers every key. They stay out of bench.Corpus so that the shard-class
+// table does not move.
+var keyRestrictVariants = func() []bench.CorpusQuery {
+	shapes := []struct{ name, sql, key string }{
+		{"service_level", "select custkey, service_level(custkey) from customer where ", "custkey"},
+		{"totalloss", "select partkey, totalloss(partkey) from partsupp where ", "partkey"},
+		{"partcount", "select categorykey, partcount(categorykey) from category where ", "categorykey"},
+	}
+	restrictions := []struct{ name, pred string }{
+		{"point", "%s = 17"},
+		{"range", "%s between 20 and 35"},
+		{"empty range", "%s between 10 and 5"},
+		{"whole domain", "%s between -5 and 100000"},
+		{"float bound", "%s <= 15.5"},
+		{"excluded key", "%[1]s <> 7 and %[1]s < 12"},
+	}
+	var out []bench.CorpusQuery
+	for _, s := range shapes {
+		for _, r := range restrictions {
+			out = append(out, bench.CorpusQuery{Name: s.name + "/" + r.name,
+				SQL: s.sql + fmt.Sprintf(r.pred, s.key), WantRewrite: true})
+		}
+	}
+	return out
+}()
+
+// nullInnerKeys adds inner rows whose join key is NULL to the tables the
+// key-restrict variants aggregate: they must never join, restricted or not.
+const nullInnerKeys = `
+insert into orders values (9000001, null, 1500000.0);
+insert into lineitem values (9000001, null, 1.0, 7, 50.0);
+insert into categoryancestor values (9000001, null, 1);
+insert into part values (9000001, 'nullcat', null);
+`
+
+// TestDifferentialKeyRestrict runs the key-restrict variants in every mode
+// (iterative, rewrite, cost-based), on both executors, and as generated SQL,
+// with and without NULL inner keys.
+func TestDifferentialKeyRestrict(t *testing.T) {
+	cfg := bench.SmallConfig()
+	for _, nullKeys := range []bool{false, true} {
+		for _, vectorized := range []bool{false, true} {
+			profile := engine.SYS1
+			profile.Vectorized = vectorized
+			t.Run(fmt.Sprintf("nullkeys=%v/vectorized=%v", nullKeys, vectorized), func(t *testing.T) {
+				var engines []*engine.Engine
+				for _, mode := range []engine.Mode{engine.ModeIterative, engine.ModeRewrite, engine.ModeCostBased} {
+					e := diffEngine(t, profile, mode, cfg)
+					if nullKeys {
+						if err := e.ExecScript(nullInnerKeys); err != nil {
+							t.Fatal(err)
+						}
+					}
+					engines = append(engines, e)
+				}
+				checkCorpus(t, keyRestrictVariants, engines[0], engines[1:]...)
+			})
+		}
 	}
 }
 

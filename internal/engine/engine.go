@@ -344,6 +344,7 @@ func (e *Engine) prepare(sql string, partialAgg bool) (*Prepared, error) {
 	var rewritten algebra.Rel
 	if e.Mode != ModeIterative {
 		d := core.NewDecorrelator(e.Cat)
+		d.Estimate = e.Planner.Estimate
 		res, err := d.Rewrite(rel)
 		if err != nil {
 			return nil, err

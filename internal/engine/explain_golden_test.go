@@ -29,6 +29,10 @@ var explainCorpus = []struct {
 	{"example3_udf_in_predicate", "select orderkey from orders where discount_simple(totalprice) > 50000"},
 	{"example4_single_query", "select custkey, totalbusiness(custkey) from customer"},
 	{"example5_cursor_loop", "select partkey, totalloss(partkey) from partsupp"},
+	// A key range on the outer is copied below the cursor loop's aggregate;
+	// one that covers every key is not (the estimate would not fall).
+	{"example5_cursor_loop_key_range", "select partkey, totalloss(partkey) from partsupp where partkey between 3 and 7"},
+	{"example1_whole_key_range", "select custkey, service_level(custkey) from customer where custkey between 0 and 100"},
 	{"example7_table_valued", "select ckey, price from bigorders(300000) b"},
 	{"example7_tvf_joined", `select c.name, b.price from bigorders(400000) b
 	                 join customer c on c.custkey = b.ckey`},
