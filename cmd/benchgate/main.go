@@ -290,7 +290,7 @@ var defaultRatios = []ratioGate{
 	{Name: "exp2_rewrite_speedup",
 		Slow: "BenchmarkExperiment2_Original/n=10000", Fast: "BenchmarkExperiment2_Rewritten/n=10000", Min: 0.6},
 	{Name: "exp3_rewrite_speedup",
-		Slow: "BenchmarkExperiment3_Original/n=200", Fast: "BenchmarkExperiment3_Rewritten/n=200", Min: 1.05},
+		Slow: "BenchmarkExperiment3_Original/n=200", Fast: "BenchmarkExperiment3_Rewritten/n=200", Min: 2.3},
 	{Name: "exp3_smalln_rewrite_speedup",
 		Slow: "BenchmarkExperiment3_Original/n=5", Fast: "BenchmarkExperiment3_Rewritten/n=5", Min: 0.75},
 	{Name: "scanfilter_columnar_speedup",

@@ -1141,11 +1141,16 @@ func ruleScalarAggDecorrelate(rw *Rewriter, n algebra.Rel) (algebra.Rel, bool) {
 		var e algebra.Expr = &algebra.ColRef{Name: ag.As}
 		// Patch the empty-group semantics across the outer join: COUNT of
 		// an empty group is 0, and an auxiliary aggregate of an empty
-		// group is its initial state (the loop body never ran).
+		// group is its initial state (the loop body never ran). Only the
+		// NULL-extended row is empty: its group key is NULL, while a
+		// matched group's result may itself be NULL (s + NULL).
 		if ag.Func == "count" {
 			e = &algebra.Call{Name: "coalesce", Args: []algebra.Expr{e, &algebra.Const{Val: sqltypes.NewInt(0)}}}
 		} else if init, ok := rw.auxInit(ag.Func); ok && !init.IsNull() {
-			e = &algebra.Call{Name: "coalesce", Args: []algebra.Expr{e, &algebra.Const{Val: init}}}
+			e = &algebra.Case{Whens: []algebra.CaseWhen{{
+				Cond: &algebra.IsNull{E: &algebra.ColRef{Qual: keys[0].Qual, Name: keys[0].Name}},
+				Then: &algebra.Const{Val: init},
+			}}, Else: e}
 		}
 		cols = append(cols, algebra.ProjCol{E: e, As: ag.As})
 	}

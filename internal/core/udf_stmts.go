@@ -345,7 +345,8 @@ func (b *UDFBuilder) query(sel *ast.SelectStmt, context algebra.Rel, st *bodySta
 
 // scalarLoop algebraizes a cursor loop in a scalar UDF (Section VII-A):
 // the acyclic prefix becomes per-row computation over the cursor relation;
-// the cyclic suffix becomes an auxiliary user-defined aggregate.
+// the cyclic suffix becomes builtin aggregates where it is a builtin fold
+// (udf_fold.go), and an auxiliary user-defined aggregate otherwise.
 func (b *UDFBuilder) scalarLoop(e algebra.Rel, loop *ast.WhileStmt, st *bodyState, rest []ast.Stmt) (algebra.Rel, error) {
 	body, err := b.loopBody(loop, st)
 	if err != nil {
@@ -429,30 +430,47 @@ func (b *UDFBuilder) scalarLoop(e algebra.Rel, loop *ast.WhileStmt, st *bodyStat
 	}
 	sort.Strings(results)
 
-	// One auxiliary aggregate per live result (a tuple-valued aggregate
-	// split into per-component aggregates; they share the same body).
+	// A live result the suffix folds with a builtin step becomes builtin
+	// aggregates; any other gets one auxiliary aggregate (a tuple-valued
+	// aggregate split into per-component aggregates; they share the same
+	// body).
 	args := make([]algebra.Expr, len(params))
 	for j, pn := range params {
 		args[j] = &algebra.ColRef{Name: pn}
 	}
 	var calls []algebra.AggCall
 	var assigns []algebra.MergeAssign
+	var outs []algebra.ProjCol // each result over the aggregates
+	project := false
 	for _, res := range results {
-		def := &catalog.Aggregate{
-			State:  state,
-			Params: params,
-			Body:   suffix,
-			Result: res,
-		}
-		def.Name = synthAggName(def)
-		b.NewAggs = append(b.NewAggs, def)
-		b.rw.RegisterAux(def)
 		alias := b.rw.FreshName("agg")
-		calls = append(calls, algebra.AggCall{Func: def.Name, Args: args, As: alias})
+		var out algebra.Expr = &algebra.ColRef{Name: alias}
+		if f, ok := b.builtinFold(res, st.constInit[res], suffix, writes, ein, st); ok {
+			aggs, val := b.foldAggs(f, alias)
+			calls = append(calls, aggs...)
+			if val != nil {
+				out, project = val, true
+			}
+		} else {
+			def := &catalog.Aggregate{
+				State:  state,
+				Params: params,
+				Body:   suffix,
+				Result: res,
+			}
+			def.Name = synthAggName(def)
+			b.NewAggs = append(b.NewAggs, def)
+			b.rw.RegisterAux(def)
+			calls = append(calls, algebra.AggCall{Func: def.Name, Args: args, As: alias})
+		}
+		outs = append(outs, algebra.ProjCol{E: out, As: alias})
 		assigns = append(assigns, algebra.MergeAssign{Target: res, Source: alias})
 		delete(st.constInit, res)
 		delete(st.symdefs, res)
 	}
-	loopRel := &algebra.GroupBy{Aggs: calls, In: ein}
+	var loopRel algebra.Rel = &algebra.GroupBy{Aggs: calls, In: ein}
+	if project {
+		loopRel = &algebra.Project{Cols: outs, In: loopRel}
+	}
 	return &algebra.ApplyMerge{Assigns: assigns, L: e, R: loopRel}, nil
 }

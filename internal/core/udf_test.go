@@ -8,7 +8,6 @@ import (
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/catalog"
 	"udfdecorr/internal/parser"
-	"udfdecorr/internal/sqltypes"
 )
 
 // buildCatalog parses DDL and returns the catalog.
@@ -103,37 +102,111 @@ end`, "lvl")
 	}
 }
 
-func TestBuildScalarCursorLoopSynthesizesAggregate(t *testing.T) {
-	rel, b, err := buildScalarUDF(t, udfTestSchema+`
-create function tl(int pkey) returns int as
+// loopAggs returns the aggregate calls of every GroupBy in a tree.
+func loopAggs(rel algebra.Rel) []algebra.AggCall {
+	var out []algebra.AggCall
+	algebra.Visit(rel, func(n algebra.Rel) {
+		if g, ok := n.(*algebra.GroupBy); ok {
+			out = append(out, g.Aggs...)
+		}
+	})
+	return out
+}
+
+// cursorLoopUDF wraps a loop body over lineitem(price, qty) in a scalar UDF
+// named f whose result variable total starts at init; the body may call
+// the scalar UDF dbl.
+func cursorLoopUDF(init, body string) string {
+	return udfTestSchema + `
+create function dbl(int x) returns int as
 begin
-  int total = 0;
+  return x * 2;
+end
+create function f(int pkey) returns int as
+begin
+  int total` + init + `;
   declare c cursor for select price, qty from lineitem where partkey = :pkey;
   open c;
   fetch next from c into @p, @q;
   while @@FETCH_STATUS = 0
   begin
-    if (@p > 10) total = total + @q;
+    ` + body + `
     fetch next from c into @p, @q;
   end
   close c; deallocate c;
   return total;
-end`, "tl")
+end`
+}
+
+func TestBuildScalarCursorLoopSynthesizesAggregate(t *testing.T) {
+	// A guarded sum is a builtin fold: sum(case when p > 10 then q end),
+	// with the two counts that make a NULL q poison the result as
+	// total + NULL does in the loop. No auxiliary aggregate.
+	rel, b, err := buildScalarUDF(t, cursorLoopUDF(" = 0", "if (@p > 10) total = total + @q;"), "f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.NewAggs) != 1 {
-		t.Fatalf("aux aggregates = %d", len(b.NewAggs))
+	if len(b.NewAggs) != 0 {
+		t.Fatalf("aux aggregates = %d, want 0", len(b.NewAggs))
 	}
-	agg := b.NewAggs[0]
-	if agg.Result != "total" {
-		t.Errorf("result var = %s", agg.Result)
+	var funcs []string
+	for _, a := range loopAggs(rel) {
+		funcs = append(funcs, a.String())
 	}
-	if len(agg.State) != 1 || !sqltypes.Equal(agg.State[0].Init, sqltypes.NewInt(0)) {
-		t.Errorf("state = %+v", agg.State)
+	got := strings.Join(funcs, "; ")
+	for _, want := range []string{"sum(CASE WHEN (p > 10) THEN q END)", "count(CASE WHEN (p > 10) THEN 1 END)", "count(CASE WHEN (p > 10) THEN q END)"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("loop aggregates %q lack %q", got, want)
+		}
 	}
-	if !strings.Contains(algebra.Print(rel), agg.Name) {
-		t.Error("tree should invoke the auxiliary aggregate")
+
+	// A counter is count(*) itself: no projection over it.
+	rel, b, err = buildScalarUDF(t, cursorLoopUDF(" = 0", "total = total + 1;"), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := loopAggs(rel)
+	if len(b.NewAggs) != 0 || len(aggs) != 1 || aggs[0].Func != "count" || len(aggs[0].Args) != 0 {
+		t.Errorf("counter loop: aux aggregates = %d, aggregates %v; want count(*) alone", len(b.NewAggs), aggs)
+	}
+}
+
+// TestBuildScalarCursorLoopNonFoldKeepsAuxAggregate pins the loops that are
+// not builtin folds to the interpreted auxiliary aggregate.
+func TestBuildScalarCursorLoopNonFoldKeepsAuxAggregate(t *testing.T) {
+	cases := []struct{ name, init, body, aggName string }{
+		// The name is content-addressed; pinning it pins the fingerprint.
+		{"product", " = 0", "total = total * 2 + @q;", "aux_agg_b25af3ee"},
+		{"guard reads the result", " = 0", "if (total < 100) total = total + @q;", ""},
+		{"term reads the result", " = 0", "total = total + total;", ""},
+		{"nonzero sum init", " = 5", "total = total + @p;", ""},
+		{"null counter", "", "total = total + 1;", ""},
+		{"else branch", " = 0", "if (@p > 10) total = total + 1; else total = total + 2;", ""},
+		{"two steps", " = 0", "total = total + 1; if (@p > 10) total = total + 1;", ""},
+		{"result read elsewhere", " = 0; int n = 0", "total = total + 1; n = n + total;", ""},
+		{"term runs a query", " = 0", "total = total + (select count(*) from orders where custkey = @q);", ""},
+		{"term calls a UDF", " = 0", "total = total + dbl(@q);", ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rel, b, err := buildScalarUDF(t, cursorLoopUDF(c.init, c.body), "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b.NewAggs) != 1 {
+				t.Fatalf("aux aggregates = %d, want 1", len(b.NewAggs))
+			}
+			agg := b.NewAggs[0]
+			if agg.Result != "total" {
+				t.Errorf("result var = %s", agg.Result)
+			}
+			if c.aggName != "" && agg.Name != c.aggName {
+				t.Errorf("aggregate name = %s, want %s", agg.Name, c.aggName)
+			}
+			if !strings.Contains(algebra.Print(rel), agg.Name) {
+				t.Error("tree should invoke the auxiliary aggregate")
+			}
+		})
 	}
 }
 

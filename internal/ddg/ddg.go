@@ -81,6 +81,13 @@ func exprReads(e ast.Expr, out VarSet) {
 	}
 }
 
+// ExprReads returns the variables a procedural-scope expression reads.
+func ExprReads(e ast.Expr) VarSet {
+	out := VarSet{}
+	exprReads(e, out)
+	return out
+}
+
 // queryReads collects parameter references from an embedded query.
 func queryReads(sel *ast.SelectStmt, out VarSet) {
 	var visitExpr func(e ast.Expr)
