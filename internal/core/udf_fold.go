@@ -145,8 +145,7 @@ func (b *UDFBuilder) scalarOnly(e algebra.Expr) bool {
 // under a guard. A sum fold is 0 ± sum(e) (coalesced to 0 for an empty
 // group), and NULL when a row that passes the guard has a NULL e, as
 // r + NULL is in the loop: the two counts of guarded rows and of their
-// non-NULL terms differ exactly then. A guard that is false or NULL
-// whenever e is NULL makes that check redundant.
+// non-NULL terms differ exactly then.
 func (b *UDFBuilder) foldAggs(f fold, as string) ([]algebra.AggCall, algebra.Expr) {
 	r0 := &algebra.Const{Val: f.init}
 	var rows []algebra.Expr // count's arguments: none counts every row
@@ -166,38 +165,20 @@ func (b *UDFBuilder) foldAggs(f fold, as string) ([]algebra.AggCall, algebra.Exp
 		term = guarded(f.guard, term)
 	}
 	s := b.rw.FreshName("fold")
-	calls := []algebra.AggCall{{Func: "sum", Args: []algebra.Expr{term}, As: s}}
-	var val algebra.Expr = &algebra.Call{Name: "coalesce", Args: []algebra.Expr{
-		&algebra.Arith{Op: f.op, L: r0, R: &algebra.ColRef{Name: s}}, r0}}
-	if f.guard == nil || !rejectsNull(f.guard, f.term) {
-		nRows, nTerms := b.rw.FreshName("fold"), b.rw.FreshName("fold")
-		calls = append(calls,
-			algebra.AggCall{Func: "count", Args: rows, As: nRows},
-			algebra.AggCall{Func: "count", Args: []algebra.Expr{term}, As: nTerms})
-		val = &algebra.Case{Whens: []algebra.CaseWhen{{
-			Cond: &algebra.Cmp{Op: sqltypes.CmpEQ, L: &algebra.ColRef{Name: nRows}, R: &algebra.ColRef{Name: nTerms}},
-			Then: val,
-		}}}
+	nRows, nTerms := b.rw.FreshName("fold"), b.rw.FreshName("fold")
+	calls := []algebra.AggCall{
+		{Func: "sum", Args: []algebra.Expr{term}, As: s},
+		{Func: "count", Args: rows, As: nRows},
+		{Func: "count", Args: []algebra.Expr{term}, As: nTerms},
 	}
-	return calls, val
+	return calls, &algebra.Case{Whens: []algebra.CaseWhen{{
+		Cond: &algebra.Cmp{Op: sqltypes.CmpEQ, L: &algebra.ColRef{Name: nRows}, R: &algebra.ColRef{Name: nTerms}},
+		Then: &algebra.Call{Name: "coalesce", Args: []algebra.Expr{
+			&algebra.Arith{Op: f.op, L: r0, R: &algebra.ColRef{Name: s}}, r0}},
+	}}}
 }
 
 // guarded is CASE WHEN p THEN e END: e where p holds, NULL elsewhere.
 func guarded(p, e algebra.Expr) algebra.Expr {
 	return &algebra.Case{Whens: []algebra.CaseWhen{{Cond: p, Then: e}}}
-}
-
-// rejectsNull reports whether predicate p is provably not TRUE when e is
-// NULL: p compares e itself, tests e IS NOT NULL, or is a conjunction with
-// such a conjunct.
-func rejectsNull(p, e algebra.Expr) bool {
-	switch x := p.(type) {
-	case *algebra.Cmp:
-		return algebra.EqualExpr(x.L, e) || algebra.EqualExpr(x.R, e)
-	case *algebra.IsNull:
-		return x.Neg && algebra.EqualExpr(x.E, e)
-	case *algebra.Logic:
-		return x.Op == algebra.LogicAnd && (rejectsNull(x.L, e) || rejectsNull(x.R, e))
-	}
-	return false
 }
