@@ -278,12 +278,13 @@ func main() {
 // defaultRatios are the runner-independent invariants -init seeds: the
 // paper's result — the rewritten form of each of Figs. 10–12 against its
 // iterative original, and Fig. 12 again at 5 outer keys, where the rewrite
-// wins only if the outer's key range reaches the inner aggregate — the columnar vectorized executor's win on the
-// scan/filter pair, and the plan cache's win over cold prepares. Floors sit
-// at or below half the smallest of five local measurements, so ordinary
-// noise passes but a real architectural regression — the rewrite losing
-// its edge, a scan that starts pivoting rows again, the cache stopping to
-// hit — fails.
+// wins only if the outer's key range reaches the inner aggregate — the
+// columnar vectorized executor's win on the scan/filter pair and on the hash
+// join pair, and the plan cache's win over cold prepares. Floors sit at or
+// below half the smallest of five local measurements, so ordinary noise
+// passes but a real architectural regression — the rewrite losing its edge,
+// a scan that starts pivoting rows again, a join probe that materialises
+// rows again, the cache stopping to hit — fails.
 var defaultRatios = []ratioGate{
 	{Name: "exp1_rewrite_speedup",
 		Slow: "BenchmarkExperiment1_Original/n=10000", Fast: "BenchmarkExperiment1_Rewritten/n=10000", Min: 1.1},
@@ -297,6 +298,8 @@ var defaultRatios = []ratioGate{
 		Slow: "BenchmarkScanFilterProject_Row", Fast: "BenchmarkScanFilterProject_Vectorized", Min: 2.5},
 	{Name: "plancache_hit_speedup",
 		Slow: "BenchmarkPlanCache/Cold", Fast: "BenchmarkPlanCache/Warm", Min: 2.0},
+	{Name: "hashjoin_columnar_speedup",
+		Slow: "BenchmarkHashJoin_Row", Fast: "BenchmarkHashJoin_Vectorized", Min: 0.7},
 }
 
 // defaultAllocCeilings seeds ceilings at 3× the measured allocs/op for the

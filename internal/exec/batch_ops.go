@@ -368,8 +368,10 @@ func (l *batchLimitIter) Close() error { return l.in.Close() }
 // BatchHashJoin is the vectorized hash join: build- and probe-side key
 // expressions evaluate batch-at-a-time, and matches are emitted into output
 // batches in left-row order (identical to the row hash join's order). The
-// residual predicate, when present, is evaluated per candidate row so that
-// outer/semi/anti match bookkeeping stays exact.
+// probe records each match as a left position and a build row, and gathers
+// the recorded pairs into the output one column at a time, so no probe row
+// is ever materialised. The residual predicate, when present, is evaluated
+// per candidate row so that outer/semi/anti match bookkeeping stays exact.
 type BatchHashJoin struct {
 	Kind     algebra.JoinKind
 	LKeys    []VecFactory
@@ -409,7 +411,7 @@ func (j *BatchHashJoin) OpenBatch(ctx *Ctx) (BatchIter, error) {
 		return nil, err
 	}
 	return &batchHashJoinIter{j: j, ctx: ctx, li: li, table: table,
-		lkeys: Instantiate(j.LKeys), rWidth: len(j.R.Schema())}, nil
+		lkeys: Instantiate(j.LKeys), lWidth: len(j.L.Schema()), rWidth: len(j.R.Schema())}, nil
 }
 
 type batchHashJoinIter struct {
@@ -418,6 +420,7 @@ type batchHashJoinIter struct {
 	li     BatchIter
 	lkeys  []VecEvaluator
 	table  *joinTable
+	lWidth int
 	rWidth int
 
 	left    *Batch             // current probe batch (nil when exhausted)
@@ -425,42 +428,64 @@ type batchHashJoinIter struct {
 	pos     int                // next live index in left
 	out     *Batch
 	keyBuf  []sqltypes.Value
+	joined  storage.Row // residual candidate row, reused
+
+	// Matches recorded into out but not yet copied: the left position and
+	// the build row (nil for a NULL-extended row). gather copies them
+	// before out is returned and before left is replaced, since left is
+	// valid only until the next li.NextBatch call.
+	mLeft  []int
+	mRight []storage.Row
 
 	// In-progress probe row, carried across NextBatch calls so a hot build
 	// key (bucket larger than the remaining output budget) never overflows
 	// the requested batch size.
 	pend        []storage.Row // bucket being emitted; meaningful when pendActive
 	pendIdx     int           // next bucket position
-	pendLeft    storage.Row   // the probe row the bucket belongs to
+	pendPos     int           // the probe row's position in left
 	pendMatched bool          // a residual-accepted match was seen
 	pendActive  bool
 }
 
-func (it *batchHashJoinIter) appendJoined(out *Batch, l, r storage.Row) {
-	for c := 0; c < len(l); c++ {
-		out.Cols[c] = append(out.Cols[c], l[c])
-	}
-	for c := 0; c < it.rWidth; c++ {
-		out.Cols[len(l)+c] = append(out.Cols[len(l)+c], r[c])
-	}
+// record adds one output row: left position p joined with build row r, or
+// with NULLs when r is nil (semi and anti joins ignore r).
+func (it *batchHashJoinIter) record(out *Batch, p int, r storage.Row) {
+	it.mLeft = append(it.mLeft, p)
+	it.mRight = append(it.mRight, r)
 	out.n++
 }
 
-func (it *batchHashJoinIter) appendLeft(out *Batch, l storage.Row) {
-	for c := 0; c < len(l); c++ {
-		out.Cols[c] = append(out.Cols[c], l[c])
+// gather copies the recorded matches into out column by column.
+func (it *batchHashJoinIter) gather(out *Batch) {
+	if len(it.mLeft) == 0 {
+		return
 	}
-	if kind := it.j.Kind; kind != algebra.SemiJoin && kind != algebra.AntiJoin {
+	for c := 0; c < it.lWidth; c++ {
+		src, dst := it.left.Cols[c], out.Cols[c]
+		for _, p := range it.mLeft {
+			dst = append(dst, src[p])
+		}
+		out.Cols[c] = dst
+	}
+	if len(out.Cols) > it.lWidth { // not a semi or anti join
 		for c := 0; c < it.rWidth; c++ {
-			out.Cols[len(l)+c] = append(out.Cols[len(l)+c], sqltypes.Null)
+			dst := out.Cols[it.lWidth+c]
+			for _, r := range it.mRight {
+				if r == nil {
+					dst = append(dst, sqltypes.Null)
+				} else {
+					dst = append(dst, r[c])
+				}
+			}
+			out.Cols[it.lWidth+c] = dst
 		}
 	}
-	out.n++
+	it.mLeft, it.mRight = it.mLeft[:0], it.mRight[:0]
 }
 
-// emitPending drains the in-progress probe row — the bucket cursor plus the
-// trailing unmatched emission — into out, stopping as soon as out reaches
-// max live rows. full=true means out filled up before the probe row
+// emitPending records the in-progress probe row — the bucket cursor plus
+// the trailing unmatched emission — into out, stopping as soon as out
+// reaches max live rows. full=true means out filled up before the probe row
 // completed; the cursor survives for the next call.
 func (it *batchHashJoinIter) emitPending(out *Batch, max int) (full bool, err error) {
 	j := it.j
@@ -471,8 +496,8 @@ func (it *batchHashJoinIter) emitPending(out *Batch, max int) (full bool, err er
 		r := it.pend[it.pendIdx]
 		it.pendIdx++
 		if j.Residual != nil {
-			joined := concatRows(it.pendLeft, r)
-			v, err := j.Residual(it.ctx, joined)
+			copy(it.joined[it.lWidth:], r)
+			v, err := j.Residual(it.ctx, it.joined)
 			if err != nil {
 				return false, err
 			}
@@ -483,29 +508,34 @@ func (it *batchHashJoinIter) emitPending(out *Batch, max int) (full bool, err er
 		it.pendMatched = true
 		switch j.Kind {
 		case algebra.SemiJoin:
-			it.appendLeft(out, it.pendLeft)
+			it.record(out, it.pendPos, nil)
 			it.pendIdx = len(it.pend) // the first match decides
 		case algebra.AntiJoin:
 			it.pendIdx = len(it.pend) // no emission on match
 		default:
-			it.appendJoined(out, it.pendLeft, r)
+			it.record(out, it.pendPos, r)
 		}
 	}
 	if !it.pendMatched && (j.Kind == algebra.AntiJoin || j.Kind == algebra.LeftOuterJoin) {
 		if out.n >= max {
 			return true, nil
 		}
-		it.appendLeft(out, it.pendLeft)
+		it.record(out, it.pendPos, nil)
 	}
 	it.pendActive = false
-	it.pend, it.pendLeft = nil, nil
+	it.pend = nil
 	return false, nil
 }
 
+// NextBatch records matches into out and gathers them at every exit and
+// before every fetch of the next probe batch.
 func (it *batchHashJoinIter) NextBatch(max int) (*Batch, bool, error) {
 	if it.out == nil {
 		it.out = NewBatch(len(it.j.schema), max)
 		it.keyBuf = make([]sqltypes.Value, len(it.lkeys))
+		if it.j.Residual != nil {
+			it.joined = make(storage.Row, it.lWidth+it.rWidth)
+		}
 	}
 	out := it.out
 	out.Sel = nil
@@ -513,46 +543,52 @@ func (it *batchHashJoinIter) NextBatch(max int) (*Batch, bool, error) {
 	for i := range out.Cols {
 		out.Cols[i] = out.Cols[i][:0]
 	}
+	full, err := it.probe(out, max)
+	it.gather(out) // left is still the batch every recorded position is in
+	if err != nil {
+		return nil, false, err
+	}
+	if out.n == 0 && !full {
+		return nil, false, nil
+	}
+	return out, true, nil
+}
+
+// probe records matches into out until it holds max rows (full=true) or
+// the probe side is exhausted.
+func (it *batchHashJoinIter) probe(out *Batch, max int) (full bool, err error) {
 	for {
 		if it.pendActive {
-			full, err := it.emitPending(out, max)
-			if err != nil {
-				return nil, false, err
-			}
-			if full {
-				return out, true, nil
+			if full, err := it.emitPending(out, max); err != nil || full {
+				return full, err
 			}
 		}
 		if it.left == nil || it.pos >= it.left.Len() {
 			if out.n >= max {
-				return out, true, nil
+				return true, nil
 			}
+			it.gather(out)
 			b, ok, err := it.li.NextBatch(max)
 			if err != nil {
-				return nil, false, err
+				return false, err
 			}
 			if !ok {
 				it.left = nil
-				if out.n > 0 {
-					return out, true, nil
-				}
-				return nil, false, nil
+				return false, nil
 			}
 			if it.keyVecs == nil {
 				it.keyVecs = make([][]sqltypes.Value, len(it.lkeys))
 			}
 			for i, k := range it.lkeys {
-				v, err := k(it.ctx, b)
-				if err != nil {
-					return nil, false, err
+				if it.keyVecs[i], err = k(it.ctx, b); err != nil {
+					return false, err
 				}
-				it.keyVecs[i] = v
 			}
 			it.left, it.pos = b, 0
 		}
 		for it.pos < it.left.Len() {
 			if out.n >= max {
-				return out, true, nil
+				return true, nil
 			}
 			p := it.left.LiveAt(it.pos)
 			it.pos++
@@ -568,18 +604,19 @@ func (it *batchHashJoinIter) NextBatch(max int) (*Batch, bool, error) {
 			it.pendActive = true
 			it.pendIdx = 0
 			it.pendMatched = false
-			it.pendLeft = it.left.Row(p)
+			it.pendPos = p
 			if nullKey {
 				it.pend = nil // NULL keys never join
 			} else {
 				it.pend = it.table.lookup(it.keyBuf)
 			}
-			full, err := it.emitPending(out, max)
-			if err != nil {
-				return nil, false, err
+			if it.j.Residual != nil {
+				for c := 0; c < it.lWidth; c++ {
+					it.joined[c] = it.left.Cols[c][p]
+				}
 			}
-			if full {
-				return out, true, nil
+			if full, err := it.emitPending(out, max); err != nil || full {
+				return full, err
 			}
 		}
 	}

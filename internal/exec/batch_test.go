@@ -401,6 +401,157 @@ func TestBatchHashJoinHotKeyResumeOrder(t *testing.T) {
 	}
 }
 
+// overwritingSource serves rows through one set of column vectors that it
+// overwrites on every NextBatch, poisoning every slot first, the way a
+// zero-copy scan rewrites its header: a consumer reading a batch past its
+// validity window sees poison or another batch's values.
+type overwritingSource struct {
+	rows   []storage.Row
+	schema []algebra.Column
+}
+
+func (s *overwritingSource) Schema() []algebra.Column    { return s.schema }
+func (s *overwritingSource) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatches(s, ctx) }
+func (s *overwritingSource) OpenBatch(*Ctx) (BatchIter, error) {
+	return &overwritingIter{rows: s.rows, b: NewBatch(len(s.schema), 0)}, nil
+}
+
+type overwritingIter struct {
+	rows []storage.Row
+	pos  int
+	b    *Batch
+}
+
+func (it *overwritingIter) NextBatch(max int) (*Batch, bool, error) {
+	n := min(max, len(it.rows)-it.pos)
+	if n <= 0 {
+		return nil, false, nil
+	}
+	for c := range it.b.Cols {
+		col := it.b.Cols[c][:cap(it.b.Cols[c])]
+		for i := range col {
+			col[i] = BatchPoison
+		}
+		col = col[:0]
+		for _, r := range it.rows[it.pos : it.pos+n] {
+			col = append(col, r[c])
+		}
+		it.b.Cols[c] = col
+	}
+	it.b.Sel = nil
+	it.b.SetPhysical(n)
+	it.pos += n
+	return it.b, true, nil
+}
+
+func (it *overwritingIter) Close() error { return nil }
+
+// TestBatchHashJoinGathersBeforeNextProbeBatch runs a probe side that spans
+// several left batches and carries a selection vector (a filter over more
+// than DefaultBatchSize rows of a source that overwrites its vectors on
+// every call) through every join kind, with and without a residual that
+// reads both sides. The join records matches as left positions and must
+// gather them before it fetches the next left batch; gathering later reads
+// the next batch's values (or poison) at those positions.
+func TestBatchHashJoinGathersBeforeNextProbeBatch(t *testing.T) {
+	lsc := schema2("lk", "lv")
+	rsc := schema2("rk", "rv")
+	const nProbe = 3000
+	var probe [][]int64
+	for i := int64(0); i < nProbe; i++ {
+		k := i % 13
+		if i%17 == 0 {
+			k = -1 // NULL key
+		}
+		probe = append(probe, []int64{k, i})
+	}
+	var build [][]int64
+	for i := int64(0); i < 40; i++ {
+		build = append(build, []int64{i % 10, i * 97 % nProbe})
+	}
+	filter := cmp(sqltypes.CmpNE, col("lk"), lit(4))
+	residual := cmp(sqltypes.CmpLT, col("rv"), col("lv"))
+	joined := append(append([]algebra.Column{}, lsc...), rsc...)
+	kinds := []algebra.JoinKind{algebra.InnerJoin, algebra.LeftOuterJoin,
+		algebra.SemiJoin, algebra.AntiJoin}
+	for _, kind := range kinds {
+		for _, withResidual := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/residual=%v", kind, withResidual), func(t *testing.T) {
+				src := &overwritingSource{rows: rowsWithNulls(probe), schema: lsc}
+				rowFilter, batchFilter := filterPair(t, filter, src)
+				r := NewValues(rowsWithNulls(build), rsc)
+				var res Evaluator
+				if withResidual {
+					var err error
+					if res, err = Compile(residual, joined, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				lKeyRow, _ := Compile(col("lk"), lsc, nil)
+				rKeyRow, _ := Compile(col("rk"), rsc, nil)
+				lKey, _ := CompileVec(col("lk"), lsc, nil)
+				rKey, _ := CompileVec(col("rk"), rsc, nil)
+				rowPlan := NewHashJoin(kind, []Evaluator{lKeyRow}, []Evaluator{rKeyRow}, res, rowFilter, r)
+				batchPlan := NewBatchHashJoin(kind, []VecFactory{lKey}, []VecFactory{rKey}, res, batchFilter, r)
+				want, err := Drain(rowPlan, NewCtx(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, size := range []int{1, 7, DefaultBatchSize, nProbe} {
+					got := drainWithBatchSize(t, batchPlan, NewCtx(nil), size)
+					assertIdenticalRows(t, got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestBatchHashJoinProbeAllocs pins the probe's allocation profile: it
+// records matches as positions and gathers them by column, so a probe row
+// allocates nothing. A row materialised per probe row is at least one
+// allocation per row.
+func TestBatchHashJoinProbeAllocs(t *testing.T) {
+	lsc := schema2("lk", "lv")
+	rsc := schema2("rk", "rv")
+	const nProbe, nBuild = 10000, 16
+	var probe, build [][]int64
+	for i := int64(0); i < nProbe; i++ {
+		probe = append(probe, []int64{i % nBuild, i})
+	}
+	for i := int64(0); i < nBuild; i++ {
+		build = append(build, []int64{i, 100 * i})
+	}
+	lKey, _ := CompileVec(col("lk"), lsc, nil)
+	rKey, _ := CompileVec(col("rk"), rsc, nil)
+	join := NewBatchHashJoin(algebra.InnerJoin, []VecFactory{lKey}, []VecFactory{rKey}, nil,
+		NewValues(rowsWithNulls(probe), lsc), NewValues(rowsWithNulls(build), rsc))
+	rows := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		bi, err := OpenBatches(join, NewCtx(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bi.Close()
+		rows = 0
+		for {
+			b, ok, err := bi.NextBatch(DefaultBatchSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			rows += b.Len()
+		}
+	})
+	if rows != nProbe {
+		t.Fatalf("join emitted %d rows, want %d", rows, nProbe)
+	}
+	if perRow := allocs / nProbe; perRow >= 0.05 {
+		t.Fatalf("%.0f allocations for %d probe rows (%.3f per row), want < 0.05 per row", allocs, nProbe, perRow)
+	}
+}
+
 // aggDef is one aggregate of a TestGroupByEquivalence case: fn over column
 // v (arg false means count(*)).
 type aggDef struct {

@@ -119,7 +119,9 @@ func (jt *joinTable) lookup(keys []sqltypes.Value) []storage.Row {
 
 // drainKeyed drains build batch-at-a-time, evaluates its key expressions,
 // and calls add for every row whose key values are all non-NULL (NULL keys
-// never join). add must copy keys to keep them: the slice is reused.
+// never join). Batch.AppendTo carves the rows from one block per batch
+// rather than allocating each. add must copy keys to keep them: the slice
+// is reused.
 func drainKeyed(ctx *Ctx, build Node, keyFs []VecFactory, add func(keys []sqltypes.Value, row storage.Row)) error {
 	ri, err := OpenBatches(build, ctx)
 	if err != nil {
@@ -129,6 +131,7 @@ func drainKeyed(ctx *Ctx, build Node, keyFs []VecFactory, add func(keys []sqltyp
 	evs := Instantiate(keyFs)
 	keyVecs := make([][]sqltypes.Value, len(evs))
 	keys := make([]sqltypes.Value, len(evs))
+	var rows []storage.Row // the current batch's rows, reused across batches
 	for {
 		if err := ctx.Cancelled(); err != nil {
 			return err
@@ -142,15 +145,16 @@ func drainKeyed(ctx *Ctx, build Node, keyFs []VecFactory, add func(keys []sqltyp
 				return err
 			}
 		}
-	rows:
-		for i, n := 0, b.Len(); i < n; i++ {
+		rows = b.AppendTo(rows[:0])
+	next:
+		for i, row := range rows {
 			p := b.LiveAt(i)
 			for c := range keyVecs {
 				if keys[c] = keyVecs[c][p]; keys[c].IsNull() {
-					continue rows
+					continue next
 				}
 			}
-			add(keys, b.Row(p))
+			add(keys, row)
 		}
 	}
 }
