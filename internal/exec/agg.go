@@ -26,49 +26,38 @@ type mergeableState interface {
 // ---------------------------------------------------------------------------
 
 type sumState struct {
-	acc     sqltypes.Value
-	seenAny bool
+	acc sqltypes.Value // NULL until a non-NULL value arrives
 }
 
-func (s *sumState) add(_ *Ctx, args []sqltypes.Value) error {
-	v := args[0]
-	if v.IsNull() {
-		return nil
-	}
-	if !s.seenAny {
-		s.acc = v
-		s.seenAny = true
-		return nil
-	}
-	acc, err := sqltypes.Arith(sqltypes.OpAdd, s.acc, v)
-	if err != nil {
-		return err
-	}
-	s.acc = acc
-	return nil
-}
+func (s *sumState) add(_ *Ctx, args []sqltypes.Value) error { return sumInto(&s.acc, &args[0]) }
 
-func (s *sumState) result(*Ctx) (sqltypes.Value, error) {
-	if !s.seenAny {
-		return sqltypes.Null, nil // SUM over empty/all-NULL is NULL
-	}
-	return s.acc, nil
-}
+// result is NULL over empty or all-NULL input.
+func (s *sumState) result(*Ctx) (sqltypes.Value, error) { return s.acc, nil }
 
 func (s *sumState) mergeState(other aggState) error {
-	o := other.(*sumState)
-	if !o.seenAny {
-		return nil
+	return sumInto(&s.acc, &other.(*sumState).acc)
+}
+
+// sumInto folds v into the running sum acc, which stays NULL until the
+// first non-NULL value arrives. Two floats or two integers add in place;
+// any other pair goes through sqltypes.Arith, which also rejects
+// non-numeric values. The result is the one Arith gives either way.
+func sumInto(acc, v *sqltypes.Value) error {
+	switch ak, vk := acc.Kind(), v.Kind(); {
+	case vk == sqltypes.KindNull:
+	case ak == sqltypes.KindNull:
+		*acc = *v
+	case ak == sqltypes.KindFloat && vk == sqltypes.KindFloat:
+		*acc = sqltypes.NewFloat(acc.Float() + v.Float())
+	case ak == sqltypes.KindInt && vk == sqltypes.KindInt:
+		*acc = sqltypes.NewInt(acc.Int() + v.Int())
+	default:
+		sum, err := sqltypes.Arith(sqltypes.OpAdd, *acc, *v)
+		if err != nil {
+			return err
+		}
+		*acc = sum
 	}
-	if !s.seenAny {
-		s.acc, s.seenAny = o.acc, true
-		return nil
-	}
-	acc, err := sqltypes.Arith(sqltypes.OpAdd, s.acc, o.acc)
-	if err != nil {
-		return err
-	}
-	s.acc = acc
 	return nil
 }
 
@@ -94,41 +83,35 @@ func (s *countState) mergeState(other aggState) error {
 }
 
 type minMaxState struct {
-	best sqltypes.Value
+	best sqltypes.Value // NULL until a non-NULL value arrives
 	max  bool
-	seen bool
 }
 
 func (s *minMaxState) add(_ *Ctx, args []sqltypes.Value) error {
-	v := args[0]
-	if v.IsNull() {
-		return nil
-	}
-	if !s.seen {
-		s.best = v
-		s.seen = true
-		return nil
-	}
-	c := sqltypes.TotalCompare(v, s.best)
-	if (s.max && c > 0) || (!s.max && c < 0) {
-		s.best = v
-	}
+	minMaxInto(&s.best, &args[0], s.max)
 	return nil
 }
 
-func (s *minMaxState) result(*Ctx) (sqltypes.Value, error) {
-	if !s.seen {
-		return sqltypes.Null, nil
-	}
-	return s.best, nil
-}
+func (s *minMaxState) result(*Ctx) (sqltypes.Value, error) { return s.best, nil }
 
 func (s *minMaxState) mergeState(other aggState) error {
-	o := other.(*minMaxState)
-	if !o.seen {
-		return nil
+	minMaxInto(&s.best, &other.(*minMaxState).best, s.max)
+	return nil
+}
+
+// minMaxInto folds v into the running minimum (or maximum, with isMax set)
+// best, which stays NULL until the first non-NULL value arrives.
+func minMaxInto(best, v *sqltypes.Value, isMax bool) {
+	switch {
+	case v.IsNull():
+	case best.IsNull():
+		*best = *v
+	default:
+		c := sqltypes.TotalCompare(*v, *best)
+		if (isMax && c > 0) || (!isMax && c < 0) {
+			*best = *v
+		}
 	}
-	return s.add(nil, []sqltypes.Value{o.best})
 }
 
 type avgState struct {
@@ -257,9 +240,27 @@ func (h *HashAgg) Open(ctx *Ctx) (Iter, error) {
 		return nil, err
 	}
 	defer it.Close()
+	// Each row goes into the group table as a batch of one: every key and
+	// argument vector is a one-value window onto keyRow or argRow.
 	gt := newGroupTable(h.Aggs, len(h.Keys))
-	keys := make([]sqltypes.Value, len(h.Keys))
-	var args []sqltypes.Value
+	keyRow := make([]sqltypes.Value, len(h.Keys))
+	keyVecs := make([][]sqltypes.Value, len(h.Keys))
+	for k := range keyVecs {
+		keyVecs[k] = keyRow[k : k+1 : k+1]
+	}
+	width := 0
+	for _, a := range h.Aggs {
+		width += len(a.Args)
+	}
+	argRow := make([]sqltypes.Value, width)
+	vecs := make([][]sqltypes.Value, width)
+	for j := range vecs {
+		vecs[j] = argRow[j : j+1 : j+1]
+	}
+	argVecs := make([][][]sqltypes.Value, len(h.Aggs))
+	for i, a := range h.Aggs {
+		argVecs[i], vecs = vecs[:len(a.Args):len(a.Args)], vecs[len(a.Args):]
+	}
 	for {
 		if err := ctx.Cancelled(); err != nil {
 			return nil, err
@@ -271,27 +272,22 @@ func (h *HashAgg) Open(ctx *Ctx) (Iter, error) {
 		if !ok {
 			break
 		}
-		for i, k := range h.Keys {
-			if keys[i], err = k(ctx, row); err != nil {
+		for k, ev := range h.Keys {
+			if keyRow[k], err = ev(ctx, row); err != nil {
 				return nil, err
 			}
 		}
-		grp, _, err := gt.find(keys, nil)
-		if err != nil {
-			return nil, err
-		}
-		for i, a := range h.Aggs {
-			args = args[:0]
-			for _, ae := range a.Args {
-				v, err := ae(ctx, row)
-				if err != nil {
+		j := 0
+		for _, a := range h.Aggs {
+			for _, ev := range a.Args {
+				if argRow[j], err = ev(ctx, row); err != nil {
 					return nil, err
 				}
-				args = append(args, v)
+				j++
 			}
-			if err := gt.add(ctx, grp, i, args); err != nil {
-				return nil, err
-			}
+		}
+		if err := gt.add(ctx, 1, nil, keyVecs, argVecs); err != nil {
+			return nil, err
 		}
 	}
 	rows, err := gt.rows(ctx, len(h.Keys) == 0)

@@ -78,11 +78,7 @@ func (m *PartialMerge) Absorb(partials []sqltypes.Value) error {
 	for k, sp := range m.specs {
 		switch sp.Func {
 		case "sum":
-			o := &sumState{}
-			if v := partials[i]; !v.IsNull() {
-				o.acc, o.seenAny = v, true
-			}
-			if err := m.states[k].mergeState(o); err != nil {
+			if err := m.states[k].mergeState(&sumState{acc: partials[i]}); err != nil {
 				return err
 			}
 			i++
@@ -96,11 +92,7 @@ func (m *PartialMerge) Absorb(partials []sqltypes.Value) error {
 			}
 			i++
 		case "min", "max":
-			o := &minMaxState{max: sp.Func == "max"}
-			if v := partials[i]; !v.IsNull() {
-				o.best, o.seen = v, true
-			}
-			if err := m.states[k].mergeState(o); err != nil {
+			if err := m.states[k].mergeState(&minMaxState{best: partials[i]}); err != nil {
 				return err
 			}
 			i++

@@ -577,13 +577,16 @@ type StreamOpts struct {
 }
 
 // ExplainAnalyze executes sql to completion with per-operator
-// instrumentation and returns the annotated plan tree.
+// instrumentation and returns the annotated plan tree. The rows are drained
+// and dropped.
 func (s *Service) ExplainAnalyze(ctx context.Context, sess *Session, sql string) (string, error) {
 	st, err := s.QueryStream(ctx, sess, sql, StreamOpts{Analyze: true})
 	if err != nil {
 		return "", err
 	}
-	if _, err := st.Rows.Materialize(); err != nil {
+	for st.Rows.Next() {
+	}
+	if err := st.Rows.Err(); err != nil {
 		return "", err
 	}
 	return st.Rows.Analyze(), nil
