@@ -144,7 +144,7 @@ func FreeRefs(r Rel) RefSet {
 			out.AddAll(FreeRefs(c))
 			schema = append(schema, c.Schema()...)
 		}
-		for _, e := range nodeExprs(r) {
+		for _, e := range NodeExprs(r) {
 			exprRefs(e, schema, out)
 		}
 		return out

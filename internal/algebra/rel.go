@@ -526,7 +526,7 @@ func printRel(b *strings.Builder, r Rel, depth int) {
 		printRel(b, c, depth+1)
 	}
 	// Also show relations nested inside scalar subqueries.
-	for _, e := range nodeExprs(r) {
+	for _, e := range NodeExprs(r) {
 		VisitExpr(e, func(Expr) {}, func(sub Rel) {
 			b.WriteString(strings.Repeat("  ", depth+1))
 			b.WriteString("(subquery)\n")

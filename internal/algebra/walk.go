@@ -1,8 +1,8 @@
 package algebra
 
-// nodeExprs returns the scalar expressions attached directly to a node
+// NodeExprs returns the scalar expressions attached directly to a node
 // (not those of its children).
-func nodeExprs(r Rel) []Expr {
+func NodeExprs(r Rel) []Expr {
 	switch n := r.(type) {
 	case *Select:
 		return []Expr{n.Pred}
@@ -140,7 +140,7 @@ func Visit(r Rel, f func(Rel)) {
 	for _, c := range r.Children() {
 		Visit(c, f)
 	}
-	for _, e := range nodeExprs(r) {
+	for _, e := range NodeExprs(r) {
 		VisitExpr(e, func(Expr) {}, func(sub Rel) { Visit(sub, f) })
 	}
 }

@@ -5,8 +5,8 @@
 // Project-over-GroupBy is replaced by a bare GroupBy whose schema is the
 // canonical merge layout: group keys first, then one column per partial
 // (avg contributes its sum and its non-NULL count). The router's gather
-// merges these with exec's mergeState machinery and applies the original
-// projection order itself.
+// merges these with exec's HashAgg and applies the original projection
+// order itself.
 package engine
 
 import (

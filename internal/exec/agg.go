@@ -12,15 +12,6 @@ type aggState interface {
 	result(ctx *Ctx) (sqltypes.Value, error)
 }
 
-// mergeableState is an aggregate state that can absorb another partial state
-// of the same type. The parallel group-by builds per-worker partial states
-// and merges them; only aggregates whose states implement this (the builtin
-// non-DISTINCT ones) are eligible for parallel aggregation.
-type mergeableState interface {
-	aggState
-	mergeState(other aggState) error
-}
-
 // ---------------------------------------------------------------------------
 // Builtin aggregate states
 // ---------------------------------------------------------------------------
@@ -33,10 +24,6 @@ func (s *sumState) add(_ *Ctx, args []sqltypes.Value) error { return sumInto(&s.
 
 // result is NULL over empty or all-NULL input.
 func (s *sumState) result(*Ctx) (sqltypes.Value, error) { return s.acc, nil }
-
-func (s *sumState) mergeState(other aggState) error {
-	return sumInto(&s.acc, &other.(*sumState).acc)
-}
 
 // sumInto folds v into the running sum acc, which stays NULL until the
 // first non-NULL value arrives. Two floats or two integers add in place;
@@ -77,11 +64,6 @@ func (s *countState) result(*Ctx) (sqltypes.Value, error) {
 	return sqltypes.NewInt(s.n), nil
 }
 
-func (s *countState) mergeState(other aggState) error {
-	s.n += other.(*countState).n
-	return nil
-}
-
 type minMaxState struct {
 	best sqltypes.Value // NULL until a non-NULL value arrives
 	max  bool
@@ -93,11 +75,6 @@ func (s *minMaxState) add(_ *Ctx, args []sqltypes.Value) error {
 }
 
 func (s *minMaxState) result(*Ctx) (sqltypes.Value, error) { return s.best, nil }
-
-func (s *minMaxState) mergeState(other aggState) error {
-	minMaxInto(&s.best, &other.(*minMaxState).best, s.max)
-	return nil
-}
 
 // minMaxInto folds v into the running minimum (or maximum, with isMax set)
 // best, which stays NULL until the first non-NULL value arrives.
@@ -138,13 +115,6 @@ func (s *avgState) result(*Ctx) (sqltypes.Value, error) {
 		return sqltypes.Null, nil
 	}
 	return sqltypes.NewFloat(s.sum / float64(s.n)), nil
-}
-
-func (s *avgState) mergeState(other aggState) error {
-	o := other.(*avgState)
-	s.sum += o.sum
-	s.n += o.n
-	return nil
 }
 
 // userAggState runs a user-defined aggregate (Section VII, Example 6):

@@ -201,7 +201,7 @@ type rowToBatchIter struct {
 
 func (r *rowToBatchIter) NextBatch(max int) (*Batch, bool, error) {
 	if r.buf == nil {
-		r.buf = NewBatch(r.width, max)
+		r.buf = NewBatch(r.width, 0) // grows to the rows that arrive
 	}
 	b := r.buf
 	b.Sel = nil

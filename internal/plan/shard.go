@@ -14,7 +14,7 @@
 //   - scatter-merge: a projection over a GROUP BY of mergeable builtin
 //     aggregates above a concat-safe input. Shards run the partial-
 //     aggregate plan (engine.PreparePartialAgg) and the router merges
-//     per-shard partials with exec.PartialMerge, then applies the original
+//     per-shard partials with exec's HashAgg, then applies the original
 //     projection order from the MergeSpec.
 //   - rejected: everything whose distributed execution would be wrong —
 //     the Reason names the unsupported shape and becomes the message of a
@@ -29,6 +29,7 @@ import (
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/ast"
 	"udfdecorr/internal/catalog"
+	"udfdecorr/internal/core"
 	"udfdecorr/internal/sqltypes"
 )
 
@@ -60,7 +61,6 @@ func (k ShardKind) String() string {
 // MergeAgg is one aggregate of a scatter-merge plan, in GROUP BY order.
 type MergeAgg struct {
 	Func string // lower-case builtin: sum, count, min, max, avg
-	Star bool   // count(*)
 }
 
 // OutputCol maps one final output column to its merged source.
@@ -211,54 +211,9 @@ func (c *shardCollector) walkRel(r algebra.Rel, inSub bool) {
 	for _, ch := range r.Children() {
 		c.walkRel(ch, inSub)
 	}
-	for _, e := range nodeShardExprs(r) {
+	for _, e := range algebra.NodeExprs(r) {
 		c.walkExpr(e)
 	}
-}
-
-// nodeShardExprs mirrors the walk package's per-node expression list using
-// only exported accessors.
-func nodeShardExprs(r algebra.Rel) []algebra.Expr {
-	switch n := r.(type) {
-	case *algebra.Select:
-		return []algebra.Expr{n.Pred}
-	case *algebra.Project:
-		out := make([]algebra.Expr, len(n.Cols))
-		for i, cl := range n.Cols {
-			out[i] = cl.E
-		}
-		return out
-	case *algebra.Join:
-		if n.Cond != nil {
-			return []algebra.Expr{n.Cond}
-		}
-	case *algebra.GroupBy:
-		var out []algebra.Expr
-		for _, k := range n.Keys {
-			out = append(out, k)
-		}
-		for _, a := range n.Aggs {
-			out = append(out, a.Args...)
-		}
-		return out
-	case *algebra.Sort:
-		out := make([]algebra.Expr, len(n.Keys))
-		for i, k := range n.Keys {
-			out[i] = k.E
-		}
-		return out
-	case *algebra.Apply:
-		out := make([]algebra.Expr, len(n.Binds))
-		for i, b := range n.Binds {
-			out[i] = b.Arg
-		}
-		return out
-	case *algebra.CondApplyMerge:
-		return []algebra.Expr{n.Pred}
-	case *algebra.TableFunc:
-		return n.Args
-	}
-	return nil
 }
 
 func (c *shardCollector) walkExpr(e algebra.Expr) {
@@ -280,7 +235,11 @@ func (c *shardCollector) checkFunc(name string) {
 	if _, ok := c.cat.Function(name); !ok {
 		return // builtin (abs, ...) — reads nothing
 	}
-	for t := range c.readsOf(name) {
+	reads := c.readsOf(name)
+	if c.err != "" {
+		return
+	}
+	for t := range reads {
 		if _, isSharded := c.sharded[t]; isSharded {
 			c.err = fmt.Sprintf("UDF %s reads sharded table %s (per-invocation body needs the whole table on one node)", name, t)
 			return
@@ -289,8 +248,10 @@ func (c *shardCollector) checkFunc(name string) {
 }
 
 // readsOf returns the lower-cased base tables a UDF's body reads,
-// transitively through nested UDF calls. Cycles terminate via the memo's
-// placeholder entry.
+// transitively through nested UDF calls. The body's expressions and
+// queries are algebrized as the interpreter lowers them, so the reads are
+// the scans of the plans the body will run. Cycles terminate via the
+// memo's placeholder entry; a body that does not algebrize sets c.err.
 func (c *shardCollector) readsOf(name string) map[string]bool {
 	key := strings.ToLower(name)
 	if m, ok := c.funcReads[key]; ok {
@@ -302,121 +263,99 @@ func (c *shardCollector) readsOf(name string) map[string]bool {
 	if !ok {
 		return m
 	}
-	for _, st := range fn.Def.Body {
-		c.stmtReads(st, m)
+	if err := c.bodyReads(core.NewAlgebrizer(c.cat), fn.Def.Body, m); err != nil && c.err == "" {
+		c.err = fmt.Sprintf("UDF %s body does not algebrize: %v", name, err)
 	}
 	return m
 }
 
-func (c *shardCollector) stmtReads(st ast.Stmt, m map[string]bool) {
-	switch s := st.(type) {
-	case *ast.DeclareStmt:
-		c.astExprReads(s.Init, m)
-	case *ast.AssignStmt:
-		c.astExprReads(s.Expr, m)
-	case *ast.IfStmt:
-		c.astExprReads(s.Cond, m)
-		for _, t := range s.Then {
-			c.stmtReads(t, m)
+func (c *shardCollector) bodyReads(alg *core.Algebrizer, body []ast.Stmt, m map[string]bool) error {
+	expr := func(e ast.Expr) error {
+		if e == nil {
+			return nil
 		}
-		for _, t := range s.Else {
-			c.stmtReads(t, m)
+		ae, err := alg.Expr(e)
+		if err != nil {
+			return err
 		}
-	case *ast.ReturnStmt:
-		c.astExprReads(s.Expr, m)
-	case *ast.SelectIntoStmt:
-		c.selectReads(s.Select, m)
-	case *ast.DeclareCursorStmt:
-		c.selectReads(s.Select, m)
-	case *ast.WhileStmt:
-		c.astExprReads(s.Cond, m)
-		for _, t := range s.Body {
-			c.stmtReads(t, m)
+		c.exprReads(ae, m)
+		return nil
+	}
+	query := func(sel *ast.SelectStmt) error {
+		rel, err := alg.Query(sel)
+		if err != nil {
+			return err
 		}
-	case *ast.InsertStmt:
-		for _, e := range s.Values {
-			c.astExprReads(e, m)
+		c.relReads(rel, m)
+		return nil
+	}
+	for _, st := range body {
+		var err error
+		switch s := st.(type) {
+		case *ast.DeclareStmt:
+			err = expr(s.Init)
+		case *ast.AssignStmt:
+			err = expr(s.Expr)
+		case *ast.ReturnStmt:
+			err = expr(s.Expr)
+		case *ast.IfStmt:
+			if err = expr(s.Cond); err == nil {
+				if err = c.bodyReads(alg, s.Then, m); err == nil {
+					err = c.bodyReads(alg, s.Else, m)
+				}
+			}
+		case *ast.WhileStmt:
+			if err = expr(s.Cond); err == nil {
+				err = c.bodyReads(alg, s.Body, m)
+			}
+		case *ast.SelectIntoStmt:
+			err = query(s.Select)
+		case *ast.DeclareCursorStmt:
+			err = query(s.Select)
+		case *ast.InsertStmt:
+			for _, e := range s.Values {
+				if err = expr(e); err != nil {
+					break
+				}
+			}
 		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// relReads adds a body query's scanned tables and the reads of the UDFs
+// and TVFs it calls (subqueries included) to m.
+func (c *shardCollector) relReads(r algebra.Rel, m map[string]bool) {
+	switch n := r.(type) {
+	case *algebra.Scan:
+		m[n.Table] = true
+	case *algebra.TableFunc:
+		c.addReads(n.Name, m)
+	}
+	for _, ch := range r.Children() {
+		c.relReads(ch, m)
+	}
+	for _, e := range algebra.NodeExprs(r) {
+		c.exprReads(e, m)
 	}
 }
 
-func (c *shardCollector) selectReads(sel *ast.SelectStmt, m map[string]bool) {
-	if sel == nil {
-		return
-	}
-	for _, ref := range sel.From {
-		c.tableRefReads(ref, m)
-	}
-	c.astExprReads(sel.Top, m)
-	for _, it := range sel.Items {
-		c.astExprReads(it.Expr, m)
-	}
-	c.astExprReads(sel.Where, m)
-	for _, g := range sel.GroupBy {
-		c.astExprReads(g, m)
-	}
-	c.astExprReads(sel.Having, m)
-	for _, o := range sel.OrderBy {
-		c.astExprReads(o.Expr, m)
-	}
+// exprReads adds the reads of a body expression (its UDF calls and
+// subqueries) to m.
+func (c *shardCollector) exprReads(e algebra.Expr, m map[string]bool) {
+	algebra.VisitExpr(e, func(x algebra.Expr) {
+		if call, ok := x.(*algebra.Call); ok {
+			c.addReads(call.Name, m)
+		}
+	}, func(sub algebra.Rel) { c.relReads(sub, m) })
 }
 
-func (c *shardCollector) tableRefReads(ref ast.TableRef, m map[string]bool) {
-	switch t := ref.(type) {
-	case *ast.TableName:
-		if _, ok := c.cat.Table(t.Name); ok {
-			m[strings.ToLower(t.Name)] = true
-		}
-		// Not in the catalog: a table variable of a TVF body — reads nothing.
-	case *ast.JoinRef:
-		c.tableRefReads(t.L, m)
-		c.tableRefReads(t.R, m)
-		c.astExprReads(t.On, m)
-	case *ast.SubqueryRef:
-		c.selectReads(t.Select, m)
-	case *ast.FuncRef:
-		for t2 := range c.readsOf(t.Name) {
-			m[t2] = true
-		}
-		for _, a := range t.Args {
-			c.astExprReads(a, m)
-		}
-	}
-}
-
-func (c *shardCollector) astExprReads(e ast.Expr, m map[string]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *ast.BinExpr:
-		c.astExprReads(x.L, m)
-		c.astExprReads(x.R, m)
-	case *ast.UnaryExpr:
-		c.astExprReads(x.E, m)
-	case *ast.IsNullExpr:
-		c.astExprReads(x.E, m)
-	case *ast.CaseExpr:
-		for _, w := range x.Whens {
-			c.astExprReads(w.Cond, m)
-			c.astExprReads(w.Then, m)
-		}
-		c.astExprReads(x.Else, m)
-	case *ast.FuncCall:
-		for t := range c.readsOf(x.Name) {
-			m[t] = true
-		}
-		for _, a := range x.Args {
-			c.astExprReads(a, m)
-		}
-	case *ast.SubqueryExpr:
-		c.selectReads(x.Select, m)
-	case *ast.ExistsExpr:
-		c.selectReads(x.Select, m)
-	case *ast.InExpr:
-		c.astExprReads(x.E, m)
-		c.selectReads(x.Select, m)
-		for _, l := range x.List {
-			c.astExprReads(l, m)
-		}
+func (c *shardCollector) addReads(name string, m map[string]bool) {
+	for t := range c.readsOf(name) {
+		m[t] = true
 	}
 }
 
@@ -513,7 +452,7 @@ func classifyMerge(proj *algebra.Project, gb *algebra.GroupBy, scan *algebra.Sca
 		if !catalog.BuiltinAggregates[fn] {
 			return rejected("aggregate %s has no shard merge function", a.String())
 		}
-		spec.Aggs = append(spec.Aggs, MergeAgg{Func: fn, Star: len(a.Args) == 0})
+		spec.Aggs = append(spec.Aggs, MergeAgg{Func: fn})
 	}
 	// Map the final projection onto the GROUP BY output: plain column
 	// references only — an expression over merged aggregates would need a

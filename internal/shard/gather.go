@@ -3,13 +3,13 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"udfdecorr/internal/exec"
 	"udfdecorr/internal/plan"
 	"udfdecorr/internal/sqltypes"
+	"udfdecorr/internal/storage"
 	"udfdecorr/internal/wire"
 )
 
@@ -88,85 +88,113 @@ func (s *sliceRows) Next() ([]string, error) {
 func (s *sliceRows) Close() {}
 
 // gatherMerge drains every shard's partial-aggregate stream and merges the
-// per-group partials: each shard row is NumKeys group-key cells followed by
-// the partial cells of each aggregate (avg ships sum and count). Merging
-// must see every shard, so the result is materialized; groups come out
-// sorted by key for determinism (single-node GROUP BY order is hash-driven
-// and comparisons canonicalize anyway).
+// per-group partials with the engine's own operators: each shard row is
+// NumKeys group-key cells followed by the partial cells of each aggregate
+// (avg ships sum and count). The typed rows feed a HashAgg that sums sum
+// and count partials, takes min/max of min/max partials and sums avg's two
+// halves; a Project then finalizes avg and applies the query's output
+// order. Merging must see every shard, so the result is materialized;
+// groups come out in first-seen order, as a single node's GROUP BY does.
 func gatherMerge(streams []*shardStream, spec *plan.MergeSpec) (Rows, error) {
 	defer func() {
 		for _, st := range streams {
 			st.Close()
 		}
 	}()
-	specs := make([]exec.PartialAggSpec, len(spec.Aggs))
+	col := func(i int) exec.Evaluator {
+		return func(_ *exec.Ctx, row storage.Row) (sqltypes.Value, error) { return row[i], nil }
+	}
+	keys := make([]exec.Evaluator, spec.NumKeys)
+	for k := range keys {
+		keys[k] = col(k)
+	}
+	// One merge aggregate per partial column, so partial column j of a
+	// shard row becomes column j of the HashAgg's output row; aggAt[i] is
+	// where spec.Aggs[i]'s partials start (avg: its sum, then its count).
+	merge := func(fn string, j int) *exec.AggSpec {
+		return &exec.AggSpec{Func: fn, Args: []exec.Evaluator{col(j)}}
+	}
+	var aggs []*exec.AggSpec
+	aggAt := make([]int, len(spec.Aggs))
 	for i, a := range spec.Aggs {
-		specs[i] = exec.PartialAggSpec{Func: a.Func, Star: a.Star}
+		j := spec.NumKeys + len(aggs)
+		aggAt[i] = j
+		switch a.Func {
+		case "min", "max":
+			aggs = append(aggs, merge(a.Func, j))
+		case "avg":
+			aggs = append(aggs, merge("sum", j), merge("sum", j+1))
+		case "sum", "count":
+			aggs = append(aggs, merge("sum", j))
+		default:
+			return nil, fmt.Errorf("aggregate %s cannot be merged from shard partials", a.Func)
+		}
 	}
-	type group struct {
-		keyCells []string
-		pm       *exec.PartialMerge
-	}
-	groups := map[string]*group{}
+	width := spec.NumKeys + len(aggs)
+
+	var rows []storage.Row
 	for i, st := range streams {
 		for {
-			row, err := st.next()
+			cells, err := st.next()
 			if err != nil {
 				return nil, scatterError(i, err)
 			}
-			if row == nil {
+			if cells == nil {
 				break
 			}
-			if len(row) < spec.NumKeys {
-				return nil, fmt.Errorf("scatter leg %d: partial row has %d cells, want at least %d keys", i, len(row), spec.NumKeys)
+			if len(cells) != width {
+				return nil, fmt.Errorf("scatter leg %d: partial row has %d cells, want %d", i, len(cells), width)
 			}
-			keyCells := row[:spec.NumKeys]
-			k := strings.Join(keyCells, "\x1f")
-			g, ok := groups[k]
-			if !ok {
-				pm, err := exec.NewPartialMerge(specs)
-				if err != nil {
-					return nil, err
-				}
-				g = &group{keyCells: keyCells, pm: pm}
-				groups[k] = g
-			}
-			partials := make([]sqltypes.Value, 0, len(row)-spec.NumKeys)
-			for _, cell := range row[spec.NumKeys:] {
-				v, err := parseCell(cell)
-				if err != nil {
+			row := make(storage.Row, width)
+			for j, cell := range cells {
+				if row[j], err = parseCell(cell); err != nil {
 					return nil, fmt.Errorf("scatter leg %d: %w", i, err)
 				}
-				partials = append(partials, v)
 			}
-			if err := g.pm.Absorb(partials); err != nil {
-				return nil, fmt.Errorf("scatter leg %d: %w", i, err)
-			}
+			rows = append(rows, row)
 		}
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([][]string, 0, len(groups))
-	for _, k := range keys {
-		g := groups[k]
-		merged, err := g.pm.Results()
-		if err != nil {
-			return nil, err
+
+	out := make([]exec.Evaluator, len(spec.Output))
+	for i, oc := range spec.Output {
+		switch {
+		case !oc.IsAgg:
+			out[i] = col(oc.Index)
+		case spec.Aggs[oc.Index].Func == "avg":
+			out[i] = avgOf(aggAt[oc.Index])
+		default:
+			out[i] = col(aggAt[oc.Index])
 		}
-		row := make([]string, len(spec.Output))
-		for i, oc := range spec.Output {
-			if oc.IsAgg {
-				row[i] = merged[oc.Index].String()
-			} else {
-				row[i] = g.keyCells[oc.Index]
-			}
-		}
-		out = append(out, row)
 	}
-	return &sliceRows{cols: spec.Cols, rows: out}, nil
+	agg := exec.NewHashAgg(keys, aggs, exec.NewValues(rows, nil), nil)
+	merged, err := exec.Drain(exec.NewProject(out, false, agg, nil), exec.NewCtx(nil))
+	if err != nil {
+		return nil, err
+	}
+	text := make([][]string, len(merged))
+	for i, row := range merged {
+		text[i] = make([]string, len(row))
+		for j, v := range row {
+			text[i][j] = v.String()
+		}
+	}
+	return &sliceRows{cols: spec.Cols, rows: text}, nil
+}
+
+// avgOf finalizes a merged avg from its summed sum (at i) and count (at
+// i+1) partials: the float quotient, or NULL over no non-NULL values.
+func avgOf(i int) exec.Evaluator {
+	return func(_ *exec.Ctx, row storage.Row) (sqltypes.Value, error) {
+		n, _ := row[i+1].AsInt()
+		if n == 0 {
+			return sqltypes.Null, nil
+		}
+		sum, ok := row[i].AsFloat()
+		if !ok {
+			return sqltypes.Null, fmt.Errorf("avg sum partial %s is not numeric", row[i])
+		}
+		return sqltypes.NewFloat(sum / float64(n)), nil
+	}
 }
 
 // parseCell parses one formatted stream cell back into a value. Cells are

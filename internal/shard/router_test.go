@@ -33,7 +33,8 @@ var testConfig = bench.Config{
 }
 
 // extraQueries exercise merge shapes the corpus lacks (avg reweighting,
-// count forms, min/max, pinned point routes).
+// count forms, min/max, groups whose partials come from several shards,
+// pinned point routes).
 var extraQueries = []struct {
 	name, sql string
 	kind      plan.ShardKind
@@ -41,6 +42,7 @@ var extraQueries = []struct {
 	{"grouped avg/min/count", "select custkey, avg(totalprice), min(totalprice), count(*) from orders where custkey <= 60 group by custkey", plan.ShardScatterMerge},
 	{"scalar avg/max", "select avg(totalprice), max(totalprice) from orders", plan.ShardScatterMerge},
 	{"count star vs count col", "select count(totalprice), count(*) from orders", plan.ShardScatterMerge},
+	{"groups spread over shards, float keys", "select qty, disc, sum(price), avg(price), count(*), min(price), max(price) from lineitem group by qty, disc", plan.ShardScatterMerge},
 	{"pinned point query", "select orderkey, totalprice from orders where custkey = 7", plan.ShardSingle},
 	{"sharded join probe", "select o.orderkey, c.name from orders o join customer c on o.custkey = c.custkey where o.orderkey <= 80", plan.ShardScatterConcat},
 }

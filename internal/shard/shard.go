@@ -18,9 +18,9 @@
 //     concatenate the result streams (disjoint partitions, so the
 //     concatenation is the single-node multiset).
 //   - scatter-merge: fan out with shard_partial set, so shards suppress
-//     aggregate finalization, then merge per-group partials with the same
-//     exec merge states the parallel group-by uses, and re-apply the
-//     query's projection from the MergeSpec.
+//     aggregate finalization, then merge per-group partials through the
+//     engine's own HashAgg and Project, which also re-apply the query's
+//     projection from the MergeSpec.
 //   - rejected: fail with a typed UNSHARDABLE wire error naming the
 //     unsupported shape; a wrong merged answer is worse than no answer.
 //
