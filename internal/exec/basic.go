@@ -60,19 +60,17 @@ func (n *IndexLookup) Open(ctx *Ctx) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
+	if key.IsNull() {
+		return &sliceIter{}, nil // NULL never matches an equality
+	}
 	ordinals, err := ver.Lookup(n.Col, key)
 	if err != nil {
 		return nil, err
 	}
-	if key.IsNull() {
-		return &sliceIter{}, nil // NULL never matches an equality
-	}
-	rows := make([]storage.Row, len(ordinals), len(ordinals)+len(overlay))
-	for i, o := range ordinals {
-		// Per-ordinal materialization out of the column segments: a lookup
-		// touching a handful of rows never forces the full row-view pivot.
-		rows[i] = ver.RowAt(o)
-	}
+	// The matches come out of the column segments into one arena (or as
+	// views into an already built row view): a lookup touching a handful of
+	// rows never forces the full row-view pivot.
+	rows := ver.RowsAt(ordinals, make([]storage.Row, 0, len(ordinals)+len(overlay)))
 	// Uncommitted transaction-local rows are not in the version's index;
 	// they are few, so a linear probe keeps read-your-writes correct.
 	if len(overlay) > 0 {

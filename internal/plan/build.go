@@ -83,18 +83,7 @@ func (p *Planner) build(rel algebra.Rel) (exec.Node, error) {
 		for i, c := range n.Cols {
 			exprs[i] = c.E
 		}
-		if p.Vectorized {
-			evals, err := exec.CompileVecAll(exprs, child.Schema(), p)
-			if err != nil {
-				return nil, err
-			}
-			return exec.NewBatchProject(evals, n.Dedup, child, n.Schema()), nil
-		}
-		evals, err := exec.CompileAll(exprs, child.Schema(), p)
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewProject(evals, n.Dedup, child, n.Schema()), nil
+		return p.project(exprs, n.Dedup, child, n.Schema())
 
 	case *algebra.Join:
 		return p.buildJoin(n)
@@ -156,6 +145,22 @@ func (p *Planner) build(rel algebra.Rel) (exec.Node, error) {
 		return nil, fmt.Errorf("plan: %s must be removed by the rewriter before execution", rel.Describe())
 	}
 	return nil, fmt.Errorf("plan: unsupported logical operator %T", rel)
+}
+
+// project plans a projection of exprs over a built child.
+func (p *Planner) project(exprs []algebra.Expr, dedup bool, child exec.Node, schema []algebra.Column) (exec.Node, error) {
+	if p.Vectorized {
+		evals, err := exec.CompileVecAll(exprs, child.Schema(), p)
+		if err != nil {
+			return nil, err
+		}
+		return exec.NewBatchProject(evals, dedup, child, schema), nil
+	}
+	evals, err := exec.CompileAll(exprs, child.Schema(), p)
+	if err != nil {
+		return nil, err
+	}
+	return exec.NewProject(evals, dedup, child, schema), nil
 }
 
 func (p *Planner) buildScan(n *algebra.Scan) (exec.Node, error) {
@@ -247,26 +252,53 @@ func matchIndexablePair(cmp *algebra.Cmp, scanCols []algebra.Column) (*algebra.C
 }
 
 // buildJoin chooses among index nested-loop join (as a correlated Apply over
-// an index probe), hash join, and plain nested loops by estimated cost.
+// an index probe), hash join, and plain nested loops by estimated cost. An
+// inner join whose right input has no usable index may probe an index on
+// its left input instead: R ⋈ L runs as the index join, under a column-only
+// projection that restores L's columns before R's.
 func (p *Planner) buildJoin(n *algebra.Join) (exec.Node, error) {
 	lRows, rRows := p.estimate(n.L), p.estimate(n.R)
 	equi, residual := splitEqui(n.Cond, n.L.Schema(), n.R.Schema())
 
 	costNL := lRows * rRows
 	costHash := lRows + p.Cost.HashBuildRow*rRows
-	idxCol, idxTab, idxOK := p.indexableRight(n, equi)
-	costIdx := lRows * p.Cost.ProbeCost
-	if !idxOK {
-		costIdx = costNL + costHash + 1 // never chosen
-	}
 	if len(equi) == 0 {
 		costHash = costNL + 1
 	}
+	// An index join probes its inner input's index once per outer row and
+	// fetches every match. An inner join may probe either input; restore
+	// is set when it probes the left one.
+	costIdx := costNL + costHash + 1 // never chosen
+	var idxCol, idxTab string
+	var restore []algebra.Expr
+	if len(equi) > 0 {
+		var ok bool
+		if idxCol, idxTab, ok = p.indexedScan(n.R, equi[0].r); ok {
+			costIdx = lRows*p.Cost.ProbeCost + p.joinEstimate(n, lRows, rRows)
+		} else if n.Kind == algebra.InnerJoin || n.Kind == algebra.CrossJoin {
+			if idxCol, idxTab, ok = p.indexedScan(n.L, equi[0].l); ok {
+				if restore = columnRefs(n.Schema()); restore != nil {
+					costIdx = rRows*p.Cost.ProbeCost + p.joinEstimate(n, lRows, rRows)
+				}
+			}
+		}
+	}
 
 	switch {
-	case idxOK && costIdx <= costHash && costIdx <= costNL:
+	case costIdx <= costHash && costIdx <= costNL && restore == nil:
 		p.note("IndexNLJoin(%s.%s) [l=%.0f r=%.0f]", idxTab, idxCol, lRows, rRows)
 		return p.buildIndexJoin(n, equi, residual)
+	case costIdx <= costHash && costIdx <= costNL:
+		p.note("IndexNLJoin(%s.%s) [l=%.0f r=%.0f]", idxTab, idxCol, rRows, lRows)
+		swapped := make([]equiPair, len(equi))
+		for i, pr := range equi {
+			swapped[i] = equiPair{l: pr.r, r: pr.l}
+		}
+		child, err := p.buildIndexJoin(&algebra.Join{Kind: n.Kind, Cond: n.Cond, L: n.R, R: n.L}, swapped, residual)
+		if err != nil {
+			return nil, err
+		}
+		return p.project(restore, false, child, n.Schema())
 	case len(equi) > 0 && costHash <= costNL:
 		p.note("HashJoin(%s) [l=%.0f r=%.0f]", n.Kind, lRows, rRows)
 		return p.buildHashJoin(n, equi, residual)
@@ -276,17 +308,13 @@ func (p *Planner) buildJoin(n *algebra.Join) (exec.Node, error) {
 	}
 }
 
-// indexableRight reports whether the join's right side is a base-table scan
-// (possibly under a selection) with an index on the right equi column.
-func (p *Planner) indexableRight(n *algebra.Join, equi []equiPair) (string, string, bool) {
-	if len(equi) == 0 {
-		return "", "", false
+// indexedScan reports whether rel is a base-table scan (possibly under a
+// selection) with an index on the column ref names.
+func (p *Planner) indexedScan(rel algebra.Rel, ref *algebra.ColRef) (string, string, bool) {
+	if sel, ok := rel.(*algebra.Select); ok {
+		rel = sel.In
 	}
-	inner := n.R
-	if sel, ok := inner.(*algebra.Select); ok {
-		inner = sel.In
-	}
-	scan, ok := inner.(*algebra.Scan)
+	scan, ok := rel.(*algebra.Scan)
 	if !ok {
 		return "", "", false
 	}
@@ -294,12 +322,26 @@ func (p *Planner) indexableRight(n *algebra.Join, equi []equiPair) (string, stri
 	if !ok {
 		return "", "", false
 	}
-	ref := equi[0].r
 	c, ok := algebra.ResolveRef(scan.Cols, ref.Qual, ref.Name)
 	if !ok || !t.HasIndexableCol(c.Name) {
 		return "", "", false
 	}
 	return c.Name, scan.Table, true
+}
+
+// columnRefs returns a qualified reference to each column of schema, or nil
+// when some column cannot be named without ambiguity: it has no qualifier,
+// or another column has the same qualified name.
+func columnRefs(schema []algebra.Column) []algebra.Expr {
+	seen := make(map[algebra.Ref]bool, len(schema))
+	for _, c := range schema {
+		ref := algebra.Ref{Qual: c.Qual, Name: c.Name}
+		if c.Qual == "" || seen[ref] {
+			return nil
+		}
+		seen[ref] = true
+	}
+	return algebra.ColRefsTo(schema)
 }
 
 // buildIndexJoin lowers the join to a correlated Apply whose right side is
@@ -458,37 +500,83 @@ func (p *Planner) buildNLJoin(n *algebra.Join) (exec.Node, error) {
 }
 
 func (p *Planner) buildGroupBy(n *algebra.GroupBy) (exec.Node, error) {
-	child, err := p.build(n.In)
+	// The keys, then every aggregate's arguments, in order.
+	exprs := make([]algebra.Expr, 0, len(n.Keys)+len(n.Aggs))
+	for _, k := range n.Keys {
+		exprs = append(exprs, k)
+	}
+	for _, a := range n.Aggs {
+		exprs = append(exprs, a.Args...)
+	}
+	// On the row executor a GROUP BY over a column-only projection reads
+	// the projection's input, so no projected row is built per input row.
+	in := n.In
+	if proj, ok := in.(*algebra.Project); ok && !p.Vectorized {
+		if through, ok := readThrough(proj, exprs); ok {
+			in, exprs = proj.In, through
+		}
+	}
+	child, err := p.build(in)
 	if err != nil {
 		return nil, err
 	}
 	if p.Vectorized {
 		return p.buildBatchGroupBy(n, child)
 	}
-	keys := make([]exec.Evaluator, len(n.Keys))
-	for i, k := range n.Keys {
-		ev, err := exec.Compile(k, child.Schema(), p)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = ev
+	evals, err := exec.CompileAll(exprs, child.Schema(), p)
+	if err != nil {
+		return nil, err
 	}
+	keys, args := evals[:len(n.Keys):len(n.Keys)], evals[len(n.Keys):]
 	aggs := make([]*exec.AggSpec, len(n.Aggs))
 	for i, a := range n.Aggs {
 		spec := &exec.AggSpec{Func: a.Func, Distinct: a.Distinct}
 		if ud, ok := p.Cat.Aggregate(a.Func); ok {
 			spec.UserDef = ud
 		}
-		for _, arg := range a.Args {
-			ev, err := exec.Compile(arg, child.Schema(), p)
-			if err != nil {
-				return nil, err
-			}
-			spec.Args = append(spec.Args, ev)
+		if len(a.Args) > 0 {
+			spec.Args, args = args[:len(a.Args):len(a.Args)], args[len(a.Args):]
 		}
 		aggs[i] = spec
 	}
 	return exec.NewHashAgg(keys, aggs, child, n.Schema()), nil
+}
+
+// readThrough rewrites exprs, which read a non-DISTINCT projection of plain
+// column references, onto the projection's input: each reference resolves
+// against the projection's output as algebra.ResolveRef does and becomes
+// the reference it projects. It fails when the projection computes a
+// column, or an expression holds a subquery or an unresolved reference.
+func readThrough(proj *algebra.Project, exprs []algebra.Expr) ([]algebra.Expr, bool) {
+	if proj.Dedup {
+		return nil, false
+	}
+	for _, c := range proj.Cols {
+		if _, ok := c.E.(*algebra.ColRef); !ok {
+			return nil, false
+		}
+	}
+	schema := proj.Schema()
+	ok := true
+	sub := func(e algebra.Expr) algebra.Expr {
+		switch x := e.(type) {
+		case *algebra.ColRef:
+			for i, c := range schema {
+				if c.Matches(x.Qual, x.Name) {
+					return proj.Cols[i].E
+				}
+			}
+			ok = false
+		case *algebra.Subquery, *algebra.Exists:
+			ok = false
+		}
+		return e
+	}
+	out := make([]algebra.Expr, len(exprs))
+	for i, e := range exprs {
+		out[i] = algebra.MapExpr(e, sub, nil)
+	}
+	return out, ok
 }
 
 // buildBatchGroupBy lowers a GROUP BY, keyed or not, onto the vectorized

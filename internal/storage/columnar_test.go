@@ -171,18 +171,30 @@ func TestAppendColsUnaligned(t *testing.T) {
 	}
 }
 
-func TestRowPivotCacheAndRowAt(t *testing.T) {
+func TestRowPivotCacheAndRowsAt(t *testing.T) {
 	tab := NewTable(intMeta("t", "a", "b"))
 	n := SegmentRows + 37
 	if err := tab.Append(intRows(0, n)...); err != nil {
 		t.Fatal(err)
 	}
 	v := tab.Version()
-	// RowAt before any pivot serves straight from the segments.
-	if got := v.RowAt(SegmentRows + 5)[0].Int(); got != int64(SegmentRows+5) {
-		t.Fatalf("RowAt = %d", got)
-	}
+	// RowsAt before any pivot serves straight from the segments, across a
+	// segment boundary, into one arena whose rows cannot grow into each
+	// other.
+	ords := []int{3, SegmentRows + 5, SegmentRows - 1}
 	pivotsBefore := PivotedScans()
+	got := v.RowsAt(ords, nil)
+	if PivotedScans() != pivotsBefore {
+		t.Fatal("RowsAt pivoted the whole table")
+	}
+	for i, o := range ords {
+		if len(got[i]) != 2 || cap(got[i]) != 2 || got[i][0].Int() != int64(o) || got[i][1].Int() != int64(2*o) {
+			t.Fatalf("RowsAt row %d = %v (cap %d), want ordinal %d", i, got[i], cap(got[i]), o)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { v.RowsAt(ords, got[:0]) }); allocs != 1 {
+		t.Fatalf("RowsAt allocated %.0f times per call, want one arena", allocs)
+	}
 	r1 := v.Rows()
 	r2 := v.Rows()
 	if len(r1) != n {
@@ -197,6 +209,12 @@ func TestRowPivotCacheAndRowAt(t *testing.T) {
 	for i := 0; i < n; i += 111 {
 		if r1[i][0].Int() != int64(i) || r1[i][1].Int() != int64(2*i) {
 			t.Fatalf("pivoted row %d = %v", i, r1[i])
+		}
+	}
+	// Once the row view is built, RowsAt hands out views into it.
+	for i, r := range v.RowsAt(ords, nil) {
+		if &r[0] != &r1[ords[i]][0] {
+			t.Fatalf("RowsAt row %d is a copy, want a view into the pivot", i)
 		}
 	}
 }

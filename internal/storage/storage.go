@@ -117,20 +117,28 @@ func (v *TableVersion) Rows() []Row {
 	return rows
 }
 
-// RowAt materializes row ordinal i. When the row view is already built it is
-// served from there (no allocation); otherwise one row is pivoted out of its
-// segment — index lookups touching a handful of ordinals never force a full
-// table pivot.
-func (v *TableVersion) RowAt(i int) Row {
+// RowsAt appends the rows at the given ordinals to dst. When the row view is
+// already built they are views into it (no allocation); otherwise they are
+// pivoted out of their segments into one arena for the whole call — index
+// lookups touching a handful of ordinals never force a full table pivot.
+func (v *TableVersion) RowsAt(ords []int, dst []Row) []Row {
 	v.mu.RLock()
-	if v.rowsReady {
-		r := v.rowview[i]
-		v.mu.RUnlock()
-		return r
-	}
+	rv, ready := v.rowview, v.rowsReady
 	v.mu.RUnlock()
-	seg := v.segs[i/SegmentRows]
-	return seg.AppendRowTo(make(Row, 0, len(v.tab.Meta.Cols)), i%SegmentRows)
+	if ready {
+		for _, o := range ords {
+			dst = append(dst, rv[o])
+		}
+		return dst
+	}
+	w := len(v.tab.Meta.Cols)
+	arena := make([]sqltypes.Value, 0, len(ords)*w)
+	for _, o := range ords {
+		start := len(arena)
+		arena = v.segs[o/SegmentRows].AppendRowTo(arena, o%SegmentRows)
+		dst = append(dst, Row(arena[start:len(arena):len(arena)]))
+	}
+	return dst
 }
 
 // forEachVal visits column ord of every row in ordinal order.
