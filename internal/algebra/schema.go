@@ -6,12 +6,20 @@ import "udfdecorr/internal/sqltypes"
 // schema. Unqualified references match any qualifier; the first match wins
 // (the algebrizer guarantees unambiguous references).
 func ResolveRef(schema []Column, qual, name string) (Column, bool) {
-	for _, c := range schema {
-		if c.Matches(qual, name) {
-			return c, true
-		}
+	if i := RefIndex(schema, qual, name); i >= 0 {
+		return schema[i], true
 	}
 	return Column{}, false
+}
+
+// RefIndex returns the position of the column ResolveRef finds, or -1.
+func RefIndex(schema []Column, qual, name string) int {
+	for i, c := range schema {
+		if c.Matches(qual, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 // HasRef reports whether the schema provides the referenced column.

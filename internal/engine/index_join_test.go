@@ -1,11 +1,11 @@
 package engine_test
 
 // Index joins on either input: an inner join whose right input has no index
-// probes an index on its left input, under a projection that restores the
+// probes an index on its left input, and the join's output list restores the
 // left input's columns first. These tests pin the edges of that plan on both
 // executors — NULL keys, duplicate probed keys, column order, uncommitted
-// rows reached through the index probe's overlay — and the row GROUP BY
-// that reads through a renaming projection.
+// rows reached through the index probe's overlay — and a GROUP BY over a
+// renaming projection.
 
 import (
 	"context"

@@ -25,21 +25,18 @@ type ApplyBind struct {
 // as the paper's Apply operator semantics prescribe: E0 A⊗ E1 =
 // ⋃_{t∈E0} ({t} ⊗ E1(t)).
 type Apply struct {
-	Kind   algebra.JoinKind
-	Corr   []CorrBinding
-	Binds  []ApplyBind
-	L, R   Node
-	schema []algebra.Column
+	Kind  algebra.JoinKind
+	Corr  []CorrBinding
+	Binds []ApplyBind
+	L, R  Node
+	joinOutput
 }
 
 // NewApply constructs a correlated Apply node.
 func NewApply(kind algebra.JoinKind, corr []CorrBinding, binds []ApplyBind, l, r Node) *Apply {
 	return &Apply{Kind: kind, Corr: corr, Binds: binds, L: l, R: r,
-		schema: joinSchema(kind, l, r)}
+		joinOutput: newJoinOutput(kind, l, r)}
 }
-
-// Schema implements Node.
-func (a *Apply) Schema() []algebra.Column { return a.schema }
 
 // Open implements Node.
 func (a *Apply) Open(ctx *Ctx) (Iter, error) {
@@ -47,7 +44,7 @@ func (a *Apply) Open(ctx *Ctx) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &rowJoinIter{kind: a.Kind, ctx: ctx, li: li, rWidth: len(a.R.Schema()),
+	return &rowJoinIter{kind: a.Kind, ctx: ctx, li: li, cols: a.cols, lWidth: len(a.L.Schema()),
 		candidates: func(left storage.Row) ([]storage.Row, error) { return a.eval(ctx, left) }}, nil
 }
 

@@ -372,23 +372,21 @@ func (l *batchLimitIter) Close() error { return l.in.Close() }
 // the recorded pairs into the output one column at a time, so no probe row
 // is ever materialised. The residual predicate, when present, is evaluated
 // per candidate row so that outer/semi/anti match bookkeeping stays exact.
+// Only the columns of the output list are gathered.
 type BatchHashJoin struct {
 	Kind     algebra.JoinKind
 	LKeys    []VecFactory
 	RKeys    []VecFactory
 	Residual Evaluator // over concat(L, R); nil when none
 	L, R     Node
-	schema   []algebra.Column
+	joinOutput
 }
 
 // NewBatchHashJoin builds a vectorized hash join node.
 func NewBatchHashJoin(kind algebra.JoinKind, lkeys, rkeys []VecFactory, residual Evaluator, l, r Node) *BatchHashJoin {
 	return &BatchHashJoin{Kind: kind, LKeys: lkeys, RKeys: rkeys, Residual: residual,
-		L: l, R: r, schema: joinSchema(kind, l, r)}
+		L: l, R: r, joinOutput: newJoinOutput(kind, l, r)}
 }
-
-// Schema implements Node.
-func (j *BatchHashJoin) Schema() []algebra.Column { return j.schema }
 
 // Open implements Node.
 func (j *BatchHashJoin) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatches(j, ctx) }
@@ -455,21 +453,21 @@ func (it *batchHashJoinIter) record(out *Batch, p int, r storage.Row) {
 	out.n++
 }
 
-// gather copies the recorded matches into out column by column.
+// gather copies the recorded matches into out, one output-list column at a
+// time.
 func (it *batchHashJoinIter) gather(out *Batch) {
 	if len(it.mLeft) == 0 {
 		return
 	}
-	for c := 0; c < it.lWidth; c++ {
-		src, dst := it.left.Cols[c], out.Cols[c]
-		for _, p := range it.mLeft {
-			dst = append(dst, src[p])
-		}
-		out.Cols[c] = dst
-	}
-	if len(out.Cols) > it.lWidth { // not a semi or anti join
-		for c := 0; c < it.rWidth; c++ {
-			dst := out.Cols[it.lWidth+c]
+	for i, c := range it.j.cols {
+		dst := out.Cols[i]
+		if c < it.lWidth {
+			src := it.left.Cols[c]
+			for _, p := range it.mLeft {
+				dst = append(dst, src[p])
+			}
+		} else {
+			c -= it.lWidth
 			for _, r := range it.mRight {
 				if r == nil {
 					dst = append(dst, sqltypes.Null)
@@ -477,8 +475,8 @@ func (it *batchHashJoinIter) gather(out *Batch) {
 					dst = append(dst, r[c])
 				}
 			}
-			out.Cols[it.lWidth+c] = dst
 		}
+		out.Cols[i] = dst
 	}
 	it.mLeft, it.mRight = it.mLeft[:0], it.mRight[:0]
 }
@@ -531,7 +529,7 @@ func (it *batchHashJoinIter) emitPending(out *Batch, max int) (full bool, err er
 // before every fetch of the next probe batch.
 func (it *batchHashJoinIter) NextBatch(max int) (*Batch, bool, error) {
 	if it.out == nil {
-		it.out = NewBatch(len(it.j.schema), max)
+		it.out = NewBatch(len(it.j.cols), max)
 		it.keyBuf = make([]sqltypes.Value, len(it.lkeys))
 		if it.j.Residual != nil {
 			it.joined = make(storage.Row, it.lWidth+it.rWidth)

@@ -450,9 +450,11 @@ func (it *overwritingIter) Close() error { return nil }
 // several left batches and carries a selection vector (a filter over more
 // than DefaultBatchSize rows of a source that overwrites its vectors on
 // every call) through every join kind, with and without a residual that
-// reads both sides. The join records matches as left positions and must
-// gather them before it fetches the next left batch; gathering later reads
-// the next batch's values (or poison) at those positions.
+// reads both sides, and under narrowed, permuted and repeating output
+// lists. The join records matches as left positions and must gather them
+// before it fetches the next left batch; gathering later reads the next
+// batch's values (or poison) at those positions. Each output list must
+// select exactly its columns of the full joined row, on both executors.
 func TestBatchHashJoinGathersBeforeNextProbeBatch(t *testing.T) {
 	lsc := schema2("lk", "lv")
 	rsc := schema2("rk", "rv")
@@ -475,31 +477,67 @@ func TestBatchHashJoinGathersBeforeNextProbeBatch(t *testing.T) {
 	kinds := []algebra.JoinKind{algebra.InnerJoin, algebra.LeftOuterJoin,
 		algebra.SemiJoin, algebra.AntiJoin}
 	for _, kind := range kinds {
+		// Output lists over concat(L, R), or over L for semi and anti joins;
+		// nil is the identity.
+		lists := [][]int{nil, {3, 0}, {2}, {1, 3, 3, 0}, {0, 1, 2}}
+		if kind == algebra.SemiJoin || kind == algebra.AntiJoin {
+			lists = [][]int{nil, {1}, {1, 0, 1}}
+		}
 		for _, withResidual := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/residual=%v", kind, withResidual), func(t *testing.T) {
-				src := &overwritingSource{rows: rowsWithNulls(probe), schema: lsc}
-				rowFilter, batchFilter := filterPair(t, filter, src)
-				r := NewValues(rowsWithNulls(build), rsc)
-				var res Evaluator
-				if withResidual {
-					var err error
-					if res, err = Compile(residual, joined, nil); err != nil {
-						t.Fatal(err)
+				for _, list := range lists {
+					name := "out=all"
+					if list != nil {
+						name = fmt.Sprintf("out=%v", list)
 					}
-				}
-				lKeyRow, _ := Compile(col("lk"), lsc, nil)
-				rKeyRow, _ := Compile(col("rk"), rsc, nil)
-				lKey, _ := CompileVec(col("lk"), lsc, nil)
-				rKey, _ := CompileVec(col("rk"), rsc, nil)
-				rowPlan := NewHashJoin(kind, []Evaluator{lKeyRow}, []Evaluator{rKeyRow}, res, rowFilter, r)
-				batchPlan := NewBatchHashJoin(kind, []VecFactory{lKey}, []VecFactory{rKey}, res, batchFilter, r)
-				want, err := Drain(rowPlan, NewCtx(nil))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, size := range []int{1, 7, DefaultBatchSize, nProbe} {
-					got := drainWithBatchSize(t, batchPlan, NewCtx(nil), size)
-					assertIdenticalRows(t, got, want)
+					t.Run(name, func(t *testing.T) {
+						src := &overwritingSource{rows: rowsWithNulls(probe), schema: lsc}
+						rowFilter, batchFilter := filterPair(t, filter, src)
+						r := NewValues(rowsWithNulls(build), rsc)
+						var res Evaluator
+						if withResidual {
+							var err error
+							if res, err = Compile(residual, joined, nil); err != nil {
+								t.Fatal(err)
+							}
+						}
+						lKeyRow, _ := Compile(col("lk"), lsc, nil)
+						rKeyRow, _ := Compile(col("rk"), rsc, nil)
+						lKey, _ := CompileVec(col("lk"), lsc, nil)
+						rKey, _ := CompileVec(col("rk"), rsc, nil)
+						rowPlan := NewHashJoin(kind, []Evaluator{lKeyRow}, []Evaluator{rKeyRow}, res, rowFilter, r)
+						batchPlan := NewBatchHashJoin(kind, []VecFactory{lKey}, []VecFactory{rKey}, res, batchFilter, r)
+						full, err := Drain(rowPlan, NewCtx(nil))
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := full
+						if list != nil {
+							// The reference: the full rows' columns picked by list.
+							want = make([]storage.Row, len(full))
+							for i, row := range full {
+								for _, c := range list {
+									want[i] = append(want[i], row[c])
+								}
+							}
+							schema := make([]algebra.Column, len(list))
+							for i, c := range list {
+								schema[i] = rowPlan.Schema()[c]
+							}
+							if !NarrowJoin(rowPlan, list, schema) || !NarrowJoin(batchPlan, list, schema) {
+								t.Fatal("NarrowJoin refused a join")
+							}
+							got, err := Drain(rowPlan, NewCtx(nil))
+							if err != nil {
+								t.Fatal(err)
+							}
+							assertIdenticalRows(t, got, want)
+						}
+						for _, size := range []int{1, 7, DefaultBatchSize, nProbe} {
+							got := drainWithBatchSize(t, batchPlan, NewCtx(nil), size)
+							assertIdenticalRows(t, got, want)
+						}
+					})
 				}
 			})
 		}

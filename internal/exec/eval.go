@@ -34,18 +34,17 @@ type CallResolver interface {
 func Compile(e algebra.Expr, schema []algebra.Column, r CallResolver) (Evaluator, error) {
 	switch x := e.(type) {
 	case *algebra.ColRef:
-		for i, c := range schema {
-			if c.Matches(x.Qual, x.Name) {
-				idx := i
-				return func(_ *Ctx, row storage.Row) (sqltypes.Value, error) {
-					if idx >= len(row) {
-						return sqltypes.Null, Errorf("row too short for column %s", c)
-					}
-					return row[idx], nil
-				}, nil
-			}
+		idx := algebra.RefIndex(schema, x.Qual, x.Name)
+		if idx < 0 {
+			return nil, Errorf("unresolved column %s", x)
 		}
-		return nil, Errorf("unresolved column %s", x)
+		c := schema[idx]
+		return func(_ *Ctx, row storage.Row) (sqltypes.Value, error) {
+			if idx >= len(row) {
+				return sqltypes.Null, Errorf("row too short for column %s", c)
+			}
+			return row[idx], nil
+		}, nil
 
 	case *algebra.ParamRef:
 		name := x.Name
@@ -83,6 +82,21 @@ func Compile(e algebra.Expr, schema []algebra.Column, r CallResolver) (Evaluator
 		}, nil
 
 	case *algebra.Cmp:
+		// A column compared with a constant, the shape of every key range a
+		// row filter scans with, reads the column in the comparison itself.
+		if ref, ok := x.L.(*algebra.ColRef); ok {
+			if k, ok := x.R.(*algebra.Const); ok {
+				if idx := algebra.RefIndex(schema, ref.Qual, ref.Name); idx >= 0 {
+					op, v, c := x.Op, k.Val, schema[idx]
+					return func(_ *Ctx, row storage.Row) (sqltypes.Value, error) {
+						if idx >= len(row) {
+							return sqltypes.Null, Errorf("row too short for column %s", c)
+						}
+						return sqltypes.TriValue(sqltypes.Cmp(op, row[idx], v)), nil
+					}, nil
+				}
+			}
+		}
 		l, err := Compile(x.L, schema, r)
 		if err != nil {
 			return nil, err

@@ -1,26 +1,14 @@
 package exec
 
 import (
+	"fmt"
+
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/sqltypes"
 	"udfdecorr/internal/storage"
 )
 
-func concatRows(l, r storage.Row) storage.Row {
-	out := make(storage.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
-func nullRow(n int) storage.Row {
-	out := make(storage.Row, n)
-	for i := range out {
-		out[i] = sqltypes.Null
-	}
-	return out
-}
-
-// joinSchema computes the output schema for a join kind.
+// joinSchema computes the full output schema for a join kind.
 func joinSchema(kind algebra.JoinKind, l, r Node) []algebra.Column {
 	switch kind {
 	case algebra.SemiJoin, algebra.AntiJoin:
@@ -30,25 +18,99 @@ func joinSchema(kind algebra.JoinKind, l, r Node) []algebra.Column {
 	}
 }
 
+// joinOutput is the output list every join carries: output column i copies
+// position cols[i] of concat(L, R), or of L for a semi or anti join. A new
+// join emits every column in order; NarrowJoin folds a column-only
+// projection into the list, so a join builds only the columns its
+// consumers read.
+type joinOutput struct {
+	cols   []int
+	width  int // the full output width, len(joinSchema)
+	schema []algebra.Column
+}
+
+func newJoinOutput(kind algebra.JoinKind, l, r Node) joinOutput {
+	schema := joinSchema(kind, l, r)
+	cols := make([]int, len(schema))
+	for i := range cols {
+		cols[i] = i
+	}
+	return joinOutput{cols: cols, width: len(schema), schema: schema}
+}
+
+// Schema implements Node.
+func (o *joinOutput) Schema() []algebra.Column { return o.schema }
+
+// widthNote renders " cols=k/n" for EXPLAIN ANALYZE when the join emits k
+// of its n output columns, and nothing when it emits all of them.
+func (o *joinOutput) widthNote() string {
+	if len(o.cols) == o.width {
+		return ""
+	}
+	return fmt.Sprintf(" cols=%d/%d", len(o.cols), o.width)
+}
+
+// NarrowJoin folds a column-only projection into join n: the join emits
+// column pick[i] of its current output as column i, under schema. It
+// reports false, changing nothing, when n is not a join.
+func NarrowJoin(n Node, pick []int, schema []algebra.Column) bool {
+	var o *joinOutput
+	switch x := n.(type) {
+	case *NLJoin:
+		o = &x.joinOutput
+	case *HashJoin:
+		o = &x.joinOutput
+	case *Apply:
+		o = &x.joinOutput
+	case *BatchHashJoin:
+		o = &x.joinOutput
+	default:
+		return false
+	}
+	cols := make([]int, len(pick))
+	for i, c := range pick {
+		cols[i] = o.cols[c]
+	}
+	o.cols, o.schema = cols, schema
+	return true
+}
+
 // rowJoinIter is the row executor's join loop, shared by NLJoin, HashJoin
 // and Apply. For each left row, candidates returns the right rows that may
 // match; cond, when non-nil, must hold over the concatenated row for a
 // candidate to match. Inner and left outer joins emit each match, and a
 // left outer join null-extends a left row without one; a semi join emits
-// the left row at its first match, an anti join when it has none.
+// the left row at its first match, an anti join when it has none. Every
+// emitted row holds the columns of the output list.
 type rowJoinIter struct {
 	kind       algebra.JoinKind
 	cond       Evaluator // over concat(L, R)
 	candidates func(left storage.Row) ([]storage.Row, error)
 	ctx        *Ctx
 	li         Iter
-	rWidth     int
+	cols       []int // the output list
+	lWidth     int
 
 	left    storage.Row
+	joined  storage.Row   // concat(left, candidate) for cond, reused
 	rows    []storage.Row // candidates for left
 	pos     int
 	matched bool
 	active  bool
+}
+
+// emit builds one output row: the current left row joined with r, or with
+// NULLs when r is nil.
+func (it *rowJoinIter) emit(r storage.Row) storage.Row {
+	row := make(storage.Row, len(it.cols))
+	for i, c := range it.cols {
+		if c < it.lWidth {
+			row[i] = it.left[c]
+		} else if r != nil {
+			row[i] = r[c-it.lWidth]
+		}
+	}
+	return row
 }
 
 func (it *rowJoinIter) Next() (storage.Row, bool, error) {
@@ -66,14 +128,16 @@ func (it *rowJoinIter) Next() (storage.Row, bool, error) {
 				return nil, false, err
 			}
 			it.left, it.rows, it.pos, it.matched, it.active = l, rows, 0, false, true
+			if it.cond != nil {
+				it.joined = append(it.joined[:0], l...)
+			}
 		}
 		for it.pos < len(it.rows) {
 			r := it.rows[it.pos]
 			it.pos++
-			var joined storage.Row
 			if it.cond != nil {
-				joined = concatRows(it.left, r)
-				v, err := it.cond(it.ctx, joined)
+				it.joined = append(it.joined[:it.lWidth], r...)
+				v, err := it.cond(it.ctx, it.joined)
 				if err != nil {
 					return nil, false, err
 				}
@@ -85,17 +149,13 @@ func (it *rowJoinIter) Next() (storage.Row, bool, error) {
 			if it.kind == algebra.SemiJoin || it.kind == algebra.AntiJoin {
 				break // the first match decides
 			}
-			if joined == nil {
-				joined = concatRows(it.left, r)
-			}
-			return joined, true, nil
+			return it.emit(r), true, nil
 		}
 		it.active = false
 		switch {
-		case it.kind == algebra.SemiJoin && it.matched, it.kind == algebra.AntiJoin && !it.matched:
-			return it.left, true, nil
-		case it.kind == algebra.LeftOuterJoin && !it.matched:
-			return concatRows(it.left, nullRow(it.rWidth)), true, nil
+		case it.kind == algebra.SemiJoin && it.matched, it.kind == algebra.AntiJoin && !it.matched,
+			it.kind == algebra.LeftOuterJoin && !it.matched:
+			return it.emit(nil), true, nil
 		}
 	}
 }
@@ -106,19 +166,16 @@ func (it *rowJoinIter) Close() error { return it.li.Close() }
 // every left row is matched against all of it. Cond is evaluated against
 // the concatenated row; nil means always true.
 type NLJoin struct {
-	Kind   algebra.JoinKind
-	Cond   Evaluator // over concat(L, R) schema
-	L, R   Node
-	schema []algebra.Column
+	Kind algebra.JoinKind
+	Cond Evaluator // over concat(L, R) schema
+	L, R Node
+	joinOutput
 }
 
 // NewNLJoin builds a nested-loop join node.
 func NewNLJoin(kind algebra.JoinKind, cond Evaluator, l, r Node) *NLJoin {
-	return &NLJoin{Kind: kind, Cond: cond, L: l, R: r, schema: joinSchema(kind, l, r)}
+	return &NLJoin{Kind: kind, Cond: cond, L: l, R: r, joinOutput: newJoinOutput(kind, l, r)}
 }
-
-// Schema implements Node.
-func (j *NLJoin) Schema() []algebra.Column { return j.schema }
 
 // Open implements Node.
 func (j *NLJoin) Open(ctx *Ctx) (Iter, error) {
@@ -131,7 +188,7 @@ func (j *NLJoin) Open(ctx *Ctx) (Iter, error) {
 		li.Close()
 		return nil, err
 	}
-	return &rowJoinIter{kind: j.Kind, cond: j.Cond, ctx: ctx, li: li, rWidth: len(j.R.Schema()),
+	return &rowJoinIter{kind: j.Kind, cond: j.Cond, ctx: ctx, li: li, cols: j.cols, lWidth: len(j.L.Schema()),
 		candidates: func(storage.Row) ([]storage.Row, error) { return rRows, nil }}, nil
 }
 
@@ -145,17 +202,14 @@ type HashJoin struct {
 	RKeys    []Evaluator
 	Residual Evaluator
 	L, R     Node
-	schema   []algebra.Column
+	joinOutput
 }
 
 // NewHashJoin builds a hash join node.
 func NewHashJoin(kind algebra.JoinKind, lkeys, rkeys []Evaluator, residual Evaluator, l, r Node) *HashJoin {
 	return &HashJoin{Kind: kind, LKeys: lkeys, RKeys: rkeys, Residual: residual,
-		L: l, R: r, schema: joinSchema(kind, l, r)}
+		L: l, R: r, joinOutput: newJoinOutput(kind, l, r)}
 }
-
-// Schema implements Node.
-func (j *HashJoin) Schema() []algebra.Column { return j.schema }
 
 // Open implements Node.
 func (j *HashJoin) Open(ctx *Ctx) (Iter, error) {
@@ -178,7 +232,7 @@ func (j *HashJoin) Open(ctx *Ctx) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &rowJoinIter{kind: j.Kind, cond: j.Residual, ctx: ctx, li: li, rWidth: len(j.R.Schema()),
+	return &rowJoinIter{kind: j.Kind, cond: j.Residual, ctx: ctx, li: li, cols: j.cols, lWidth: len(j.L.Schema()),
 		candidates: func(l storage.Row) ([]storage.Row, error) {
 			ok, err := evalJoinKeys(ctx, j.LKeys, l, keys)
 			if !ok {

@@ -76,11 +76,11 @@ func PlanLabel(n Node) string {
 	case *FuncTable:
 		return "FuncTable(" + x.Name + ")"
 	case *Apply:
-		return "Apply(" + x.Kind.String() + ")"
+		return "Apply(" + x.Kind.String() + ")" + x.widthNote()
 	case *NLJoin:
-		return "NLJoin(" + x.Kind.String() + ")"
+		return "NLJoin(" + x.Kind.String() + ")" + x.widthNote()
 	case *HashJoin:
-		return "HashJoin(" + x.Kind.String() + ")"
+		return "HashJoin(" + x.Kind.String() + ")" + x.widthNote()
 	case *HashAgg:
 		if len(x.Keys) == 0 {
 			return "ScalarAgg"
@@ -98,7 +98,7 @@ func PlanLabel(n Node) string {
 	case *BatchLimit:
 		return fmt.Sprintf("BatchLimit(%d)", x.N)
 	case *BatchHashJoin:
-		return "BatchHashJoin(" + x.Kind.String() + ")"
+		return "BatchHashJoin(" + x.Kind.String() + ")" + x.widthNote()
 	case *BatchGroupBy:
 		return "BatchGroupBy"
 	case *Exchange:

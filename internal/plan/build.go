@@ -147,8 +147,15 @@ func (p *Planner) build(rel algebra.Rel) (exec.Node, error) {
 	return nil, fmt.Errorf("plan: unsupported logical operator %T", rel)
 }
 
-// project plans a projection of exprs over a built child.
+// project plans a projection of exprs over a built child. A non-DISTINCT
+// projection of plain column references over a join folds into the join's
+// output list, so no projection operator copies the join's rows.
 func (p *Planner) project(exprs []algebra.Expr, dedup bool, child exec.Node, schema []algebra.Column) (exec.Node, error) {
+	if !dedup {
+		if cols, ok := columnPositions(exprs, child.Schema()); ok && exec.NarrowJoin(child, cols, schema) {
+			return child, nil
+		}
+	}
 	if p.Vectorized {
 		evals, err := exec.CompileVecAll(exprs, child.Schema(), p)
 		if err != nil {
@@ -161,6 +168,23 @@ func (p *Planner) project(exprs []algebra.Expr, dedup bool, child exec.Node, sch
 		return nil, err
 	}
 	return exec.NewProject(evals, dedup, child, schema), nil
+}
+
+// columnPositions returns the position in schema that each expression
+// names, resolving as algebra.ResolveRef does, or false when an expression
+// is not a column reference of schema.
+func columnPositions(exprs []algebra.Expr, schema []algebra.Column) ([]int, bool) {
+	cols := make([]int, len(exprs))
+	for i, e := range exprs {
+		ref, ok := e.(*algebra.ColRef)
+		if !ok {
+			return nil, false
+		}
+		if cols[i] = algebra.RefIndex(schema, ref.Qual, ref.Name); cols[i] < 0 {
+			return nil, false
+		}
+	}
+	return cols, true
 }
 
 func (p *Planner) buildScan(n *algebra.Scan) (exec.Node, error) {
@@ -254,8 +278,9 @@ func matchIndexablePair(cmp *algebra.Cmp, scanCols []algebra.Column) (*algebra.C
 // buildJoin chooses among index nested-loop join (as a correlated Apply over
 // an index probe), hash join, and plain nested loops by estimated cost. An
 // inner join whose right input has no usable index may probe an index on
-// its left input instead: R ⋈ L runs as the index join, under a column-only
-// projection that restores L's columns before R's.
+// its left input instead: R ⋈ L runs as the index join, and a column-only
+// projection that restores L's columns before R's folds into its output
+// list.
 func (p *Planner) buildJoin(n *algebra.Join) (exec.Node, error) {
 	lRows, rRows := p.estimate(n.L), p.estimate(n.R)
 	equi, residual := splitEqui(n.Cond, n.L.Schema(), n.R.Schema())
@@ -508,15 +533,7 @@ func (p *Planner) buildGroupBy(n *algebra.GroupBy) (exec.Node, error) {
 	for _, a := range n.Aggs {
 		exprs = append(exprs, a.Args...)
 	}
-	// On the row executor a GROUP BY over a column-only projection reads
-	// the projection's input, so no projected row is built per input row.
-	in := n.In
-	if proj, ok := in.(*algebra.Project); ok && !p.Vectorized {
-		if through, ok := readThrough(proj, exprs); ok {
-			in, exprs = proj.In, through
-		}
-	}
-	child, err := p.build(in)
+	child, err := p.build(n.In)
 	if err != nil {
 		return nil, err
 	}
@@ -540,43 +557,6 @@ func (p *Planner) buildGroupBy(n *algebra.GroupBy) (exec.Node, error) {
 		aggs[i] = spec
 	}
 	return exec.NewHashAgg(keys, aggs, child, n.Schema()), nil
-}
-
-// readThrough rewrites exprs, which read a non-DISTINCT projection of plain
-// column references, onto the projection's input: each reference resolves
-// against the projection's output as algebra.ResolveRef does and becomes
-// the reference it projects. It fails when the projection computes a
-// column, or an expression holds a subquery or an unresolved reference.
-func readThrough(proj *algebra.Project, exprs []algebra.Expr) ([]algebra.Expr, bool) {
-	if proj.Dedup {
-		return nil, false
-	}
-	for _, c := range proj.Cols {
-		if _, ok := c.E.(*algebra.ColRef); !ok {
-			return nil, false
-		}
-	}
-	schema := proj.Schema()
-	ok := true
-	sub := func(e algebra.Expr) algebra.Expr {
-		switch x := e.(type) {
-		case *algebra.ColRef:
-			for i, c := range schema {
-				if c.Matches(x.Qual, x.Name) {
-					return proj.Cols[i].E
-				}
-			}
-			ok = false
-		case *algebra.Subquery, *algebra.Exists:
-			ok = false
-		}
-		return e
-	}
-	out := make([]algebra.Expr, len(exprs))
-	for i, e := range exprs {
-		out[i] = algebra.MapExpr(e, sub, nil)
-	}
-	return out, ok
 }
 
 // buildBatchGroupBy lowers a GROUP BY, keyed or not, onto the vectorized

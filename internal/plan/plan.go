@@ -89,7 +89,7 @@ func (p *Planner) fork() *Planner {
 // intra-query parallelism at the root when configured.
 func (p *Planner) Build(rel algebra.Rel) (exec.Node, error) {
 	f := p.fork()
-	n, err := f.build(rel)
+	n, err := f.build(prune(rel, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func (p *Planner) Build(rel algebra.Rel) (exec.Node, error) {
 // BuildSerial compiles without the parallel rewrite (embedded statements
 // inside UDF bodies, which run once per invocation).
 func (p *Planner) BuildSerial(rel algebra.Rel) (exec.Node, error) {
-	return p.fork().build(rel)
+	return p.fork().build(prune(rel, nil))
 }
 
 // BuildExplain compiles and also returns the physical choice log plus the
@@ -109,7 +109,7 @@ func (p *Planner) BuildSerial(rel algebra.Rel) (exec.Node, error) {
 // parallel-safe decomposition).
 func (p *Planner) BuildExplain(rel algebra.Rel) (exec.Node, []string, int, error) {
 	f := p.fork()
-	n, err := f.build(rel)
+	n, err := f.build(prune(rel, nil))
 	if err != nil {
 		return nil, f.choices, 1, err
 	}
@@ -166,7 +166,7 @@ func (p *Planner) ResolveScalarCall(name string, argc int) (func(ctx *exec.Ctx, 
 // returns the bindings the evaluator must publish per row.
 func (p *Planner) BuildSubplan(rel algebra.Rel, outer []algebra.Column) (exec.Node, []exec.CorrBinding, error) {
 	sub, corr := p.substituteCorr(rel, outer)
-	n, err := p.build(sub)
+	n, err := p.build(prune(sub, nil))
 	if err != nil {
 		return nil, nil, err
 	}

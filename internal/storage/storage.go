@@ -151,6 +151,9 @@ func (v *TableVersion) forEachVal(ord int, fn func(val sqltypes.Value)) {
 	}
 }
 
+// maxDistinct caps the distinct values Stats counts in one column.
+const maxDistinct = 100000
+
 // Stats computes (and caches) statistics for a column. The column scan runs
 // outside the lock — segments are immutable, so concurrent readers are
 // never stalled behind it; two racing computations are idempotent and the
@@ -166,11 +169,40 @@ func (v *TableVersion) Stats(col string) (ColStats, error) {
 	if ok {
 		return st, nil
 	}
-	distinct := map[string]bool{}
+	// While every value is an int, values compare as ints and distinct
+	// values count in an integer set. The first other value moves the set
+	// to encoded keys, under which an int and an equal float (3 and 3.0)
+	// are one key; distinct ints always have distinct keys, so both count
+	// the same. An int column's set is sized for its rows up front.
+	size := 0
+	if v.tab.Meta.Cols[ord].Type == sqltypes.KindInt {
+		size = min(v.n, maxDistinct)
+	}
+	ints := make(map[int64]struct{}, size)
+	var keys map[string]struct{} // nil while every value is an int
 	var key []byte
+	addKey := func(val sqltypes.Value) {
+		if len(keys) < maxDistinct {
+			key = sqltypes.EncodeKey(key[:0], val)
+			keys[string(key)] = struct{}{}
+		}
+	}
 	st = ColStats{Min: sqltypes.Null, Max: sqltypes.Null}
 	v.forEachVal(ord, func(val sqltypes.Value) {
 		if val.IsNull() {
+			return
+		}
+		if keys == nil && val.Kind() == sqltypes.KindInt {
+			i := val.Int()
+			if st.Min.IsNull() || i < st.Min.Int() {
+				st.Min = val
+			}
+			if st.Max.IsNull() || i > st.Max.Int() {
+				st.Max = val
+			}
+			if len(ints) < maxDistinct {
+				ints[i] = struct{}{}
+			}
 			return
 		}
 		if st.Min.IsNull() || sqltypes.TotalCompare(val, st.Min) < 0 {
@@ -179,12 +211,16 @@ func (v *TableVersion) Stats(col string) (ColStats, error) {
 		if st.Max.IsNull() || sqltypes.TotalCompare(val, st.Max) > 0 {
 			st.Max = val
 		}
-		if len(distinct) < 100000 {
-			key = sqltypes.EncodeKey(key[:0], val)
-			distinct[string(key)] = true
+		if keys == nil {
+			keys = make(map[string]struct{}, len(ints)+1)
+			for i := range ints {
+				addKey(sqltypes.NewInt(i))
+			}
+			ints = nil
 		}
+		addKey(val)
 	})
-	st.DistinctCount = int64(len(distinct))
+	st.DistinctCount = int64(len(ints) + len(keys))
 	v.mu.Lock()
 	if prior, ok := v.stats[col]; ok {
 		st = prior
