@@ -113,9 +113,9 @@ func TestBatchContractProperty(t *testing.T) {
 	var mu sync.Mutex
 	var violations []string
 	hook := func(in exec.BatchIter) exec.BatchIter {
-		return exec.NewContractChecker(in, func(got, max int) {
+		return exec.NewContractChecker(in, func(violation string) {
 			mu.Lock()
-			violations = append(violations, fmt.Sprintf("inner edge: %d live rows for max %d", got, max))
+			violations = append(violations, "inner edge: "+violation)
 			mu.Unlock()
 		})
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"math/bits"
 
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/sqltypes"
@@ -82,22 +81,17 @@ func instantiateArgs(args [][]VecFactory) [][]VecEvaluator {
 // into another. A group is a dense id, assigned in first-seen order. Its
 // key values and the state of each aggregate live in columns indexed by
 // that id, so a group costs no heap object of its own and the groups come
-// out in first-seen order without a sort. While every key is a single
-// integer value (an int, or a float equal to one, via intKeyOf) the ids
-// come from an integer index and keys are not encoded; the first key of
-// another kind moves the table to encoded keys for good. Without keys
-// every row is in group 0.
+// out in first-seen order without a sort. The ids come from a keyIndex.
+// Without keys every row is in group 0.
 type groupTable struct {
-	keys   [][]sqltypes.Value // keys[k][id]: the first-seen value of key k
-	cols   []aggColumn
-	intIDs *intIndex // non-nil while every key is an integer
-	encIDs map[string]int32
-	n      int // group count
+	keys  [][]sqltypes.Value // keys[k][id]: the first-seen value of key k
+	cols  []aggColumn
+	index keyIndex
+	n     int // group count
 
 	// Scratch reused from batch to batch.
 	ids     []int32
 	fresh   []int // positions of the rows that opened a group
-	buf     []byte
 	rowArgs []sqltypes.Value
 }
 
@@ -107,12 +101,6 @@ var zeroIDs [DefaultBatchSize]int32
 
 func newGroupTable(aggs []*AggSpec, nKeys int) *groupTable {
 	g := &groupTable{keys: make([][]sqltypes.Value, nKeys), cols: make([]aggColumn, len(aggs))}
-	switch {
-	case nKeys == 1:
-		g.intIDs = &intIndex{}
-	case nKeys > 1:
-		g.encIDs = map[string]int32{}
-	}
 	width := 0
 	for i, a := range aggs {
 		g.cols[i] = newAggColumn(a)
@@ -166,26 +154,8 @@ func (g *groupTable) groupIDs(keys [][]sqltypes.Value, n int, sel []int) ([]int3
 	ids, fresh := g.ids[:n], g.fresh[:0]
 	for r := range ids {
 		p := at(sel, r)
-		next := int32(g.n + len(fresh))
-		if g.intIDs != nil {
-			if ik, ok := intKeyOf(keys[0][p : p+1]); ok {
-				id, added := g.intIDs.find(ik, next)
-				if added {
-					fresh = append(fresh, p)
-				}
-				ids[r] = id
-				continue
-			}
-			g.encodeIntKeys()
-		}
-		g.buf = g.buf[:0]
-		for _, vec := range keys {
-			g.buf = sqltypes.EncodeKey(g.buf, vec[p])
-		}
-		id, ok := g.encIDs[string(g.buf)]
-		if !ok {
-			id = next
-			g.encIDs[string(g.buf)] = id
+		id, added := g.index.add(keys, p)
+		if added {
 			fresh = append(fresh, p)
 		}
 		ids[r] = id
@@ -199,18 +169,6 @@ func (g *groupTable) groupIDs(keys [][]sqltypes.Value, n int, sel []int) ([]int3
 	}
 	g.n += len(fresh)
 	return ids, nil
-}
-
-// encodeIntKeys moves the table from its integer index to encoded keys.
-func (g *groupTable) encodeIntKeys() {
-	g.encIDs = make(map[string]int32, g.intIDs.n)
-	for _, s := range g.intIDs.slots {
-		if s.id != 0 {
-			g.buf = sqltypes.EncodeKey(g.buf[:0], sqltypes.NewInt(s.key))
-			g.encIDs[string(g.buf)] = s.id - 1
-		}
-	}
-	g.intIDs = nil
 }
 
 // consume drains a batch iterator into the table, evaluating keys and
@@ -515,67 +473,4 @@ func at(sel []int, r int) int {
 		return sel[r]
 	}
 	return r
-}
-
-// ---------------------------------------------------------------------------
-// intIndex
-// ---------------------------------------------------------------------------
-
-// intIndex maps integer keys to group ids: open addressing with linear
-// probing over a power-of-two slot array that doubles at 3/4 full. It
-// allocates once per doubling, where a Go map allocates for each of its
-// internal tables as they grow (81 times for 9 000 int64 keys on go1.24),
-// which would cost about one allocation per hundred groups.
-type intIndex struct {
-	slots []intSlot
-	shift uint // 64 - log2(len(slots))
-	n     int
-}
-
-type intSlot struct {
-	key int64
-	id  int32 // group id + 1; 0 marks an empty slot
-}
-
-// find returns key's group id, inserting key with id next when absent.
-func (x *intIndex) find(key int64, next int32) (id int32, added bool) {
-	if 4*(x.n+1) > 3*len(x.slots) {
-		x.grow()
-	}
-	mask := len(x.slots) - 1
-	for i := x.home(key); ; i = (i + 1) & mask {
-		s := &x.slots[i]
-		if s.id == 0 {
-			s.key, s.id = key, next+1
-			x.n++
-			return next, true
-		}
-		if s.key == key {
-			return s.id - 1, false
-		}
-	}
-}
-
-// home is key's first probe slot: the top bits of a multiplicative mix, so
-// sequential keys spread.
-func (x *intIndex) home(key int64) int {
-	return int(uint64(key) * 0x9E3779B97F4A7C15 >> x.shift)
-}
-
-func (x *intIndex) grow() {
-	old := x.slots
-	size := max(8, 2*len(old))
-	x.slots = make([]intSlot, size)
-	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	mask := size - 1
-	for _, s := range old {
-		if s.id == 0 {
-			continue
-		}
-		i := x.home(s.key)
-		for x.slots[i].id != 0 {
-			i = (i + 1) & mask
-		}
-		x.slots[i] = s
-	}
 }

@@ -366,13 +366,17 @@ func (l *batchLimitIter) Close() error { return l.in.Close() }
 // ---------------------------------------------------------------------------
 
 // BatchHashJoin is the vectorized hash join: build- and probe-side key
-// expressions evaluate batch-at-a-time, and matches are emitted into output
-// batches in left-row order (identical to the row hash join's order). The
-// probe records each match as a left position and a build row, and gathers
-// the recorded pairs into the output one column at a time, so no probe row
-// is ever materialised. The residual predicate, when present, is evaluated
-// per candidate row so that outer/semi/anti match bookkeeping stays exact.
-// Only the columns of the output list are gathered.
+// expressions evaluate batch-at-a-time, and matches are emitted in left-row
+// order (identical to the row hash join's order). The build side is kept as
+// columns, and a match is a build ordinal. The probe looks up every row of
+// a probe batch before emitting any, records each output row as a left
+// position and a build ordinal, and builds the output one column at a time,
+// so no row is ever materialised. When each probe row is emitted at most
+// once, the output passes the probe batch's own columns through under a
+// new selection, and only the build columns are written. The residual
+// predicate, when present, is evaluated per candidate so that
+// outer/semi/anti match bookkeeping stays exact. Only the columns of the
+// output list are built.
 type BatchHashJoin struct {
 	Kind     algebra.JoinKind
 	LKeys    []VecFactory
@@ -391,6 +395,25 @@ func NewBatchHashJoin(kind algebra.JoinKind, lkeys, rkeys []VecFactory, residual
 // Open implements Node.
 func (j *BatchHashJoin) Open(ctx *Ctx) (Iter, error) { return openRowsViaBatches(j, ctx) }
 
+// buildReads reports, per build column, whether the join reads it: the
+// output list's build columns, or every column when a residual reads the
+// joined row.
+func (j *BatchHashJoin) buildReads() []bool {
+	lWidth := len(j.L.Schema())
+	reads := make([]bool, len(j.R.Schema()))
+	for c := range reads {
+		reads[c] = j.Residual != nil
+	}
+	if j.Kind != algebra.SemiJoin && j.Kind != algebra.AntiJoin {
+		for _, c := range j.cols {
+			if c >= lWidth {
+				reads[c-lWidth] = true
+			}
+		}
+	}
+	return reads
+}
+
 // OpenBatch implements BatchNode. A parallel worker's probe uses the join
 // table its pipeline prebuilt.
 func (j *BatchHashJoin) OpenBatch(ctx *Ctx) (BatchIter, error) {
@@ -400,7 +423,7 @@ func (j *BatchHashJoin) OpenBatch(ctx *Ctx) (BatchIter, error) {
 	}
 	if table == nil {
 		var err error
-		if table, err = buildJoinTable(ctx, j.R, j.RKeys, 1); err != nil {
+		if table, err = buildJoinTable(ctx, j, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -408,8 +431,14 @@ func (j *BatchHashJoin) OpenBatch(ctx *Ctx) (BatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &batchHashJoinIter{j: j, ctx: ctx, li: li, table: table,
-		lkeys: Instantiate(j.LKeys), lWidth: len(j.L.Schema()), rWidth: len(j.R.Schema())}, nil
+	it := &batchHashJoinIter{j: j, ctx: ctx, li: li, table: table, lkeys: Instantiate(j.LKeys),
+		lWidth: len(j.L.Schema()), keyVecs: make([][]sqltypes.Value, len(j.LKeys)),
+		bufs: make([][]sqltypes.Value, len(j.cols))}
+	it.out.Cols = make([][]sqltypes.Value, len(j.cols))
+	if j.Residual != nil {
+		it.joined = make(storage.Row, it.lWidth+len(table.cols))
+	}
+	return it, nil
 }
 
 type batchHashJoinIter struct {
@@ -419,205 +448,187 @@ type batchHashJoinIter struct {
 	lkeys  []VecEvaluator
 	table  *joinTable
 	lWidth int
-	rWidth int
 
-	left    *Batch             // current probe batch (nil when exhausted)
+	left    *Batch             // current probe batch; nil before the first
+	done    bool               // the probe side is exhausted
 	keyVecs [][]sqltypes.Value // probe key vectors over left
-	pos     int                // next live index in left
-	out     *Batch
-	keyBuf  []sqltypes.Value
-	joined  storage.Row // residual candidate row, reused
+	matches [][]int32          // matches[i]: the build ordinals sharing live row i's key
+	pos     int                // live index of the probe row being emitted
+	idx     int                // its next candidate in matches[pos]
+	matched bool               // it has had a residual-accepted match
 
-	// Matches recorded into out but not yet copied: the left position and
-	// the build row (nil for a NULL-extended row). gather copies them
-	// before out is returned and before left is replaced, since left is
-	// valid only until the next li.NextBatch call.
+	out    Batch
+	bufs   [][]sqltypes.Value // the output vectors the iterator owns
+	joined storage.Row        // residual candidate row, reused
+
+	// The output rows recorded for the batch being built: the left position
+	// and the build ordinal (-1 for a NULL-extended row).
 	mLeft  []int
-	mRight []storage.Row
-
-	// In-progress probe row, carried across NextBatch calls so a hot build
-	// key (bucket larger than the remaining output budget) never overflows
-	// the requested batch size.
-	pend        []storage.Row // bucket being emitted; meaningful when pendActive
-	pendIdx     int           // next bucket position
-	pendPos     int           // the probe row's position in left
-	pendMatched bool          // a residual-accepted match was seen
-	pendActive  bool
+	mRight []int32
 }
 
-// record adds one output row: left position p joined with build row r, or
-// with NULLs when r is nil (semi and anti joins ignore r).
-func (it *batchHashJoinIter) record(out *Batch, p int, r storage.Row) {
+// NextBatch emits the output rows of one probe batch, at most max of them;
+// an output batch never spans two probe batches, since the probe batch is
+// valid only until the next li.NextBatch call.
+func (it *batchHashJoinIter) NextBatch(max int) (*Batch, bool, error) {
+	it.mLeft, it.mRight = it.mLeft[:0], it.mRight[:0]
+	for {
+		if it.left == nil || it.pos >= len(it.matches) {
+			if ok, err := it.nextProbe(max); err != nil || !ok {
+				return nil, false, err
+			}
+		}
+		if err := it.emit(max); err != nil {
+			return nil, false, err
+		}
+		if len(it.mLeft) > 0 {
+			return it.gather(), true, nil
+		}
+	}
+}
+
+// nextProbe fetches the next probe batch and looks up the key of every
+// live row, in one pass over the key vectors.
+func (it *batchHashJoinIter) nextProbe(max int) (bool, error) {
+	if it.done {
+		return false, nil
+	}
+	b, ok, err := it.li.NextBatch(max)
+	if err != nil || !ok {
+		it.done = true
+		return false, err
+	}
+	for i, k := range it.lkeys {
+		if it.keyVecs[i], err = k(it.ctx, b); err != nil {
+			return false, err
+		}
+	}
+	n := b.Len()
+	if cap(it.matches) < n {
+		it.matches = make([][]int32, n)
+	}
+	it.matches = it.matches[:n]
+	for i := range it.matches {
+		// A key with a NULL finds nothing: the build left such keys out.
+		it.matches[i] = it.table.lookup(it.keyVecs, b.LiveAt(i))
+	}
+	it.left, it.pos, it.idx, it.matched = b, 0, 0, false
+	return true, nil
+}
+
+// emit records output rows of the current probe batch until max are
+// recorded or the batch is done. The cursor (pos, idx, matched) survives a
+// full stop, so a hot build key never overflows the requested batch size.
+func (it *batchHashJoinIter) emit(max int) error {
+	j := it.j
+	for ; it.pos < len(it.matches); it.pos, it.idx, it.matched = it.pos+1, 0, false {
+		p := it.left.LiveAt(it.pos)
+		ms := it.matches[it.pos]
+		if j.Residual != nil {
+			for c := 0; c < it.lWidth; c++ {
+				it.joined[c] = it.left.Cols[c][p]
+			}
+		}
+		for it.idx < len(ms) {
+			if len(it.mLeft) >= max {
+				return nil
+			}
+			o := ms[it.idx]
+			it.idx++
+			if j.Residual != nil {
+				for c, col := range it.table.cols {
+					it.joined[it.lWidth+c] = col[o]
+				}
+				v, err := j.Residual(it.ctx, it.joined)
+				if err != nil {
+					return err
+				}
+				if sqltypes.TriOf(v) != sqltypes.True {
+					continue
+				}
+			}
+			it.matched = true
+			if j.Kind == algebra.SemiJoin || j.Kind == algebra.AntiJoin {
+				it.idx = len(ms) // the first match decides
+				break
+			}
+			it.record(p, o)
+		}
+		switch {
+		case j.Kind == algebra.SemiJoin && it.matched, j.Kind == algebra.AntiJoin && !it.matched,
+			j.Kind == algebra.LeftOuterJoin && !it.matched:
+			if len(it.mLeft) >= max {
+				return nil
+			}
+			it.record(p, -1)
+		}
+	}
+	return nil
+}
+
+// record adds one output row: left position p joined with build ordinal o,
+// or with NULLs when o is -1 (semi and anti joins ignore o).
+func (it *batchHashJoinIter) record(p int, o int32) {
 	it.mLeft = append(it.mLeft, p)
-	it.mRight = append(it.mRight, r)
-	out.n++
+	it.mRight = append(it.mRight, o)
 }
 
-// gather copies the recorded matches into out, one output-list column at a
-// time.
-func (it *batchHashJoinIter) gather(out *Batch) {
-	if len(it.mLeft) == 0 {
-		return
+// gather builds the output batch from the recorded rows, one output-list
+// column at a time. When the recorded left positions strictly increase,
+// each probe row appears at most once, so the output keeps the probe
+// batch's physical positions: its left columns are the probe batch's own
+// vectors, its selection is the recorded positions, and only the build
+// columns are written, at those positions. Otherwise every column is
+// copied. Written vectors are always the iterator's own, never a probe
+// vector.
+func (it *batchHashJoinIter) gather() *Batch {
+	out := &it.out
+	through := ascending(it.mLeft)
+	if through {
+		out.n, out.Sel = it.left.Physical(), it.mLeft
+	} else {
+		out.n, out.Sel = len(it.mLeft), nil
 	}
 	for i, c := range it.j.cols {
-		dst := out.Cols[i]
 		if c < it.lWidth {
 			src := it.left.Cols[c]
-			for _, p := range it.mLeft {
-				dst = append(dst, src[p])
-			}
-		} else {
-			c -= it.lWidth
-			for _, r := range it.mRight {
-				if r == nil {
-					dst = append(dst, sqltypes.Null)
-				} else {
-					dst = append(dst, r[c])
-				}
-			}
-		}
-		out.Cols[i] = dst
-	}
-	it.mLeft, it.mRight = it.mLeft[:0], it.mRight[:0]
-}
-
-// emitPending records the in-progress probe row — the bucket cursor plus
-// the trailing unmatched emission — into out, stopping as soon as out
-// reaches max live rows. full=true means out filled up before the probe row
-// completed; the cursor survives for the next call.
-func (it *batchHashJoinIter) emitPending(out *Batch, max int) (full bool, err error) {
-	j := it.j
-	for it.pendIdx < len(it.pend) {
-		if out.n >= max {
-			return true, nil
-		}
-		r := it.pend[it.pendIdx]
-		it.pendIdx++
-		if j.Residual != nil {
-			copy(it.joined[it.lWidth:], r)
-			v, err := j.Residual(it.ctx, it.joined)
-			if err != nil {
-				return false, err
-			}
-			if sqltypes.TriOf(v) != sqltypes.True {
+			if through {
+				out.Cols[i] = src
 				continue
 			}
+			dst := vecBuf(it.bufs[i], out.n)
+			for k, p := range it.mLeft {
+				dst[k] = src[p]
+			}
+			it.bufs[i], out.Cols[i] = dst, dst
+			continue
 		}
-		it.pendMatched = true
-		switch j.Kind {
-		case algebra.SemiJoin:
-			it.record(out, it.pendPos, nil)
-			it.pendIdx = len(it.pend) // the first match decides
-		case algebra.AntiJoin:
-			it.pendIdx = len(it.pend) // no emission on match
-		default:
-			it.record(out, it.pendPos, r)
-		}
-	}
-	if !it.pendMatched && (j.Kind == algebra.AntiJoin || j.Kind == algebra.LeftOuterJoin) {
-		if out.n >= max {
-			return true, nil
-		}
-		it.record(out, it.pendPos, nil)
-	}
-	it.pendActive = false
-	it.pend = nil
-	return false, nil
-}
-
-// NextBatch records matches into out and gathers them at every exit and
-// before every fetch of the next probe batch.
-func (it *batchHashJoinIter) NextBatch(max int) (*Batch, bool, error) {
-	if it.out == nil {
-		it.out = NewBatch(len(it.j.cols), max)
-		it.keyBuf = make([]sqltypes.Value, len(it.lkeys))
-		if it.j.Residual != nil {
-			it.joined = make(storage.Row, it.lWidth+it.rWidth)
-		}
-	}
-	out := it.out
-	out.Sel = nil
-	out.n = 0
-	for i := range out.Cols {
-		out.Cols[i] = out.Cols[i][:0]
-	}
-	full, err := it.probe(out, max)
-	it.gather(out) // left is still the batch every recorded position is in
-	if err != nil {
-		return nil, false, err
-	}
-	if out.n == 0 && !full {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// probe records matches into out until it holds max rows (full=true) or
-// the probe side is exhausted.
-func (it *batchHashJoinIter) probe(out *Batch, max int) (full bool, err error) {
-	for {
-		if it.pendActive {
-			if full, err := it.emitPending(out, max); err != nil || full {
-				return full, err
+		src := it.table.cols[c-it.lWidth]
+		dst := vecBuf(it.bufs[i], out.n)
+		for k, o := range it.mRight {
+			at := k
+			if through {
+				at = it.mLeft[k]
 			}
-		}
-		if it.left == nil || it.pos >= it.left.Len() {
-			if out.n >= max {
-				return true, nil
-			}
-			it.gather(out)
-			b, ok, err := it.li.NextBatch(max)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				it.left = nil
-				return false, nil
-			}
-			if it.keyVecs == nil {
-				it.keyVecs = make([][]sqltypes.Value, len(it.lkeys))
-			}
-			for i, k := range it.lkeys {
-				if it.keyVecs[i], err = k(it.ctx, b); err != nil {
-					return false, err
-				}
-			}
-			it.left, it.pos = b, 0
-		}
-		for it.pos < it.left.Len() {
-			if out.n >= max {
-				return true, nil
-			}
-			p := it.left.LiveAt(it.pos)
-			it.pos++
-			nullKey := false
-			for c := range it.keyVecs {
-				v := it.keyVecs[c][p]
-				if v.IsNull() {
-					nullKey = true
-					break
-				}
-				it.keyBuf[c] = v
-			}
-			it.pendActive = true
-			it.pendIdx = 0
-			it.pendMatched = false
-			it.pendPos = p
-			if nullKey {
-				it.pend = nil // NULL keys never join
+			if o < 0 {
+				dst[at] = sqltypes.Null
 			} else {
-				it.pend = it.table.lookup(it.keyBuf)
-			}
-			if it.j.Residual != nil {
-				for c := 0; c < it.lWidth; c++ {
-					it.joined[c] = it.left.Cols[c][p]
-				}
-			}
-			if full, err := it.emitPending(out, max); err != nil || full {
-				return full, err
+				dst[at] = src[o]
 			}
 		}
+		it.bufs[i], out.Cols[i] = dst, dst
 	}
+	return out
+}
+
+// ascending reports whether ps strictly increases.
+func ascending(ps []int) bool {
+	for k := 1; k < len(ps); k++ {
+		if ps[k] <= ps[k-1] {
+			return false
+		}
+	}
+	return true
 }
 
 func (it *batchHashJoinIter) Close() error { return it.li.Close() }

@@ -299,6 +299,96 @@ func TestBatchHashJoinEquivalence(t *testing.T) {
 			})
 		}
 	}
+
+	// Probe batches that carry a selection vector: a filter over a source
+	// whose batches already leave every third physical row out (and hold
+	// poison there). Every kind runs with and without a residual, over a
+	// build with unique keys and one with a key hotter than the batch size,
+	// on a serial and a 4-partition table, against the nested-loop join. A
+	// unique build key emits each probe row at most once, so every output
+	// batch passes the probe's columns through; the hot key's batches are
+	// copied.
+	var probe [][]int64
+	for i := int64(0); i < 1200; i++ {
+		k := i % 23
+		switch {
+		case i%31 == 0:
+			k = -1 // NULL key
+		case i%100 == 50:
+			k = 99 // the hot key, when the build has it
+		}
+		probe = append(probe, []int64{k, i})
+	}
+	var unique, hot [][]int64
+	for k := int64(0); k < 20; k++ {
+		unique = append(unique, []int64{k, 100 + k})
+	}
+	hot = append(hot, unique...)
+	for i := int64(0); i < DefaultBatchSize+76; i++ {
+		hot = append(hot, []int64{99, 2 * i})
+	}
+	joined := append(append([]algebra.Column{}, lsc...), rsc...)
+	eq := cmp(sqltypes.CmpEQ, col("lk"), col("rk"))
+	filter := cmp(sqltypes.CmpNE, col("lk"), lit(5))
+	residual := cmp(sqltypes.CmpLT, col("rv"), col("lv"))
+	lKey, _ := CompileVec(col("lk"), lsc, nil)
+	rKey, _ := CompileVec(col("rk"), rsc, nil)
+	through, copied := 0, 0
+	for _, build := range []struct {
+		name string
+		rows [][]int64
+	}{{"unique", unique}, {"hot", hot}} {
+		for _, kind := range kinds {
+			for _, withResidual := range []bool{false, true} {
+				t.Run(fmt.Sprintf("selected/%s/%s/residual=%v", build.name, kind, withResidual), func(t *testing.T) {
+					src := &selSource{rows: rowsWithNulls(probe), size: 100, schema: lsc}
+					rowFilter, _ := filterPair(t, filter, NewValues(src.rows, lsc))
+					_, batchFilter := filterPair(t, filter, src)
+					r := NewValues(rowsWithNulls(build.rows), rsc)
+					cond, res := algebra.Expr(eq), Evaluator(nil)
+					if withResidual {
+						cond = &algebra.Logic{Op: algebra.LogicAnd, L: eq, R: residual}
+						var err error
+						if res, err = Compile(residual, joined, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+					condEv, err := Compile(cond, joined, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := Drain(NewNLJoin(kind, condEv, rowFilter, r), NewCtx(nil))
+					if err != nil {
+						t.Fatal(err)
+					}
+					bj := NewBatchHashJoin(kind, []VecFactory{lKey}, []VecFactory{rKey}, res, batchFilter, r)
+					for _, parts := range []int{1, 4} {
+						for _, size := range []int{1, 7, DefaultBatchSize} {
+							ctx := NewCtx(nil)
+							if parts > 1 {
+								jt, err := buildJoinTable(ctx, bj, parts)
+								if err != nil {
+									t.Fatal(err)
+								}
+								ctx.pipe = &pipeline{joins: map[*BatchHashJoin]*joinTable{bj: jt}}
+							}
+							got, th, cp := joinPassThroughCounts(t, bj, ctx, size)
+							assertIdenticalRows(t, got, want)
+							if build.name == "unique" && cp > 0 {
+								t.Fatalf("parts=%d size=%d: %d of %d batches copied, though no probe row repeats",
+									parts, size, cp, cp+th)
+							}
+							through += th
+							copied += cp
+						}
+					}
+				})
+			}
+		}
+	}
+	if through == 0 || copied == 0 {
+		t.Fatalf("%d pass-through and %d copied batches; both paths must run", through, copied)
+	}
 }
 
 // TestBatchHashJoinHotKeyBatchContract is the regression test for the

@@ -1,12 +1,13 @@
 package exec
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"udfdecorr/internal/sqltypes"
 )
 
-// The BatchIter contract has two clauses:
+// The BatchIter contract has three clauses:
 //
 //  1. Size: NextBatch(max) never yields a batch with more than max live
 //     rows, which lets batch sizes propagate through operator trees without
@@ -19,6 +20,11 @@ import (
 //     private buffers. A consumer that needs data beyond that window must
 //     copy it out (Batch.AppendTo / Batch.Row); individual sqltypes.Value
 //     elements are immutable and always safe to keep.
+//
+//  3. Shape: every column vector holds at least Physical() values, and Sel,
+//     when set, strictly increases within [0, Physical()). A consumer may
+//     then index any column at any live position, and a join may pass a
+//     probe batch's vectors through under a selection of its own.
 //
 // This file provides a test hook that wraps every iterator handed across an
 // operator edge (OpenBatches, which parallel workers open their pipelines
@@ -56,21 +62,21 @@ func contractWrap(it BatchIter) BatchIter {
 var BatchPoison = sqltypes.NewString("\x00batch-contract-poison\x00")
 
 // NewContractChecker wraps an iterator so every NextBatch(max) result is
-// checked against the size clause (violations reported through onViolation
-// with the observed live row count and the requested max) AND the ownership
-// clause: each batch is handed out as a private deep copy in one of two
-// alternating buffers, and the previous handout is overwritten with
-// BatchPoison the moment the next call is made. A consumer that retains a
-// batch — the pointer or its column slices — past the contract window reads
-// poison instead of silently reading whatever the producer reused the
-// buffer for, turning an aliasing bug into a deterministic wrong answer.
-func NewContractChecker(in BatchIter, onViolation func(got, max int)) BatchIter {
+// checked against the size and shape clauses (each violation reported
+// through onViolation as a sentence) AND the ownership clause: each batch
+// is handed out as a private deep copy in one of two alternating buffers,
+// and the previous handout is overwritten with BatchPoison the moment the
+// next call is made. A consumer that retains a batch — the pointer or its
+// column slices — past the contract window reads poison instead of
+// silently reading whatever the producer reused the buffer for, turning an
+// aliasing bug into a deterministic wrong answer.
+func NewContractChecker(in BatchIter, onViolation func(violation string)) BatchIter {
 	return &contractIter{in: in, onViolation: onViolation}
 }
 
 type contractIter struct {
 	in          BatchIter
-	onViolation func(got, max int)
+	onViolation func(violation string)
 	bufs        [2]*Batch
 	cur         int
 }
@@ -83,7 +89,10 @@ func (c *contractIter) NextBatch(max int) (*Batch, bool, error) {
 		return b, ok, err
 	}
 	if b.Len() > max {
-		c.onViolation(b.Len(), max)
+		c.onViolation(fmt.Sprintf("%d live rows for max %d", b.Len(), max))
+	}
+	if v := shapeViolation(b); v != "" {
+		c.onViolation(v)
 	}
 	c.cur ^= 1
 	poisonBatch(c.bufs[c.cur^1])
@@ -94,6 +103,21 @@ func (c *contractIter) NextBatch(max int) (*Batch, bool, error) {
 	}
 	copyBatchInto(out, b)
 	return out, true, nil
+}
+
+// shapeViolation describes how b breaks the shape clause, or returns "".
+func shapeViolation(b *Batch) string {
+	for i, col := range b.Cols {
+		if len(col) < b.n {
+			return fmt.Sprintf("column %d holds %d values for %d physical rows", i, len(col), b.n)
+		}
+	}
+	for k, p := range b.Sel {
+		if p < 0 || p >= b.n || k > 0 && p <= b.Sel[k-1] {
+			return fmt.Sprintf("selection %v does not strictly increase within [0, %d)", b.Sel, b.n)
+		}
+	}
+	return ""
 }
 
 func (c *contractIter) Close() error {

@@ -502,7 +502,7 @@ func TestQuickHashJoinEqualsNLJoin(t *testing.T) {
 			// Probe a 4-partition table through the same operator, as a
 			// parallel worker does.
 			ctx := NewCtx(nil)
-			jt, err := buildJoinTable(ctx, r, bj.RKeys, 4)
+			jt, err := buildJoinTable(ctx, bj, 4)
 			if err != nil {
 				t.Error(err)
 				return false

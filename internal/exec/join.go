@@ -211,35 +211,73 @@ func NewHashJoin(kind algebra.JoinKind, lkeys, rkeys []Evaluator, residual Evalu
 		L: l, R: r, joinOutput: newJoinOutput(kind, l, r)}
 }
 
-// Open implements Node.
+// Open implements Node. A left row's candidates are the drained right rows
+// that share its key.
 func (j *HashJoin) Open(ctx *Ctx) (Iter, error) {
 	rRows, err := Drain(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	table := newJoinPart(len(j.RKeys), len(rRows))
-	keys := make([]sqltypes.Value, len(j.RKeys)) // build keys, then probe keys
-	for _, r := range rRows {
-		ok, err := evalJoinKeys(ctx, j.RKeys, r, keys)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			table.add(keys, r)
-		}
+	t, err := newRowBuildSide(ctx, j, rRows)
+	if err != nil {
+		return nil, err
 	}
 	li, err := OpenRows(j.L, ctx)
 	if err != nil {
 		return nil, err
 	}
 	return &rowJoinIter{kind: j.Kind, cond: j.Residual, ctx: ctx, li: li, cols: j.cols, lWidth: len(j.L.Schema()),
-		candidates: func(l storage.Row) ([]storage.Row, error) {
-			ok, err := evalJoinKeys(ctx, j.LKeys, l, keys)
-			if !ok {
-				return nil, err
-			}
-			return table.get(keys), nil
-		}}, nil
+		candidates: t.candidates}, nil
+}
+
+// rowBuildSide is the row HashJoin's build side: its drained right rows,
+// indexed by ordinal in a joinPart.
+type rowBuildSide struct {
+	ctx   *Ctx
+	probe []Evaluator // the left keys
+	rows  []storage.Row
+	part  joinPart
+	key   []sqltypes.Value   // one row's keys, build then probe
+	vecs  [][]sqltypes.Value // key as one-row vectors
+	cands []storage.Row      // reused: rowJoinIter is done with the last left row's
+}
+
+// newRowBuildSide indexes j's drained right rows by its right keys.
+func newRowBuildSide(ctx *Ctx, j *HashJoin, rows []storage.Row) (*rowBuildSide, error) {
+	if err := checkOrdinals(len(rows)); err != nil {
+		return nil, err
+	}
+	n := len(j.RKeys)
+	t := &rowBuildSide{ctx: ctx, probe: j.LKeys, rows: rows, key: make([]sqltypes.Value, n), vecs: make([][]sqltypes.Value, n)}
+	for c := range t.vecs {
+		t.vecs[c] = t.key[c : c+1]
+	}
+	ids := make([]int32, len(rows)) // -1 for a NULL key
+	for o, r := range rows {
+		ok, err := evalJoinKeys(ctx, j.RKeys, r, t.key)
+		if err != nil {
+			return nil, err
+		}
+		ids[o] = -1
+		if ok {
+			ids[o], _ = t.part.keys.add(t.vecs, 0)
+		}
+	}
+	t.part.layout(ids, nil)
+	return t, nil
+}
+
+// candidates returns the right rows whose key equals left row l's.
+func (t *rowBuildSide) candidates(l storage.Row) ([]storage.Row, error) {
+	ok, err := evalJoinKeys(t.ctx, t.probe, l, t.key)
+	if !ok {
+		return nil, err
+	}
+	t.cands = t.cands[:0]
+	for _, o := range t.part.get(t.vecs, 0) {
+		t.cands = append(t.cands, t.rows[o])
+	}
+	return t.cands, nil
 }
 
 // evalJoinKeys evaluates key expressions over row into keys and reports

@@ -1,106 +1,120 @@
 package exec
 
 import (
+	"math"
 	"sync"
 
 	"udfdecorr/internal/sqltypes"
-	"udfdecorr/internal/storage"
 )
 
-// joinTable is the build side of a hash join, for the row HashJoin and
-// BatchHashJoin alike. A parallel build splits it into partitions by key
-// hash, each filled by one worker without locking; a serial build has one
-// partition. Each partition keeps integer or encoded keys on its own, since
-// partOf sends equal keys to one partition either way. After the build the
-// table is read-only, so any number of probe workers may share it.
+// joinTable is BatchHashJoin's build side: the build rows the join reads,
+// kept as columns, and an index from key to build ordinal. A build ordinal
+// is a kept row's position in those columns; a row with a NULL key is not
+// kept, since it never joins. A parallel build splits the index into
+// partitions by key hash, each filled by one worker without locking; a
+// serial build has one partition. After the build the table is read-only,
+// so any number of probe workers may share it.
 type joinTable struct {
+	cols  [][]sqltypes.Value // cols[c][o]: build column c of ordinal o; nil for a column the join does not read
 	parts []joinPart
 }
 
-// joinPart maps join keys to build rows in build order. While every key is
-// a single integer value (the common foreign-key case) it keeps an integer
-// map and skips key encoding; the first key of another kind moves it to
-// encoded keys for good. 1 and 1.0 share a bucket either way.
+// joinPart maps join keys to build ordinals. Each distinct key has a dense
+// id from a keyIndex, and the ordinals are laid out by id, in build order
+// within an id: the ordinals of id k are ords[start[k]:start[k+1]]. A key
+// costs no slice of its own, and a key's match count is
+// start[k+1]-start[k].
 type joinPart struct {
-	intTable map[int64][]storage.Row // non-nil while every key is an integer
-	table    map[string][]storage.Row
+	keys  keyIndex
+	start []int32
+	ords  []int32
 }
 
-// newJoinPart returns an empty part sized for hint rows.
-func newJoinPart(nKeys, hint int) joinPart {
-	if nKeys == 1 {
-		return joinPart{intTable: make(map[int64][]storage.Row, hint)}
+// index fills the part with the build ordinals ords, in order: keys[c][i]
+// is key column c of ordinal ords[i], and none is NULL.
+func (p *joinPart) index(keys [][]sqltypes.Value, ords []int32) {
+	ids := make([]int32, len(ords))
+	for i := range ids {
+		ids[i], _ = p.keys.add(keys, i)
 	}
-	return joinPart{table: make(map[string][]storage.Row, hint)}
+	p.layout(ids, ords)
 }
 
-// add inserts row under its non-NULL key values.
-func (p *joinPart) add(keys []sqltypes.Value, row storage.Row) {
-	if p.intTable != nil {
-		if ik, ok := intKeyOf(keys); ok {
-			p.intTable[ik] = append(p.intTable[ik], row)
-			return
-		}
-		p.encodeKeys()
-	}
-	k := sqltypes.KeyOf(keys...)
-	p.table[k] = append(p.table[k], row)
-}
-
-// encodeKeys moves an integer part to encoded keys.
-func (p *joinPart) encodeKeys() {
-	p.table = make(map[string][]storage.Row, len(p.intTable))
-	var kb []byte
-	for ik, rows := range p.intTable {
-		kb = sqltypes.EncodeKey(kb[:0], sqltypes.NewInt(ik))
-		p.table[string(kb)] = rows
-	}
-	p.intTable = nil
-}
-
-// get returns the bucket for non-NULL probe key values.
-func (p *joinPart) get(keys []sqltypes.Value) []storage.Row {
-	if p.intTable != nil {
-		ik, ok := intKeyOf(keys)
-		if !ok {
-			return nil
-		}
-		return p.intTable[ik]
-	}
-	return p.table[sqltypes.KeyOf(keys...)]
-}
-
-// intKeyOf returns the integer a single key value equals: an int, or a
-// float with an integral value in int64's range, whose key encoding is the
-// same as that int's.
-func intKeyOf(keys []sqltypes.Value) (int64, bool) {
-	if len(keys) != 1 {
-		return 0, false
-	}
-	v := &keys[0] // a copy of the Value costs more than the rest
-	switch v.Kind() {
-	case sqltypes.KindInt:
-		return v.Int(), true
-	case sqltypes.KindFloat:
-		if f := v.Float(); f >= -(1<<63) && f < 1<<63 && f == float64(int64(f)) {
-			return int64(f), true
+// layout lays the ordinals out by id, where ids[i] is the id of the i-th
+// ordinal (ords[i], or i when ords is nil) and -1 leaves it out: it counts
+// each id's ordinals, turns the counts into offsets, then scatters the
+// ordinals in build order.
+func (p *joinPart) layout(ids, ords []int32) {
+	p.start = make([]int32, p.keys.len()+1)
+	for _, id := range ids {
+		if id >= 0 {
+			p.start[id+1]++
 		}
 	}
-	return 0, false
+	for k := 1; k < len(p.start); k++ {
+		p.start[k] += p.start[k-1]
+	}
+	p.ords = make([]int32, p.start[len(p.start)-1])
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		o := int32(i)
+		if ords != nil {
+			o = ords[i]
+		}
+		p.ords[p.start[id]] = o
+		p.start[id]++
+	}
+	// Each start[k] now holds where id k's ordinals end, which is where id
+	// k+1's begin.
+	copy(p.start[1:], p.start)
+	p.start[0] = 0
 }
 
-// partOf maps non-NULL key values to one of parts partitions. An integer
-// key hashes its integer (a multiplicative mix, so sequential keys spread),
-// which puts it in the same partition whether that partition holds integer
-// or encoded keys; any other key hashes its encoding (FNV-1a).
-func partOf(keys []sqltypes.Value, parts int) int {
-	if ik, ok := intKeyOf(keys); ok {
-		return int((uint64(ik) * 0x9E3779B97F4A7C15 >> 33) % uint64(parts))
+// checkOrdinals reports an error when n build rows overflow an int32
+// ordinal.
+func checkOrdinals(n int) error {
+	if n > math.MaxInt32 {
+		return Errorf("hash join build side has more than %d rows", math.MaxInt32)
+	}
+	return nil
+}
+
+// get returns the build ordinals whose key equals the key at position pos
+// of vecs, in build order.
+func (p *joinPart) get(vecs [][]sqltypes.Value, pos int) []int32 {
+	id, ok := p.keys.get(vecs, pos)
+	if !ok {
+		return nil
+	}
+	return p.ords[p.start[id]:p.start[id+1]]
+}
+
+// nullAt reports whether any key at position p is NULL.
+func nullAt(vecs [][]sqltypes.Value, p int) bool {
+	for _, vec := range vecs {
+		if vec[p].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// partOf maps the key at position p of vecs to one of parts partitions. An integer key hashes its integer (a multiplicative mix, so
+// sequential keys spread), which puts it in the same partition whether that
+// partition holds integer or encoded keys; any other key hashes its
+// encoding (FNV-1a).
+func partOf(vecs [][]sqltypes.Value, p, parts int) int {
+	if len(vecs) == 1 {
+		if ik, ok := intKeyOf(vecs[0][p : p+1]); ok {
+			return int((uint64(ik) * 0x9E3779B97F4A7C15 >> 33) % uint64(parts))
+		}
 	}
 	var buf [64]byte
 	kb := buf[:0]
-	for _, v := range keys {
-		kb = sqltypes.EncodeKey(kb, v)
+	for _, vec := range vecs {
+		kb = sqltypes.EncodeKey(kb, vec[p])
 	}
 	h := uint64(14695981039346656037)
 	for _, c := range kb {
@@ -109,101 +123,120 @@ func partOf(keys []sqltypes.Value, parts int) int {
 	return int(h % uint64(parts))
 }
 
-// lookup returns the bucket for non-NULL probe key values.
-func (jt *joinTable) lookup(keys []sqltypes.Value) []storage.Row {
+// lookup returns the build ordinals matching the probe key at position p of
+// vecs: none when the key has a NULL, since the build leaves such keys out.
+func (jt *joinTable) lookup(vecs [][]sqltypes.Value, p int) []int32 {
 	if len(jt.parts) == 1 {
-		return jt.parts[0].get(keys)
+		return jt.parts[0].get(vecs, p)
 	}
-	return jt.parts[partOf(keys, len(jt.parts))].get(keys)
+	return jt.parts[partOf(vecs, p, len(jt.parts))].get(vecs, p)
 }
 
-// drainKeyed drains build batch-at-a-time, evaluates its key expressions,
-// and calls add for every row whose key values are all non-NULL (NULL keys
-// never join). Batch.AppendTo carves the rows from one block per batch
-// rather than allocating each. add must copy keys to keep them: the slice
-// is reused.
-func drainKeyed(ctx *Ctx, build Node, keyFs []VecFactory, add func(keys []sqltypes.Value, row storage.Row)) error {
-	ri, err := OpenBatches(build, ctx)
-	if err != nil {
-		return err
-	}
-	defer ri.Close()
-	evs := Instantiate(keyFs)
-	keyVecs := make([][]sqltypes.Value, len(evs))
-	keys := make([]sqltypes.Value, len(evs))
-	var rows []storage.Row // the current batch's rows, reused across batches
-	for {
-		if err := ctx.Cancelled(); err != nil {
-			return err
-		}
-		b, ok, err := ri.NextBatch(DefaultBatchSize)
-		if err != nil || !ok {
-			return err
-		}
-		for i, k := range evs {
-			if keyVecs[i], err = k(ctx, b); err != nil {
-				return err
-			}
-		}
-		rows = b.AppendTo(rows[:0])
-	next:
-		for i, row := range rows {
-			p := b.LiveAt(i)
-			for c := range keyVecs {
-				if keys[c] = keyVecs[c][p]; keys[c].IsNull() {
-					continue next
-				}
-			}
-			add(keys, row)
-		}
-	}
-}
-
-// buildJoinTable drains a build-side plan into a join table of the given
-// partition count. With one partition the rows go straight into it. With
-// more, the drain buckets each row with a copy of its keys by partition,
-// then one goroutine per partition fills its part from its bucket in build
-// order.
-func buildJoinTable(ctx *Ctx, build Node, keyFs []VecFactory, parts int) (*joinTable, error) {
-	if parts <= 1 {
-		p := newJoinPart(len(keyFs), 0)
-		if err := drainKeyed(ctx, build, keyFs, p.add); err != nil {
-			return nil, err
-		}
-		return &joinTable{parts: []joinPart{p}}, nil
-	}
-	type keyedRow struct {
-		keys []sqltypes.Value
-		row  storage.Row
-	}
-	byPart := make([][]keyedRow, parts)
-	var spare []sqltypes.Value // key copies are carved from batch-sized blocks
-	err := drainKeyed(ctx, build, keyFs, func(keys []sqltypes.Value, row storage.Row) {
-		if len(spare) < len(keys) {
-			spare = make([]sqltypes.Value, DefaultBatchSize*len(keys))
-		}
-		k := spare[:len(keys):len(keys)]
-		spare = spare[len(keys):]
-		copy(k, keys)
-		w := partOf(k, parts)
-		byPart[w] = append(byPart[w], keyedRow{keys: k, row: row})
-	})
+// buildJoinTable drains j's build side into a join table of the given
+// partition count. The drain copies, column by column, the build columns
+// the join reads of every row whose key has no NULL. With one partition the
+// drain gives each row its key's id as it goes, and the part lays the
+// ordinals out at the end. With more, the drain buckets each row's ordinal
+// and key values by partition, and one goroutine per partition indexes its
+// bucket in build order.
+func buildJoinTable(ctx *Ctx, j *BatchHashJoin, parts int) (*joinTable, error) {
+	ri, err := OpenBatches(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	jt := &joinTable{parts: make([]joinPart, parts)}
-	var wg sync.WaitGroup
-	for w := range jt.parts {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p := newJoinPart(len(keyFs), len(byPart[w]))
-			for _, e := range byPart[w] {
-				p.add(e.keys, e.row)
+	defer ri.Close()
+	reads := j.buildReads()
+	evs := Instantiate(j.RKeys)
+	keyVecs := make([][]sqltypes.Value, len(evs)) // the current batch's
+	jt := &joinTable{cols: make([][]sqltypes.Value, len(reads)), parts: make([]joinPart, max(parts, 1))}
+	var ids []int32 // serial: the id of each ordinal
+	type bucket struct {
+		keys [][]sqltypes.Value // keys[c][i]: key column c of ords[i]
+		ords []int32
+	}
+	var buckets []bucket // parallel: one per partition
+	if len(jt.parts) > 1 {
+		buckets = make([]bucket, len(jt.parts))
+		for w := range buckets {
+			buckets[w].keys = make([][]sqltypes.Value, len(evs))
+		}
+	}
+	var kept []int // the current batch's positions with non-NULL keys
+	n := 0
+	for {
+		if err := ctx.Cancelled(); err != nil {
+			return nil, err
+		}
+		b, ok, err := ri.NextBatch(DefaultBatchSize)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		for i, k := range evs {
+			if keyVecs[i], err = k(ctx, b); err != nil {
+				return nil, err
 			}
-			jt.parts[w] = p
-		}(w)
+		}
+		kept = kept[:0]
+		for i := 0; i < b.Len(); i++ {
+			if p := b.LiveAt(i); !nullAt(keyVecs, p) {
+				kept = append(kept, p)
+			}
+		}
+		for c, read := range reads {
+			if read {
+				jt.cols[c] = appendAt(jt.cols[c], b.Cols[c], kept)
+			}
+		}
+		if buckets == nil {
+			ids = extend(ids, n+len(kept))
+			for i, p := range kept {
+				ids[n+i], _ = jt.parts[0].keys.add(keyVecs, p)
+			}
+		} else {
+			for i, p := range kept {
+				bk := &buckets[partOf(keyVecs, p, len(buckets))]
+				for c, vec := range keyVecs {
+					bk.keys[c] = append(bk.keys[c], vec[p])
+				}
+				bk.ords = append(bk.ords, int32(n+i))
+			}
+		}
+		n += len(kept)
+	}
+	if err := checkOrdinals(n); err != nil {
+		return nil, err
+	}
+	if buckets == nil {
+		jt.parts[0].layout(ids, nil)
+		return jt, nil
+	}
+	var wg sync.WaitGroup
+	for w := range buckets {
+		wg.Add(1)
+		go func(p *joinPart, bk *bucket) {
+			defer wg.Done()
+			p.index(bk.keys, bk.ords)
+		}(&jt.parts[w], &buckets[w])
 	}
 	wg.Wait()
 	return jt, nil
+}
+
+// appendAt appends src's values at the strictly increasing positions pos
+// to dst. When pos is 0..len(pos)-1, a batch with every row kept, the
+// values copy as one block.
+func appendAt(dst, src []sqltypes.Value, pos []int) []sqltypes.Value {
+	at := len(dst)
+	dst = extend(dst, at+len(pos))
+	if len(pos) > 0 && pos[len(pos)-1] == len(pos)-1 {
+		copy(dst[at:], src[:len(pos)])
+		return dst
+	}
+	for i, p := range pos {
+		dst[at+i] = src[p]
+	}
+	return dst
 }

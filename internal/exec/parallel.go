@@ -94,7 +94,7 @@ func newPipeline(ctx *Ctx, n Node, degree int) (*pipeline, error) {
 			p.scan, p.src = x, newMorselSource(ver, overlay, MorselRows)
 			return p, nil
 		case *BatchHashJoin:
-			jt, err := buildJoinTable(ctx, x.R, x.RKeys, degree)
+			jt, err := buildJoinTable(ctx, x, degree)
 			if err != nil {
 				return nil, err
 			}
