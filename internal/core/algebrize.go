@@ -153,8 +153,10 @@ func (a *Algebrizer) query(sel *ast.SelectStmt, outer *scope) (algebra.Rel, erro
 	rel = &algebra.Project{Cols: cols, Dedup: sel.Distinct, In: rel}
 
 	// ORDER BY resolves against the projected schema first, then the
-	// pre-projection scope. Keys referencing non-projected columns are
-	// carried through hidden projection columns and stripped afterwards.
+	// pre-projection scope. A key equal to a selected column's expression
+	// sorts on that column. Other keys referencing non-projected columns
+	// are carried through hidden projection columns and stripped
+	// afterwards.
 	if len(sel.OrderBy) > 0 {
 		outSchema := rel.Schema()
 		outSc := &scope{schema: outSchema, outer: sc}
@@ -168,6 +170,10 @@ func (a *Algebrizer) query(sel *ast.SelectStmt, outer *scope) (algebra.Rel, erro
 			}
 			if algebra.ExprUsesRefsOf(e, outSchema) || !algebra.ExprUsesRefsOf(e, preProj.Schema()) {
 				keys[i] = algebra.SortKey{E: e, Desc: o.Desc}
+				continue
+			}
+			if j := selectedAs(cols, outSchema, e); j >= 0 {
+				keys[i] = algebra.SortKey{E: &algebra.ColRef{Name: cols[j].As}, Desc: o.Desc}
 				continue
 			}
 			if sel.Distinct {
@@ -203,6 +209,18 @@ func (a *Algebrizer) query(sel *ast.SelectStmt, outer *scope) (algebra.Rel, erro
 		rel = &algebra.Limit{N: n, In: rel}
 	}
 	return rel, nil
+}
+
+// selectedAs returns the position of the first selected column whose
+// expression equals e and whose name resolves to it in the projected
+// schema, or -1.
+func selectedAs(cols []algebra.ProjCol, outSchema []algebra.Column, e algebra.Expr) int {
+	for j, c := range cols {
+		if algebra.EqualExpr(c.E, e) && algebra.RefIndex(outSchema, "", c.As) == j {
+			return j
+		}
+	}
+	return -1
 }
 
 func defaultAlias(e ast.Expr, i int) string {

@@ -163,7 +163,8 @@ func (p *Project) Open(ctx *Ctx) (Iter, error) {
 	}
 	pi := &projectIter{exprs: p.Exprs, in: it, ctx: ctx}
 	if p.Dedup {
-		pi.seen = map[string]bool{}
+		pi.seen = &sqltypes.KeyIndex{}
+		pi.cols = make([][]sqltypes.Value, len(p.Exprs))
 	}
 	return pi, nil
 }
@@ -172,7 +173,8 @@ type projectIter struct {
 	exprs []Evaluator
 	in    Iter
 	ctx   *Ctx
-	seen  map[string]bool // non-nil for DISTINCT
+	seen  *sqltypes.KeyIndex // non-nil for DISTINCT
+	cols  [][]sqltypes.Value // DISTINCT: cols[i] views column i of the current row
 }
 
 func (p *projectIter) Next() (storage.Row, bool, error) {
@@ -192,16 +194,23 @@ func (p *projectIter) Next() (storage.Row, bool, error) {
 			}
 			out[i] = v
 		}
-		if p.seen != nil {
-			k := sqltypes.KeyOf(out...)
-			if p.seen[k] {
-				continue
-			}
-			p.seen[k] = true
+		if p.seen != nil && p.repeats(out) {
+			continue
 		}
 		p.ctx.Counters.RowsProcessed++
 		return out, true, nil
 	}
+}
+
+// repeats reports whether a DISTINCT projection has already returned a row
+// equal to out. It is a method of its own so that its key handling stays
+// out of Next's frame.
+func (p *projectIter) repeats(out storage.Row) bool {
+	for i := range p.cols {
+		p.cols[i] = out[i : i+1]
+	}
+	_, added := p.seen.Add(p.cols, 0)
+	return !added
 }
 
 func (p *projectIter) Close() error { return p.in.Close() }

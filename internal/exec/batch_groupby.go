@@ -81,12 +81,12 @@ func instantiateArgs(args [][]VecFactory) [][]VecEvaluator {
 // into another. A group is a dense id, assigned in first-seen order. Its
 // key values and the state of each aggregate live in columns indexed by
 // that id, so a group costs no heap object of its own and the groups come
-// out in first-seen order without a sort. The ids come from a keyIndex.
-// Without keys every row is in group 0.
+// out in first-seen order without a sort. The ids come from a
+// sqltypes.KeyIndex. Without keys every row is in group 0.
 type groupTable struct {
 	keys  [][]sqltypes.Value // keys[k][id]: the first-seen value of key k
 	cols  []aggColumn
-	index keyIndex
+	index sqltypes.KeyIndex
 	n     int // group count
 
 	// Scratch reused from batch to batch.
@@ -154,7 +154,7 @@ func (g *groupTable) groupIDs(keys [][]sqltypes.Value, n int, sel []int) ([]int3
 	ids, fresh := g.ids[:n], g.fresh[:0]
 	for r := range ids {
 		p := at(sel, r)
-		id, added := g.index.add(keys, p)
+		id, added := g.index.Add(keys, p)
 		if added {
 			fresh = append(fresh, p)
 		}
@@ -301,7 +301,7 @@ type aggColumn struct {
 	acc   []sqltypes.Value // sum, min, max: NULL until a non-NULL argument reaches the group
 	avg   []avgState
 	boxed []aggState
-	seen  []map[string]bool
+	seen  []sqltypes.KeyIndex
 }
 
 func newAggColumn(a *AggSpec) aggColumn {
@@ -345,7 +345,7 @@ func (c *aggColumn) grow(n int) error {
 			}
 			c.boxed = append(c.boxed, st)
 			if c.spec.Distinct {
-				c.seen = append(c.seen, map[string]bool{})
+				c.seen = append(c.seen, sqltypes.KeyIndex{})
 			}
 		}
 	}
@@ -392,15 +392,13 @@ func (c *aggColumn) add(ctx *Ctx, ids []int32, sel []int, args [][]sqltypes.Valu
 		vals := rowArgs[:len(args)]
 		for r, id := range ids {
 			p := at(sel, r)
-			for i, vec := range args {
-				vals[i] = vec[p]
-			}
 			if c.seen != nil {
-				dk := sqltypes.KeyOf(vals...)
-				if c.seen[id][dk] {
+				if _, added := c.seen[id].Add(args, p); !added {
 					continue
 				}
-				c.seen[id][dk] = true
+			}
+			for i, vec := range args {
+				vals[i] = vec[p]
 			}
 			if err := c.boxed[id].add(ctx, vals); err != nil {
 				return err

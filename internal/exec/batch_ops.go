@@ -238,7 +238,7 @@ func (p *BatchProject) OpenBatch(ctx *Ctx) (BatchIter, error) {
 	}
 	pi := &batchProjectIter{exprs: Instantiate(p.Exprs), in: in, ctx: ctx}
 	if p.Dedup {
-		pi.seen = map[string]bool{}
+		pi.seen = &sqltypes.KeyIndex{}
 	}
 	return pi, nil
 }
@@ -247,10 +247,9 @@ type batchProjectIter struct {
 	exprs []VecEvaluator
 	in    BatchIter
 	ctx   *Ctx
-	seen  map[string]bool // non-nil for DISTINCT
+	seen  *sqltypes.KeyIndex // non-nil for DISTINCT
 	out   Batch
 	sel   []int
-	key   []sqltypes.Value
 }
 
 func (p *batchProjectIter) NextBatch(max int) (*Batch, bool, error) {
@@ -272,23 +271,13 @@ func (p *batchProjectIter) NextBatch(max int) (*Batch, bool, error) {
 		p.out.n = b.Physical()
 		p.out.Sel = b.Sel
 		if p.seen != nil {
-			if cap(p.key) < len(p.exprs) {
-				p.key = make([]sqltypes.Value, len(p.exprs))
-			}
-			key := p.key[:len(p.exprs)]
 			p.sel = p.sel[:0]
 			n := p.out.Len()
 			for i := 0; i < n; i++ {
 				pos := p.out.LiveAt(i)
-				for j, c := range p.out.Cols {
-					key[j] = c[pos]
+				if _, added := p.seen.Add(p.out.Cols, pos); added {
+					p.sel = append(p.sel, pos)
 				}
-				k := sqltypes.KeyOf(key...)
-				if p.seen[k] {
-					continue
-				}
-				p.seen[k] = true
-				p.sel = append(p.sel, pos)
 			}
 			if len(p.sel) == 0 {
 				continue

@@ -260,7 +260,7 @@ func newRowBuildSide(ctx *Ctx, j *HashJoin, rows []storage.Row) (*rowBuildSide, 
 		}
 		ids[o] = -1
 		if ok {
-			ids[o], _ = t.part.keys.add(t.vecs, 0)
+			ids[o], _ = t.part.keys.Add(t.vecs, 0)
 		}
 	}
 	t.part.layout(ids, nil)

@@ -20,12 +20,12 @@ type joinTable struct {
 }
 
 // joinPart maps join keys to build ordinals. Each distinct key has a dense
-// id from a keyIndex, and the ordinals are laid out by id, in build order
-// within an id: the ordinals of id k are ords[start[k]:start[k+1]]. A key
-// costs no slice of its own, and a key's match count is
-// start[k+1]-start[k].
+// id from a sqltypes.KeyIndex, and the ordinals are laid out by id, in
+// build order within an id: the ordinals of id k are
+// ords[start[k]:start[k+1]]. A key costs no slice of its own, and a key's
+// match count is start[k+1]-start[k].
 type joinPart struct {
-	keys  keyIndex
+	keys  sqltypes.KeyIndex
 	start []int32
 	ords  []int32
 }
@@ -35,7 +35,7 @@ type joinPart struct {
 func (p *joinPart) index(keys [][]sqltypes.Value, ords []int32) {
 	ids := make([]int32, len(ords))
 	for i := range ids {
-		ids[i], _ = p.keys.add(keys, i)
+		ids[i], _ = p.keys.Add(keys, i)
 	}
 	p.layout(ids, ords)
 }
@@ -45,7 +45,7 @@ func (p *joinPart) index(keys [][]sqltypes.Value, ords []int32) {
 // each id's ordinals, turns the counts into offsets, then scatters the
 // ordinals in build order.
 func (p *joinPart) layout(ids, ords []int32) {
-	p.start = make([]int32, p.keys.len()+1)
+	p.start = make([]int32, p.keys.Len()+1)
 	for _, id := range ids {
 		if id >= 0 {
 			p.start[id+1]++
@@ -84,7 +84,7 @@ func checkOrdinals(n int) error {
 // get returns the build ordinals whose key equals the key at position pos
 // of vecs, in build order.
 func (p *joinPart) get(vecs [][]sqltypes.Value, pos int) []int32 {
-	id, ok := p.keys.get(vecs, pos)
+	id, ok := p.keys.Get(vecs, pos)
 	if !ok {
 		return nil
 	}
@@ -101,35 +101,13 @@ func nullAt(vecs [][]sqltypes.Value, p int) bool {
 	return false
 }
 
-// partOf maps the key at position p of vecs to one of parts partitions. An integer key hashes its integer (a multiplicative mix, so
-// sequential keys spread), which puts it in the same partition whether that
-// partition holds integer or encoded keys; any other key hashes its
-// encoding (FNV-1a).
-func partOf(vecs [][]sqltypes.Value, p, parts int) int {
-	if len(vecs) == 1 {
-		if ik, ok := intKeyOf(vecs[0][p : p+1]); ok {
-			return int((uint64(ik) * 0x9E3779B97F4A7C15 >> 33) % uint64(parts))
-		}
-	}
-	var buf [64]byte
-	kb := buf[:0]
-	for _, vec := range vecs {
-		kb = sqltypes.EncodeKey(kb, vec[p])
-	}
-	h := uint64(14695981039346656037)
-	for _, c := range kb {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return int(h % uint64(parts))
-}
-
 // lookup returns the build ordinals matching the probe key at position p of
 // vecs: none when the key has a NULL, since the build leaves such keys out.
 func (jt *joinTable) lookup(vecs [][]sqltypes.Value, p int) []int32 {
 	if len(jt.parts) == 1 {
 		return jt.parts[0].get(vecs, p)
 	}
-	return jt.parts[partOf(vecs, p, len(jt.parts))].get(vecs, p)
+	return jt.parts[sqltypes.KeyPart(vecs, p, len(jt.parts))].get(vecs, p)
 }
 
 // buildJoinTable drains j's build side into a join table of the given
@@ -193,11 +171,11 @@ func buildJoinTable(ctx *Ctx, j *BatchHashJoin, parts int) (*joinTable, error) {
 		if buckets == nil {
 			ids = extend(ids, n+len(kept))
 			for i, p := range kept {
-				ids[n+i], _ = jt.parts[0].keys.add(keyVecs, p)
+				ids[n+i], _ = jt.parts[0].keys.Add(keyVecs, p)
 			}
 		} else {
 			for i, p := range kept {
-				bk := &buckets[partOf(keyVecs, p, len(buckets))]
+				bk := &buckets[sqltypes.KeyPart(keyVecs, p, len(buckets))]
 				for c, vec := range keyVecs {
 					bk.keys[c] = append(bk.keys[c], vec[p])
 				}

@@ -276,7 +276,7 @@ func TestPruneMatchesUnprunedPlan(t *testing.T) {
 			false, []string{"HashJoin(inner) cols=2/8"}},
 		{"order_by_unprojected_column",
 			query("select o.k from o join c on o.cust = c.id order by c.score, o.k"),
-			true, []string{"HashJoin(inner) cols=3/8"}},
+			true, []string{"HashJoin(inner) cols=2/8"}},
 		{"residual_reads_derived_column",
 			query(`select o.k from o join (select c.id as id, c.score * 2 as s2 from c) cc
 			       on o.cust = cc.id and cc.s2 > o.amt`),

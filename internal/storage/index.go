@@ -7,9 +7,9 @@
 // (colIndex.n). A probe on version v first extends it to v.n — hashing only
 // the rows published since the last extension, read through v's own
 // immutable segments — and then returns the key's ordinals below v.n.
-// Buckets hold ordinals in ascending order, so that is a prefix of the
-// bucket. Writers never touch the index; a reader waits for an extension
-// at most as long as it takes to hash the rows appended since the previous
+// Each key's ordinals are in ascending order, so that is a prefix of its
+// list. Writers never touch the index; a reader waits for an extension at
+// most as long as it takes to hash the rows appended since the previous
 // probe.
 package storage
 
@@ -22,12 +22,15 @@ import (
 	"udfdecorr/internal/sqltypes"
 )
 
-// colIndex is one column's hash index: key encoding -> ascending row
-// ordinals, covering ordinals [0, n).
+// colIndex is one column's hash index, covering ordinals [0, n): keys
+// gives each distinct non-NULL value an id, and ords[id] lists the
+// ordinals holding it in ascending order. A NULL row is left out, since
+// NULL matches nothing.
 type colIndex struct {
-	mu   sync.RWMutex // guards n and keys; probes read under RLock
+	mu   sync.RWMutex // guards n, keys and ords; probes read under RLock
 	n    int
-	keys map[string][]int
+	keys sqltypes.KeyIndex
+	ords [][]int
 }
 
 // indexRowsHashed counts rows hashed into any index, process-wide: the cost
@@ -46,10 +49,16 @@ func (ix *colIndex) extendTo(v *TableVersion, ord int) {
 	if ix.n >= v.n {
 		return
 	}
-	var key []byte
 	for o := ix.n; o < v.n; o++ {
-		key = sqltypes.EncodeKey(key[:0], v.segs[o/SegmentRows].cols[ord][o%SegmentRows])
-		ix.keys[string(key)] = append(ix.keys[string(key)], o)
+		vecs, p := [][]sqltypes.Value{v.segs[o/SegmentRows].cols[ord]}, o%SegmentRows
+		if vecs[0][p].IsNull() {
+			continue
+		}
+		id, added := ix.keys.Add(vecs, p)
+		if added {
+			ix.ords = append(ix.ords, nil)
+		}
+		ix.ords[id] = append(ix.ords[id], o)
 	}
 	indexRowsHashed.Add(int64(v.n - ix.n))
 	ix.n = v.n
@@ -64,7 +73,7 @@ func (t *Table) columnIndex(v *TableVersion, ord int) *colIndex {
 	if ix := slot.Load(); ix != nil {
 		return ix
 	}
-	ix := &colIndex{keys: map[string][]int{}}
+	ix := &colIndex{}
 	ix.extendTo(v, ord)
 	if !slot.CompareAndSwap(nil, ix) {
 		return slot.Load()
@@ -84,20 +93,27 @@ func (v *TableVersion) Lookup(col string, key sqltypes.Value) ([]int, error) {
 		return nil, nil
 	}
 	ix := v.tab.columnIndex(v, ord)
-	var buf [16]byte
-	probe := sqltypes.EncodeKey(buf[:0], key)
+	probe := [][]sqltypes.Value{{key}}
 	ix.mu.RLock()
-	ords, covered := ix.keys[string(probe)], ix.n >= v.n
+	ords, covered := ix.lookup(probe), ix.n >= v.n
 	ix.mu.RUnlock()
 	if !covered {
 		ix.mu.Lock()
 		ix.extendTo(v, ord)
-		ords = ix.keys[string(probe)]
+		ords = ix.lookup(probe)
 		ix.mu.Unlock()
 	}
-	// Ordinals at or past v.n belong to later versions. Elements below the
-	// bucket's length are never rewritten (extensions only append), so the
+	// Ordinals at or past v.n belong to later versions. Elements below a
+	// list's length are never rewritten (extensions only append), so the
 	// trimmed slice stays valid without the lock.
 	k := sort.SearchInts(ords, v.n)
 	return ords[:k:k], nil
+}
+
+// lookup returns the ordinals of the key in probe. Caller holds ix.mu.
+func (ix *colIndex) lookup(probe [][]sqltypes.Value) []int {
+	if id, ok := ix.keys.Get(probe, 0); ok {
+		return ix.ords[id]
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ package storage
 // have pinned.
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -41,20 +42,42 @@ func indexRow(o int) Row {
 	return Row{k, s}
 }
 
-func indexCols(lo, hi int) [][]sqltypes.Value {
+// migratingRow is indexRow with a column k that changes kind as the table
+// grows: ints alone below SegmentRows, then also floats equal to ints
+// (which an integer index keeps), and from 2*SegmentRows also fractional
+// floats and strings, which move the index to encoded keys.
+func migratingRow(o int) Row {
+	r := indexRow(o)
+	if r[0].IsNull() || o < SegmentRows {
+		return r
+	}
+	k := r[0].Int()
+	switch {
+	case o%4 == 1:
+		r[0] = sqltypes.NewFloat(float64(k))
+	case o < 2*SegmentRows:
+	case o%4 == 2:
+		r[0] = sqltypes.NewFloat(float64(k) + 0.5)
+	case o%4 == 3:
+		r[0] = sqltypes.NewString(fmt.Sprint(k))
+	}
+	return r
+}
+
+func indexCols(rowAt func(int) Row, lo, hi int) [][]sqltypes.Value {
 	cols := [][]sqltypes.Value{make([]sqltypes.Value, 0, hi-lo), make([]sqltypes.Value, 0, hi-lo)}
 	for o := lo; o < hi; o++ {
-		r := indexRow(o)
+		r := rowAt(o)
 		cols[0] = append(cols[0], r[0])
 		cols[1] = append(cols[1], r[1])
 	}
 	return cols
 }
 
-func indexRows(lo, hi int) []Row {
+func indexRows(rowAt func(int) Row, lo, hi int) []Row {
 	rows := make([]Row, 0, hi-lo)
 	for o := lo; o < hi; o++ {
-		rows = append(rows, indexRow(o))
+		rows = append(rows, rowAt(o))
 	}
 	return rows
 }
@@ -81,7 +104,7 @@ func scanFor(v *TableVersion, ord int, key sqltypes.Value) []int {
 }
 
 // randomProbe picks a column and a key: present or absent values, an INT
-// column probed with an equal FLOAT, or NULL.
+// column probed with an equal FLOAT, a fraction or a string, or NULL.
 func randomProbe(rng *rand.Rand) (string, int, sqltypes.Value) {
 	if rng.Intn(2) == 0 {
 		switch rng.Intn(10) {
@@ -89,6 +112,10 @@ func randomProbe(rng *rand.Rand) (string, int, sqltypes.Value) {
 			return "k", 0, sqltypes.Null
 		case 1:
 			return "k", 0, sqltypes.NewFloat(float64(rng.Intn(61)))
+		case 2:
+			return "k", 0, sqltypes.NewFloat(float64(rng.Intn(61)) + 0.5)
+		case 3:
+			return "k", 0, sqltypes.NewString(fmt.Sprint(rng.Intn(61)))
 		default:
 			return "k", 0, sqltypes.NewInt(int64(rng.Intn(70)))
 		}
@@ -126,6 +153,21 @@ func checkLookup(t *testing.T, v *TableVersion, col string, ord int, key sqltype
 // zero-copy installs — while readers probe random older and newer versions
 // and compare every answer with a linear scan of the probed version.
 func TestSharedIndexMatchesScanUnderMVCC(t *testing.T) {
+	checkSharedIndexUnderMVCC(t, indexRow)
+}
+
+// TestSharedIndexMigratesUnderProbes runs the property test on a column
+// whose index is built while every value is an int and which later gains
+// floats equal to ints, fractional floats and strings: the index moves to
+// encoded keys mid-life while readers probe, and every version must still
+// answer as its scan does, NULL rows never among the answers.
+func TestSharedIndexMigratesUnderProbes(t *testing.T) {
+	checkSharedIndexUnderMVCC(t, migratingRow)
+}
+
+// checkSharedIndexUnderMVCC writes the rows rowAt gives, ordinal by
+// ordinal, while readers probe, and checks every probe against a scan.
+func checkSharedIndexUnderMVCC(t *testing.T, rowAt func(int) Row) {
 	s := NewStore()
 	tab, err := s.CreateTable(indexMeta("t"))
 	if err != nil {
@@ -167,13 +209,13 @@ func TestSharedIndexMatchesScanUnderMVCC(t *testing.T) {
 				// Fill to the segment boundary, then install a whole
 				// segment zero-copy.
 				if fill := (SegmentRows - n%SegmentRows) % SegmentRows; fill > 0 {
-					if err = tab.AppendCols(indexCols(n, n+fill), fill); err != nil {
+					if err = tab.AppendCols(indexCols(rowAt, n, n+fill), fill); err != nil {
 						break
 					}
 					n += fill
 					publish()
 				}
-				cols := indexCols(n, n+SegmentRows)
+				cols := indexCols(rowAt, n, n+SegmentRows)
 				if err = tab.AppendCols(cols, SegmentRows); err != nil {
 					break
 				}
@@ -184,15 +226,15 @@ func TestSharedIndexMatchesScanUnderMVCC(t *testing.T) {
 				}
 			case op < 16:
 				sz := 1 + rng.Intn(40)
-				err = tab.Append(indexRows(n, n+sz)...)
+				err = tab.Append(indexRows(rowAt, n, n+sz)...)
 				n += sz
 			case op < 28:
 				sz := 1 + rng.Intn(40)
-				err = s.AppendBatch([]TableWrite{{Table: tab, Rows: indexRows(n, n+sz)}})
+				err = s.AppendBatch([]TableWrite{{Table: tab, Rows: indexRows(rowAt, n, n+sz)}})
 				n += sz
 			default:
 				sz := 1 + rng.Intn(200)
-				err = tab.AppendCols(indexCols(n, n+sz), sz)
+				err = tab.AppendCols(indexCols(rowAt, n, n+sz), sz)
 				n += sz
 			}
 			if err != nil {
@@ -249,8 +291,8 @@ func TestSharedIndexAfterPartialTailResync(t *testing.T) {
 	const m = 100
 	n := SegmentRows + m
 	segs := []*Segment{
-		NewSegment(indexCols(0, SegmentRows), SegmentRows),
-		NewSegment(indexCols(SegmentRows, n), m),
+		NewSegment(indexCols(indexRow, 0, SegmentRows), SegmentRows),
+		NewSegment(indexCols(indexRow, SegmentRows, n), m),
 	}
 	installed := newVersion(tab, segs, n)
 	tab.version.Store(installed)
@@ -258,10 +300,10 @@ func TestSharedIndexAfterPartialTailResync(t *testing.T) {
 		checkLookup(t, installed, "k", 0, sqltypes.NewInt(key))
 	}
 
-	if err := tab.Append(indexRows(n, n+40)...); err != nil {
+	if err := tab.Append(indexRows(indexRow, n, n+40)...); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.AppendCols(indexCols(n+40, n+40+SegmentRows), SegmentRows); err != nil {
+	if err := tab.AppendCols(indexCols(indexRow, n+40, n+40+SegmentRows), SegmentRows); err != nil {
 		t.Fatal(err)
 	}
 	cur := tab.Version()
@@ -288,7 +330,7 @@ func TestIndexHashesOnlyAppendedRows(t *testing.T) {
 		batch  = 32
 	)
 	tab := NewTable(indexMeta("t"))
-	if err := tab.Append(indexRows(0, r)...); err != nil {
+	if err := tab.Append(indexRows(indexRow, 0, r)...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.Version().Lookup("k", sqltypes.NewInt(5)); err != nil {
@@ -297,7 +339,7 @@ func TestIndexHashesOnlyAppendedRows(t *testing.T) {
 	before := IndexRowsHashed()
 	n := r
 	for i := 0; i < rounds; i++ {
-		if err := tab.Append(indexRows(n, n+batch)...); err != nil {
+		if err := tab.Append(indexRows(indexRow, n, n+batch)...); err != nil {
 			t.Fatal(err)
 		}
 		n += batch

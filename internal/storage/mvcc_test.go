@@ -311,12 +311,12 @@ func TestRacingIndexBuilds(t *testing.T) {
 	if installed == nil {
 		t.Fatal("no index installed")
 	}
-	shared := installed.keys[sqltypes.KeyOf(sqltypes.NewInt(7))]
+	shared := installed.lookup([][]sqltypes.Value{{sqltypes.NewInt(7)}})
 	for g, ords := range results {
 		if len(ords) != 10 {
 			t.Fatalf("goroutine %d: %d ordinals, want 10", g, len(ords))
 		}
-		// A discarded build's bucket would be a different backing array.
+		// A discarded build's list would be a different backing array.
 		if &ords[0] != &shared[0] {
 			t.Fatalf("goroutine %d read a discarded index build", g)
 		}

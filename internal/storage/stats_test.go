@@ -56,7 +56,8 @@ func statsOf(t *testing.T, kind sqltypes.Kind, vals []sqltypes.Value) ColStats {
 // TestStatsDistinctMatchesEncodedKeys pins Stats' integer fast path to the
 // encoded-key count and the TotalCompare bounds it replaces, on the columns where the two could part:
 // ints equal to floats, ints float64 cannot hold, NULLs, a switch to
-// strings midway, and the cap on either path.
+// strings midway, the cap on either path, and a switch that arrives only
+// after the cap is reached.
 func TestStatsDistinctMatchesEncodedKeys(t *testing.T) {
 	ints := func(lo, hi int64) []sqltypes.Value {
 		var out []sqltypes.Value
@@ -87,15 +88,18 @@ func TestStatsDistinctMatchesEncodedKeys(t *testing.T) {
 		{"strings_midway", sqltypes.KindInt, append(append(ints(0, 200),
 			sqltypes.NewString("3"), sqltypes.NewString("x"), sqltypes.Null), ints(50, 400)...), 99},
 	}
-	var capped, cappedMixed []sqltypes.Value
+	var capped, cappedMixed, switchAfterCap []sqltypes.Value
 	for i := int64(0); i < maxDistinct+500; i++ {
 		capped = append(capped, sqltypes.NewInt(i))
 	}
 	cappedMixed = append(append(cappedMixed, capped[:maxDistinct-2]...),
 		sqltypes.NewString("a"), sqltypes.NewFloat(0.5), sqltypes.NewString("b"), sqltypes.NewInt(-1))
+	switchAfterCap = append(append(switchAfterCap, capped...),
+		sqltypes.NewFloat(0.5), sqltypes.NewString("a"), sqltypes.NewFloat(-3), sqltypes.NewInt(-7))
 	cases = append(cases,
 		statsCase{"cap", sqltypes.KindInt, capped, maxDistinct},
-		statsCase{"cap_after_switch", sqltypes.KindInt, cappedMixed, maxDistinct})
+		statsCase{"cap_after_switch", sqltypes.KindInt, cappedMixed, maxDistinct},
+		statsCase{"switch_after_cap", sqltypes.KindInt, switchAfterCap, maxDistinct})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ref := referenceStats(c.vals)

@@ -141,16 +141,6 @@ func (v *TableVersion) RowsAt(ords []int, dst []Row) []Row {
 	return dst
 }
 
-// forEachVal visits column ord of every row in ordinal order.
-func (v *TableVersion) forEachVal(ord int, fn func(val sqltypes.Value)) {
-	for _, seg := range v.segs {
-		col := seg.cols[ord]
-		for i := 0; i < seg.n; i++ {
-			fn(col[i])
-		}
-	}
-}
-
 // maxDistinct caps the distinct values Stats counts in one column.
 const maxDistinct = 100000
 
@@ -169,58 +159,41 @@ func (v *TableVersion) Stats(col string) (ColStats, error) {
 	if ok {
 		return st, nil
 	}
-	// While every value is an int, values compare as ints and distinct
-	// values count in an integer set. The first other value moves the set
-	// to encoded keys, under which an int and an equal float (3 and 3.0)
-	// are one key; distinct ints always have distinct keys, so both count
-	// the same. An int column's set is sized for its rows up front.
-	size := 0
-	if v.tab.Meta.Cols[ord].Type == sqltypes.KindInt {
-		size = min(v.n, maxDistinct)
-	}
-	ints := make(map[int64]struct{}, size)
-	var keys map[string]struct{} // nil while every value is an int
-	var key []byte
-	addKey := func(val sqltypes.Value) {
-		if len(keys) < maxDistinct {
-			key = sqltypes.EncodeKey(key[:0], val)
-			keys[string(key)] = struct{}{}
-		}
-	}
+	// Distinct values count in a KeyIndex, under which an int and an equal
+	// float (3 and 3.0) are one value. While every value is an int, min and
+	// max compare as ints.
+	var keys sqltypes.KeyIndex
+	ints := true
 	st = ColStats{Min: sqltypes.Null, Max: sqltypes.Null}
-	v.forEachVal(ord, func(val sqltypes.Value) {
-		if val.IsNull() {
-			return
-		}
-		if keys == nil && val.Kind() == sqltypes.KindInt {
-			i := val.Int()
-			if st.Min.IsNull() || i < st.Min.Int() {
+	for _, seg := range v.segs {
+		vecs := [][]sqltypes.Value{seg.cols[ord]}
+		for p, val := range vecs[0][:seg.n] {
+			if val.IsNull() {
+				continue
+			}
+			if keys.Len() < maxDistinct {
+				keys.Add(vecs, p)
+			}
+			ints = ints && val.Kind() == sqltypes.KindInt
+			if ints {
+				i := val.Int()
+				if st.Min.IsNull() || i < st.Min.Int() {
+					st.Min = val
+				}
+				if st.Max.IsNull() || i > st.Max.Int() {
+					st.Max = val
+				}
+				continue
+			}
+			if st.Min.IsNull() || sqltypes.TotalCompare(val, st.Min) < 0 {
 				st.Min = val
 			}
-			if st.Max.IsNull() || i > st.Max.Int() {
+			if st.Max.IsNull() || sqltypes.TotalCompare(val, st.Max) > 0 {
 				st.Max = val
 			}
-			if len(ints) < maxDistinct {
-				ints[i] = struct{}{}
-			}
-			return
 		}
-		if st.Min.IsNull() || sqltypes.TotalCompare(val, st.Min) < 0 {
-			st.Min = val
-		}
-		if st.Max.IsNull() || sqltypes.TotalCompare(val, st.Max) > 0 {
-			st.Max = val
-		}
-		if keys == nil {
-			keys = make(map[string]struct{}, len(ints)+1)
-			for i := range ints {
-				addKey(sqltypes.NewInt(i))
-			}
-			ints = nil
-		}
-		addKey(val)
-	})
-	st.DistinctCount = int64(len(ints) + len(keys))
+	}
+	st.DistinctCount = int64(keys.Len())
 	v.mu.Lock()
 	if prior, ok := v.stats[col]; ok {
 		st = prior
