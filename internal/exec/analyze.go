@@ -46,6 +46,11 @@ type OpStats struct {
 	Workers    int64
 	WorkerRows int64
 	WorkerTime time.Duration
+	// SegsRead and Segs count the segments a scan with zone bounds read
+	// and the segments its table held, summed over its opens; a parallel
+	// operator carries its pipeline scan's counts.
+	SegsRead int64
+	Segs     int64
 }
 
 // Profiler collects OpStats per plan node for one query execution. The map

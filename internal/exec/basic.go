@@ -12,9 +12,11 @@ import (
 // TableScan
 // ---------------------------------------------------------------------------
 
-// TableScan reads every row of a base table.
+// TableScan reads every row of a base table, except the segments whose
+// zones rule out one of its bounds (see zone.go).
 type TableScan struct {
 	Tab    *storage.Table
+	Bounds []ScanBound
 	schema []algebra.Column
 }
 
@@ -28,6 +30,16 @@ func (t *TableScan) Schema() []algebra.Column { return t.schema }
 
 // Open implements Node.
 func (t *TableScan) Open(ctx *Ctx) (Iter, error) {
+	if len(t.Bounds) > 0 {
+		ver, overlay := ctx.TableVersion(t.Tab)
+		if kept, pruned := keptSpans(ctx, t, t.Bounds, ver.Segments()); pruned {
+			it := &spansIter{spans: kept, overlay: overlay}
+			if len(kept) > 0 {
+				it.rows = ver.Rows()
+			}
+			return it, nil
+		}
+	}
 	return &sliceIter{rows: ctx.TableRows(t.Tab)}, nil
 }
 

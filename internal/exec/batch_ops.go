@@ -10,9 +10,11 @@ import (
 // BatchScan
 // ---------------------------------------------------------------------------
 
-// BatchScan reads a base table in column-major chunks.
+// BatchScan reads a base table in column-major chunks, except the segments
+// whose zones rule out one of its bounds (see zone.go).
 type BatchScan struct {
 	Tab    *storage.Table
+	Bounds []ScanBound
 	schema []algebra.Column
 }
 
@@ -36,9 +38,7 @@ func (s *BatchScan) OpenBatch(ctx *Ctx) (BatchIter, error) {
 	if p := ctx.pipe; p != nil && p.scan == s {
 		it.src, it.shared = p.src, true
 	} else {
-		ver, overlay := ctx.TableVersion(s.Tab)
-		storage.NoteZeroCopyScan()
-		it.src = newMorselSource(ver, overlay, 0)
+		it.src = newMorselSource(ctx, s, s, 0)
 	}
 	return it, nil
 }

@@ -191,17 +191,38 @@ func buildJoinTable(ctx *Ctx, j *BatchHashJoin, parts int) (*joinTable, error) {
 		jt.parts[0].layout(ids, nil)
 		return jt, nil
 	}
+	// A panic in a partition becomes the statement's error, as in the
+	// morsel workers: it must not take the process down.
 	var wg sync.WaitGroup
+	errs := make([]error, len(buckets))
 	for w := range buckets {
 		wg.Add(1)
-		go func(p *joinPart, bk *bucket) {
+		go func(w int, p *joinPart, bk *bucket) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[w] = Errorf("parallel join build panic: %v", r)
+				}
+			}()
+			if PartitionBuildHook != nil {
+				PartitionBuildHook(w)
+			}
 			p.index(bk.keys, bk.ords)
-		}(&jt.parts[w], &buckets[w])
+		}(w, &jt.parts[w], &buckets[w])
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	return jt, nil
 }
+
+// PartitionBuildHook, when non-nil, runs first in each goroutine that
+// indexes one partition of a parallel join build, with the partition's
+// number. Tests set it to inject a panic; production code never writes it.
+var PartitionBuildHook func(part int)
 
 // appendAt appends src's values at the strictly increasing positions pos
 // to dst. When pos is 0..len(pos)-1, a batch with every row kept, the

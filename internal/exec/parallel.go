@@ -34,28 +34,56 @@ var MorselRows = 4 * DefaultBatchSize
 // last holds exactly storage.SegmentRows rows); ordinals past segRows
 // address the transaction overlay, scanned after the published data. A
 // serial scan reads a private source whose one morsel is the whole table.
+// When the scan's zone bounds skip segments, the source hands out a list of
+// morsels over the kept segments and the overlay instead.
 type morselSource struct {
 	segs    []*storage.Segment
 	segRows int // total rows across segs
 	overlay []storage.Row
 	total   int   // segRows + len(overlay)
 	size    int   // rows per morsel
-	next    int64 // atomic cursor (in row ordinals)
+	next    int64 // atomic cursor (in row ordinals, or into morsels)
+	pruned  bool  // zones skipped segments: hand out morsels
+	morsels []span
 }
 
-// newMorselSource returns a source over a version and its overlay that
-// hands out morsels of size rows; size 0 makes the whole table one morsel.
-func newMorselSource(ver *storage.TableVersion, overlay []storage.Row, size int) *morselSource {
+// newMorselSource returns a source over the version and overlay that scan
+// reads in ctx, handing out morsels of size rows; size 0 makes the whole
+// table one morsel. owner is the operator whose EXPLAIN ANALYZE stats show
+// the scan's segment counts.
+func newMorselSource(ctx *Ctx, owner Node, scan *BatchScan, size int) *morselSource {
+	ver, overlay := ctx.TableVersion(scan.Tab)
+	storage.NoteZeroCopyScan()
 	m := &morselSource{segs: ver.Segments(), segRows: ver.RowCount(), overlay: overlay, size: size}
 	m.total = m.segRows + len(overlay)
 	if size == 0 {
 		m.size = max(m.total, 1)
+	}
+	kept, pruned := keptSpans(ctx, owner, scan.Bounds, m.segs)
+	if !pruned {
+		return m
+	}
+	m.pruned = true
+	if len(overlay) > 0 {
+		kept = append(kept, span{m.segRows, m.total})
+	}
+	for _, sp := range kept {
+		for lo := sp.lo; lo < sp.hi; lo += m.size {
+			m.morsels = append(m.morsels, span{lo, min(lo+m.size, sp.hi)})
+		}
 	}
 	return m
 }
 
 // grab claims the next morsel; ok=false when the table is exhausted.
 func (m *morselSource) grab() (lo, hi int, ok bool) {
+	if m.pruned {
+		i := atomic.AddInt64(&m.next, 1) - 1
+		if i >= int64(len(m.morsels)) {
+			return 0, 0, false
+		}
+		return m.morsels[i].lo, m.morsels[i].hi, true
+	}
 	end := atomic.AddInt64(&m.next, int64(m.size))
 	lo = int(end) - m.size
 	if lo >= m.total {
@@ -66,6 +94,9 @@ func (m *morselSource) grab() (lo, hi int, ok bool) {
 
 // morselCount returns how many morsels the source will hand out.
 func (m *morselSource) morselCount() int {
+	if m.pruned {
+		return len(m.morsels)
+	}
 	return (m.total + m.size - 1) / m.size
 }
 
@@ -83,15 +114,14 @@ type pipeline struct {
 
 // newPipeline builds the shared state of the pipeline rooted at n, which
 // pipelineShape accepts: it walks probe sides down to the scan, building
-// each probe's join table on the way.
-func newPipeline(ctx *Ctx, n Node, degree int) (*pipeline, error) {
+// each probe's join table on the way. owner is the parallel operator that
+// runs the pipeline.
+func newPipeline(ctx *Ctx, owner, n Node, degree int) (*pipeline, error) {
 	p := &pipeline{root: n, degree: degree, joins: map[*BatchHashJoin]*joinTable{}}
 	for {
 		switch x := n.(type) {
 		case *BatchScan:
-			ver, overlay := ctx.TableVersion(x.Tab)
-			storage.NoteZeroCopyScan()
-			p.scan, p.src = x, newMorselSource(ver, overlay, MorselRows)
+			p.scan, p.src = x, newMorselSource(ctx, owner, x, MorselRows)
 			return p, nil
 		case *BatchHashJoin:
 			jt, err := buildJoinTable(ctx, x, degree)
@@ -121,7 +151,7 @@ func pipelineShape(n Node) (string, bool) {
 	var step string
 	switch x := n.(type) {
 	case *BatchScan:
-		return "scan(" + x.Tab.Meta.Name + ")", true
+		return "scan(" + x.Tab.Meta.Name + ")" + zoneNote(x.Bounds), true
 	case *BatchFilter:
 		in, step = x.Child, "filter"
 	case *BatchProject:
@@ -236,7 +266,7 @@ func (e *Exchange) Describe() string {
 // OpenBatch implements BatchNode: it builds the shared pipeline state,
 // starts the workers, and returns the merging iterator.
 func (e *Exchange) OpenBatch(ctx *Ctx) (BatchIter, error) {
-	p, err := newPipeline(ctx, e.child, e.Degree)
+	p, err := newPipeline(ctx, e, e.child, e.Degree)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +378,7 @@ func (pg *parallelGroupBy) Describe() string {
 // whole parallel phase runs here and the returned iterator serves the
 // materialized groups.
 func (pg *parallelGroupBy) OpenBatch(ctx *Ctx) (BatchIter, error) {
-	p, err := newPipeline(ctx, pg.g.Child, pg.degree)
+	p, err := newPipeline(ctx, pg, pg.g.Child, pg.degree)
 	if err != nil {
 		return nil, err
 	}

@@ -63,14 +63,16 @@ func TestMorselSourceCoversEveryRowOnce(t *testing.T) {
 	// Published segments plus a transaction overlay: the dispenser must
 	// cover the combined ordinal space exactly once.
 	tab := newTestTable(t, "m", []string{"a"}, rows[:n-5])
-	src := newMorselSource(tab.Version(), rows[n-5:], MorselRows)
+	ctx := NewCtx(nil)
+	ctx.SetSnapshot(nil, map[*storage.Table][]storage.Row{tab: rows[n-5:]})
+	scan := NewBatchScan(tab, []algebra.Column{{Name: "a"}})
+	src := newMorselSource(ctx, scan, scan, MorselRows)
 	if src.total != n {
 		t.Fatalf("total = %d, want %d", src.total, n)
 	}
 	if got, want := src.morselCount(), 4; got != want {
 		t.Fatalf("morselCount = %d, want %d", got, want)
 	}
-	type span struct{ lo, hi int }
 	var mu sync.Mutex
 	var spans []span
 	var wg sync.WaitGroup

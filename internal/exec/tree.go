@@ -53,7 +53,7 @@ func PlanChildren(n Node) []Node {
 func PlanLabel(n Node) string {
 	switch x := n.(type) {
 	case *TableScan:
-		return "TableScan(" + x.Tab.Meta.Name + ")"
+		return "TableScan(" + x.Tab.Meta.Name + ")" + zoneNote(x.Bounds)
 	case *IndexLookup:
 		return "IndexLookup(" + x.Tab.Meta.Name + "." + x.Col + ")"
 	case *Filter:
@@ -87,7 +87,7 @@ func PlanLabel(n Node) string {
 		}
 		return "HashAgg"
 	case *BatchScan:
-		return "BatchScan(" + x.Tab.Meta.Name + ")"
+		return "BatchScan(" + x.Tab.Meta.Name + ")" + zoneNote(x.Bounds)
 	case *BatchFilter:
 		return "BatchFilter"
 	case *BatchProject:
@@ -149,6 +149,9 @@ func formatOpStats(st OpStats) string {
 	if st.Workers > 0 {
 		fmt.Fprintf(&b, " workers=%d worker_rows=%d worker_time=%s",
 			st.Workers, st.WorkerRows, fmtAnalyzeDur(st.WorkerTime))
+	}
+	if st.Segs > 0 {
+		fmt.Fprintf(&b, " segs=%d/%d", st.SegsRead, st.Segs)
 	}
 	return b.String()
 }

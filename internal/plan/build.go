@@ -66,7 +66,7 @@ func splitEqui(cond algebra.Expr, lSchema, rSchema []algebra.Column) ([]equiPair
 func (p *Planner) build(rel algebra.Rel) (exec.Node, error) {
 	switch n := rel.(type) {
 	case *algebra.Scan:
-		return p.buildScan(n)
+		return p.buildScan(n, nil)
 
 	case *algebra.Single:
 		return &exec.Single{}, nil
@@ -187,23 +187,32 @@ func columnPositions(exprs []algebra.Expr, schema []algebra.Column) ([]int, bool
 	return cols, true
 }
 
-func (p *Planner) buildScan(n *algebra.Scan) (exec.Node, error) {
+// buildScan plans a base-table scan that skips the segments whose zones
+// rule out one of bounds.
+func (p *Planner) buildScan(n *algebra.Scan, bounds []exec.ScanBound) (exec.Node, error) {
 	t, ok := p.Store.Table(n.Table)
 	if !ok {
 		return nil, fmt.Errorf("plan: no storage for table %q", n.Table)
 	}
 	if p.Vectorized {
-		return exec.NewBatchScan(t, n.Cols), nil
+		s := exec.NewBatchScan(t, n.Cols)
+		s.Bounds = bounds
+		return s, nil
 	}
-	return exec.NewTableScan(t, n.Cols), nil
+	s := exec.NewTableScan(t, n.Cols)
+	s.Bounds = bounds
+	return s, nil
 }
 
 // buildSelect plans a selection, preferring an index equality probe when
 // the input is a base table with an indexed column compared to a
 // row-independent expression (constant or parameter) — the access path that
-// makes iterative UDF invocation viable at all.
+// makes iterative UDF invocation viable at all. Without a probe, a scan
+// directly below takes the predicate's constant and parameter comparisons
+// as zone bounds; the filter above it stays whole.
 func (p *Planner) buildSelect(n *algebra.Select) (exec.Node, error) {
-	if scan, ok := n.In.(*algebra.Scan); ok {
+	scan, onScan := n.In.(*algebra.Scan)
+	if onScan {
 		t, tok := p.Store.Table(scan.Table)
 		if tok {
 			conjuncts := algebra.SplitConjuncts(n.Pred)
@@ -234,7 +243,15 @@ func (p *Planner) buildSelect(n *algebra.Select) (exec.Node, error) {
 			}
 		}
 	}
-	child, err := p.build(n.In)
+	var child exec.Node
+	var err error
+	if bounds := p.scanBounds(n.Pred, scan); len(bounds) > 0 {
+		if child, err = p.buildScan(scan, bounds); err == nil {
+			p.note("%s", exec.PlanLabel(child))
+		}
+	} else {
+		child, err = p.build(n.In)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -250,6 +267,51 @@ func (p *Planner) buildSelect(n *algebra.Select) (exec.Node, error) {
 		return nil, err
 	}
 	return &exec.Filter{Pred: ev, Child: child}, nil
+}
+
+// scanBounds returns the conjuncts of pred that compare a column of scan
+// (nil: no scan) with a constant or a parameter by =, <, <=, > or >=, as
+// zone bounds with the column on the left. A key is never a call or a
+// subquery, so evaluating it once per open runs no UDF.
+func (p *Planner) scanBounds(pred algebra.Expr, scan *algebra.Scan) []exec.ScanBound {
+	if scan == nil {
+		return nil
+	}
+	var bounds []exec.ScanBound
+	for _, c := range algebra.SplitConjuncts(pred) {
+		cmp, ok := c.(*algebra.Cmp)
+		if !ok || cmp.Op == sqltypes.CmpNE {
+			continue
+		}
+		ref, key, op := cmp.L, cmp.R, cmp.Op
+		if !isZoneKey(key) {
+			ref, key, op = cmp.R, cmp.L, op.Mirror()
+		}
+		col, ok := ref.(*algebra.ColRef)
+		if !ok || !isZoneKey(key) {
+			continue
+		}
+		ord := algebra.RefIndex(scan.Cols, col.Qual, col.Name)
+		if ord < 0 {
+			continue
+		}
+		ev, err := exec.Compile(key, nil, p)
+		if err != nil {
+			continue
+		}
+		bounds = append(bounds, exec.ScanBound{Col: ord, Op: op, Key: ev,
+			Text: scan.Cols[ord].Name + " " + op.String() + " " + key.String()})
+	}
+	return bounds
+}
+
+// isZoneKey reports whether e is a constant or a parameter.
+func isZoneKey(e algebra.Expr) bool {
+	switch e.(type) {
+	case *algebra.Const, *algebra.ParamRef:
+		return true
+	}
+	return false
 }
 
 // matchIndexablePair returns (column of the scan, key expression) when the

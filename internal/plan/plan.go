@@ -334,16 +334,7 @@ func (p *Planner) conjunctSelectivity(c algebra.Expr, in algebra.Rel) float64 {
 		col, colOK = cmp.R.(*algebra.ColRef)
 		other = cmp.L
 		// Normalize to "col OP literal" by mirroring the comparison.
-		switch op {
-		case sqltypes.CmpLT:
-			op = sqltypes.CmpGT
-		case sqltypes.CmpLE:
-			op = sqltypes.CmpGE
-		case sqltypes.CmpGT:
-			op = sqltypes.CmpLT
-		case sqltypes.CmpGE:
-			op = sqltypes.CmpLE
-		}
+		op = op.Mirror()
 	}
 	if !colOK {
 		return 0.33

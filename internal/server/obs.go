@@ -139,6 +139,8 @@ func (s *Service) initObservability(opts Options) {
 		storage.ZeroCopyScans)
 	counter("udfd_pivoted_scans_total", "Scans that materialized a row-major pivot of a table version.",
 		storage.PivotedScans)
+	counter("udfd_segments_skipped_total", "Column segments bounded scans skipped because their zones ruled the predicate out.",
+		storage.SegmentsSkipped)
 	counter("udfd_storage_index_rows_hashed_total", "Rows hashed into the shared per-column hash indexes.",
 		storage.IndexRowsHashed)
 

@@ -22,6 +22,8 @@ import (
 
 	"udfdecorr/internal/engine"
 	"udfdecorr/internal/server"
+	"udfdecorr/internal/sqltypes"
+	"udfdecorr/internal/storage"
 	"udfdecorr/internal/wire"
 )
 
@@ -120,8 +122,27 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 	close(stopScrape)
 	scrapeWG.Wait()
 
+	// A key range over a three-segment table skips two segments by zone.
+	sess := svc.CreateSession(engine.SYS1, engine.ModeRewrite)
+	if err := svc.Exec(sess, "create table zoned (k int)"); err != nil {
+		t.Fatal(err)
+	}
+	zoned := make([]storage.Row, 3*storage.SegmentRows)
+	for i := range zoned {
+		zoned[i] = storage.Row{sqltypes.NewInt(int64(i))}
+	}
+	if err := svc.Store().MustTable("zoned").Append(zoned...); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := svc.Query(sess, "select k from zoned where k < 10"); err != nil || len(res.Rows) != 10 {
+		t.Fatalf("zoned scan: %v rows, err %v", res, err)
+	}
+
 	st := getStats(t, ts.URL)
 	m := scrapeMetrics(t, ts.URL)
+	if st.Storage.SegmentsSkipped < 2 {
+		t.Errorf("segments_skipped = %d, want >= 2", st.Storage.SegmentsSkipped)
+	}
 
 	var queriesByMode float64
 	for mode, n := range st.QueriesByMode {
@@ -148,6 +169,7 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 		"udfd_slow_queries_total":              float64(st.SlowQueries),
 		"udfd_catalog_version":                 float64(st.CatalogVersion),
 		"udfd_storage_index_rows_hashed_total": float64(st.Storage.IndexRowsHashed),
+		"udfd_segments_skipped_total":          float64(st.Storage.SegmentsSkipped),
 	} {
 		if m[series] != want {
 			t.Errorf("%s = %v, /stats says %v", series, m[series], want)

@@ -627,6 +627,37 @@ func TestParallelSessionsConcurrent(t *testing.T) {
 	}
 }
 
+// TestParallelJoinBuildPanicIsStatementError makes one partition of a
+// parallel join build panic: the statement fails with the panic as its
+// error, and the service answers the next statement.
+func TestParallelJoinBuildPanicIsStatementError(t *testing.T) {
+	svc := newBenchService(t, server.DefaultOptions())
+	profile := engine.SYS1
+	profile.Vectorized = true
+	profile.Parallelism = 4
+	sess := svc.CreateSession(profile, engine.ModeRewrite)
+	const q = "select custkey, service_level(custkey) from customer"
+
+	exec.PartitionBuildHook = func(part int) {
+		if part == 2 {
+			panic("injected partition failure")
+		}
+	}
+	_, err := svc.Query(sess, q)
+	exec.PartitionBuildHook = nil
+	if err == nil || !strings.Contains(err.Error(), "injected partition failure") {
+		t.Fatalf("statement error = %v, want the partition's panic", err)
+	}
+
+	res, err := svc.Query(sess, q)
+	if err != nil {
+		t.Fatalf("next statement: %v", err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("next statement returned no rows")
+	}
+}
+
 // TestHTTPParallelSession drives a parallel session over the HTTP API and
 // checks the per-query and /stats parallel counters.
 func TestHTTPParallelSession(t *testing.T) {

@@ -963,9 +963,9 @@ func (st Stats) Format() string {
 			st.Durability.NewestSegment, st.Durability.Checkpoints,
 			st.Durability.RecoveredRecords, st.Durability.SyncPolicy)
 	}
-	fmt.Fprintf(&b, "storage: %d tables, %d segments, %d rows, %d column bytes, scans: %d zero-copy / %d pivoted, %d index rows hashed\n",
+	fmt.Fprintf(&b, "storage: %d tables, %d segments, %d rows, %d column bytes, scans: %d zero-copy / %d pivoted, %d segments skipped, %d index rows hashed\n",
 		st.Storage.Tables, st.Storage.Segments, st.Storage.Rows, st.Storage.ColumnBytes,
-		st.Storage.ZeroCopyScans, st.Storage.PivotedScans, st.Storage.IndexRowsHashed)
+		st.Storage.ZeroCopyScans, st.Storage.PivotedScans, st.Storage.SegmentsSkipped, st.Storage.IndexRowsHashed)
 	modes := make([]string, 0, len(st.QueriesByMode))
 	for m := range st.QueriesByMode {
 		modes = append(modes, m)

@@ -130,6 +130,21 @@ func (op CmpOp) String() string {
 	}
 }
 
+// Mirror returns the operator with its operands swapped: a < b is b > a.
+func (op CmpOp) Mirror() CmpOp {
+	switch op {
+	case CmpLT:
+		return CmpGT
+	case CmpLE:
+		return CmpGE
+	case CmpGT:
+		return CmpLT
+	case CmpGE:
+		return CmpLE
+	}
+	return op
+}
+
 // Negate returns the logical negation of the operator (e.g. = becomes <>).
 func (op CmpOp) Negate() CmpOp {
 	switch op {

@@ -17,6 +17,7 @@
 package storage
 
 import (
+	"math"
 	"sync/atomic"
 
 	"udfdecorr/internal/sqltypes"
@@ -33,6 +34,8 @@ const SegmentRows = 4096
 type Segment struct {
 	cols [][]sqltypes.Value
 	n    int
+	// zones caches each column's zone, computed on first use (see Zone).
+	zones []atomic.Pointer[Zone]
 }
 
 // NewSegment wraps column vectors as a segment, taking ownership of the
@@ -40,7 +43,7 @@ type Segment struct {
 // one length; n is the row count (passed explicitly so zero-column tables
 // keep their cardinality).
 func NewSegment(cols [][]sqltypes.Value, n int) *Segment {
-	return &Segment{cols: cols, n: n}
+	return &Segment{cols: cols, n: n, zones: make([]atomic.Pointer[Zone], len(cols))}
 }
 
 // Len returns the segment's row count.
@@ -52,6 +55,20 @@ func (s *Segment) Width() int { return len(s.cols) }
 // Col returns column c's value vector. The slice aliases storage: callers
 // may read it freely but must never write through it.
 func (s *Segment) Col(c int) []sqltypes.Value { return s.cols[c] }
+
+// Zone returns column c's zone: the smallest and largest of its non-NULL
+// values (a small materialized aggregate, Moerkotte, VLDB 1998). It is
+// computed on first use over the segment's first Len values only — a
+// published tail's backing arrays grow past Len — and cached on the
+// segment; racing computations are idempotent.
+func (s *Segment) Zone(c int) Zone {
+	if z := s.zones[c].Load(); z != nil {
+		return *z
+	}
+	z := zoneOf(s.cols[c][:s.n])
+	s.zones[c].Store(&z)
+	return z
+}
 
 // AppendRowTo materializes row i of the segment onto dst.
 func (s *Segment) AppendRowTo(dst Row, i int) Row {
@@ -77,6 +94,88 @@ func (s *Segment) Bytes() int64 {
 }
 
 // ---------------------------------------------------------------------------
+// Zones
+// ---------------------------------------------------------------------------
+
+// Zone bounds one segment column: every non-NULL value v of the column
+// orders Min <= v <= Max under sqltypes.Compare. The zero Zone is empty and
+// rules nothing out; a column gets one when it holds a NaN (which compares
+// equal to every number), holds kinds that Compare cannot order against
+// each other, or holds no non-NULL value.
+type Zone struct {
+	Min, Max sqltypes.Value
+}
+
+// Empty reports whether the zone bounds nothing.
+func (z Zone) Empty() bool { return z.Min.IsNull() }
+
+// zoneOf computes the zone of a column vector.
+func zoneOf(vals []sqltypes.Value) Zone {
+	var z Zone
+	for _, v := range vals {
+		switch v.Kind() {
+		case sqltypes.KindNull:
+			continue
+		case sqltypes.KindFloat:
+			if math.IsNaN(v.Float()) {
+				return Zone{}
+			}
+		}
+		if z.Empty() {
+			z.Min, z.Max = v, v
+			continue
+		}
+		lo, ok := sqltypes.Compare(v, z.Min)
+		if !ok {
+			return Zone{}
+		}
+		if lo < 0 {
+			z.Min = v
+		} else if hi, _ := sqltypes.Compare(v, z.Max); hi > 0 {
+			z.Max = v
+		}
+	}
+	return z
+}
+
+// RulesOut reports whether the zone proves that no row of its column
+// satisfies `column op key` under sqltypes.Cmp. A NULL key rules out every
+// row, zone or none: a comparison with NULL is never true. A NaN key rules
+// out none, since NaN compares equal to every number. A key of a kind the
+// zone's values do not order against rules out every row, whose
+// comparisons are all unknown. Operators other than =, <, <=, > and >=
+// rule out nothing.
+func (z Zone) RulesOut(op sqltypes.CmpOp, key sqltypes.Value) bool {
+	if key.IsNull() {
+		return true
+	}
+	if key.Kind() == sqltypes.KindFloat && math.IsNaN(key.Float()) {
+		return false
+	}
+	if z.Empty() {
+		return false
+	}
+	lo, ok := sqltypes.Compare(z.Min, key)
+	if !ok {
+		return true
+	}
+	hi, _ := sqltypes.Compare(z.Max, key)
+	switch op {
+	case sqltypes.CmpEQ:
+		return lo > 0 || hi < 0
+	case sqltypes.CmpLT:
+		return lo >= 0
+	case sqltypes.CmpLE:
+		return lo > 0
+	case sqltypes.CmpGT:
+		return hi <= 0
+	case sqltypes.CmpGE:
+		return hi < 0
+	}
+	return false
+}
+
+// ---------------------------------------------------------------------------
 // Scan-path metrics
 // ---------------------------------------------------------------------------
 
@@ -86,8 +185,9 @@ func (s *Segment) Bytes() int64 {
 // /stats and /metrics as an observable guarantee that the hot path stays
 // zero-copy.
 var scanMetrics struct {
-	zeroCopy atomic.Int64
-	pivoted  atomic.Int64
+	zeroCopy    atomic.Int64
+	pivoted     atomic.Int64
+	segsSkipped atomic.Int64
 }
 
 // NoteZeroCopyScan records one scan served directly from column segments.
@@ -97,6 +197,14 @@ func NoteZeroCopyScan() { scanMetrics.zeroCopy.Add(1) }
 // NotePivotedScan records one row-major pivot fallback (also called
 // internally when a version materializes its row view).
 func NotePivotedScan() { scanMetrics.pivoted.Add(1) }
+
+// NoteSegmentsSkipped records n segments a bounded scan skipped because
+// their zones ruled its predicate out.
+func NoteSegmentsSkipped(n int) { scanMetrics.segsSkipped.Add(int64(n)) }
+
+// SegmentsSkipped returns the process-wide count of segments skipped by
+// zone.
+func SegmentsSkipped() int64 { return scanMetrics.segsSkipped.Load() }
 
 // ZeroCopyScans returns the process-wide zero-copy scan count.
 func ZeroCopyScans() int64 { return scanMetrics.zeroCopy.Load() }

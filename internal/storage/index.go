@@ -26,12 +26,21 @@ import (
 // gives each distinct non-NULL value an id, and ords[id] lists the
 // ordinals holding it in ascending order. A NULL row is left out, since
 // NULL matches nothing.
+//
+// A key's first ordinal is a capacity-1 slice carved from slab, so a
+// unique column pays no allocation per key. Appending a key's second
+// ordinal then copies its list out of the slab; a slab slot, once
+// written, is never rewritten, so the prefixes Lookup hands out stay valid.
 type colIndex struct {
-	mu   sync.RWMutex // guards n, keys and ords; probes read under RLock
+	mu   sync.RWMutex // guards n, keys, ords and slab; probes read under RLock
 	n    int
 	keys sqltypes.KeyIndex
 	ords [][]int
+	slab []int
 }
+
+// maxSlab caps the ordinals one slab holds.
+const maxSlab = 1024
 
 // indexRowsHashed counts rows hashed into any index, process-wide: the cost
 // indexes actually pay. With a shared index it grows by the rows appended
@@ -55,10 +64,16 @@ func (ix *colIndex) extendTo(v *TableVersion, ord int) {
 			continue
 		}
 		id, added := ix.keys.Add(vecs, p)
-		if added {
-			ix.ords = append(ix.ords, nil)
+		if !added {
+			ix.ords[id] = append(ix.ords[id], o)
+			continue
 		}
-		ix.ords[id] = append(ix.ords[id], o)
+		if len(ix.slab) == cap(ix.slab) {
+			ix.slab = make([]int, 0, min(max(len(ix.ords), 8), maxSlab))
+		}
+		at := len(ix.slab)
+		ix.slab = append(ix.slab, o)
+		ix.ords = append(ix.ords, ix.slab[at:at+1:at+1])
 	}
 	indexRowsHashed.Add(int64(v.n - ix.n))
 	ix.n = v.n

@@ -1,5 +1,6 @@
 // Package storage implements in-memory columnar table storage: immutable
-// column-major segments, hash indexes for equality lookups, and lightweight
+// column-major segments with per-column zones (min/max) that let a bounded
+// scan skip segments, hash indexes for equality lookups, and lightweight
 // column statistics (row counts and min/max) used by the cost-based planner.
 //
 // Concurrency model (MVCC): a table's state is an immutable published
@@ -410,6 +411,7 @@ type StorageStats struct {
 	ColumnBytes     int64 `json:"column_bytes"`
 	ZeroCopyScans   int64 `json:"zero_copy_scans"`
 	PivotedScans    int64 `json:"pivoted_scans"`
+	SegmentsSkipped int64 `json:"segments_skipped"`
 	IndexRowsHashed int64 `json:"index_rows_hashed"`
 }
 
@@ -427,6 +429,7 @@ func (s *Store) StorageStats() StorageStats {
 		Tables:          len(tabs),
 		ZeroCopyScans:   ZeroCopyScans(),
 		PivotedScans:    PivotedScans(),
+		SegmentsSkipped: SegmentsSkipped(),
 		IndexRowsHashed: IndexRowsHashed(),
 	}
 	for _, t := range tabs {
