@@ -32,9 +32,10 @@ func (t *TableScan) Schema() []algebra.Column { return t.schema }
 func (t *TableScan) Open(ctx *Ctx) (Iter, error) {
 	if len(t.Bounds) > 0 {
 		ver, overlay := ctx.TableVersion(t.Tab)
-		if kept, pruned := keptSpans(ctx, t, t.Bounds, ver.Segments()); pruned {
-			it := &spansIter{spans: kept, overlay: overlay}
-			if len(kept) > 0 {
+		n := ver.RowCount()
+		if kept, pruned := keptSpans(ctx, t, t.Bounds, ver.Segments(), n+len(overlay)); pruned {
+			it := &spansIter{segRows: n, overlay: overlay, spans: kept}
+			if len(kept) > 0 && kept[0].lo < n {
 				it.rows = ver.Rows()
 			}
 			return it, nil

@@ -32,44 +32,36 @@ var MorselRows = 4 * DefaultBatchSize
 // iterators. Ordinals [0, segRows) address the pinned version's column
 // segments (relying on the storage invariant that every segment but the
 // last holds exactly storage.SegmentRows rows); ordinals past segRows
-// address the transaction overlay, scanned after the published data. A
-// serial scan reads a private source whose one morsel is the whole table.
-// When the scan's zone bounds skip segments, the source hands out a list of
-// morsels over the kept segments and the overlay instead.
+// address the transaction overlay, scanned after the published data. The
+// morsels cut the ranges the scan reads (keptSpans: every segment its zone
+// bounds keep, then the overlay) into pieces of at most size rows; a
+// serial scan reads a private source whose morsels are the ranges whole.
 type morselSource struct {
 	segs    []*storage.Segment
 	segRows int // total rows across segs
 	overlay []storage.Row
-	total   int   // segRows + len(overlay)
-	size    int   // rows per morsel
-	next    int64 // atomic cursor (in row ordinals, or into morsels)
-	pruned  bool  // zones skipped segments: hand out morsels
 	morsels []span
+	next    int64 // atomic cursor into morsels
 }
 
 // newMorselSource returns a source over the version and overlay that scan
-// reads in ctx, handing out morsels of size rows; size 0 makes the whole
-// table one morsel. owner is the operator whose EXPLAIN ANALYZE stats show
-// the scan's segment counts.
+// reads in ctx, handing out morsels of size rows; size 0 makes each range
+// the scan reads one morsel. owner is the operator whose EXPLAIN ANALYZE
+// stats show the scan's segment counts.
 func newMorselSource(ctx *Ctx, owner Node, scan *BatchScan, size int) *morselSource {
 	ver, overlay := ctx.TableVersion(scan.Tab)
 	storage.NoteZeroCopyScan()
-	m := &morselSource{segs: ver.Segments(), segRows: ver.RowCount(), overlay: overlay, size: size}
-	m.total = m.segRows + len(overlay)
+	m := &morselSource{segs: ver.Segments(), segRows: ver.RowCount(), overlay: overlay}
+	total := m.segRows + len(overlay)
+	kept, _ := keptSpans(ctx, owner, scan.Bounds, m.segs, total)
 	if size == 0 {
-		m.size = max(m.total, 1)
-	}
-	kept, pruned := keptSpans(ctx, owner, scan.Bounds, m.segs)
-	if !pruned {
+		m.morsels = kept
 		return m
 	}
-	m.pruned = true
-	if len(overlay) > 0 {
-		kept = append(kept, span{m.segRows, m.total})
-	}
+	m.morsels = make([]span, 0, len(kept)+total/size)
 	for _, sp := range kept {
-		for lo := sp.lo; lo < sp.hi; lo += m.size {
-			m.morsels = append(m.morsels, span{lo, min(lo+m.size, sp.hi)})
+		for lo := sp.lo; lo < sp.hi; lo += size {
+			m.morsels = append(m.morsels, span{lo, min(lo+size, sp.hi)})
 		}
 	}
 	return m
@@ -77,28 +69,15 @@ func newMorselSource(ctx *Ctx, owner Node, scan *BatchScan, size int) *morselSou
 
 // grab claims the next morsel; ok=false when the table is exhausted.
 func (m *morselSource) grab() (lo, hi int, ok bool) {
-	if m.pruned {
-		i := atomic.AddInt64(&m.next, 1) - 1
-		if i >= int64(len(m.morsels)) {
-			return 0, 0, false
-		}
-		return m.morsels[i].lo, m.morsels[i].hi, true
-	}
-	end := atomic.AddInt64(&m.next, int64(m.size))
-	lo = int(end) - m.size
-	if lo >= m.total {
+	i := atomic.AddInt64(&m.next, 1) - 1
+	if i >= int64(len(m.morsels)) {
 		return 0, 0, false
 	}
-	return lo, min(int(end), m.total), true
+	return m.morsels[i].lo, m.morsels[i].hi, true
 }
 
 // morselCount returns how many morsels the source will hand out.
-func (m *morselSource) morselCount() int {
-	if m.pruned {
-		return len(m.morsels)
-	}
-	return (m.total + m.size - 1) / m.size
-}
+func (m *morselSource) morselCount() int { return len(m.morsels) }
 
 // pipeline is the per-execution state a parallel operator shares with its
 // workers: the morsel source of the pipeline's scan and the join table of

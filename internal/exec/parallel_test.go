@@ -67,8 +67,8 @@ func TestMorselSourceCoversEveryRowOnce(t *testing.T) {
 	ctx.SetSnapshot(nil, map[*storage.Table][]storage.Row{tab: rows[n-5:]})
 	scan := NewBatchScan(tab, []algebra.Column{{Name: "a"}})
 	src := newMorselSource(ctx, scan, scan, MorselRows)
-	if src.total != n {
-		t.Fatalf("total = %d, want %d", src.total, n)
+	if got := src.segRows + len(src.overlay); got != n {
+		t.Fatalf("segRows + overlay = %d, want %d", got, n)
 	}
 	if got, want := src.morselCount(), 4; got != want {
 		t.Fatalf("morselCount = %d, want %d", got, want)

@@ -40,16 +40,53 @@ func zoneNote(bounds []ScanBound) string {
 // span is a half-open range [lo, hi) of row ordinals.
 type span struct{ lo, hi int }
 
-// keptSpans evaluates the bounds' keys and returns the ordinal ranges of the
-// segments that no bound rules out, adjacent segments merged, with
-// pruned=true; pruned=false means every segment is kept, and the scan reads
-// on its unbounded path. Segment counts go to owner's EXPLAIN ANALYZE stats
-// and skipped segments to the process-wide counter.
-func keptSpans(ctx *Ctx, owner Node, bounds []ScanBound, segs []*storage.Segment) (kept []span, pruned bool) {
+// keptSpans returns the ordinal ranges a scan of total rows reads: those of
+// the segments that no bound rules out, then the overlay's [segRows, total),
+// adjacent ranges merged, so a scan that skips nothing reads the one range
+// [0, total). It evaluates the bounds' keys once; pruned reports whether a
+// segment was skipped. Segment counts of a bounded scan go to owner's
+// EXPLAIN ANALYZE stats and skipped segments to the process-wide counter.
+func keptSpans(ctx *Ctx, owner Node, bounds []ScanBound, segs []*storage.Segment, total int) (kept []span, pruned bool) {
+	keys, ok := boundKeys(ctx, bounds)
+	if !ok {
+		if total == 0 {
+			return nil, false
+		}
+		return []span{{0, total}}, false
+	}
+	add := func(lo, hi int) {
+		if n := len(kept); n > 0 && kept[n-1].hi == lo {
+			kept[n-1].hi = hi
+		} else if lo < hi {
+			kept = append(kept, span{lo, hi})
+		}
+	}
+	read, segRows := 0, 0
+	for s, sg := range segs {
+		lo := s * storage.SegmentRows
+		segRows = lo + sg.Len()
+		if ruledOut(sg, bounds, keys) {
+			continue
+		}
+		read++
+		add(lo, segRows)
+	}
+	add(segRows, total)
+	ctx.noteSegments(owner, read, len(segs))
+	if read == len(segs) {
+		return kept, false
+	}
+	storage.NoteSegmentsSkipped(len(segs) - read)
+	return kept, true
+}
+
+// boundKeys evaluates the bounds' keys; ok=false when there are none to
+// prune by.
+func boundKeys(ctx *Ctx, bounds []ScanBound) (keys []sqltypes.Value, ok bool) {
 	if len(bounds) == 0 {
 		return nil, false
 	}
-	keys := make([]sqltypes.Value, len(bounds))
+	keys = make([]sqltypes.Value, len(bounds))
 	for i, b := range bounds {
 		k, err := b.Key(ctx, nil)
 		if err != nil {
@@ -59,33 +96,7 @@ func keptSpans(ctx *Ctx, owner Node, bounds []ScanBound, segs []*storage.Segment
 		}
 		keys[i] = k
 	}
-	read := 0
-	for s, sg := range segs {
-		if ruledOut(sg, bounds, keys) {
-			if !pruned {
-				pruned = true
-				if s > 0 {
-					kept = append(kept, span{0, s * storage.SegmentRows})
-				}
-			}
-			continue
-		}
-		read++
-		if pruned {
-			lo := s * storage.SegmentRows
-			if n := len(kept); n > 0 && kept[n-1].hi == lo {
-				kept[n-1].hi = lo + sg.Len()
-			} else {
-				kept = append(kept, span{lo, lo + sg.Len()})
-			}
-		}
-	}
-	ctx.noteSegments(owner, read, len(segs))
-	if !pruned {
-		return nil, false
-	}
-	storage.NoteSegmentsSkipped(len(segs) - read)
-	return kept, true
+	return keys, true
 }
 
 // ruledOut reports whether some bound's zone test rules the segment out.
@@ -109,24 +120,34 @@ func (c *Ctx) noteSegments(owner Node, read, total int) {
 	st.Segs += int64(total)
 }
 
-// spansIter iterates the rows of several ordinal ranges of a row view, then
-// a transaction overlay.
+// spansIter iterates the rows at several ordinal ranges of a table:
+// ordinals below segRows index the version's row view, the rest the
+// transaction overlay.
 type spansIter struct {
 	rows    []storage.Row
+	segRows int
+	overlay []storage.Row
 	spans   []span
 	cur     []storage.Row
-	overlay []storage.Row
 }
 
 func (s *spansIter) Next() (storage.Row, bool, error) {
 	for len(s.cur) == 0 {
-		switch {
-		case len(s.spans) > 0:
-			s.cur, s.spans = s.rows[s.spans[0].lo:s.spans[0].hi], s.spans[1:]
-		case s.overlay != nil:
-			s.cur, s.overlay = s.overlay, nil
-		default:
+		if len(s.spans) == 0 {
 			return nil, false, nil
+		}
+		lo, hi := s.spans[0].lo, s.spans[0].hi
+		if lo < s.segRows {
+			// A range that runs on into the overlay resumes there.
+			hi = min(hi, s.segRows)
+			s.cur = s.rows[lo:hi]
+		} else {
+			s.cur = s.overlay[lo-s.segRows : hi-s.segRows]
+		}
+		if hi == s.spans[0].hi {
+			s.spans = s.spans[1:]
+		} else {
+			s.spans[0].lo = hi
 		}
 	}
 	r := s.cur[0]

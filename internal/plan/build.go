@@ -221,10 +221,11 @@ func (p *Planner) buildSelect(n *algebra.Select) (exec.Node, error) {
 				if !ok || cmp.Op != sqltypes.CmpEQ {
 					continue
 				}
-				col, key := matchIndexablePair(cmp, scan.Cols)
-				if col == nil || !t.HasIndexableCol(col.Name) {
+				ord, key, _ := matchColumnKey(cmp, scan.Cols)
+				if ord < 0 || !t.HasIndexableCol(scan.Cols[ord].Name) {
 					continue
 				}
+				col := scan.Cols[ord]
 				keyEval, err := exec.Compile(key, nil, p)
 				if err != nil {
 					continue // key references columns; not a probe
@@ -283,17 +284,13 @@ func (p *Planner) scanBounds(pred algebra.Expr, scan *algebra.Scan) []exec.ScanB
 		if !ok || cmp.Op == sqltypes.CmpNE {
 			continue
 		}
-		ref, key, op := cmp.L, cmp.R, cmp.Op
-		if !isZoneKey(key) {
-			ref, key, op = cmp.R, cmp.L, op.Mirror()
-		}
-		col, ok := ref.(*algebra.ColRef)
-		if !ok || !isZoneKey(key) {
+		ord, key, mirrored := matchColumnKey(cmp, scan.Cols)
+		if ord < 0 || !isZoneKey(key) {
 			continue
 		}
-		ord := algebra.RefIndex(scan.Cols, col.Qual, col.Name)
-		if ord < 0 {
-			continue
+		op := cmp.Op
+		if mirrored {
+			op = op.Mirror()
 		}
 		ev, err := exec.Compile(key, nil, p)
 		if err != nil {
@@ -314,27 +311,23 @@ func isZoneKey(e algebra.Expr) bool {
 	return false
 }
 
-// matchIndexablePair returns (column of the scan, key expression) when the
-// comparison is col = key with key independent of the scanned row.
-func matchIndexablePair(cmp *algebra.Cmp, scanCols []algebra.Column) (*algebra.Column, algebra.Expr) {
-	try := func(colE, keyE algebra.Expr) (*algebra.Column, algebra.Expr) {
+// matchColumnKey returns the ordinal in scanCols of the column that cmp
+// compares with an expression independent of the scanned row, that key,
+// and whether the column stands on the right, so that cmp's operator must
+// be mirrored to read `column op key`; ord < 0 when cmp compares no such
+// pair.
+func matchColumnKey(cmp *algebra.Cmp, scanCols []algebra.Column) (ord int, key algebra.Expr, mirrored bool) {
+	try := func(colE, keyE algebra.Expr) int {
 		ref, ok := colE.(*algebra.ColRef)
-		if !ok {
-			return nil, nil
+		if !ok || algebra.ExprUsesRefsOf(keyE, scanCols) {
+			return -1
 		}
-		c, ok := algebra.ResolveRef(scanCols, ref.Qual, ref.Name)
-		if !ok {
-			return nil, nil
-		}
-		if algebra.ExprUsesRefsOf(keyE, scanCols) {
-			return nil, nil
-		}
-		return &c, keyE
+		return algebra.RefIndex(scanCols, ref.Qual, ref.Name)
 	}
-	if c, k := try(cmp.L, cmp.R); c != nil {
-		return c, k
+	if ord := try(cmp.L, cmp.R); ord >= 0 {
+		return ord, cmp.R, false
 	}
-	return try(cmp.R, cmp.L)
+	return try(cmp.R, cmp.L), cmp.L, true
 }
 
 // buildJoin chooses among index nested-loop join (as a correlated Apply over
