@@ -65,7 +65,7 @@ func main() {
 		par     = flag.Int("parallelism", 0, "default intra-query degree for sessions (0 = serial)")
 
 		dataDir   = flag.String("data-dir", "", "durable mode: data directory for WAL + checkpoints (empty = in-memory)")
-		fsync     = flag.String("fsync", "always", "durable mode: WAL fsync policy: always|none|<interval, e.g. 250ms>")
+		fsync     = flag.String("fsync", "always", "durable mode: WAL fsync policy: always (group commit) | none")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "durable mode: periodic checkpoint interval (0 = only on graceful shutdown)")
 		walRetain = flag.Int("wal-retain", 4, "durable mode: sealed WAL segments kept below each checkpoint (the replica catch-up window; 0 deletes immediately)")
 
@@ -245,12 +245,12 @@ func bootEngine(dataset, dataDir, fsync string, walRetain int) (*engine.Engine, 
 		return e, nil
 	}
 
-	policy, interval, err := wal.ParseSyncPolicy(fsync)
+	policy, err := wal.ParseSyncPolicy(fsync)
 	if err != nil {
 		return nil, err
 	}
 	e, err := engine.OpenDurable(dataDir, engine.SYS1, engine.ModeRewrite,
-		engine.DurabilityOptions{Sync: policy, SyncInterval: interval, RetainSegments: walRetain})
+		engine.DurabilityOptions{Sync: policy, RetainSegments: walRetain})
 	if err != nil {
 		return nil, err
 	}

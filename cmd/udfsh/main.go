@@ -88,19 +88,19 @@ func (sh *shell) statementCtx() (context.Context, func()) {
 func main() {
 	scriptPath := flag.String("f", "", "execute the statement script and exit")
 	dataDir := flag.String("data-dir", "", "durable mode: data directory for WAL + checkpoints (empty = in-memory)")
-	fsync := flag.String("fsync", "always", "durable mode: WAL fsync policy: always|none|<interval>")
+	fsync := flag.String("fsync", "always", "durable mode: WAL fsync policy: always (group commit) | none")
 	flag.Parse()
 
 	var boot *engine.Engine
 	if *dataDir != "" {
-		policy, interval, err := wal.ParseSyncPolicy(*fsync)
+		policy, err := wal.ParseSyncPolicy(*fsync)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
 		var oerr error
 		boot, oerr = engine.OpenDurable(*dataDir, engine.SYS1, engine.ModeRewrite,
-			engine.DurabilityOptions{Sync: policy, SyncInterval: interval})
+			engine.DurabilityOptions{Sync: policy})
 		if oerr != nil {
 			fmt.Fprintln(os.Stderr, "error:", oerr)
 			os.Exit(1)

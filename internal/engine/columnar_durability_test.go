@@ -2,12 +2,12 @@ package engine_test
 
 // Columnar checkpoint tests: a checkpoint written by this binary snapshots
 // table data as column-major RecSegment records, and recovery rebuilds the
-// columnar store from them; a checkpoint written by a pre-columnar binary
-// (row-major RecInsert snapshot records) still recovers, upgrading into
-// column segments on replay.
+// columnar store from them; a row-major RecInsert record, written only by
+// earlier binaries, is refused by name.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"udfdecorr/internal/engine"
@@ -129,10 +129,11 @@ func TestColumnarCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLegacyRowMajorCheckpointUpgrade(t *testing.T) {
-	// Hand-write a checkpoint in the pre-columnar format: DDL plus
-	// row-major RecInsert snapshot records, exactly what an earlier binary
-	// left on disk.
+// TestRowMajorInsertRecordRefused: a log holding a kind-3 record (the
+// row-major insert batch of binaries from before transactional row logging)
+// fails recovery with an error that names the record and the way out,
+// rather than replaying it or skipping it silently.
+func TestRowMajorInsertRecordRefused(t *testing.T) {
 	dir := t.TempDir()
 	log, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncNone}, func(wal.Record) error {
 		return fmt.Errorf("fresh dir must have no records")
@@ -140,53 +141,22 @@ func TestLegacyRowMajorCheckpointUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := storage.SegmentRows + 250
-	err = log.Checkpoint(func(write func(wal.Record) error) error {
-		if err := write(wal.DDLRecord("create table legacy (k int primary key, v int);")); err != nil {
-			return err
-		}
-		const per = 512
-		for lo := 0; lo < n; lo += per {
-			hi := lo + per
-			if hi > n {
-				hi = n
-			}
-			rows := make([][]sqltypes.Value, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				rows = append(rows, []sqltypes.Value{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(2 * i))})
-			}
-			if err := write(wal.InsertRecord("legacy", rows)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := log.AppendAll(
+		wal.DDLRecord("create table legacy (k int primary key, v int);"),
+		wal.Record{Type: wal.RecInsert, Payload: []byte("row-major rows")},
+	); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Recovery pivots the legacy rows into columnar segments.
-	e := openDurable(t, dir)
-	checkFixture(t, e, "legacy", n)
-
-	// A checkpoint taken by this binary rewrites the snapshot column-major:
-	// the upgrade is complete and one-way.
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
+	_, err = engine.OpenDurable(dir, engine.SYS1, engine.ModeRewrite, engine.DurabilityOptions{Sync: wal.SyncNone})
+	if err == nil {
+		t.Fatal("recovery replayed a row-major insert record")
 	}
-	if err := e.Durable.Close(); err != nil {
-		t.Fatal(err)
-	}
-	counts := walRecordTypes(t, dir)
-	if counts[wal.RecSegment] < 2 || counts[wal.RecInsert] != 0 {
-		t.Fatalf("post-upgrade checkpoint types: %v, want only RecSegment data", counts)
-	}
-	e2 := openDurable(t, dir)
-	checkFixture(t, e2, "legacy", n)
-	if err := e2.Durable.Close(); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"record kind 3", "row-major insert", "checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("recovery error %q does not mention %q", err, want)
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"udfdecorr/internal/ast"
 	"udfdecorr/internal/catalog"
@@ -29,8 +28,6 @@ import (
 type DurabilityOptions struct {
 	// Sync is the WAL fsync policy (default wal.SyncAlways).
 	Sync wal.SyncPolicy
-	// SyncInterval bounds staleness under wal.SyncInterval.
-	SyncInterval time.Duration
 	// SegmentBytes is the WAL segment rotation threshold (<=0: wal default).
 	SegmentBytes int64
 	// RetainSegments keeps that many sealed WAL segments past each
@@ -82,8 +79,9 @@ type DurabilityStats struct {
 	RecoveredRecords int64 `json:"recovered_records"`
 	// TornBytes is the size of the torn log tail truncated during recovery.
 	TornBytes int64 `json:"torn_bytes"`
-	// GroupSyncs counts shared fsync batches flushed under the group
-	// policy; records/group_syncs approximates the fsyncs saved.
+	// GroupSyncs counts group flushes: under fsync=always, every append
+	// fsync but the rare one a rotation or Close does first (0 under none);
+	// records/group_syncs approximates the fsyncs saved by batching.
 	GroupSyncs int64 `json:"group_syncs"`
 	// SyncPolicy names the fsync policy.
 	SyncPolicy string `json:"sync_policy"`
@@ -102,7 +100,6 @@ func OpenDurable(dir string, profile Profile, mode Mode, opts DurabilityOptions)
 	rp := &replayer{cat: cat, store: store, pending: map[uint64][]pendingInsert{}}
 	log, rstats, err := wal.Open(dir, wal.Options{
 		Sync:           opts.Sync,
-		SyncInterval:   opts.SyncInterval,
 		SegmentBytes:   opts.SegmentBytes,
 		RetainSegments: opts.RetainSegments,
 	}, rp.apply)
@@ -355,19 +352,6 @@ func (rp *replayer) apply(rec wal.Record) error {
 	return applyRecord(rp.cat, rp.store, rec)
 }
 
-// applyInsert appends decoded rows to a table during replay.
-func applyInsert(store *storage.Store, table string, rows [][]sqltypes.Value) error {
-	st, ok := store.Table(table)
-	if !ok {
-		return fmt.Errorf("insert into unknown table %q", table)
-	}
-	batch := make([]storage.Row, len(rows))
-	for i, r := range rows {
-		batch[i] = r
-	}
-	return st.Append(batch...)
-}
-
 // applyRecord replays one snapshot or log record into the catalog+store.
 // The hooks are not yet attached during recovery, so nothing is re-logged.
 func applyRecord(cat *catalog.Catalog, store *storage.Store, rec wal.Record) error {
@@ -385,15 +369,8 @@ func applyRecord(cat *catalog.Catalog, store *storage.Store, rec wal.Record) err
 		}
 		return cat.AddIndex(table, col)
 	case wal.RecInsert:
-		// Written only by earlier binaries — as loaded batches in the log,
-		// and as the data format of pre-columnar checkpoints: replaying one
-		// pivots the rows into the columnar store, upgrading old logs and
-		// checkpoints in place.
-		table, rows, err := rec.Insert()
-		if err != nil {
-			return err
-		}
-		return applyInsert(store, table, rows)
+		return errors.New("record kind 3 (row-major insert, written by a binary from before transactional row logging) is no longer replayed: " +
+			"open this data directory once with the previous release and take a checkpoint, which rewrites its rows column-major, then open it with this one")
 	case wal.RecSegment:
 		table, cols, nrows, err := rec.Segment()
 		if err != nil {

@@ -40,6 +40,12 @@ func kvRow(k int64, v string) []sqltypes.Value {
 	return []sqltypes.Value{sqltypes.NewInt(k), sqltypes.NewString(v)}
 }
 
+// committed returns the record run of one committed transaction inserting
+// rows into kv.
+func committed(txid uint64, rows ...[]sqltypes.Value) []wal.Record {
+	return []wal.Record{wal.BeginRecord(txid), wal.TxnInsertRecord(txid, "kv", rows), wal.CommitRecord(txid)}
+}
+
 // waitApplied polls the follower until it has applied n records.
 func waitApplied(t *testing.T, f *repl.Follower, n int64) {
 	t.Helper()
@@ -72,8 +78,8 @@ func followerRows(t *testing.T, f *repl.Follower, table string) int {
 }
 
 // TestFollowerTailsLiveLeader: bootstrap from an empty leader (no checkpoint
-// yet → 404 → start at the log's beginning), then tail DDL, plain inserts, a
-// committed transaction, and an uncommitted suffix across segment rotations.
+// yet → 404 → start at the log's beginning), then tail DDL, two committed
+// transactions, and an uncommitted suffix across segment rotations.
 // The uncommitted transaction must never surface in the replica's store.
 func TestFollowerTailsLiveLeader(t *testing.T) {
 	dir := t.TempDir()
@@ -90,16 +96,16 @@ func TestFollowerTailsLiveLeader(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- f.Run(ctx) }()
 
-	records := []wal.Record{
-		wal.DDLRecord("create table kv (k int primary key, v varchar);"),
-		wal.InsertRecord("kv", [][]sqltypes.Value{kvRow(1, "a"), kvRow(2, "b")}),
+	records := append([]wal.Record{wal.DDLRecord("create table kv (k int primary key, v varchar);")},
+		committed(6, kvRow(1, "a"), kvRow(2, "b"))...)
+	records = append(records,
 		wal.BeginRecord(7),
 		wal.TxnInsertRecord(7, "kv", [][]sqltypes.Value{kvRow(3, "c")}),
 		wal.TxnInsertRecord(7, "kv", [][]sqltypes.Value{kvRow(4, "d")}),
 		wal.CommitRecord(7),
 		wal.BeginRecord(8),
 		wal.TxnInsertRecord(8, "kv", [][]sqltypes.Value{kvRow(99, "never-committed")}),
-	}
+	)
 	for _, rec := range records {
 		if err := l.AppendAll(rec); err != nil {
 			t.Fatal(err)
@@ -108,7 +114,7 @@ func TestFollowerTailsLiveLeader(t *testing.T) {
 	waitApplied(t, f, int64(len(records)))
 
 	if got := followerRows(t, f, "kv"); got != 4 {
-		t.Fatalf("replica kv has %d rows, want 4 (2 plain + 2 committed)", got)
+		t.Fatalf("replica kv has %d rows, want 4 (2 + 2 committed)", got)
 	}
 	st := f.Status()
 	if st.PendingTxns != 1 {
@@ -136,10 +142,8 @@ func TestFollowerBootstrapsFromCheckpoint(t *testing.T) {
 	defer l.Close()
 	srv := serveLeader(t, l, dir)
 
-	if err := l.AppendAll(
-		wal.DDLRecord("create table kv (k int primary key, v varchar);"),
-		wal.InsertRecord("kv", [][]sqltypes.Value{kvRow(1, "a")}),
-	); err != nil {
+	if err := l.AppendAll(append([]wal.Record{wal.DDLRecord("create table kv (k int primary key, v varchar);")},
+		committed(1, kvRow(1, "a"))...)...); err != nil {
 		t.Fatal(err)
 	}
 	// Checkpoint re-emits the logical state the log's records built (the
@@ -148,7 +152,7 @@ func TestFollowerBootstrapsFromCheckpoint(t *testing.T) {
 		if err := write(wal.DDLRecord("create table kv (k int primary key, v varchar);")); err != nil {
 			return err
 		}
-		return write(wal.InsertRecord("kv", [][]sqltypes.Value{kvRow(1, "a")}))
+		return write(wal.SegmentRecord("kv", [][]sqltypes.Value{{sqltypes.NewInt(1)}, {sqltypes.NewString("a")}}, 1))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +169,11 @@ func TestFollowerBootstrapsFromCheckpoint(t *testing.T) {
 	}
 	go f.Run(ctx)
 
-	if err := l.AppendAll(wal.InsertRecord("kv", [][]sqltypes.Value{kvRow(2, "b")})); err != nil {
+	if err := l.AppendAll(committed(2, kvRow(2, "b"))...); err != nil {
 		t.Fatal(err)
 	}
-	// 2 snapshot records + 1 streamed.
-	waitApplied(t, f, 3)
+	// 2 snapshot records + 3 streamed.
+	waitApplied(t, f, 5)
 	if got := followerRows(t, f, "kv"); got != 2 {
 		t.Fatalf("replica has %d rows, want 2", got)
 	}
@@ -185,10 +189,8 @@ func TestPromotionCatchupFromDeadLeaderDir(t *testing.T) {
 	l := openLog(t, dir, wal.Options{Sync: wal.SyncAlways, SegmentBytes: 512, RetainSegments: 8})
 	srv := serveLeader(t, l, dir)
 
-	prefix := []wal.Record{
-		wal.DDLRecord("create table kv (k int primary key, v varchar);"),
-		wal.InsertRecord("kv", [][]sqltypes.Value{kvRow(1, "a")}),
-	}
+	prefix := append([]wal.Record{wal.DDLRecord("create table kv (k int primary key, v varchar);")},
+		committed(1, kvRow(1, "a"))...)
 	for _, rec := range prefix {
 		if err := l.AppendAll(rec); err != nil {
 			t.Fatal(err)
@@ -210,14 +212,13 @@ func TestPromotionCatchupFromDeadLeaderDir(t *testing.T) {
 
 	// The leader accepts (and fsyncs = acks) more writes the follower never
 	// streams, including an uncommitted transaction, then dies.
-	suffix := []wal.Record{
-		wal.InsertRecord("kv", [][]sqltypes.Value{kvRow(2, "b"), kvRow(3, "c")}),
+	suffix := append(committed(4, kvRow(2, "b"), kvRow(3, "c")),
 		wal.BeginRecord(5),
 		wal.TxnInsertRecord(5, "kv", [][]sqltypes.Value{kvRow(4, "d")}),
 		wal.CommitRecord(5),
 		wal.BeginRecord(6),
 		wal.TxnInsertRecord(6, "kv", [][]sqltypes.Value{kvRow(99, "uncommitted")}),
-	}
+	)
 	for _, rec := range suffix {
 		if err := l.AppendAll(rec); err != nil {
 			t.Fatal(err)

@@ -268,9 +268,9 @@ func (t *Table) checkArity(rows []Row) error {
 }
 
 // Append adds rows by publishing a new version; running queries keep the
-// version they pinned. It is a hook-free primitive for recovery replay and
-// tests: nothing it publishes is logged. Only Store.AppendBatch runs the
-// store's commit hook, so every logged write goes through it.
+// version they pinned. It is a hook-free primitive for tests: nothing it
+// publishes is logged. Only Store.AppendBatch runs the store's commit hook,
+// so every logged write goes through it.
 func (t *Table) Append(rows ...Row) error {
 	if err := t.checkArity(rows); err != nil {
 		return err

@@ -1,59 +1,67 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"udfdecorr/internal/sqltypes"
 )
 
-// TestGroupCommitConcurrentAppends: many goroutines appending under the
-// group policy must all be acknowledged, everything must be on disk when the
-// last Append returns, and batching should have saved fsyncs (strictly
-// fewer syncs than records — with 32 concurrent committers parked on one
-// flusher, collapses are essentially guaranteed).
+// TestGroupCommitConcurrentAppends: many goroutines committing under
+// SyncAlways must all be acknowledged, everything must be on disk when the
+// last Append returns, and batching must have saved fsyncs (strictly fewer
+// syncs than commits). The first commit of every writer parks behind a held
+// flush, so at least that flush covers all of them: how many later commits
+// collapse depends on fsync latency and scheduling.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := collect(t, dir, Options{Sync: SyncGroup})
+	l, _, _ := collect(t, dir, Options{Sync: SyncAlways})
 	const (
 		writers = 32
 		each    = 20
+		records = writers * each * 3 // Begin, TxnInsert, Commit
 	)
+	holdFlush(l)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				rec := InsertRecord("kv", [][]sqltypes.Value{
-					{sqltypes.NewInt(int64(w)), sqltypes.NewInt(int64(i))},
-				})
-				if err := l.Append(rec); err != nil {
+				run := committed(uint64(w*each+i+1), "kv",
+					[]sqltypes.Value{sqltypes.NewInt(int64(w)), sqltypes.NewInt(int64(i))})
+				if err := l.AppendAll(run...); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
 			}
 		}(w)
 	}
+	waitWriteGen(t, l, writers)
+	releaseFlush(l)
 	wg.Wait()
 	st := l.Stats()
-	if st.Records != writers*each {
-		t.Fatalf("records = %d, want %d", st.Records, writers*each)
+	if st.Records != records {
+		t.Fatalf("records = %d, want %d", st.Records, records)
 	}
 	if st.GroupSyncs == 0 {
-		t.Fatal("group policy performed no group syncs")
+		t.Fatal("SyncAlways performed no group syncs")
 	}
 	if st.GroupSyncs >= writers*each {
-		t.Fatalf("no batching: %d syncs for %d records", st.GroupSyncs, writers*each)
+		t.Fatalf("no batching: %d syncs for %d commits", st.GroupSyncs, writers*each)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	_, got, _ := collect(t, dir, Options{Sync: SyncNone})
-	if len(got) != writers*each {
-		t.Fatalf("replayed %d records, want %d", len(got), writers*each)
+	if len(got) != records {
+		t.Fatalf("replayed %d records, want %d", len(got), records)
 	}
 }
 
@@ -61,13 +69,12 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // rotation must all replay.
 func TestGroupCommitSurvivesRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := collect(t, dir, Options{Sync: SyncGroup, SegmentBytes: 256})
+	l, _, _ := collect(t, dir, Options{Sync: SyncAlways, SegmentBytes: 256})
 	const n = 50
 	for i := 0; i < n; i++ {
-		rec := InsertRecord("kv", [][]sqltypes.Value{
-			{sqltypes.NewInt(int64(i)), sqltypes.NewString("padding-padding")},
-		})
-		if err := l.Append(rec); err != nil {
+		run := committed(uint64(i+1), "kv",
+			[]sqltypes.Value{sqltypes.NewInt(int64(i)), sqltypes.NewString("padding-padding")})
+		if err := l.AppendAll(run...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,8 +82,8 @@ func TestGroupCommitSurvivesRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, got, _ := collect(t, dir, Options{Sync: SyncNone})
-	if len(got) != n {
-		t.Fatalf("replayed %d records, want %d", len(got), n)
+	if len(got) != 3*n {
+		t.Fatalf("replayed %d records, want %d", len(got), 3*n)
 	}
 }
 
@@ -84,7 +91,7 @@ func TestGroupCommitSurvivesRotation(t *testing.T) {
 // run, in order, even interleaved with other appenders.
 func TestAppendAllContiguous(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := collect(t, dir, Options{Sync: SyncGroup})
+	l, _, _ := collect(t, dir, Options{Sync: SyncAlways})
 	const txns = 16
 	var wg sync.WaitGroup
 	for w := 0; w < txns; w++ {
@@ -158,7 +165,122 @@ func TestTxnRecordRoundTrip(t *testing.T) {
 	if _, err := DDLRecord("x").Txid(); err == nil {
 		t.Fatal("Txid on a DDL record must fail")
 	}
-	if _, _, err := rec.Insert(); err == nil {
-		t.Fatal("Insert on a TxnInsert record must fail")
+}
+
+// holdFlush marks a group flush in progress, so appenders park behind it
+// until releaseFlush lets one of them become the flusher.
+func holdFlush(l *Log) {
+	l.gmu.Lock()
+	l.syncing = true
+	l.gmu.Unlock()
+}
+
+func releaseFlush(l *Log) {
+	l.gmu.Lock()
+	l.syncing = false
+	l.gcond.Broadcast()
+	l.gmu.Unlock()
+}
+
+// waitWriteGen returns once appends have taken write generation want, so
+// each of them is parked on, or about to park on, a held flush.
+func waitWriteGen(t *testing.T, l *Log, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		l.mu.Lock()
+		gen := l.writeGen
+		l.mu.Unlock()
+		if gen == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("write generation stuck at %d, want %d", gen, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// appendParked starts one AppendAll per run and returns once every run is
+// written and ticketed (want is the write generation that takes).
+func appendParked(t *testing.T, l *Log, want uint64, runs ...[]Record) <-chan error {
+	t.Helper()
+	errs := make(chan error, len(runs))
+	for _, run := range runs {
+		go func(run []Record) { errs <- l.AppendAll(run...) }(run)
+	}
+	waitWriteGen(t, l, want)
+	return errs
+}
+
+// TestGroupFlushFailureStopsLog: a failed fsync under two or more parked
+// appenders fails every one of them and stops the log; on reopen every
+// record acknowledged before the failure replays and nothing of the failed
+// batch does.
+func TestGroupFlushFailureStopsLog(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := collect(t, dir, Options{Sync: SyncAlways})
+	row := func(k int64) []sqltypes.Value { return []sqltypes.Value{sqltypes.NewInt(k)} }
+	acked := committed(1, "kv", row(1))
+	if err := l.AppendAll(acked...); err != nil {
+		t.Fatal(err)
+	}
+
+	holdFlush(l)
+	errs := appendParked(t, l, 4, committed(2, "kv", row(2)), committed(3, "kv", row(3)), committed(4, "kv", row(4)))
+	injected := errors.New("injected fsync failure")
+	fsyncFile = func(*os.File) error { return injected }
+	defer func() { fsyncFile = (*os.File).Sync }()
+	releaseFlush(l)
+	for i := 0; i < 3; i++ {
+		if err := <-errs; !errors.Is(err, injected) {
+			t.Fatalf("parked appender %d: err = %v, want the failed fsync", i, err)
+		}
+	}
+	if err := l.AppendAll(committed(5, "kv", row(5))...); err == nil {
+		t.Fatal("append after a failed fsync succeeded")
+	}
+	l.Close()
+
+	_, got, _ := collect(t, dir, Options{Sync: SyncNone})
+	if !reflect.DeepEqual(got, acked) {
+		t.Fatalf("replayed %d records, want exactly the %d acknowledged before the failure:\n%v", len(got), len(acked), got)
+	}
+}
+
+// TestCloseAndRotationCoverParkedAppender: an appender parked behind a
+// flush in progress whose record a Close or a Checkpoint's rotation then
+// fsyncs is acknowledged, and its record replays, even though the log the
+// flusher finds afterwards is closed or rotated.
+func TestCloseAndRotationCoverParkedAppender(t *testing.T) {
+	rec := DDLRecord("create table kv (k int);")
+	for _, tc := range []struct {
+		name string
+		seal func(*Log) error
+	}{
+		{"close", (*Log).Close},
+		{"checkpoint", func(l *Log) error {
+			// The snapshot captures the state the parked record built.
+			return l.Checkpoint(func(write func(Record) error) error { return write(rec) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, _ := collect(t, dir, Options{Sync: SyncAlways})
+			holdFlush(l)
+			errs := appendParked(t, l, 1, []Record{rec})
+			if err := tc.seal(l); err != nil {
+				t.Fatal(err)
+			}
+			releaseFlush(l)
+			if err := <-errs; err != nil {
+				t.Fatalf("parked append covered by %s: %v", tc.name, err)
+			}
+			l.Close()
+			_, got, _ := collect(t, dir, Options{Sync: SyncNone})
+			if !reflect.DeepEqual(got, []Record{rec}) {
+				t.Fatalf("replayed %v, want the parked record", got)
+			}
+		})
 	}
 }

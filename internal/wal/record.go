@@ -1,8 +1,9 @@
 // Typed records: the engine's durability layer logs three kinds of change —
 // DDL statements (as SQL text, re-parsed on replay), secondary-index
-// declarations (API-only DDL with no SQL surface), and INSERT batches (rows
-// in a kind-preserving binary codec; sqltypes.EncodeKey is unsuitable here
-// because it deliberately collapses INT and FLOAT for join keys).
+// declarations (API-only DDL with no SQL surface), and transactional INSERT
+// batches (rows in a kind-preserving binary codec; sqltypes.EncodeKey is
+// unsuitable here because it deliberately collapses INT and FLOAT for join
+// keys).
 package wal
 
 import (
@@ -25,9 +26,10 @@ const (
 	RecDDL byte = 1
 	// RecIndex carries a secondary-index declaration (table, column).
 	RecIndex byte = 2
-	// RecInsert carries an acknowledged batch of rows for one table. Current
-	// binaries log every row write as a transaction (RecTxnInsert); replay
-	// still accepts RecInsert in logs and checkpoints from earlier binaries.
+	// RecInsert is reserved: it marked a row-major insert batch outside any
+	// transaction, which earlier binaries wrote for loaded batches (before
+	// every row write was logged as a transaction) and for checkpoint data
+	// (before checkpoints went column-major). Recovery refuses it by name.
 	RecInsert byte = 3
 	// RecBegin opens a multi-statement transaction. Replay buffers the
 	// transaction's RecTxnInsert records and applies nothing until the
@@ -41,13 +43,11 @@ const (
 	// RecRollback abandons a pending transaction's buffered records.
 	RecRollback byte = 6
 	// RecTxnInsert carries one table's row batch inside a transaction
-	// (txid + the RecInsert payload).
+	// (txid, table, then the rows).
 	RecTxnInsert byte = 7
 	// RecSegment carries one column-major chunk of a table: the checkpoint
 	// snapshot format for columnar storage (values grouped by column, so
-	// recovery installs them as segments without pivoting). Recovery also
-	// accepts legacy row-major RecInsert snapshots, upgrading checkpoints
-	// written by earlier binaries on replay.
+	// recovery installs them as segments without pivoting).
 	RecSegment byte = 8
 
 	// snapshot structural records (internal to this package)
@@ -91,12 +91,6 @@ func (r Record) Index() (table, col string, err error) {
 		return "", "", fmt.Errorf("wal: trailing bytes in index record")
 	}
 	return table, col, nil
-}
-
-// InsertRecord encodes a batch of rows appended to one table, in the legacy
-// format earlier binaries wrote (kept so tests can produce such logs).
-func InsertRecord(table string, rows [][]sqltypes.Value) Record {
-	return Record{Type: RecInsert, Payload: encodeInsert(nil, table, rows)}
 }
 
 // BeginRecord opens transaction txid.
@@ -205,14 +199,6 @@ func encodeInsert(p []byte, table string, rows [][]sqltypes.Value) []byte {
 		}
 	}
 	return p
-}
-
-// Insert decodes a RecInsert record.
-func (r Record) Insert() (table string, rows [][]sqltypes.Value, err error) {
-	if r.Type != RecInsert {
-		return "", nil, fmt.Errorf("wal: record type %d is not an insert batch", r.Type)
-	}
-	return decodeInsert(r.Payload)
 }
 
 func decodeInsert(buf []byte) (table string, rows [][]sqltypes.Value, err error) {

@@ -31,10 +31,10 @@ type StreamPos struct {
 }
 
 // StreamTip returns the durable tip of the log: the position up to which
-// bytes may be shipped to a replica. Under the always/group/interval sync
-// policies that is the fsynced prefix — a replica can never get ahead of
-// what the leader promised to keep; under SyncNone (no durability promise)
-// it is simply everything written.
+// bytes may be shipped to a replica. Under SyncAlways that is the fsynced
+// prefix — a replica can never get ahead of what the leader promised to
+// keep; under SyncNone (no durability promise) it is simply everything
+// written.
 func (l *Log) StreamTip() StreamPos {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -42,11 +42,7 @@ func (l *Log) StreamTip() StreamPos {
 }
 
 func (l *Log) streamTipLocked() StreamPos {
-	off := l.syncedSegBytes
-	if l.opts.Sync == SyncNone {
-		off = l.segBytes
-	}
-	return StreamPos{Segment: l.seg, Offset: off, Records: l.logRecords}
+	return StreamPos{Segment: l.seg, Offset: l.syncedSegBytes, Records: l.logRecords}
 }
 
 // SegmentStartRecords returns the cumulative record count at the start of a

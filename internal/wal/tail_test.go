@@ -65,7 +65,7 @@ func tailAll(t *testing.T, l *Log, n int, deadline time.Duration) []Record {
 // frames (ScanFrames fails the test on any torn or corrupt chunk).
 func TestTailRacesGroupCommitAndRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := collect(t, dir, Options{Sync: SyncGroup, SegmentBytes: 2048})
+	l, _, _ := collect(t, dir, Options{Sync: SyncAlways, SegmentBytes: 2048})
 	defer l.Close()
 
 	const writers, perWriter = 4, 100

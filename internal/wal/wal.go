@@ -56,11 +56,14 @@ func SetFsyncObserver(fn func(time.Duration)) {
 	fsyncObserver.Store(&fn)
 }
 
+// fsyncFile is the segment fsync; tests replace it to inject failures.
+var fsyncFile = (*os.File).Sync
+
 // syncLogFile fsyncs the live log segment, reporting the latency to the
 // registered observer (error or not — a slow failed fsync is still signal).
 func syncLogFile(f *os.File) error {
 	start := time.Now()
-	err := f.Sync()
+	err := fsyncFile(f)
 	if ob := fsyncObserver.Load(); ob != nil {
 		(*ob)(time.Since(start))
 	}
@@ -77,39 +80,27 @@ type SyncPolicy uint8
 
 // Sync policies.
 const (
-	// SyncAlways fsyncs after every append: an acknowledged write survives
-	// kill -9 and power loss. The default.
+	// SyncAlways acknowledges an append only once it is fsynced: an
+	// acknowledged write survives kill -9 and power loss. The default.
+	// Appends are group-committed: committers park on a shared flush, one of
+	// them syncs everything written so far, and every covered waiter acks,
+	// so concurrent writers share one fsync. A failed fsync stops the log.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per Options.SyncInterval (checked on
-	// append): bounded data loss, much cheaper under write bursts.
-	SyncInterval
-	// SyncNone never fsyncs; the OS decides. Survives process crashes
-	// (kill -9) but not power loss.
+	// SyncNone never fsyncs an append; the OS decides. Survives process
+	// crashes (kill -9) but not power loss.
 	SyncNone
-	// SyncGroup fsyncs every append, but amortizes the fsync over the batch
-	// of concurrent appenders: committers park on a shared flush, one of
-	// them syncs everything written so far, and every covered waiter acks.
-	// Same durability as SyncAlways (an acknowledged append survives power
-	// loss), a fraction of the fsyncs under concurrent writers.
-	SyncGroup
 )
 
-// ParseSyncPolicy maps the -fsync flag surface onto a policy: "always",
-// "group", "none"/"off", or a duration like "250ms" (interval mode).
-func ParseSyncPolicy(s string) (SyncPolicy, time.Duration, error) {
+// ParseSyncPolicy maps the -fsync flag surface onto a policy: "always", or
+// "none" (aliases "off", "never").
+func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "always":
-		return SyncAlways, 0, nil
-	case "group":
-		return SyncGroup, 0, nil
+		return SyncAlways, nil
 	case "none", "off", "never":
-		return SyncNone, 0, nil
+		return SyncNone, nil
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d <= 0 {
-		return 0, 0, fmt.Errorf("fsync policy %q: want always|none|<interval duration>", s)
-	}
-	return SyncInterval, d, nil
+	return 0, fmt.Errorf("fsync policy %q: want always|none", s)
 }
 
 // String names the policy.
@@ -117,12 +108,8 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNone:
 		return "none"
-	case SyncGroup:
-		return "group"
 	default:
 		return "?"
 	}
@@ -132,8 +119,6 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Sync is the fsync policy for appends (default SyncAlways).
 	Sync SyncPolicy
-	// SyncInterval is the maximum staleness under SyncInterval.
-	SyncInterval time.Duration
 	// SegmentBytes rotates to a fresh segment once the current one exceeds
 	// this size. <=0 means 4 MiB.
 	SegmentBytes int64
@@ -194,7 +179,6 @@ type Log struct {
 	segBytes int64  // bytes in the current segment
 	bytes    int64  // total bytes across live segments
 	records  int64  // records appended this process
-	lastSync time.Time
 
 	// Replication-stream state: the durable tip (what may be shipped to a
 	// replica), per-segment cumulative record counts (lag is computed in
@@ -205,22 +189,24 @@ type Log struct {
 	segStart   map[uint64]int64 // logRecords value at each live segment's start
 	tipCh      chan struct{}
 
-	// Group-commit state (SyncGroup policy). Batches are numbered: every
-	// append under mu takes the next writeGen ticket; a group flush observes
-	// the writeGen at sync time and advances syncGen to it, releasing every
-	// waiter whose ticket it covers. One flusher runs at a time; appenders
-	// arriving mid-flush park and the first of them becomes the next
-	// flusher — the classic two-generation group commit.
+	// Group-commit state. Batches are numbered: every append under mu takes
+	// the next writeGen ticket; every fsync of the live segment (syncLocked)
+	// covers the tickets issued before it and advances syncGen to the last,
+	// releasing every waiter whose ticket it covers. One flusher runs at a
+	// time; appenders arriving mid-flush park and the first of them becomes
+	// the next flusher — the classic two-generation group commit.
+	writeGen uint64     // guarded by mu
 	gmu      sync.Mutex // guards the fields below (never held across a sync)
 	gcond    *sync.Cond
-	writeGen uint64
 	syncGen  uint64
 	syncing  bool
-	syncErr  error // sticky: a failed group flush poisons the log (fail-stop)
+	syncErr  error // sticky: a failed fsync stops the log (fail-stop)
 
-	// syncedSegBytes is the durable prefix of the current segment (guarded
-	// by mu); a failed group flush truncates back to it, since the batched
-	// frames of several writers cannot be selectively dropped.
+	// syncedSegBytes is the acknowledged prefix of the current segment
+	// (guarded by mu): what the last fsync covered, or under SyncNone simply
+	// what was written. It is the replication tip, and a failed fsync
+	// truncates back to it, since the batched frames of several writers
+	// cannot be selectively dropped.
 	syncedSegBytes int64
 	groupSyncs     int64 // group flushes performed (telemetry)
 }
@@ -290,7 +276,7 @@ func Open(dir string, opts Options, apply func(Record) error) (*Log, RecoverySta
 		return nil, stats, fmt.Errorf("%w: first live segment is %d, snapshot boundary is %d (segment missing or stale snapshot deleted)",
 			ErrCorrupt, segs[0], firstSeg)
 	}
-	l := &Log{dir: dir, opts: opts, lock: lock, lastSync: time.Now(),
+	l := &Log{dir: dir, opts: opts, lock: lock,
 		segStart: map[uint64]int64{}, tipCh: make(chan struct{})}
 	l.gcond = sync.NewCond(&l.gmu)
 	for i, seq := range segs {
@@ -423,13 +409,14 @@ func (l *Log) advanceTipLocked() {
 }
 
 // Append frames rec, writes it to the current segment (rotating first if the
-// segment is full), and syncs per the configured policy. An acknowledged
-// Append is durable to the extent the policy promises.
+// segment is full), and under SyncAlways waits for the group flush that
+// fsyncs it. An acknowledged Append is durable to the extent the policy
+// promises.
 func (l *Log) Append(rec Record) error { return l.AppendAll(rec) }
 
 // AppendAll appends records contiguously under one lock hold — no other
-// append interleaves between them — then syncs once per the policy. The
-// durability layer relies on the contiguity to keep a transaction's
+// append interleaves between them — then, like Append, waits for one sync.
+// The durability layer relies on the contiguity to keep a transaction's
 // Begin/insert/Commit run together, so neither a concurrent append nor a
 // crash can split a committed transaction from its commit record.
 func (l *Log) AppendAll(recs ...Record) error {
@@ -479,110 +466,111 @@ func (l *Log) AppendAll(recs ...Record) error {
 		written += int64(len(frame))
 		frames++
 	}
-	switch l.opts.Sync {
-	case SyncAlways:
-		if err := syncLogFile(l.f); err != nil {
-			// The caller will report this mutation as failed and veto it, so
-			// the record must not resurrect on replay.
-			return fail(err)
-		}
+	if l.opts.Sync == SyncNone {
+		// No durability promise: what was written is acknowledged, and is
+		// the shippable tip.
 		l.syncedSegBytes = l.segBytes
 		l.advanceTipLocked()
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.SyncInterval {
-			l.lastSync = time.Now()
-			if err := syncLogFile(l.f); err != nil {
-				return fail(err)
-			}
-			l.syncedSegBytes = l.segBytes
-			l.advanceTipLocked()
-		}
-	case SyncNone:
-		// No durability promise: the shippable tip is simply what was written.
-		l.advanceTipLocked()
-	case SyncGroup:
-		l.gmu.Lock()
-		l.writeGen++
-		ticket := l.writeGen
-		l.gmu.Unlock()
 		l.mu.Unlock()
-		return l.groupWait(ticket)
+		return nil
 	}
+	l.writeGen++
+	ticket := l.writeGen
 	l.mu.Unlock()
-	return nil
+	return l.groupWait(ticket)
 }
 
 // groupWait blocks until the append holding ticket is durably synced (nil)
-// or a group flush covering it failed. The first parked appender that finds
-// no flush in progress becomes the flusher for everything written so far;
-// appenders arriving mid-flush park for the next generation.
+// or the log stopped before any sync covered it. The first parked appender
+// that finds no flush in progress becomes the flusher for everything written
+// so far; appenders arriving mid-flush park for the next generation.
 func (l *Log) groupWait(ticket uint64) error {
 	l.gmu.Lock()
 	defer l.gmu.Unlock()
 	for l.syncGen < ticket && l.syncErr == nil {
-		if !l.syncing {
-			l.syncing = true
-			l.gmu.Unlock()
-			covered, err := l.groupFlush()
-			l.gmu.Lock()
-			l.syncing = false
-			if err != nil {
-				l.syncErr = err // sticky: the log is fail-stopped
-			} else if covered > l.syncGen {
-				l.syncGen = covered
-			}
-			l.gcond.Broadcast()
+		if l.syncing {
+			l.gcond.Wait()
 			continue
 		}
-		l.gcond.Wait()
+		l.syncing = true
+		l.gmu.Unlock()
+		l.groupFlush()
+		l.gmu.Lock()
+		l.syncing = false
+		l.gcond.Broadcast()
 	}
 	if l.syncGen >= ticket {
-		return nil // covered by a successful flush, even if a later one failed
+		return nil // covered by a successful sync, even if a later one failed
 	}
 	return l.syncErr
 }
 
-// groupFlush syncs the current segment, covering every append ticketed
-// before the sync, and returns the covered write generation. A failed sync
-// cannot selectively drop one writer's frames from the batch, so it rolls
-// the segment back to the durable prefix and closes the log (fail-stop):
-// every waiter in the batch errors and vetoes its mutation consistently.
-func (l *Log) groupFlush() (uint64, error) {
+// groupFlush syncs the live segment on behalf of every parked appender. A
+// rotation or Close may have synced (and released) them first; a log closed
+// without covering them can only have stopped on a failure.
+func (l *Log) groupFlush() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
-		return 0, errors.New("wal: log is closed")
+		l.stopLocked(errors.New("wal: log is closed"))
+		return
 	}
-	l.gmu.Lock()
-	covered := l.writeGen
-	l.gmu.Unlock()
+	if l.syncLocked() == nil {
+		l.groupSyncs++
+	}
+}
+
+// syncLocked fsyncs the live segment: the one fsync path of the log, taken
+// by group flushes, rotation and Close. Success makes everything written so
+// far durable, so it advances the durable prefix, the replication tip and
+// syncGen (releasing every covered appender) together. Failure stops the
+// log. Caller holds mu.
+func (l *Log) syncLocked() error {
 	if err := syncLogFile(l.f); err != nil {
+		l.stopLocked(err)
+		return err
+	}
+	l.syncedSegBytes = l.segBytes
+	l.advanceTipLocked()
+	l.gmu.Lock()
+	l.syncGen = l.writeGen
+	l.gcond.Broadcast()
+	l.gmu.Unlock()
+	return nil
+}
+
+// stopLocked fail-stops the log after a failed fsync, truncate or rotation:
+// after a failed fsync the kernel may have dropped the dirty pages, so a
+// retry proves nothing (Rebello et al., USENIX ATC 2020). The live segment
+// is cut back to its acknowledged prefix and closed; err goes to every
+// parked appender, and every later Append fails. Caller holds mu.
+func (l *Log) stopLocked(err error) {
+	if l.f != nil {
 		if terr := l.f.Truncate(l.syncedSegBytes); terr == nil {
 			l.bytes -= l.segBytes - l.syncedSegBytes
 			l.segBytes = l.syncedSegBytes
 		}
 		l.f.Close()
 		l.f = nil
-		return 0, err
 	}
-	l.syncedSegBytes = l.segBytes
-	l.lastSync = time.Now()
-	l.groupSyncs++
-	l.advanceTipLocked()
-	return covered, nil
+	l.gmu.Lock()
+	if l.syncErr == nil {
+		l.syncErr = err
+	}
+	l.gcond.Broadcast()
+	l.gmu.Unlock()
 }
 
 // discardLocked rolls the current segment back by n bytes / k records (plus
-// any trailing partial frame) after a failed write or sync. If the truncate
-// fails too, the log is closed (fail-stop): acknowledging further appends
-// on top of undefined bytes would risk silent corruption.
+// any trailing partial frame) after a failed write. If the truncate fails
+// too, the log stops: acknowledging further appends on top of undefined
+// bytes would risk silent corruption.
 func (l *Log) discardLocked(n, k int64) {
 	if l.f == nil {
 		return
 	}
 	if terr := l.f.Truncate(l.segBytes - n); terr != nil {
-		l.f.Close()
-		l.f = nil
+		l.stopLocked(terr)
 		return
 	}
 	l.segBytes -= n
@@ -591,36 +579,22 @@ func (l *Log) discardLocked(n, k int64) {
 	l.logRecords -= k
 }
 
-// rotateLocked seals the current segment and starts the next one. A sync
-// failure leaves the current segment in place (nothing moved); any failure
-// past that point leaves the log closed — fail-stop, never inconsistent.
+// rotateLocked seals the current segment and starts the next one. Any
+// failure leaves the log stopped — fail-stop, never inconsistent.
 func (l *Log) rotateLocked() error {
-	if err := syncLogFile(l.f); err != nil {
+	if err := l.syncLocked(); err != nil {
 		return err
 	}
 	seq := l.seg
 	err := l.f.Close()
 	l.f = nil
+	if err == nil {
+		err = l.createSegmentLocked(seq + 1)
+	}
 	if err != nil {
-		return err
+		l.stopLocked(err)
 	}
-	return l.createSegmentLocked(seq + 1)
-}
-
-// Sync forces buffered appends to stable storage regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	l.lastSync = time.Now()
-	if err := syncLogFile(l.f); err != nil {
-		return err
-	}
-	l.syncedSegBytes = l.segBytes
-	l.advanceTipLocked()
-	return nil
+	return err
 }
 
 // Checkpoint writes a snapshot and truncates the log: emit is called with a
@@ -700,9 +674,10 @@ type Stats struct {
 	// NewestSegment equals Segment (the open segment); named for symmetry in
 	// /stats output.
 	NewestSegment uint64
-	// GroupSyncs is the number of shared fsync batches flushed under the
-	// SyncGroup policy (0 for other policies). Records appended minus
-	// GroupSyncs approximates the fsyncs saved by batching.
+	// GroupSyncs is the number of group flushes: under SyncAlways, every
+	// append fsync but the rare one a rotation or Close does first (0 under
+	// SyncNone). Records appended minus GroupSyncs approximates the fsyncs
+	// saved by batching.
 	GroupSyncs int64
 }
 
@@ -721,11 +696,11 @@ func (l *Log) Close() error {
 	defer l.mu.Unlock()
 	var err error
 	if l.f != nil {
-		err = l.f.Sync()
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
+		// A failed sync has already stopped (and closed) the log.
+		if err = l.syncLocked(); err == nil {
+			err = l.f.Close()
+			l.f = nil
 		}
-		l.f = nil
 	}
 	if l.lock != nil {
 		if cerr := l.lock.Close(); err == nil {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"udfdecorr/internal/sqltypes"
 )
@@ -25,6 +24,12 @@ func collect(t *testing.T, dir string, opts Options) (*Log, []Record, RecoverySt
 	return l, recs, st
 }
 
+// committed returns the record run of one committed transaction inserting
+// rows into table.
+func committed(txid uint64, table string, rows ...[]sqltypes.Value) []Record {
+	return []Record{BeginRecord(txid), TxnInsertRecord(txid, table, rows), CommitRecord(txid)}
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, recs, _ := collect(t, dir, Options{Sync: SyncNone})
@@ -34,11 +39,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	want := []Record{
 		DDLRecord("create table kv (k int primary key, v varchar);"),
 		IndexRecord("kv", "v"),
-		InsertRecord("kv", [][]sqltypes.Value{
+		BeginRecord(1),
+		TxnInsertRecord(1, "kv", [][]sqltypes.Value{
 			{sqltypes.NewInt(1), sqltypes.NewString("a")},
 			{sqltypes.NewInt(-7), sqltypes.Null},
 			{sqltypes.NewFloat(2.5), sqltypes.NewBool(true)},
 		}),
+		CommitRecord(1),
 	}
 	for _, r := range want {
 		if err := l.Append(r); err != nil {
@@ -64,9 +71,9 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if tb, col, err := got[1].Index(); err != nil || tb != "kv" || col != "v" {
 		t.Fatalf("Index() = %q,%q,%v", tb, col, err)
 	}
-	tb, rows, err := got[2].Insert()
-	if err != nil || tb != "kv" || len(rows) != 3 {
-		t.Fatalf("Insert() = %q, %d rows, %v", tb, len(rows), err)
+	id, tb, rows, err := got[3].TxnInsert()
+	if err != nil || id != 1 || tb != "kv" || len(rows) != 3 {
+		t.Fatalf("TxnInsert() = %d, %q, %d rows, %v", id, tb, len(rows), err)
 	}
 	if rows[1][1].Kind() != sqltypes.KindNull || rows[2][0].Kind() != sqltypes.KindFloat {
 		t.Fatalf("value kinds not preserved: %+v", rows)
@@ -392,26 +399,25 @@ func TestIncompleteSnapshotFails(t *testing.T) {
 
 func TestSyncPolicies(t *testing.T) {
 	for _, tc := range []struct {
-		in       string
-		policy   SyncPolicy
-		interval time.Duration
-		wantErr  bool
+		in      string
+		policy  SyncPolicy
+		wantErr bool
 	}{
-		{"always", SyncAlways, 0, false},
-		{"", SyncAlways, 0, false},
-		{"none", SyncNone, 0, false},
-		{"off", SyncNone, 0, false},
-		{"250ms", SyncInterval, 250 * time.Millisecond, false},
-		{"2s", SyncInterval, 2 * time.Second, false},
-		{"sometimes", 0, 0, true},
-		{"-1s", 0, 0, true},
+		{"always", SyncAlways, false},
+		{"", SyncAlways, false},
+		{"none", SyncNone, false},
+		{"off", SyncNone, false},
+		{"never", SyncNone, false},
+		{"group", 0, true},
+		{"250ms", 0, true},
+		{"sometimes", 0, true},
 	} {
-		p, d, err := ParseSyncPolicy(tc.in)
+		p, err := ParseSyncPolicy(tc.in)
 		if tc.wantErr != (err != nil) {
 			t.Fatalf("ParseSyncPolicy(%q): err = %v", tc.in, err)
 		}
-		if err == nil && (p != tc.policy || d != tc.interval) {
-			t.Fatalf("ParseSyncPolicy(%q) = %v,%v", tc.in, p, d)
+		if err == nil && p != tc.policy {
+			t.Fatalf("ParseSyncPolicy(%q) = %v", tc.in, p)
 		}
 	}
 
@@ -419,7 +425,6 @@ func TestSyncPolicies(t *testing.T) {
 	for _, opts := range []Options{
 		{Sync: SyncAlways},
 		{Sync: SyncNone},
-		{Sync: SyncInterval, SyncInterval: time.Millisecond},
 	} {
 		dir := t.TempDir()
 		l, _, _ := collect(t, dir, opts)
@@ -428,10 +433,9 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.Sync(); err != nil {
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l.Close()
 		_, recs, _ := collect(t, dir, opts)
 		if len(recs) != 5 {
 			t.Fatalf("policy %v: replayed %d/5", opts.Sync, len(recs))
