@@ -8,6 +8,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/catalog"
@@ -310,16 +311,136 @@ func (p *Planner) estimate(rel algebra.Rel) float64 {
 	}
 }
 
-// selectivity estimates the fraction of rows passing a predicate.
+// selectivity estimates the fraction of rows passing a predicate. Range
+// conjuncts on one column estimate as one interval, not as independent
+// events: "k >= 50 and k <= 59" over keys 0..199 selects the 10 keys of
+// [50, 59], where the product of its two one-sided fractions selects 22%
+// of the table.
 func (p *Planner) selectivity(pred algebra.Expr, in algebra.Rel) float64 {
 	sel := 1.0
+	var ranges []*colRange
 	for _, c := range algebra.SplitConjuncts(pred) {
-		sel *= p.conjunctSelectivity(c, in)
+		b, ok := p.rangeBound(c, in)
+		if !ok {
+			sel *= p.conjunctSelectivity(c, in)
+			continue
+		}
+		i := 0
+		for i < len(ranges) && ranges[i].key != b.key {
+			i++
+		}
+		if i == len(ranges) {
+			ranges = append(ranges, &colRange{key: b.key, min: b.min, max: b.max, ints: b.ints,
+				lo: math.Inf(-1), hi: math.Inf(1)})
+		}
+		ranges[i].add(b)
+	}
+	for _, r := range ranges {
+		sel *= r.fraction()
 	}
 	if sel < 1e-9 {
 		sel = 1e-9
 	}
 	return sel
+}
+
+// rangeBound is one range conjunct "col OP literal" (either orientation)
+// over a column whose statistics hold a numeric min < max.
+type rangeBound struct {
+	key      string // the column reference, qualifier-dotted
+	op       sqltypes.CmpOp
+	v        float64
+	min, max float64
+	ints     bool // the column's min and max are INT
+}
+
+// rangeBound reports c as a range bound when the planner can interpolate it
+// against the column's min/max; anything else estimates through
+// conjunctSelectivity.
+func (p *Planner) rangeBound(c algebra.Expr, in algebra.Rel) (rangeBound, bool) {
+	cmp, ok := c.(*algebra.Cmp)
+	if !ok {
+		return rangeBound{}, false
+	}
+	op := cmp.Op
+	col, colOK := cmp.L.(*algebra.ColRef)
+	lit, litOK := cmp.R.(*algebra.Const)
+	if !colOK {
+		// Normalize to "col OP literal" by mirroring the comparison.
+		col, colOK = cmp.R.(*algebra.ColRef)
+		lit, litOK = cmp.L.(*algebra.Const)
+		op = op.Mirror()
+	}
+	switch op {
+	case sqltypes.CmpLT, sqltypes.CmpLE, sqltypes.CmpGT, sqltypes.CmpGE:
+	default:
+		return rangeBound{}, false
+	}
+	if !colOK || !litOK {
+		return rangeBound{}, false
+	}
+	stats, _ := p.columnStats(in, col)
+	if stats == nil {
+		return rangeBound{}, false
+	}
+	lo, lok := stats.Min.AsFloat()
+	hi, hok := stats.Max.AsFloat()
+	v, vok := lit.Val.AsFloat()
+	if !lok || !hok || !vok || hi <= lo {
+		return rangeBound{}, false
+	}
+	ints := stats.Min.Kind() == sqltypes.KindInt && stats.Max.Kind() == sqltypes.KindInt
+	return rangeBound{key: col.Qual + "." + col.Name, op: op, v: v, min: lo, max: hi, ints: ints}, true
+}
+
+// colRange gathers the range bounds of one column: the tightest lower and
+// upper bound, each with its strictness.
+type colRange struct {
+	key                string
+	min, max           float64
+	ints               bool
+	lo, hi             float64
+	loStrict, hiStrict bool
+}
+
+func (r *colRange) add(b rangeBound) {
+	strict := b.op == sqltypes.CmpLT || b.op == sqltypes.CmpGT
+	if b.op == sqltypes.CmpGT || b.op == sqltypes.CmpGE {
+		if b.v > r.lo || b.v == r.lo && strict {
+			r.lo, r.loStrict = b.v, strict
+		}
+		return
+	}
+	if b.v < r.hi || b.v == r.hi && strict {
+		r.hi, r.hiStrict = b.v, strict
+	}
+}
+
+// fraction interpolates the range against the column's min/max (this
+// mirrors histogram-based estimation and is what lets the planner see that
+// "custkey <= K" selects K/N of the table). A range closed on both sides of
+// an INT column counts its integers.
+func (r *colRange) fraction() float64 {
+	span := r.max - r.min
+	var frac float64
+	switch {
+	case math.IsInf(r.lo, -1):
+		frac = (r.hi - r.min) / span
+	case math.IsInf(r.hi, 1):
+		frac = 1 - (r.lo-r.min)/span
+	case r.ints:
+		lo, hi := math.Ceil(r.lo), math.Floor(r.hi)
+		if r.loStrict && lo == r.lo {
+			lo++
+		}
+		if r.hiStrict && hi == r.hi {
+			hi--
+		}
+		frac = (math.Min(hi, r.max) - math.Max(lo, r.min) + 1) / (span + 1)
+	default:
+		frac = (math.Min(r.hi, r.max) - math.Max(r.lo, r.min)) / span
+	}
+	return math.Max(0, math.Min(1, frac))
 }
 
 func (p *Planner) conjunctSelectivity(c algebra.Expr, in algebra.Rel) float64 {
@@ -329,18 +450,14 @@ func (p *Planner) conjunctSelectivity(c algebra.Expr, in algebra.Rel) float64 {
 	}
 	op := cmp.Op
 	col, colOK := cmp.L.(*algebra.ColRef)
-	other := cmp.R
 	if !colOK {
 		col, colOK = cmp.R.(*algebra.ColRef)
-		other = cmp.L
-		// Normalize to "col OP literal" by mirroring the comparison.
 		op = op.Mirror()
 	}
 	if !colOK {
 		return 0.33
 	}
-	stats, n := p.columnStats(in, col)
-	_ = n
+	stats, _ := p.columnStats(in, col)
 	switch op {
 	case sqltypes.CmpEQ:
 		if stats != nil && stats.DistinctCount > 0 {
@@ -350,30 +467,8 @@ func (p *Planner) conjunctSelectivity(c algebra.Expr, in algebra.Rel) float64 {
 	case sqltypes.CmpNE:
 		return 0.9
 	default:
-		// Range predicate: interpolate against min/max when the bound is a
-		// literal (this mirrors histogram-based estimation and is what lets
-		// the planner see that "custkey <= K" selects K/N of the table).
-		lit, isLit := other.(*algebra.Const)
-		if stats == nil || !isLit || stats.Min.IsNull() || stats.Max.IsNull() {
-			return 0.33
-		}
-		lo, lok := stats.Min.AsFloat()
-		hi, hok := stats.Max.AsFloat()
-		v, vok := lit.Val.AsFloat()
-		if !lok || !hok || !vok || hi <= lo {
-			return 0.33
-		}
-		frac := (v - lo) / (hi - lo)
-		if op == sqltypes.CmpGT || op == sqltypes.CmpGE {
-			frac = 1 - frac
-		}
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		return frac
+		// A range conjunct rangeBound could not interpolate.
+		return 0.33
 	}
 }
 

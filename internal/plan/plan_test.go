@@ -310,6 +310,22 @@ func TestRangeSelectivityEstimate(t *testing.T) {
 	if estRev < 500 || estRev > 2000 {
 		t.Errorf("reversed range estimate = %.0f, want ~1000", estRev)
 	}
+	// A range closed on both sides is one interval, not two independent
+	// halves: k >= 500 and k <= 509 holds 10 integer keys, where the
+	// product of its one-sided fractions estimates about 480 rows.
+	ge := func(l, r algebra.Expr) algebra.Expr { return &algebra.Cmp{Op: sqltypes.CmpGE, L: l, R: r} }
+	le := func(l, r algebra.Expr) algebra.Expr { return &algebra.Cmp{Op: sqltypes.CmpLE, L: l, R: r} }
+	k := &algebra.ColRef{Qual: "b", Name: "k"}
+	c500, c509 := &algebra.Const{Val: sqltypes.NewInt(500)}, &algebra.Const{Val: sqltypes.NewInt(509)}
+	for name, pred := range map[string]algebra.Expr{
+		"column-first":   &algebra.Logic{Op: algebra.LogicAnd, L: ge(k, c500), R: le(k, c509)},
+		"constant-first": &algebra.Logic{Op: algebra.LogicAnd, L: le(c500, k), R: ge(c509, k)},
+	} {
+		est := p.Estimate(&algebra.Select{Pred: pred, In: scanOf(cat, "big", "b")})
+		if est < 9 || est > 11 {
+			t.Errorf("%s closed range estimate = %.1f, want ~10", name, est)
+		}
+	}
 }
 
 func TestEqualityEstimateUsesDistinct(t *testing.T) {
