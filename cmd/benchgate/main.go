@@ -15,10 +15,12 @@
 //     iterative UDF invocation, vectorized vs row executor, plan-cache hit
 //     vs cold prepare) must preserve a minimum speedup. Ratios divide out
 //     the runner's speed, so they gate tightly.
-//   - Allocation ceiling: allocs/op is machine-independent, so ceilings
-//     gate absolutely with no tolerance factor. This is what keeps the
-//     zero-copy scan path honest: a change that silently reintroduces
-//     per-batch row pivoting fails the ceiling even on a fast runner.
+//   - Allocation ceilings: allocs/op and B/op are machine-independent, so
+//     ceilings gate them absolutely with no tolerance factor. This is what
+//     keeps the zero-copy scan path honest: a change that silently
+//     reintroduces per-batch row pivoting fails the ceiling even on a fast
+//     runner, and one that widens every value or buffer fails the bytes
+//     ceiling without adding a single allocation.
 //
 // Usage:
 //
@@ -52,6 +54,9 @@ type baselineFile struct {
 	// Allocation counts do not depend on runner speed, so these gate
 	// absolutely.
 	AllocCeilings map[string]float64 `json:"alloc_ceilings,omitempty"`
+	// BytesCeilings maps benchmark name to the maximum admissible B/op,
+	// with the same headroom as AllocCeilings.
+	BytesCeilings map[string]float64 `json:"bytes_ceilings,omitempty"`
 	// Ratios are runner-speed-independent invariants.
 	Ratios []ratioGate `json:"ratios"`
 }
@@ -169,7 +174,8 @@ func main() {
 		base := baselineFile{
 			NsPerOp:       nsOf,
 			AllocsPerOp:   allocsOf,
-			AllocCeilings: defaultAllocCeilings(allocsOf),
+			AllocCeilings: defaultCeilings(allocsOf),
+			BytesCeilings: defaultCeilings(bytesOf),
 			Ratios:        defaultRatios,
 		}
 		if err := writeJSON(*out, base); err != nil {
@@ -221,27 +227,8 @@ func main() {
 			name, got, want, factor, status)
 	}
 
-	var ceilNames []string
-	for name := range base.AllocCeilings {
-		ceilNames = append(ceilNames, name)
-	}
-	sort.Strings(ceilNames)
-	for _, name := range ceilNames {
-		ceiling := base.AllocCeilings[name]
-		got, ok := allocsOf[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("allocs %s: missing from this run (was -benchmem passed?)", name))
-			continue
-		}
-		status := "ok"
-		if got > ceiling {
-			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("allocs %s: %.0f allocs/op > ceiling %.0f",
-				name, got, ceiling))
-		}
-		fmt.Printf("benchgate: allocs %-43s %12.0f allocs/op  ceiling %8.0f %s\n",
-			name, got, ceiling, status)
-	}
+	failures = append(failures, gateCeilings("allocs", "allocs/op", base.AllocCeilings, allocsOf)...)
+	failures = append(failures, gateCeilings("bytes", "B/op", base.BytesCeilings, bytesOf)...)
 
 	for _, r := range base.Ratios {
 		slow, okS := nsOf[r.Slow]
@@ -271,8 +258,34 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d benchmarks, %d alloc ceilings and %d ratios within bounds; wrote %s\n",
-		len(base.NsPerOp), len(base.AllocCeilings), len(base.Ratios), *out)
+	fmt.Printf("benchgate: %d benchmarks, %d alloc ceilings, %d bytes ceilings and %d ratios within bounds; wrote %s\n",
+		len(base.NsPerOp), len(base.AllocCeilings), len(base.BytesCeilings), len(base.Ratios), *out)
+}
+
+// gateCeilings reports each ceilinged benchmark's measurement of one kind
+// (allocs/op or B/op) and returns a failure for each one above its ceiling
+// or missing from the run.
+func gateCeilings(kind, unit string, ceilings, got map[string]float64) (failures []string) {
+	var names []string
+	for name := range ceilings {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		ceiling := ceilings[name]
+		v, ok := got[name]
+		if !ok {
+			failures = append(failures, fmt.Sprintf("%s %s: missing from this run (was -benchmem passed?)", kind, name))
+			continue
+		}
+		status := "ok"
+		if v > ceiling {
+			status = "FAIL"
+			failures = append(failures, fmt.Sprintf("%s %s: %.0f %s > ceiling %.0f", kind, name, v, unit, ceiling))
+		}
+		fmt.Printf("benchgate: %-6s %-42s %12.0f %-9s ceiling %10.0f %s\n", kind, name, v, unit, ceiling, status)
+	}
+	return failures
 }
 
 // defaultRatios are the runner-independent invariants -init seeds: the
@@ -302,24 +315,26 @@ var defaultRatios = []ratioGate{
 		Slow: "BenchmarkHashJoin_Row", Fast: "BenchmarkHashJoin_Vectorized", Min: 0.7},
 }
 
-// defaultAllocCeilings seeds ceilings at 3× the measured allocs/op for the
+// defaultCeilings seeds ceilings at 3× the measured allocs/op or B/op for the
 // scan/filter pair, the read-after-write lookup, the row and vectorized hash
-// joins, the paper's iterative experiments 2 (a keyless row aggregation
-// inside every UDF call) and 3 (a cursor loop over embedded joins), and
-// experiment 3 rewritten over 5 outer keys (the outer's key range must reach
-// the inner aggregate, or it groups every category): loose enough for
+// joins, the serial grouped aggregation, the paper's iterative experiments
+// 2 (a keyless row aggregation inside every UDF call) and 3 (a cursor loop
+// over embedded joins), and experiment 3 rewritten over 200 and over 5
+// outer keys (the outer's key range must reach the inner aggregate, or it
+// groups every category): loose enough for
 // incidental churn, tight enough that reintroducing a per-row or per-batch
 // materialization, an index rebuilt per table version (thousands of
 // allocations), an allocation per hash-join build or probe row or per
 // aggregated row (millions, in Experiment 3's embedded joins), or a
 // whole-table aggregate behind a point statement, fails.
-func defaultAllocCeilings(allocs map[string]float64) map[string]float64 {
+func defaultCeilings(measured map[string]float64) map[string]float64 {
 	ceil := map[string]float64{}
 	for _, name := range []string{"BenchmarkScanFilterProject_Row", "BenchmarkScanFilterProject_Vectorized",
 		"BenchmarkIndexLookupAfterWrite", "BenchmarkHashJoin_Row", "BenchmarkHashJoin_Vectorized",
-		"BenchmarkExperiment2_Original/n=10000", "BenchmarkExperiment3_Original/n=200",
+		"BenchmarkParallelGroupBy_Serial", "BenchmarkExperiment2_Original/n=10000",
+		"BenchmarkExperiment3_Original/n=200", "BenchmarkExperiment3_Rewritten/n=200",
 		"BenchmarkExperiment3_Rewritten/n=5"} {
-		if a, ok := allocs[name]; ok {
+		if a, ok := measured[name]; ok {
 			ceil[name] = float64(int64(a*3) + 16)
 		}
 	}

@@ -285,8 +285,9 @@ var fuzzSeedRows = [][][3]byte{
 
 // fuzzSeeds are the filter and project expressions of batch_test.go, the
 // two kernel shapes of the scan-filter benchmark query, a guarded division,
-// float modulo by a fraction, and kernel compares against constants
-// float64 holds only approximately or not at all.
+// float modulo by a fraction, kernel compares against constants float64
+// holds only approximately or not at all, and conjunctions of kernel
+// compares.
 func fuzzSeeds() []algebra.Expr {
 	f := func(v float64) *algebra.Const { return &algebra.Const{Val: sqltypes.NewFloat(v)} }
 	arith := func(op sqltypes.ArithOp, l, r algebra.Expr) *algebra.Arith {
@@ -294,6 +295,7 @@ func fuzzSeeds() []algebra.Expr {
 	}
 	and := func(l, r algebra.Expr) *algebra.Logic { return &algebra.Logic{Op: algebra.LogicAnd, L: l, R: r} }
 	or := func(l, r algebra.Expr) *algebra.Logic { return &algebra.Logic{Op: algebra.LogicOr, L: l, R: r} }
+	kx := arith(sqltypes.OpAdd, arith(sqltypes.OpMul, col("a"), f(1.21)), f(500))
 	return []algebra.Expr{
 		cmp(sqltypes.CmpGT, col("b"), lit(5)),
 		and(cmp(sqltypes.CmpGT, col("b"), lit(5)), cmp(sqltypes.CmpLT, col("a"), lit(3))),
@@ -318,6 +320,19 @@ func fuzzSeeds() []algebra.Expr {
 		arith(sqltypes.OpMod, col("a"), f(0.5)),
 		cmp(sqltypes.CmpEQ, col("a"), f(9007199254740992.0)),
 		cmp(sqltypes.CmpGE, arith(sqltypes.OpMul, col("a"), f(1)), lit(1<<53+1)),
+		// One-pass conjunctions of kernel compares on one column: the
+		// scan-filter range in both orientations, a bare column against
+		// float constants, three conjuncts nested either way, an integer
+		// constant beside a float one; and two columns, which stay on the
+		// generic AND.
+		and(cmp(sqltypes.CmpGT, kx, f(60500)), cmp(sqltypes.CmpLT, kx, f(90750))),
+		and(cmp(sqltypes.CmpLT, f(60500), kx), cmp(sqltypes.CmpGT, f(90750), kx)),
+		and(cmp(sqltypes.CmpGE, col("a"), f(-0.5)), cmp(sqltypes.CmpLE, col("a"), f(9007199254740992.0))),
+		and(and(cmp(sqltypes.CmpGT, arith(sqltypes.OpMul, col("b"), f(2)), f(-1)), cmp(sqltypes.CmpNE, col("b"), f(0.5))),
+			cmp(sqltypes.CmpLT, arith(sqltypes.OpSub, f(3), col("b")), f(4))),
+		and(cmp(sqltypes.CmpGE, col("c"), f(-1)),
+			and(cmp(sqltypes.CmpLE, arith(sqltypes.OpDiv, col("c"), f(2)), f(0.5)), cmp(sqltypes.CmpEQ, arith(sqltypes.OpAdd, col("c"), f(0)), lit(1)))),
+		and(cmp(sqltypes.CmpGT, arith(sqltypes.OpMul, col("a"), f(1.5)), f(0)), cmp(sqltypes.CmpLT, arith(sqltypes.OpMul, col("b"), f(1.5)), f(2))),
 	}
 }
 

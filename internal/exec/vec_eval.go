@@ -96,10 +96,10 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 		}, nil
 
 	case *algebra.Arith:
-		// Single-column float chains fuse into a register kernel (see
-		// vec_kernel.go): one read and one write per element.
-		if idx, fn, ok := floatKernelExpr(x, schema); ok && fn != nil {
-			return compileArithKernel(x, idx, fn, schema, r)
+		// Single-column float chains fuse into a kernel (see
+		// vec_kernel.go): one gather, a loop per step, one write per element.
+		if idx, steps, ok := floatKernelExpr(x, schema); ok && len(steps) > 0 {
+			return compileArithKernel(x, idx, steps, schema, r)
 		}
 		return compileArith(x, schema, r)
 

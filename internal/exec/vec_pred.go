@@ -30,68 +30,29 @@ func triBuf(buf []sqltypes.Tri, n int) []sqltypes.Tri {
 // AND/OR, NOT and IS NULL: CompileVec widens their truth vectors to BOOLEAN
 // values, and CASE tests its WHEN conditions here. AND/OR evaluate their
 // right side only where the left does not decide, so short-circuit
-// semantics (e.g. guarded division) match the row engine. Any other
+// semantics (e.g. guarded division) match the row engine; an AND chain of
+// kernel compares on one column, which cannot fail, evaluates every
+// conjunct in one pass instead (compileKernelPred). Any other
 // expression evaluates through CompileVec and converts with TriOf, exactly
 // as the row engine's filter does.
 func CompilePred(e algebra.Expr, schema []algebra.Column, r CallResolver) (PredFactory, error) {
 	switch x := e.(type) {
 	case *algebra.Cmp:
 		// Kernelizable side vs. constant fuses arithmetic and compare into
-		// one register loop (see vec_kernel.go).
-		if pf, ok := compileCmpKernelPred(x, schema, r); ok {
+		// one vector loop per step (see vec_kernel.go).
+		if pf, ok := compileKernelPred(x, schema, r); ok {
 			return pf, nil
 		}
 		return compileCmpPred(x, schema, r)
 
 	case *algebra.Logic:
-		lF, err := CompilePred(x.L, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		rF, err := CompilePred(x.R, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		isAnd := x.Op == algebra.LogicAnd
-		// The left side decides AND where it is False and OR where it is True.
-		decided := sqltypes.True
-		if isAnd {
-			decided = sqltypes.False
-		}
-		return func() VecPredicate {
-			l, rhs := lF(), rF()
-			var need []int
-			var rt []sqltypes.Tri
-			return func(ctx *Ctx, b *Batch, out []sqltypes.Tri) error {
-				if err := l(ctx, b, out); err != nil {
-					return err
-				}
-				need = need[:0]
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					// Same short-circuit mask as the row engine: the right side
-					// runs only where the left does not decide.
-					if p := b.LiveAt(i); out[p] != decided {
-						need = append(need, p)
-					}
-				}
-				if len(need) == 0 {
-					return nil
-				}
-				rt = triBuf(rt, len(out))
-				if err := rhs(ctx, b.Narrow(need), rt); err != nil {
-					return err
-				}
-				for _, p := range need {
-					if isAnd {
-						out[p] = out[p].And(rt[p])
-					} else {
-						out[p] = out[p].Or(rt[p])
-					}
-				}
-				return nil
+		// An AND chain of kernel compares on one column gathers it once.
+		if x.Op == algebra.LogicAnd {
+			if pf, ok := compileKernelPred(x, schema, r); ok {
+				return pf, nil
 			}
-		}, nil
+		}
+		return compileLogicPred(x, schema, r)
 
 	case *algebra.Not:
 		innerF, err := CompilePred(x.E, schema, r)
@@ -160,6 +121,59 @@ func CompilePred(e algebra.Expr, schema []algebra.Column, r CallResolver) (PredF
 			}
 		}, nil
 	}
+}
+
+// compileLogicPred is the generic vectorized form of AND and OR: the right
+// side evaluates only where the left does not decide.
+func compileLogicPred(x *algebra.Logic, schema []algebra.Column, r CallResolver) (PredFactory, error) {
+	lF, err := CompilePred(x.L, schema, r)
+	if err != nil {
+		return nil, err
+	}
+	rF, err := CompilePred(x.R, schema, r)
+	if err != nil {
+		return nil, err
+	}
+	isAnd := x.Op == algebra.LogicAnd
+	// The left side decides AND where it is False and OR where it is True.
+	decided := sqltypes.True
+	if isAnd {
+		decided = sqltypes.False
+	}
+	return func() VecPredicate {
+		l, rhs := lF(), rF()
+		var need []int
+		var rt []sqltypes.Tri
+		return func(ctx *Ctx, b *Batch, out []sqltypes.Tri) error {
+			if err := l(ctx, b, out); err != nil {
+				return err
+			}
+			need = need[:0]
+			n := b.Len()
+			for i := 0; i < n; i++ {
+				// Same short-circuit mask as the row engine: the right side
+				// runs only where the left does not decide.
+				if p := b.LiveAt(i); out[p] != decided {
+					need = append(need, p)
+				}
+			}
+			if len(need) == 0 {
+				return nil
+			}
+			rt = triBuf(rt, len(out))
+			if err := rhs(ctx, b.Narrow(need), rt); err != nil {
+				return err
+			}
+			for _, p := range need {
+				if isAnd {
+					out[p] = out[p].And(rt[p])
+				} else {
+					out[p] = out[p].Or(rt[p])
+				}
+			}
+			return nil
+		}
+	}, nil
 }
 
 // compileCmpPred is the generic vectorized form of a comparison: both

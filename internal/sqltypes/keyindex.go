@@ -113,7 +113,7 @@ func intKeyOf(v *Value) (int64, bool) {
 	case KindInt:
 		return v.i, true
 	case KindFloat:
-		if f := v.f; f >= -(1<<63) && f < 1<<63 && f == float64(int64(f)) {
+		if f := v.fl(); f >= -(1<<63) && f < 1<<63 && f == float64(int64(f)) {
 			return int64(f), true
 		}
 	}

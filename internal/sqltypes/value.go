@@ -46,10 +46,17 @@ func (k Kind) String() string {
 }
 
 // Value is a single SQL scalar value. The zero Value is NULL.
+//
+// It is 32 bytes: one payload word holds an INT or BOOL payload or a
+// FLOAT's math.Float64bits, beside the string header. Go's compiler keeps
+// structs of at most 32 bytes in registers, so the executors pass and
+// return values without spilling them to the stack, and the collector
+// scans a fifth fewer bytes per cell than with a separate float field.
+// Values are never compared with ==, which would compare a float's bits:
+// they tell -0.0 from 0.0, which Compare calls equal.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	i    int64 // INT or BOOL payload, or a FLOAT's bits (read them with fl)
 	s    string
 }
 
@@ -60,7 +67,7 @@ var Null = Value{}
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a VARCHAR value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
@@ -79,17 +86,33 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// Int returns the integer payload; callers must check Kind first.
-func (v Value) Int() int64 { return v.i }
+// Int returns the integer payload; callers must check Kind first. A FLOAT
+// returns 0, as a BOOL returns its 0/1 and a string or NULL 0.
+func (v Value) Int() int64 {
+	if v.kind == KindFloat {
+		return 0
+	}
+	return v.i
+}
 
-// Float returns the float payload; callers must check Kind first.
-func (v Value) Float() float64 { return v.f }
+// Float returns the float payload; callers must check Kind first. Any
+// other kind returns 0.
+func (v Value) Float() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return v.fl()
+}
+
+// fl reads the payload word as a float; only a FLOAT's is one.
+func (v Value) fl() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload; callers must check Kind first.
 func (v Value) Str() string { return v.s }
 
-// Bool returns the boolean payload; callers must check Kind first.
-func (v Value) Bool() bool { return v.i != 0 }
+// Bool returns the boolean payload; callers must check Kind first. A FLOAT
+// returns false.
+func (v Value) Bool() bool { return v.kind != KindFloat && v.i != 0 }
 
 // AsFloat converts a numeric value to float64. NULL and non-numeric values
 // return 0 and ok=false.
@@ -98,7 +121,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case KindInt:
 		return float64(v.i), true
 	case KindFloat:
-		return v.f, true
+		return v.fl(), true
 	default:
 		return 0, false
 	}
@@ -110,7 +133,7 @@ func (v Value) AsInt() (int64, bool) {
 	case KindInt:
 		return v.i, true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.fl()), true
 	default:
 		return 0, false
 	}
@@ -127,7 +150,7 @@ func (v Value) Go() any {
 	case KindInt:
 		return v.i
 	case KindFloat:
-		return v.f
+		return v.fl()
 	case KindString:
 		return v.s
 	case KindBool:
@@ -146,7 +169,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.fl(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindBool:
@@ -264,14 +287,14 @@ func Compare(a, b Value) (int, bool) {
 				return 0, true
 			}
 		case a.kind == KindInt:
-			return CompareIntFloat(a.i, b.f), true
+			return CompareIntFloat(a.i, b.fl()), true
 		case b.kind == KindInt:
-			return -CompareIntFloat(b.i, a.f), true
+			return -CompareIntFloat(b.i, a.fl()), true
 		}
-		switch {
-		case a.f < b.f:
+		switch af, bf := a.fl(), b.fl(); {
+		case af < bf:
 			return -1, true
-		case a.f > b.f:
+		case af > bf:
 			return 1, true
 		default:
 			return 0, true
