@@ -45,6 +45,7 @@ type Rows struct {
 	bpos  int            // next live index in batch
 
 	cur      storage.Row
+	row      storage.Row // the batch path's reused current row
 	err      error
 	closed   bool
 	returned int64 // rows handed to the caller (Next/Materialize)
@@ -147,7 +148,19 @@ func (r *Rows) Next() bool {
 	}
 	for {
 		if r.batch != nil && r.bpos < r.batch.Len() {
-			r.cur = r.batch.Row(r.batch.LiveAt(r.bpos))
+			// One row is reused for the whole stream: Row's result is valid
+			// only until the next Next, so no row is allocated per result
+			// row. It is non-nil even at width 0, as Scan reads nil as no
+			// current row.
+			if r.row == nil || cap(r.row) < r.batch.Width() {
+				r.row = make(storage.Row, r.batch.Width())
+			}
+			r.row = r.row[:r.batch.Width()]
+			p := r.batch.LiveAt(r.bpos)
+			for i, col := range r.batch.Cols {
+				r.row[i] = col[p]
+			}
+			r.cur = r.row
 			r.bpos++
 			r.returned++
 			return true

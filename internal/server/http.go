@@ -281,32 +281,7 @@ func handleStatement(svc *Service, w http.ResponseWriter, r *http.Request, kind 
 	}
 	switch kind {
 	case kindQuery:
-		res, err := svc.QueryContext(traceContext(r), sess, req.Text())
-		if err != nil {
-			fail(svc, w, wire.CodeBadRequest, err)
-			return
-		}
-		w.Header().Set(wire.TraceHeader, res.TraceID)
-		rows := make([][]string, len(res.Rows))
-		for i, row := range res.Rows {
-			out := make([]string, len(row))
-			for j, v := range row {
-				out[j] = v.String()
-			}
-			rows[i] = out
-		}
-		ok(svc, w, wire.QueryResult{
-			Cols:       res.Cols,
-			Rows:       rows,
-			RowCount:   len(rows),
-			Rewritten:  res.Rewritten,
-			CacheHit:   res.CacheHit,
-			ElapsedUS:  res.Elapsed.Microseconds(),
-			UDFCalls:   res.Counters.UDFCalls,
-			PlanBuilds: res.Counters.PlanBuilds,
-			Morsels:    res.Counters.Morsels,
-			Workers:    res.Counters.Workers,
-		})
+		handleQuery(svc, w, r, sess, req)
 	case kindExec:
 		if err := svc.ExecContext(r.Context(), sess, req.Text()); err != nil {
 			fail(svc, w, wire.CodeBadRequest, err)
@@ -314,6 +289,40 @@ func handleStatement(svc *Service, w http.ResponseWriter, r *http.Request, kind 
 		}
 		ok(svc, w, wire.Ack{OK: true})
 	}
+}
+
+// handleQuery drains the statement's cursor straight into a /query reply.
+// The cursor is closed before the first byte reaches the socket: closing
+// releases the DDL gate and the admission slots and absorbs the counters,
+// so a slow client cannot hold the gate.
+func handleQuery(svc *Service, w http.ResponseWriter, r *http.Request, sess *Session, req *wire.Statement) {
+	st, err := svc.QueryStream(traceContext(r), sess, req.Text(), StreamOpts{})
+	if err != nil {
+		fail(svc, w, wire.CodeBadRequest, err)
+		return
+	}
+	defer st.Rows.Close() // on a panic; the drain closes it below
+	reply := wire.NewQueryReply(st.Rows.Columns())
+	for st.Rows.Next() {
+		reply.ValueRow(st.Rows.Row())
+	}
+	st.Rows.Close()
+	if err := st.Rows.Err(); err != nil {
+		reply.Discard()
+		fail(svc, w, wire.CodeBadRequest, err)
+		return
+	}
+	c := st.Rows.Counters()
+	w.Header().Set(wire.TraceHeader, st.TraceID)
+	reply.Write(w, string(svc.Role()), &wire.QueryResult{
+		Rewritten:  st.Rows.Rewritten(),
+		CacheHit:   st.CacheHit,
+		ElapsedUS:  time.Since(st.Started).Microseconds(),
+		UDFCalls:   c.UDFCalls,
+		PlanBuilds: c.PlanBuilds,
+		Morsels:    c.Morsels,
+		Workers:    c.Workers,
+	})
 }
 
 func handleStream(svc *Service, w http.ResponseWriter, r *http.Request) {
@@ -334,17 +343,8 @@ func handleStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 		Cols: st.Rows.Columns(), Rewritten: st.Rows.Rewritten(), CacheHit: st.CacheHit})
 	defer sw.Close()
 
-	var cells []string
 	for st.Rows.Next() {
-		row := st.Rows.Row()
-		if cap(cells) < len(row) {
-			cells = make([]string, len(row))
-		}
-		cells = cells[:len(row)]
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		if err := sw.Row(cells); err != nil {
+		if err := sw.ValueRow(st.Rows.Row()); err != nil {
 			// Client went away mid-stream; the request context cancels the
 			// query, st.Rows.Close (deferred) releases its slots.
 			return

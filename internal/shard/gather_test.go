@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"udfdecorr/internal/plan"
+	"udfdecorr/internal/sqltypes"
 	"udfdecorr/internal/wire"
 )
 
@@ -159,5 +161,41 @@ func TestGatherMergeRowWidth(t *testing.T) {
 	}
 	if _, err := gather(t, mergeSpec(0, "median"), [][]string{{"1"}}); err == nil {
 		t.Error("an aggregate with no merge function did not error")
+	}
+}
+
+// TestParseCellRoundTrip pins the merge's parse against the text a shard
+// writes (sqltypes.Value.AppendText): a cell parses back to the value it
+// was written from. The text carries no kind, so a float written without a
+// fraction or exponent (here -0) comes back as the equal INT.
+func TestParseCellRoundTrip(t *testing.T) {
+	f, i := sqltypes.NewFloat, sqltypes.NewInt
+	for _, tc := range []struct{ v, want sqltypes.Value }{
+		{sqltypes.Null, sqltypes.Null},
+		{i(math.MaxInt64), i(math.MaxInt64)},
+		{i(math.MaxInt64 - 1), i(math.MaxInt64 - 1)},
+		{i(math.MinInt64), i(math.MinInt64)},
+		{i(math.MinInt64 + 1), i(math.MinInt64 + 1)},
+		{i(0), i(0)},
+		{f(0.1), f(0.1)},
+		{f(-2.5e-7), f(-2.5e-7)},
+		{f(math.Inf(1)), f(math.Inf(1))},
+		{f(math.Inf(-1)), f(math.Inf(-1))},
+		{f(5e-324), f(5e-324)},
+		{f(math.MaxFloat64), f(math.MaxFloat64)},
+		{f(1 << 63), f(1 << 63)},
+		{f(math.Copysign(0, -1)), i(0)},
+		{sqltypes.NewString("it's"), sqltypes.NewString("it's")},
+		{sqltypes.NewBool(true), sqltypes.NewBool(true)},
+	} {
+		text := string(tc.v.AppendText(nil))
+		got, err := parseCell(text)
+		if err != nil {
+			t.Errorf("parseCell(%q): %v", text, err)
+			continue
+		}
+		if got.Kind() != tc.want.Kind() || got.String() != tc.want.String() || !sqltypes.Equal(got, tc.v) && !tc.v.IsNull() {
+			t.Errorf("parseCell(%q) = %s %s, want %s %s", text, got.Kind(), got, tc.want.Kind(), tc.want)
+		}
 	}
 }

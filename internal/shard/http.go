@@ -115,19 +115,20 @@ func handleStatement(r *Router, w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		defer rows.Close()
-		var out [][]string
+		reply := wire.NewQueryReply(rows.Cols())
 		for {
 			row, err := rows.Next()
 			if err != nil {
+				reply.Discard()
 				fail(w, err)
 				return
 			}
 			if row == nil {
 				break
 			}
-			out = append(out, row)
+			reply.Row(row)
 		}
-		ok(w, wire.QueryResult{Cols: rows.Cols(), Rows: out, RowCount: len(out)})
+		reply.Write(w, role, &wire.QueryResult{})
 		return
 	}
 	if err := r.Exec(req.Context(), sess, text); err != nil {

@@ -266,3 +266,33 @@ func TestRouterForwardsTraceID(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterEmptyRowsMatchNode: a /query with no rows says "rows":[] from
+// the router, as it does from a node, not null.
+func TestRouterEmptyRowsMatchNode(t *testing.T) {
+	c := startCluster(t, 2)
+	ts := httptest.NewServer(shard.NewHandler(c.router))
+	defer ts.Close()
+	ctx := context.Background()
+	router := wire.NewClient(ts.URL)
+	sess, err := router.NewSession(ctx, map[string]any{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := router.Exec(ctx, sess, "create table pts (k int primary key, v int) shard key (k); insert into pts values (1, 10);"); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "select k, v from pts where v > 100"
+	var fromRouter, fromNode struct {
+		Rows json.RawMessage `json:"rows"`
+	}
+	if err := router.Post(ctx, "/query", wire.Statement{Session: sess, SQL: sql}, &fromRouter); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.NewClient(c.servers[0].URL).Post(ctx, "/query", wire.Statement{SQL: sql}, &fromNode); err != nil {
+		t.Fatal(err)
+	}
+	if string(fromRouter.Rows) != "[]" || string(fromNode.Rows) != "[]" {
+		t.Fatalf(`empty result: router "rows":%s, node "rows":%s; want [] from both`, fromRouter.Rows, fromNode.Rows)
+	}
+}

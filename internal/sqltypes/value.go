@@ -161,24 +161,42 @@ func (v Value) Go() any {
 }
 
 // String renders the value in SQL literal syntax (NULL unquoted, strings
-// single-quoted).
+// single-quoted): the bytes AppendText appends.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the value's SQL literal text to b: NULL, TRUE and
+// FALSE bare, an INT in decimal, a FLOAT in its shortest round-tripping
+// form, a string single-quoted with each ' doubled.
+func (v Value) AppendText(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(b, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(b, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.fl(), 'g', -1, 64)
+		return strconv.AppendFloat(b, v.fl(), 'g', -1, 64)
 	case KindString:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+		b = append(b, '\'')
+		s := v.s
+		for {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				break
+			}
+			b = append(append(b, s[:i+1]...), '\'')
+			s = s[i+1:]
+		}
+		return append(append(b, s...), '\'')
 	case KindBool:
 		if v.i != 0 {
-			return "TRUE"
+			return append(b, "TRUE"...)
 		}
-		return "FALSE"
+		return append(b, "FALSE"...)
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 

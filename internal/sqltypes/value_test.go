@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -80,10 +81,22 @@ func TestValueString(t *testing.T) {
 		{NewString("a'b"), "'a''b'"},
 		{NewBool(true), "TRUE"},
 		{NewBool(false), "FALSE"},
+		{NewInt(math.MinInt64), "-9223372036854775808"},
+		{NewFloat(math.Copysign(0, -1)), "-0"},
+		{NewFloat(math.Inf(-1)), "-Inf"},
+		{NewFloat(math.NaN()), "NaN"},
+		{NewFloat(5e-324), "5e-324"},
+		{NewFloat(1e21), "1e+21"},
+		{NewString(""), "''"},
+		{NewString("''x'"), "'''''x'''"},
+		{NewString(strings.Repeat("long ", 10)), "'" + strings.Repeat("long ", 10) + "'"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%v) = %q, want %q", c.v.Kind(), got, c.want)
+		}
+		if got := string(c.v.AppendText([]byte("x="))); got != "x="+c.want {
+			t.Errorf("AppendText(%v) = %q, want %q", c.v.Kind(), got, "x="+c.want)
 		}
 	}
 	if got := NewString("x").Display(); got != "x" {

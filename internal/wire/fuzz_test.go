@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 	"unicode/utf8"
+
+	"udfdecorr/internal/sqltypes"
 )
 
 // Seeds are replies captured from server.NewHandler and shard.NewHandler.
@@ -156,6 +159,40 @@ func FuzzStreamLine(f *testing.F) {
 		}
 		if !reflect.DeepEqual(second, want) {
 			t.Fatalf("%q -> %+v -> %q -> %+v", line, want, wireBytes, second)
+		}
+	})
+}
+
+// FuzzAppendRow: the row encoder writes exactly what encoding/json writes
+// for the []string form of a row, from values of every kind (AppendValueRow)
+// and from text cells (AppendRow), after whatever the buffer already held.
+func FuzzAppendRow(f *testing.F) {
+	f.Add("it's", int64(-7), math.Float64bits(2.5), true)
+	f.Add("<a&b>\u2028\"\\", int64(math.MinInt64), math.Float64bits(math.Copysign(0, -1)), false)
+	f.Add("\x00\x1f bad \xff\xfe", int64(math.MaxInt64), math.Float64bits(math.NaN()), false)
+	f.Add("", int64(0), math.Float64bits(5e-324), true)
+	f.Add("plain", int64(10), math.Float64bits(math.Inf(-1)), true)
+	f.Fuzz(func(t *testing.T, s string, i int64, bits uint64, b bool) {
+		row := []sqltypes.Value{sqltypes.NewString(s), sqltypes.NewInt(i),
+			sqltypes.NewFloat(math.Float64frombits(bits)), sqltypes.NewBool(b), sqltypes.Null}
+		cells := make([]string, 0, len(row)+1)
+		for _, v := range row {
+			cells = append(cells, v.String())
+		}
+		want, err := json.Marshal(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte(`{"row":`)
+		if got := AppendValueRow(prefix, row); string(got) != string(prefix)+string(want) {
+			t.Fatalf("AppendValueRow(%q) = %q, encoding/json writes %q", cells, got, want)
+		}
+		cells = append(cells, s) // a relayed cell can hold any text
+		if want, err = json.Marshal(cells); err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendRow(prefix, cells); string(got) != string(prefix)+string(want) {
+			t.Fatalf("AppendRow(%q) = %q, encoding/json writes %q", cells, got, want)
 		}
 	})
 }

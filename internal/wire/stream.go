@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"udfdecorr/internal/sqltypes"
 )
 
 // The /stream response is NDJSON outside the envelope (Content-Type
@@ -83,8 +85,9 @@ func NewStreamWriter(w http.ResponseWriter, h StreamHeader) *StreamWriter {
 	return s
 }
 
-// Row buffers one row line. An error means the client went away: it is the
-// first write or flush error, and every later Row returns it too.
+// Row buffers one row line of text cells (a router relays its shards'
+// cells). An error means the client went away: it is the first write or
+// flush error, and every later Row or ValueRow returns it too.
 func (s *StreamWriter) Row(cells []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,7 +95,26 @@ func (s *StreamWriter) Row(cells []string) error {
 		return s.err
 	}
 	s.arm()
-	s.buf = appendRow(s.buf, cells)
+	s.buf = append(AppendRow(append(s.buf, `{"row":`...), cells), "}\n"...)
+	return s.rowWritten()
+}
+
+// ValueRow buffers one row line written straight from a node's values; its
+// error is Row's.
+func (s *StreamWriter) ValueRow(row []sqltypes.Value) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
+	s.arm()
+	s.buf = append(AppendValueRow(append(s.buf, `{"row":`...), row), "}\n"...)
+	return s.rowWritten()
+}
+
+// rowWritten counts the row line just buffered and flushes under the
+// policy. It runs with mu held.
+func (s *StreamWriter) rowWritten() error {
 	s.rows++
 	if s.rows == 1 || len(s.buf) >= flushBytes {
 		s.flush()
@@ -166,35 +188,6 @@ func (s *StreamWriter) flush() {
 func appendJSON(b []byte, v any) []byte {
 	j, _ := json.Marshal(v)
 	return append(append(b, j...), '\n')
-}
-
-// appendRow appends cells' row line: byte for byte what encoding/json writes
-// for streamRow{cells}, newline included.
-func appendRow(b []byte, cells []string) []byte {
-	b = append(b, `{"row":[`...)
-	for i, c := range cells {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendString(b, c)
-	}
-	return append(b, "]}\n"...)
-}
-
-// appendString appends s as a JSON string. A string with any byte
-// encoding/json would escape or validate (control bytes, non-ASCII, the
-// quote, the backslash and the HTML characters <, > and &) is left to
-// json.Marshal, so the output always matches it.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // StreamLine is one decoded /stream line: exactly one member is non-nil.

@@ -1,7 +1,8 @@
 // Package wire is the one place that knows the shape of udfdecorr's HTTP
 // API: the JSON envelope every response rides in, the typed error codes and
 // their HTTP statuses, the statement request body, the NDJSON /stream line
-// format (stream.go), and the client that speaks all of it (client.go).
+// format (stream.go), the one row encoder and the /query reply written with
+// it (rows.go), and the client that speaks all of it (client.go).
 //
 // Every JSON response is one envelope —
 // {"v":1, "result":..., "role":"leader", "trace_id":"..."} on success,

@@ -3,8 +3,13 @@ package wire
 import (
 	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"udfdecorr/internal/sqltypes"
 )
 
 // TestGoldenEnvelopes pins the exact wire bytes. These are a protocol
@@ -44,6 +49,91 @@ func TestGoldenEnvelopes(t *testing.T) {
 		}
 		if string(raw) != tc.want {
 			t.Errorf("%s: wire bytes changed\n got: %s\nwant: %s", tc.name, raw, tc.want)
+		}
+	}
+
+	// /query replies, written by QueryReply from values. Each is also what
+	// WriteOK writes for the QueryResult of the cells' String() text.
+	const tail = `"row_count":1,"rewritten":false,"cache_hit":false,"elapsed_us":0,"udf_calls":0,"plan_builds":0,"morsels":0,"workers":0},"role":"leader","trace_id":"tr-q"}`
+	f := sqltypes.NewFloat
+	s := sqltypes.NewString
+	queries := []struct {
+		name string
+		role string
+		cols []string
+		rows [][]sqltypes.Value
+		meta QueryResult
+		want string
+	}{
+		{
+			name: "empty_rows",
+			role: "leader",
+			cols: []string{"k", "v"},
+			meta: QueryResult{Rewritten: true, CacheHit: true, ElapsedUS: 97, UDFCalls: 3, PlanBuilds: 1, Morsels: 4, Workers: 2},
+			want: `{"v":1,"result":{"cols":["k","v"],"rows":[],"row_count":0,"rewritten":true,"cache_hit":true,"elapsed_us":97,"udf_calls":3,"plan_builds":1,"morsels":4,"workers":2},"role":"leader","trace_id":"tr-q"}`,
+		},
+		{
+			name: "null_and_bools",
+			role: "leader",
+			cols: []string{"n", "t", "f"},
+			rows: [][]sqltypes.Value{{sqltypes.Null, sqltypes.NewBool(true), sqltypes.NewBool(false)}},
+			want: `{"v":1,"result":{"cols":["n","t","f"],"rows":[["NULL","TRUE","FALSE"]],` + tail,
+		},
+		{
+			name: "ints",
+			role: "leader",
+			cols: []string{"a", "b", "c", "d"},
+			rows: [][]sqltypes.Value{{sqltypes.NewInt(0), sqltypes.NewInt(-7), sqltypes.NewInt(math.MaxInt64), sqltypes.NewInt(math.MinInt64)}},
+			want: `{"v":1,"result":{"cols":["a","b","c","d"],"rows":[["0","-7","9223372036854775807","-9223372036854775808"]],` + tail,
+		},
+		{
+			name: "floats",
+			role: "leader",
+			cols: []string{"a", "b", "c", "d", "e", "g"},
+			rows: [][]sqltypes.Value{{f(2.5), f(math.Copysign(0, -1)), f(math.NaN()), f(math.Inf(1)), f(math.Inf(-1)), f(5e-324)}},
+			want: `{"v":1,"result":{"cols":["a","b","c","d","e","g"],"rows":[["2.5","-0","NaN","+Inf","-Inf","5e-324"]],` + tail,
+		},
+		{
+			name: "strings",
+			role: "leader",
+			cols: []string{"q", "dq", "bs", "html", "ctl", "utf8", "ls"},
+			rows: [][]sqltypes.Value{{s("it's"), s(`say "hi"`), s(`a\b`), s("<a&b>"), s("\x00\x1f\t\n"), s("bad \xff"), s("line\u2028sep")}},
+			want: `{"v":1,"result":{"cols":["q","dq","bs","html","ctl","utf8","ls"],"rows":[["'it''s'","'say \"hi\"'","'a\\b'","'\u003ca\u0026b\u003e'","'\u0000\u001f\t\n'","'bad \ufffd'","'line\u2028sep'"]],` + tail,
+		},
+		{
+			name: "two_rows_escaped_cols_no_role",
+			cols: []string{"a<b", ""},
+			rows: [][]sqltypes.Value{{s(""), sqltypes.NewInt(1)}, {s("x"), sqltypes.Null}},
+			want: `{"v":1,"result":{"cols":["a\u003cb",""],"rows":[["''","1"],["'x'","NULL"]],"row_count":2,"rewritten":false,"cache_hit":false,"elapsed_us":0,"udf_calls":0,"plan_builds":0,"morsels":0,"workers":0},"trace_id":"tr-q"}`,
+		},
+	}
+	for _, tc := range queries {
+		rec := httptest.NewRecorder()
+		rec.Header().Set(TraceHeader, "tr-q")
+		q := NewQueryReply(tc.cols)
+		for _, row := range tc.rows {
+			q.ValueRow(row)
+		}
+		q.Write(rec, tc.role, &tc.meta)
+		if got := rec.Body.String(); got != tc.want+"\n" {
+			t.Errorf("%s: /query reply bytes changed\n got: %s\nwant: %s", tc.name, got, tc.want)
+		}
+
+		old := httptest.NewRecorder()
+		old.Header().Set(TraceHeader, "tr-q")
+		res := tc.meta
+		res.Cols, res.Rows, res.RowCount = tc.cols, make([][]string, 0), len(tc.rows)
+		for _, row := range tc.rows {
+			cells := make([]string, len(row))
+			for i, v := range row {
+				cells[i] = v.String()
+			}
+			res.Rows = append(res.Rows, cells)
+		}
+		WriteOK(old, tc.role, http.StatusOK, res)
+		if rec.Body.String() != old.Body.String() || rec.Header().Get("Content-Type") != old.Header().Get("Content-Type") {
+			t.Errorf("%s: QueryReply wrote %s (%q), WriteOK writes %s (%q)", tc.name,
+				rec.Body, rec.Header().Get("Content-Type"), old.Body, old.Header().Get("Content-Type"))
 		}
 	}
 }
