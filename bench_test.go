@@ -230,6 +230,23 @@ func BenchmarkExperiment2Rewritten_VectorizedExecutor(b *testing.B) {
 	runQuery(b, e, "select custkey, service_level(custkey) from customer where custkey <= 10000")
 }
 
+// The decorrelated paper predicates on the vectorized executor, as the
+// paper_rewritten workload issues them: Fig. 10's discount and Fig. 11's
+// service_level (a CASE after the rewrite) in a filter, over every order or
+// customer. Their allocation ceilings bound the batch expression forms the
+// rewritten plans run (value vectors, truth vectors and the row bridge).
+func BenchmarkPaperPredicates_Vectorized(b *testing.B) {
+	profile := engine.SYS1
+	profile.Vectorized = true
+	e := getEngine(b, profile, engine.ModeRewrite)
+	for _, c := range []struct{ name, q string }{
+		{"exp1", "select orderkey from orders where discount(totalprice, custkey) > 33000"},
+		{"exp2", "select custkey from customer where service_level(custkey) = 'Gold' and custkey > -3"},
+	} {
+		b.Run(c.name, func(b *testing.B) { runQuery(b, e, c.q) })
+	}
+}
+
 // Cost-based mode (the integration the paper argues for): small inputs run
 // iteratively, large ones through the rewrite.
 func BenchmarkCostBasedSmall(b *testing.B) {

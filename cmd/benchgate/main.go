@@ -321,7 +321,8 @@ var defaultRatios = []ratioGate{
 // 2 (a keyless row aggregation inside every UDF call) and 3 (a cursor loop
 // over embedded joins), and experiment 3 rewritten over 200 and over 5
 // outer keys (the outer's key range must reach the inner aggregate, or it
-// groups every category), and the /query and /stream reply paths through
+// groups every category), the rewritten experiment 1 and 2 predicates on the
+// vectorized executor, and the /query and /stream reply paths through
 // the node's handler: loose enough for
 // incidental churn, tight enough that reintroducing a per-row or per-batch
 // materialization, an index rebuilt per table version (thousands of
@@ -334,7 +335,8 @@ func defaultCeilings(measured map[string]float64) map[string]float64 {
 		"BenchmarkIndexLookupAfterWrite", "BenchmarkHashJoin_Row", "BenchmarkHashJoin_Vectorized",
 		"BenchmarkParallelGroupBy_Serial", "BenchmarkExperiment2_Original/n=10000",
 		"BenchmarkExperiment3_Original/n=200", "BenchmarkExperiment3_Rewritten/n=200",
-		"BenchmarkExperiment3_Rewritten/n=5", "BenchmarkQueryReply", "BenchmarkStreamReply"} {
+		"BenchmarkExperiment3_Rewritten/n=5", "BenchmarkPaperPredicates_Vectorized/exp1",
+		"BenchmarkPaperPredicates_Vectorized/exp2", "BenchmarkQueryReply", "BenchmarkStreamReply"} {
 		if a, ok := measured[name]; ok {
 			ceil[name] = float64(int64(a*3) + 16)
 		}

@@ -373,9 +373,11 @@ insert into f values (9007199254740992.0), (0.5), (1.5);`); err != nil {
 	}
 }
 
-// TestFloatModuloByFractionFailsSmall: float modulo truncates its divisor to
-// int64, and a divisor in (-1, 1) once divided by integer zero and panicked.
-// It is a statement error now, and the engine answers the next statement.
+// TestFloatModuloByFractionFailsSmall: float modulo truncates its operands
+// to int64, and a divisor in (-1, 1) once divided by integer zero and
+// panicked, while an operand int64 cannot hold wrapped (1e19 % 3.0 read
+// -2). Both are statement errors now, and the engine answers the next
+// statement.
 func TestFloatModuloByFractionFailsSmall(t *testing.T) {
 	for _, vectorized := range []bool{false, true} {
 		t.Run(fmt.Sprintf("vectorized=%v", vectorized), func(t *testing.T) {
@@ -384,11 +386,23 @@ func TestFloatModuloByFractionFailsSmall(t *testing.T) {
 			e := New(profile, ModeIterative)
 			if err := e.ExecScript(`
 create table t (a int);
-insert into t values (7), (8);`); err != nil {
+insert into t values (7), (8);
+create table f (x float, y float);
+insert into f values (1e19, 3.0), (-9.3e18, 1e300);`); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := e.Query("select a % 0.5 from t"); err == nil || !strings.Contains(err.Error(), "modulo by zero") {
 				t.Fatalf("a %% 0.5: err = %v, want modulo by zero", err)
+			}
+			for _, q := range []string{
+				"select 1e19 % 3.0",
+				"select x % y from f",
+				"select y % x from f where x > 0",
+				"select x from f where x % 2.0 = 1",
+			} {
+				if _, err := e.Query(q); err == nil || !strings.Contains(err.Error(), "modulo operand out of integer range") {
+					t.Errorf("%s: err = %v, want an out-of-range error", q, err)
+				}
 			}
 			res, err := e.Query("select a % 2.5 from t order by a")
 			if err != nil {
@@ -398,5 +412,75 @@ insert into t values (7), (8);`); err != nil {
 				t.Fatalf("a %% 2.5 = %s, want [[1] [0]]", got)
 			}
 		})
+	}
+}
+
+// TestExecutorsReportFirstFailingRowError: the vectorized executor once
+// evaluated a CASE arm or the left side of AND/OR over the whole batch
+// before the rest of the expression, so it reported a later row's error
+// (division by zero at k = 1) where the row executor reported the first
+// row's ('a' + 1 at k = -1). Both report the first failing row's error.
+func TestExecutorsReportFirstFailingRowError(t *testing.T) {
+	run := func(vectorized bool, q string) error {
+		profile := SYS1
+		profile.Vectorized = vectorized
+		e := New(profile, ModeIterative)
+		if err := e.ExecScript(`
+create table t (k int, s varchar);
+insert into t values (-1, 'a'), (1, 'b');`); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.Query(q)
+		return err
+	}
+	for _, q := range []string{
+		"select case when k > 0 then 1 / (k - k) else s + 1 end from t",
+		"select k from t where not (k > 0 and 1 / (k - k) > 0) and s + 1 > 0",
+		"select k from t where (k < 0 and s + 1 > 0) or (k > 0 and 1 / (k - k) > 0)",
+	} {
+		rowErr, vecErr := run(false, q), run(true, q)
+		if rowErr == nil || vecErr == nil {
+			t.Fatalf("%s: row err = %v, vectorized err = %v, want both to fail", q, rowErr, vecErr)
+		}
+		if rowErr.Error() != vecErr.Error() {
+			t.Errorf("%s: row err = %q, vectorized err = %q", q, rowErr, vecErr)
+		}
+		if !strings.Contains(rowErr.Error(), "arithmetic on non-numeric values 'a' + 1") {
+			t.Errorf("%s: err = %q, want the first row's error", q, rowErr)
+		}
+	}
+}
+
+// TestVectorizedProjectionCorrelatedSubquery: a batch projection runs a
+// scalar subquery through the row compiler over the whole row, so its
+// correlation reads the outer column even when the projection names no
+// other column before it.
+func TestVectorizedProjectionCorrelatedSubquery(t *testing.T) {
+	want := ""
+	for _, vectorized := range []bool{false, true} {
+		profile := SYS1
+		profile.Vectorized = vectorized
+		e := New(profile, ModeIterative)
+		if err := e.ExecScript(`
+create table t (a int, b varchar, k int);
+insert into t values (10, 'x', 1), (20, 'y', 2), (30, 'z', 3);
+create table u (k int, w int);
+insert into u values (1, 5), (2, 6), (2, 7), (9, 8);`); err != nil {
+			t.Fatal(err)
+		}
+		const q = "select a, (select count(*) from u where u.k = t.k) + a from t order by a"
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("vectorized=%v: %v", vectorized, err)
+		}
+		got := fmt.Sprint(res.Rows)
+		if got != "[[10 11] [20 22] [30 30]]" {
+			t.Errorf("vectorized=%v: %s = %s, want [[10 11] [20 22] [30 30]]", vectorized, q, got)
+		}
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("executors differ: %s vs %s", want, got)
+		}
 	}
 }

@@ -108,8 +108,8 @@ func (b *Batch) AppendTo(dst []storage.Row) []storage.Row {
 }
 
 // Narrow returns a view of the batch restricted to the given physical
-// positions (used to mask short-circuit evaluation). The column vectors are
-// shared, not copied.
+// positions (a filter's survivors, or the positions a kernel leaves to its
+// generic form). The column vectors are shared, not copied.
 func (b *Batch) Narrow(sel []int) *Batch {
 	return &Batch{Cols: b.Cols, Sel: sel, n: b.n}
 }

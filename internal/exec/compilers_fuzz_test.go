@@ -333,6 +333,20 @@ func fuzzSeeds() []algebra.Expr {
 		and(cmp(sqltypes.CmpGE, col("c"), f(-1)),
 			and(cmp(sqltypes.CmpLE, arith(sqltypes.OpDiv, col("c"), f(2)), f(0.5)), cmp(sqltypes.CmpEQ, arith(sqltypes.OpAdd, col("c"), f(0)), lit(1)))),
 		and(cmp(sqltypes.CmpGT, arith(sqltypes.OpMul, col("a"), f(1.5)), f(0)), cmp(sqltypes.CmpLT, arith(sqltypes.OpMul, col("b"), f(1.5)), f(2))),
+		// Shapes the batch compilers run through the row compiler: a CASE
+		// whose THEN fails only at position 6 ('7' + -0.5), which the seed
+		// mask leaves out; builtin calls; NOT over an AND mixing a kernel
+		// compare with a generic one; IS NULL over CASE.
+		&algebra.Case{
+			Whens: []algebra.CaseWhen{{Cond: cmp(sqltypes.CmpLT, col("c"), f(0)), Then: arith(sqltypes.OpAdd, col("a"), col("c"))}},
+			Else:  lit(0),
+		},
+		&algebra.Call{Name: "ifnull", Args: []algebra.Expr{
+			&algebra.Call{Name: "abs", Args: []algebra.Expr{col("a")}},
+			&algebra.Call{Name: "length", Args: []algebra.Expr{col("c")}},
+		}},
+		&algebra.Not{E: and(cmp(sqltypes.CmpGT, arith(sqltypes.OpMul, col("a"), f(1.5)), f(0)), cmp(sqltypes.CmpGT, col("b"), col("c")))},
+		&algebra.IsNull{E: &algebra.Case{Whens: []algebra.CaseWhen{{Cond: cmp(sqltypes.CmpGT, col("b"), lit(0)), Then: col("a")}}}},
 	}
 }
 

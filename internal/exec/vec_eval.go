@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"strings"
 	"sync"
 
 	"udfdecorr/internal/algebra"
@@ -51,29 +50,28 @@ func vecBuf(buf []sqltypes.Value, n int) []sqltypes.Value {
 }
 
 // CompileVec translates an algebra expression into a factory of batched
-// evaluators against the given input schema. Arithmetic, CASE and builtin
-// calls evaluate column-at-a-time; comparisons, logic and IS NULL compile
-// through CompilePred and widen its truth vector. AND/OR/CASE mask the
-// positions they evaluate so short-circuit semantics (e.g. guarded division)
-// match the row engine exactly. Expressions the vectorized path cannot
-// handle natively (UDF calls, subqueries) fall back to per-row evaluation of
-// the compiled row expression over the batch.
+// evaluators against the given input schema. Only the forms that pay as
+// vector loops are native: column references, constants, parameters, the
+// fused float kernels (vec_kernel.go) and generic arithmetic; a comparison,
+// and an AND chain of kernel compares on one column, widen CompilePred's
+// truth vector. Every other expression (CASE, builtin and UDF calls, NOT,
+// IS NULL, other AND/OR, subqueries, EXISTS) compiles once with the row
+// Compile and runs over each live row (rowVec), so its evaluation order,
+// short circuits and first error are the row engine's.
 func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFactory, error) {
 	switch x := e.(type) {
 	case *algebra.ColRef:
-		for i, c := range schema {
-			if c.Matches(x.Qual, x.Name) {
-				idx := i
-				col := c
-				return stateless(func(_ *Ctx, b *Batch) ([]sqltypes.Value, error) {
-					if idx >= b.Width() {
-						return nil, Errorf("batch too narrow for column %s", col)
-					}
-					return b.Cols[idx], nil
-				}), nil
-			}
+		idx := algebra.RefIndex(schema, x.Qual, x.Name)
+		if idx < 0 {
+			return nil, Errorf("unresolved column %s", x)
 		}
-		return nil, Errorf("unresolved column %s", x)
+		col := schema[idx]
+		return stateless(func(_ *Ctx, b *Batch) ([]sqltypes.Value, error) {
+			if idx >= b.Width() {
+				return nil, Errorf("batch too narrow for column %s", col)
+			}
+			return b.Cols[idx], nil
+		}), nil
 
 	case *algebra.Const:
 		return stateless((&constVec{v: x.Val}).eval), nil
@@ -103,161 +101,35 @@ func CompileVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFac
 		}
 		return compileArith(x, schema, r)
 
-	case *algebra.Cmp, *algebra.Logic, *algebra.Not, *algebra.IsNull:
-		// A boolean's batch form is its truth vector; the value vector is
-		// only its widening.
-		pF, err := CompilePred(e, schema, r)
+	case *algebra.Cmp, *algebra.Logic:
+		pF, err := nativePred(e, schema, r)
 		if err != nil {
 			return nil, err
 		}
-		return func() VecEvaluator {
-			pred := pF()
-			var tri []sqltypes.Tri
-			var buf []sqltypes.Value
-			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-				tri = triBuf(tri, b.Physical())
-				if err := pred(ctx, b, tri); err != nil {
-					return nil, err
-				}
-				buf = vecBuf(buf, b.Physical())
-				for p, t := range tri { // dead positions widen stale bytes, unread
-					buf[p] = sqltypes.TriValue(t)
-				}
-				return buf, nil
-			}
-		}, nil
-
-	case *algebra.Case:
-		type armF struct {
-			cond PredFactory
-			then VecFactory
+		if pF != nil {
+			return widen(pF), nil
 		}
-		armFs := make([]armF, len(x.Whens))
-		for i, w := range x.Whens {
-			c, err := CompilePred(w.Cond, schema, r)
-			if err != nil {
+	}
+	return rowVec(e, schema, r)
+}
+
+// widen evaluates a predicate's truth vector as BOOLEAN values.
+func widen(pF PredFactory) VecFactory {
+	return func() VecEvaluator {
+		pred := pF()
+		var tri []sqltypes.Tri
+		var buf []sqltypes.Value
+		return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
+			tri = triBuf(tri, b.Physical())
+			if err := pred(ctx, b, tri); err != nil {
 				return nil, err
 			}
-			t, err := CompileVec(w.Then, schema, r)
-			if err != nil {
-				return nil, err
+			buf = vecBuf(buf, b.Physical())
+			for p, t := range tri { // dead positions widen stale bytes, unread
+				buf[p] = sqltypes.TriValue(t)
 			}
-			armFs[i] = armF{c, t}
+			return buf, nil
 		}
-		elseE := x.Else
-		if elseE == nil {
-			elseE = &algebra.Const{Val: sqltypes.Null}
-		}
-		elseF, err := CompileVec(elseE, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		return func() VecEvaluator {
-			type arm struct {
-				cond VecPredicate
-				then VecEvaluator
-			}
-			arms := make([]arm, len(armFs))
-			for i, f := range armFs {
-				arms[i] = arm{f.cond(), f.then()}
-			}
-			elseEv := elseF()
-			var buf []sqltypes.Value
-			var tri []sqltypes.Tri
-			return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-				buf = vecBuf(buf, b.Physical())
-				tri = triBuf(tri, b.Physical())
-				// settle evaluates a branch on the positions that take it, and
-				// only there, as the row path does.
-				settle := func(ev VecEvaluator, sel []int) error {
-					if len(sel) == 0 {
-						return nil
-					}
-					v, err := ev(ctx, b.Narrow(sel))
-					if err != nil {
-						return err
-					}
-					for _, p := range sel {
-						buf[p] = v[p]
-					}
-					return nil
-				}
-				// Rows still undecided: start with all live positions, and peel
-				// off the ones each WHEN arm settles.
-				undecided := make([]int, 0, b.Len())
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					undecided = append(undecided, b.LiveAt(i))
-				}
-				for _, a := range arms {
-					if len(undecided) == 0 {
-						break
-					}
-					if err := a.cond(ctx, b.Narrow(undecided), tri); err != nil {
-						return nil, err
-					}
-					var taken, rest []int
-					for _, p := range undecided {
-						if tri[p] == sqltypes.True {
-							taken = append(taken, p)
-						} else {
-							rest = append(rest, p)
-						}
-					}
-					if err := settle(a.then, taken); err != nil {
-						return nil, err
-					}
-					undecided = rest
-				}
-				if err := settle(elseEv, undecided); err != nil {
-					return nil, err
-				}
-				return buf, nil
-			}
-		}, nil
-
-	case *algebra.Call:
-		if fn, ok := builtinScalar(strings.ToLower(x.Name), len(x.Args)); ok {
-			argFs, err := CompileVecAll(x.Args, schema, r)
-			if err != nil {
-				return nil, err
-			}
-			return func() VecEvaluator {
-				args := Instantiate(argFs)
-				var buf []sqltypes.Value
-				argVecs := make([][]sqltypes.Value, len(args))
-				rowArgs := make([]sqltypes.Value, len(args))
-				return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-					for i, a := range args {
-						v, err := a(ctx, b)
-						if err != nil {
-							return nil, err
-						}
-						argVecs[i] = v
-					}
-					buf = vecBuf(buf, b.Physical())
-					n := b.Len()
-					for i := 0; i < n; i++ {
-						p := b.LiveAt(i)
-						for j := range argVecs {
-							rowArgs[j] = argVecs[j][p]
-						}
-						v, err := fn(rowArgs)
-						if err != nil {
-							return nil, err
-						}
-						buf[p] = v
-					}
-					return buf, nil
-				}
-			}, nil
-		}
-		// Non-builtin calls (UDFs) run through the row evaluator.
-		return rowFallbackVec(e, schema, r)
-
-	default:
-		// Subqueries, EXISTS and anything newly added evaluate row-at-a-time.
-		return rowFallbackVec(e, schema, r)
 	}
 }
 
@@ -376,31 +248,75 @@ func (c *constVec) fill(n int) []sqltypes.Value {
 	return buf
 }
 
-// rowFallbackVec wraps the row Evaluator for expressions with no native
-// vectorized form: the batch's live rows are materialized one at a time.
-// (Row evaluators are themselves stateless, so one compiled instance serves
-// all executions; only the materialization buffers are per-instance.)
-func rowFallbackVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFactory, error) {
-	ev, err := Compile(e, schema, r)
+// compileRow compiles e with the row Compile against only the columns it
+// reads. The narrowed schema keeps schema order, so each reference resolves
+// to the column algebra.RefIndex picks in the full schema. An expression
+// holding a subquery or EXISTS reads the whole row: its correlation may
+// name any column.
+func compileRow(e algebra.Expr, schema []algebra.Column, r CallResolver) (Evaluator, []int, error) {
+	read := make([]bool, len(schema))
+	whole := false
+	algebra.VisitExpr(e, func(x algebra.Expr) {
+		if c, ok := x.(*algebra.ColRef); ok {
+			if i := algebra.RefIndex(schema, c.Qual, c.Name); i >= 0 {
+				read[i] = true
+			}
+		}
+	}, func(algebra.Rel) { whole = true })
+	var cols []int
+	var sub []algebra.Column
+	for i, ok := range read {
+		if ok || whole {
+			cols = append(cols, i)
+			sub = append(sub, schema[i])
+		}
+	}
+	ev, err := Compile(e, sub, r)
+	return ev, cols, err
+}
+
+// rowGather feeds a row-compiled expression the columns it reads, one live
+// row at a time: cols are their ordinals in the batch, in schema order.
+type rowGather struct {
+	cols []int
+	row  storage.Row
+}
+
+// fits checks that b holds every gathered column.
+func (g *rowGather) fits(b *Batch) error {
+	if n := len(g.cols); n > 0 && g.cols[n-1] >= b.Width() {
+		return Errorf("batch too narrow for column %d", g.cols[n-1])
+	}
+	return nil
+}
+
+// at gathers position p's row.
+func (g *rowGather) at(b *Batch, p int) storage.Row {
+	for j, c := range g.cols {
+		g.row[j] = b.Cols[c][p]
+	}
+	return g.row
+}
+
+// rowVec evaluates e with the row compiler over each live row. (Row
+// evaluators are stateless, so one compiled instance serves all
+// executions; only the gather buffers are per-instance.)
+func rowVec(e algebra.Expr, schema []algebra.Column, r CallResolver) (VecFactory, error) {
+	ev, cols, err := compileRow(e, schema, r)
 	if err != nil {
 		return nil, err
 	}
 	return func() VecEvaluator {
+		g := rowGather{cols, make(storage.Row, len(cols))}
 		var buf []sqltypes.Value
-		var rowBuf storage.Row
 		return func(ctx *Ctx, b *Batch) ([]sqltypes.Value, error) {
-			buf = vecBuf(buf, b.Physical())
-			if cap(rowBuf) < b.Width() {
-				rowBuf = make(storage.Row, b.Width())
+			if err := g.fits(b); err != nil {
+				return nil, err
 			}
-			rowBuf = rowBuf[:b.Width()]
-			n := b.Len()
-			for i := 0; i < n; i++ {
+			buf = vecBuf(buf, b.Physical())
+			for i, n := 0, b.Len(); i < n; i++ {
 				p := b.LiveAt(i)
-				for j, c := range b.Cols {
-					rowBuf[j] = c[p]
-				}
-				v, err := ev(ctx, rowBuf)
+				v, err := ev(ctx, g.at(b, p))
 				if err != nil {
 					return nil, err
 				}

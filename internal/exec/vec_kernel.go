@@ -17,9 +17,9 @@ package exec
 // by the gather. The gather only flags the positions it cannot compute
 // (non-numeric values, and beside a bare-column compare an int float64
 // cannot hold); after the kernel, genericRest collects them and the generic
-// vector form (compileArith, compileCmpPred, compileLogicPred) evaluates
-// them once over a batch narrowed to them. Only a non-numeric value can
-// fail, so the first error and its text are the generic evaluator's.
+// form (compileArith, compileCmpPred, or rowPred for an AND chain)
+// evaluates them once over a batch narrowed to them. Only a non-numeric
+// value can fail, so the first error and its text are the generic form's.
 
 import (
 	"udfdecorr/internal/algebra"
@@ -274,7 +274,7 @@ func compileKernelPred(e algebra.Expr, schema []algebra.Column, r CallResolver) 
 	case *algebra.Cmp:
 		genF, err = compileCmpPred(x, schema, r)
 	case *algebra.Logic:
-		genF, err = compileLogicPred(x, schema, r)
+		genF, err = rowPred(x, schema, r)
 	}
 	if err != nil {
 		return nil, false

@@ -3,6 +3,7 @@ package exec
 import (
 	"udfdecorr/internal/algebra"
 	"udfdecorr/internal/sqltypes"
+	"udfdecorr/internal/storage"
 )
 
 // VecPredicate is a compiled predicate over a whole batch, producing
@@ -26,150 +27,54 @@ func triBuf(buf []sqltypes.Tri, n int) []sqltypes.Tri {
 }
 
 // CompilePred translates a predicate expression into a factory of batched
-// three-valued evaluators. It is the one vectorized compiler of comparisons,
-// AND/OR, NOT and IS NULL: CompileVec widens their truth vectors to BOOLEAN
-// values, and CASE tests its WHEN conditions here. AND/OR evaluate their
-// right side only where the left does not decide, so short-circuit
-// semantics (e.g. guarded division) match the row engine; an AND chain of
-// kernel compares on one column, which cannot fail, evaluates every
-// conjunct in one pass instead (compileKernelPred). Any other
-// expression evaluates through CompileVec and converts with TriOf, exactly
-// as the row engine's filter does.
+// three-valued evaluators. Comparisons, and AND chains of kernel compares on
+// one column (compileKernelPred), have native truth vectors (nativePred);
+// CompileVec widens them to BOOLEAN values. Every other predicate runs the
+// row compiler over each live row and converts with TriOf, exactly as the
+// row engine's filter does (rowPred).
 func CompilePred(e algebra.Expr, schema []algebra.Column, r CallResolver) (PredFactory, error) {
-	switch x := e.(type) {
-	case *algebra.Cmp:
-		// Kernelizable side vs. constant fuses arithmetic and compare into
-		// one vector loop per step (see vec_kernel.go).
-		if pf, ok := compileKernelPred(x, schema, r); ok {
-			return pf, nil
-		}
-		return compileCmpPred(x, schema, r)
-
-	case *algebra.Logic:
-		// An AND chain of kernel compares on one column gathers it once.
-		if x.Op == algebra.LogicAnd {
-			if pf, ok := compileKernelPred(x, schema, r); ok {
-				return pf, nil
-			}
-		}
-		return compileLogicPred(x, schema, r)
-
-	case *algebra.Not:
-		innerF, err := CompilePred(x.E, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		return func() VecPredicate {
-			inner := innerF()
-			return func(ctx *Ctx, b *Batch, out []sqltypes.Tri) error {
-				if err := inner(ctx, b, out); err != nil {
-					return err
-				}
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					p := b.LiveAt(i)
-					out[p] = out[p].Not()
-				}
-				return nil
-			}
-		}, nil
-
-	case *algebra.IsNull:
-		innerF, err := CompileVec(x.E, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		neg := x.Neg
-		return func() VecPredicate {
-			inner := innerF()
-			return func(ctx *Ctx, b *Batch, out []sqltypes.Tri) error {
-				iv, err := inner(ctx, b)
-				if err != nil {
-					return err
-				}
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					p := b.LiveAt(i)
-					if iv[p].IsNull() != neg {
-						out[p] = sqltypes.True
-					} else {
-						out[p] = sqltypes.False
-					}
-				}
-				return nil
-			}
-		}, nil
-
-	default:
-		evF, err := CompileVec(e, schema, r)
-		if err != nil {
-			return nil, err
-		}
-		return func() VecPredicate {
-			ev := evF()
-			return func(ctx *Ctx, b *Batch, out []sqltypes.Tri) error {
-				v, err := ev(ctx, b)
-				if err != nil {
-					return err
-				}
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					p := b.LiveAt(i)
-					out[p] = sqltypes.TriOf(v[p])
-				}
-				return nil
-			}
-		}, nil
+	pf, err := nativePred(e, schema, r)
+	if pf == nil && err == nil {
+		return rowPred(e, schema, r)
 	}
+	return pf, err
 }
 
-// compileLogicPred is the generic vectorized form of AND and OR: the right
-// side evaluates only where the left does not decide.
-func compileLogicPred(x *algebra.Logic, schema []algebra.Column, r CallResolver) (PredFactory, error) {
-	lF, err := CompilePred(x.L, schema, r)
+// nativePred compiles the predicates with a native truth vector; it returns
+// nil and no error for every other expression.
+func nativePred(e algebra.Expr, schema []algebra.Column, r CallResolver) (PredFactory, error) {
+	// A kernel compare against a constant, or an AND chain of them on one
+	// column, fuses arithmetic and compares over one gather (see
+	// vec_kernel.go).
+	if pf, ok := compileKernelPred(e, schema, r); ok {
+		return pf, nil
+	}
+	if x, ok := e.(*algebra.Cmp); ok {
+		return compileCmpPred(x, schema, r)
+	}
+	return nil, nil
+}
+
+// rowPred evaluates e with the row compiler over each live row, as rowVec
+// does, and keeps TriOf of each value.
+func rowPred(e algebra.Expr, schema []algebra.Column, r CallResolver) (PredFactory, error) {
+	ev, cols, err := compileRow(e, schema, r)
 	if err != nil {
 		return nil, err
-	}
-	rF, err := CompilePred(x.R, schema, r)
-	if err != nil {
-		return nil, err
-	}
-	isAnd := x.Op == algebra.LogicAnd
-	// The left side decides AND where it is False and OR where it is True.
-	decided := sqltypes.True
-	if isAnd {
-		decided = sqltypes.False
 	}
 	return func() VecPredicate {
-		l, rhs := lF(), rF()
-		var need []int
-		var rt []sqltypes.Tri
+		g := rowGather{cols, make(storage.Row, len(cols))}
 		return func(ctx *Ctx, b *Batch, out []sqltypes.Tri) error {
-			if err := l(ctx, b, out); err != nil {
+			if err := g.fits(b); err != nil {
 				return err
 			}
-			need = need[:0]
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				// Same short-circuit mask as the row engine: the right side
-				// runs only where the left does not decide.
-				if p := b.LiveAt(i); out[p] != decided {
-					need = append(need, p)
+			for i, n := 0, b.Len(); i < n; i++ {
+				p := b.LiveAt(i)
+				v, err := ev(ctx, g.at(b, p))
+				if err != nil {
+					return err
 				}
-			}
-			if len(need) == 0 {
-				return nil
-			}
-			rt = triBuf(rt, len(out))
-			if err := rhs(ctx, b.Narrow(need), rt); err != nil {
-				return err
-			}
-			for _, p := range need {
-				if isAnd {
-					out[p] = out[p].And(rt[p])
-				} else {
-					out[p] = out[p].Or(rt[p])
-				}
+				out[p] = sqltypes.TriOf(v)
 			}
 			return nil
 		}

@@ -35,7 +35,8 @@ func (op ArithOp) String() string {
 // Arith applies a binary arithmetic operator with SQL semantics:
 // NULL operands yield NULL; INT op INT stays INT (division truncates, as in
 // most commercial dialects); any FLOAT operand promotes to FLOAT.
-// Division or modulo by zero is an error.
+// Division or modulo by zero is an error, and so is a float modulo operand
+// int64 cannot hold.
 func Arith(op ArithOp, a, b Value) (Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
@@ -80,13 +81,24 @@ func Arith(op ArithOp, a, b Value) (Value, error) {
 		return NewFloat(x / y), nil
 	case OpMod:
 		// Float modulo truncates both operands to int64, so any divisor in
-		// (-1, 1) is an integer zero.
+		// (-1, 1) is an integer zero. NaN, the infinities and values
+		// outside [-2^63, 2^63) have no int64 truncation (Go leaves the
+		// conversion undefined), so they are an error, not a wrapped result.
+		if !truncatesToInt64(x) || !truncatesToInt64(y) {
+			return Null, fmt.Errorf("modulo operand out of integer range: %s %% %s", a, b)
+		}
 		if int64(y) == 0 {
 			return Null, fmt.Errorf("modulo by zero")
 		}
 		return NewFloat(float64(int64(x) % int64(y))), nil
 	}
 	return Null, fmt.Errorf("unknown arithmetic operator")
+}
+
+// truncatesToInt64 reports whether int64(f) is defined: f is a number in
+// [-2^63, 2^63).
+func truncatesToInt64(f float64) bool {
+	return f >= -0x1p63 && f < 0x1p63
 }
 
 // Concat concatenates two values as strings with NULL propagation.

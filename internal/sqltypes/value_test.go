@@ -293,7 +293,9 @@ func TestArithErrors(t *testing.T) {
 }
 
 // TestFloatModuloByFraction pins float modulo's int64 truncation: a divisor
-// in (-1, 1) truncates to zero and must be an error, not a runtime panic.
+// in (-1, 1) truncates to zero and must be an error, not a runtime panic,
+// and an operand with no int64 truncation (NaN, the infinities, values
+// outside [-2^63, 2^63)) is an error, not a wrapped result.
 func TestFloatModuloByFraction(t *testing.T) {
 	for _, y := range []float64{0.5, -0.5, 0.999} {
 		_, err := Arith(OpMod, NewInt(7), NewFloat(y))
@@ -301,8 +303,17 @@ func TestFloatModuloByFraction(t *testing.T) {
 			t.Errorf("7 %% %v: err = %v, want modulo by zero", y, err)
 		}
 	}
+	for _, v := range []float64{1e19, -1e19, 0x1p63, -0x1p64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range [][2]Value{{NewFloat(v), NewFloat(3)}, {NewInt(7), NewFloat(v)}} {
+			got, err := Arith(OpMod, c[0], c[1])
+			if err == nil || !strings.HasPrefix(err.Error(), "modulo operand out of integer range") {
+				t.Errorf("%v %% %v = %v, %v; want an out-of-range error", c[0], c[1], got, err)
+			}
+		}
+	}
 	for _, c := range []struct{ x, y, want float64 }{
-		{7.5, 2.5, 1}, {-7, 1.5, 0}, {7, -2.9, 1},
+		{7.5, 2.5, 1}, {-7, 1.5, 0}, {7, -2.9, 1}, {7.5, 2.0, 1},
+		{-0x1p63, 3, -2}, {0x1p63 - 1024, 1e18, 223372036854774784}, {7, 0x1p62, 7},
 	} {
 		got, err := Arith(OpMod, NewFloat(c.x), NewFloat(c.y))
 		if err != nil || got.Kind() != KindFloat || got.Float() != c.want {
