@@ -29,13 +29,13 @@ type Apply struct {
 	Corr  []CorrBinding
 	Binds []ApplyBind
 	L, R  Node
-	joinOutput
+	outputList
 }
 
 // NewApply constructs a correlated Apply node.
 func NewApply(kind algebra.JoinKind, corr []CorrBinding, binds []ApplyBind, l, r Node) *Apply {
 	return &Apply{Kind: kind, Corr: corr, Binds: binds, L: l, R: r,
-		joinOutput: newJoinOutput(kind, l, r)}
+		outputList: newJoinOutput(kind, l, r)}
 }
 
 // Open implements Node.

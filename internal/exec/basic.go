@@ -50,21 +50,22 @@ func (t *TableScan) Open(ctx *Ctx) (Iter, error) {
 
 // IndexLookup probes a hash index on one column with an equality key
 // computed at open time (the key expression may reference parameters or
-// correlation variables, so each Open can yield different rows).
+// correlation variables, so each Open can yield different rows). A
+// column-only projection above it folds into its output list (Narrow): the
+// lookup then copies only the projected columns and counts its rows as
+// the projection did.
 type IndexLookup struct {
 	Tab    *storage.Table
 	Col    string
 	Key    Evaluator
-	schema []algebra.Column
+	folded bool // a projection was folded into the output list
+	outputList
 }
 
 // NewIndexLookup builds an index equality probe.
 func NewIndexLookup(tab *storage.Table, col string, key Evaluator, schema []algebra.Column) *IndexLookup {
-	return &IndexLookup{Tab: tab, Col: col, Key: key, schema: schema}
+	return &IndexLookup{Tab: tab, Col: col, Key: key, outputList: newOutputList(schema)}
 }
-
-// Schema implements Node.
-func (n *IndexLookup) Schema() []algebra.Column { return n.schema }
 
 // Open implements Node.
 func (n *IndexLookup) Open(ctx *Ctx) (Iter, error) {
@@ -80,10 +81,14 @@ func (n *IndexLookup) Open(ctx *Ctx) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
+	var cols []int // nil: whole rows
+	if n.folded {
+		cols = n.cols
+	}
 	// The matches come out of the column segments into one arena (or as
 	// views into an already built row view): a lookup touching a handful of
 	// rows never forces the full row-view pivot.
-	rows := ver.RowsAt(ordinals, make([]storage.Row, 0, len(ordinals)+len(overlay)))
+	rows := ver.RowsAt(ordinals, cols, make([]storage.Row, 0, len(ordinals)+len(overlay)))
 	// Uncommitted transaction-local rows are not in the version's index;
 	// they are few, so a linear probe keeps read-your-writes correct.
 	if len(overlay) > 0 {
@@ -91,9 +96,12 @@ func (n *IndexLookup) Open(ctx *Ctx) (Iter, error) {
 		ord := n.Tab.Meta.ColIndex(n.Col)
 		for _, r := range overlay {
 			if !r[ord].IsNull() && sqltypes.KeyOf(r[ord]) == probe {
-				rows = append(rows, r)
+				rows = append(rows, r.Pick(cols))
 			}
 		}
+	}
+	if n.folded {
+		ctx.Counters.RowsProcessed += int64(len(rows))
 	}
 	return &sliceIter{rows: rows}, nil
 }

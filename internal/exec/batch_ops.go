@@ -372,13 +372,13 @@ type BatchHashJoin struct {
 	RKeys    []VecFactory
 	Residual Evaluator // over concat(L, R); nil when none
 	L, R     Node
-	joinOutput
+	outputList
 }
 
 // NewBatchHashJoin builds a vectorized hash join node.
 func NewBatchHashJoin(kind algebra.JoinKind, lkeys, rkeys []VecFactory, residual Evaluator, l, r Node) *BatchHashJoin {
 	return &BatchHashJoin{Kind: kind, LKeys: lkeys, RKeys: rkeys, Residual: residual,
-		L: l, R: r, joinOutput: newJoinOutput(kind, l, r)}
+		L: l, R: r, outputList: newJoinOutput(kind, l, r)}
 }
 
 // Open implements Node.

@@ -614,8 +614,8 @@ func TestBatchHashJoinGathersBeforeNextProbeBatch(t *testing.T) {
 							for i, c := range list {
 								schema[i] = rowPlan.Schema()[c]
 							}
-							if !NarrowJoin(rowPlan, list, schema) || !NarrowJoin(batchPlan, list, schema) {
-								t.Fatal("NarrowJoin refused a join")
+							if !Narrow(rowPlan, list, schema) || !Narrow(batchPlan, list, schema) {
+								t.Fatal("Narrow refused a join")
 							}
 							got, err := Drain(rowPlan, NewCtx(nil))
 							if err != nil {

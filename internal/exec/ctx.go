@@ -35,14 +35,23 @@ func (c *Counters) absorb(o *Counters) {
 	c.Workers += o.Workers
 }
 
-// Ctx is the per-query execution context: a stack of variable frames
-// (UDF locals, bind parameters, correlation values), the UDF interpreter,
-// the UDF call depth, and metric counters. A Ctx is not safe for concurrent
-// use; concurrent queries each get their own Ctx (all cross-query state —
-// catalog, storage, cached plans — lives behind locks in those packages).
+// Ctx is the per-query execution context: a stack of variable bindings
+// (UDF locals, bind parameters, correlation values) divided into frames,
+// the UDF interpreter, the UDF call depth, and metric counters. A Ctx is
+// not safe for concurrent use; concurrent queries each get their own Ctx
+// (all cross-query state — catalog, storage, cached plans — lives behind
+// locks in those packages).
+//
+// The bindings of every frame live in one slice, innermost last, and
+// frames holds where each frame starts in it. A frame holds a handful of
+// names (a call's parameters and locals, an Apply's correlation values),
+// so a lookup scans from the top down to the innermost call frame instead
+// of hashing the name, and pushing or popping a frame moves an offset: a
+// call allocates nothing once the slices have grown to the deepest frame.
 type Ctx struct {
-	frames   []map[string]sqltypes.Value
-	base     int // the innermost UDF-call frame, where name lookup stops
+	vars     []binding
+	frames   []int // frames[i] is the index in vars where frame i starts
+	base     int   // the innermost UDF-call frame, where name lookup stops
 	Interp   *Interp
 	Counters *Counters
 	depth    int // current UDF call nesting (bounded by maxCallDepth)
@@ -86,7 +95,7 @@ func NewCtxContext(goctx context.Context, interp *Interp) *Ctx {
 		goctx = context.Background()
 	}
 	return &Ctx{
-		frames:   []map[string]sqltypes.Value{{}},
+		frames:   []int{0},
 		Interp:   interp,
 		Counters: &Counters{},
 		goctx:    goctx,
@@ -150,22 +159,21 @@ func (c *Ctx) Cancelled() error {
 	}
 }
 
-// forkWorker clones the context for a worker of pipeline p: a private
-// snapshot of the variable frames (so correlation parameters visible at fork
-// time keep resolving, while UDF calls inside the worker push frames without
-// racing the parent) and private counters (absorbed by the parent when the
+// binding is one variable of a frame.
+type binding struct {
+	name string
+	val  sqltypes.Value
+}
+
+// forkWorker clones the context for a worker of pipeline p: a private copy
+// of the variable stack (so correlation parameters visible at fork time keep
+// resolving, while UDF calls inside the worker push frames without racing
+// the parent) and private counters (absorbed by the parent when the
 // parallel operator finishes). The interpreter is shared; its cross-query
 // state is internally locked.
 func (c *Ctx) forkWorker(p *pipeline) *Ctx {
-	frames := make([]map[string]sqltypes.Value, len(c.frames))
-	for i, f := range c.frames {
-		nf := make(map[string]sqltypes.Value, len(f))
-		for k, v := range f {
-			nf[k] = v
-		}
-		frames[i] = nf
-	}
-	w := &Ctx{frames: frames, base: c.base, Interp: c.Interp, Counters: &Counters{}, depth: c.depth,
+	w := &Ctx{vars: append([]binding(nil), c.vars...), frames: append([]int(nil), c.frames...),
+		base: c.base, Interp: c.Interp, Counters: &Counters{}, depth: c.depth,
 		goctx: c.goctx, done: c.done, snap: c.snap, overlay: c.overlay, pipe: p}
 	if c.prof != nil {
 		// A private profiler per worker: stats merge into the parent's via
@@ -177,14 +185,18 @@ func (c *Ctx) forkWorker(p *pipeline) *Ctx {
 
 // Push adds a new variable frame (entering a UDF call or apply scope).
 func (c *Ctx) Push() {
-	c.frames = append(c.frames, map[string]sqltypes.Value{})
+	c.frames = append(c.frames, len(c.vars))
 }
 
-// Pop removes the top frame.
+// Pop removes the top frame, clearing its bindings so that the strings
+// they hold can be freed.
 func (c *Ctx) Pop() {
 	if len(c.frames) <= 1 {
 		panic("exec: frame stack underflow")
 	}
+	top := c.frames[len(c.frames)-1]
+	clear(c.vars[top:])
+	c.vars = c.vars[:top]
 	c.frames = c.frames[:len(c.frames)-1]
 }
 
@@ -208,33 +220,44 @@ func (c *Ctx) popCall(prev int) {
 // Depth reports the frame stack depth.
 func (c *Ctx) Depth() int { return len(c.frames) }
 
+// lookup returns the index in vars of the innermost binding of name at or
+// above vars[from], or -1.
+func (c *Ctx) lookup(name string, from int) int {
+	for i := len(c.vars) - 1; i >= from; i-- {
+		if c.vars[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Get looks a variable up, innermost frame first, down to the innermost
 // UDF-call frame.
 func (c *Ctx) Get(name string) (sqltypes.Value, bool) {
-	for i := len(c.frames) - 1; i >= c.base; i-- {
-		if v, ok := c.frames[i][name]; ok {
-			return v, true
-		}
+	if i := c.lookup(name, c.frames[c.base]); i >= 0 {
+		return c.vars[i].val, true
 	}
 	return sqltypes.Null, false
 }
 
 // Set defines (or overwrites) a variable in the top frame.
 func (c *Ctx) Set(name string, v sqltypes.Value) {
-	c.frames[len(c.frames)-1][name] = v
+	if i := c.lookup(name, c.frames[len(c.frames)-1]); i >= 0 {
+		c.vars[i].val = v
+		return
+	}
+	c.vars = append(c.vars, binding{name, v})
 }
 
 // Assign overwrites the innermost binding of name visible to Get, or
 // defines it in the top frame when absent (assignment to an undeclared
 // variable).
 func (c *Ctx) Assign(name string, v sqltypes.Value) {
-	for i := len(c.frames) - 1; i >= c.base; i-- {
-		if _, ok := c.frames[i][name]; ok {
-			c.frames[i][name] = v
-			return
-		}
+	if i := c.lookup(name, c.frames[c.base]); i >= 0 {
+		c.vars[i].val = v
+		return
 	}
-	c.Set(name, v)
+	c.vars = append(c.vars, binding{name, v})
 }
 
 // Node is a physical plan node. A Node is immutable after construction and

@@ -369,6 +369,54 @@ func TestCtxFrames(t *testing.T) {
 	}
 }
 
+// TestCtxCallScope: a call frame bounds name lookup. A callee sees
+// neither its caller's locals nor the frames below them, Apply and subquery
+// frames pushed above the call frame stay visible to the body, and Assign
+// to a name the body cannot see defines it in the top frame, leaving the
+// caller's binding of the same name untouched.
+func TestCtxCallScope(t *testing.T) {
+	ctx := NewCtx(nil)
+	ctx.Set("g", sqltypes.NewInt(1))
+	outer := ctx.pushCall()
+	ctx.Set("x", sqltypes.NewInt(2)) // the caller's local
+	inner := ctx.pushCall()
+	if _, ok := ctx.Get("x"); ok {
+		t.Error("a callee must not see its caller's locals")
+	}
+	if _, ok := ctx.Get("g"); ok {
+		t.Error("a callee must not see the frames below its caller")
+	}
+	ctx.Set("p", sqltypes.NewInt(3)) // the callee's parameter
+	ctx.Push()                       // an Apply or subquery frame inside the body
+	ctx.Set("corr", sqltypes.NewInt(4))
+	if v, ok := ctx.Get("p"); !ok || v.Int() != 3 {
+		t.Error("the call frame must stay visible under an Apply frame")
+	}
+	ctx.Assign("x", sqltypes.NewInt(5)) // undeclared in the callee
+	if v, ok := ctx.Get("x"); !ok || v.Int() != 5 {
+		t.Error("Assign to an undeclared name must define it")
+	}
+	ctx.Assign("p", sqltypes.NewInt(6)) // assigns through to the call frame
+	ctx.Pop()
+	if _, ok := ctx.Get("x"); ok {
+		t.Error("Assign's definition belongs to the top frame and must pop with it")
+	}
+	if _, ok := ctx.Get("corr"); ok {
+		t.Error("the Apply frame's binding must pop with it")
+	}
+	if v, _ := ctx.Get("p"); v.Int() != 6 {
+		t.Error("Assign must update the call frame's binding")
+	}
+	ctx.popCall(inner)
+	if v, ok := ctx.Get("x"); !ok || v.Int() != 2 {
+		t.Errorf("the caller's x = %v, %v after the callee returned, want 2", v, ok)
+	}
+	ctx.popCall(outer)
+	if v, ok := ctx.Get("g"); !ok || v.Int() != 1 || ctx.Depth() != 1 {
+		t.Errorf("global g = %v, %v at depth %d", v, ok, ctx.Depth())
+	}
+}
+
 func TestEvalCaseLogicNulls(t *testing.T) {
 	sc := schema2("a")
 	e := &algebra.Case{

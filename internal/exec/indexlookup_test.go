@@ -73,3 +73,82 @@ func TestIndexLookupSnapshotAndOverlay(t *testing.T) {
 		t.Fatal("lookup on an unknown column must fail")
 	}
 }
+
+// TestNarrowedIndexLookup: a projection folded into an IndexLookup keeps
+// its column order and names, copies only the picked columns from the
+// segments and from the row view alike, narrows the transaction overlay's
+// matches the same way, and counts the rows it emits as the projection
+// did.
+func TestNarrowedIndexLookup(t *testing.T) {
+	store := storage.NewStore()
+	tab, err := store.CreateTable(&catalog.Table{Name: "t", Cols: []catalog.Column{
+		{Name: "a", Type: sqltypes.KindInt}, {Name: "b", Type: sqltypes.KindInt}, {Name: "c", Type: sqltypes.KindInt},
+	}, PKCols: []string{"c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []storage.Row
+	for i := int64(0); i < storage.SegmentRows+40; i++ {
+		rows = append(rows, intRow(i%7, 10*i, i))
+	}
+	if err := tab.Append(rows...); err != nil {
+		t.Fatal(err)
+	}
+	lookup := NewIndexLookup(tab, "a", constKey(sqltypes.NewInt(3)), schema2("a", "b", "c"))
+	renamed := schema2("cee", "a")
+	if !Narrow(lookup, []int{2, 0}, renamed) {
+		t.Fatal("Narrow refused an IndexLookup")
+	}
+	if got := lookup.Schema(); len(got) != 2 || got[0].Name != "cee" || got[1].Name != "a" {
+		t.Fatalf("schema = %v, want the projection's renamed columns", got)
+	}
+	if got := PlanLabel(lookup); got != "IndexLookup(t.a) cols=2/3" {
+		t.Fatalf("label = %q", got)
+	}
+	// Narrow again, as a second projection above the first would.
+	twice := NewIndexLookup(tab, "a", constKey(sqltypes.NewInt(3)), schema2("a", "b", "c"))
+	Narrow(twice, []int{2, 1, 0}, schema2("c", "b", "a"))
+	Narrow(twice, []int{2}, schema2("a"))
+
+	var want []storage.Row
+	for _, r := range rows {
+		if r[0].Int() == 3 {
+			want = append(want, intRow(r[2].Int(), 3))
+		}
+	}
+	drain := func(n Node, ctx *Ctx) []storage.Row {
+		t.Helper()
+		got, err := Drain(n, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	ctx := NewCtx(nil)
+	fromSegments := drain(lookup, ctx)
+	assertIdenticalRows(t, fromSegments, want)
+	if ctx.Counters.RowsProcessed != int64(len(want)) {
+		t.Fatalf("RowsProcessed = %d, want the %d emitted rows", ctx.Counters.RowsProcessed, len(want))
+	}
+	for _, r := range fromSegments {
+		if len(r) != 2 || cap(r) != 2 {
+			t.Fatalf("row %v (cap %d) is not narrowed to two columns", r, cap(r))
+		}
+	}
+	if got := drain(twice, NewCtx(nil)); len(got) != len(want) || len(got[0]) != 1 || got[0][0].Int() != 3 {
+		t.Fatalf("twice-narrowed lookup = %v", got)
+	}
+
+	tab.Rows() // build the row view: whole rows now come back as views
+	assertIdenticalRows(t, drain(lookup, NewCtx(nil)), fromSegments)
+
+	pinned := NewCtx(nil)
+	pinned.SetSnapshot(store.Snapshot(), map[*storage.Table][]storage.Row{
+		tab: {intRow(3, -1, 900), intRow(4, -2, 901)},
+	})
+	got := drain(lookup, pinned)
+	last := got[len(got)-1]
+	if len(got) != len(want)+1 || len(last) != 2 || last[0].Int() != 900 || last[1].Int() != 3 {
+		t.Fatalf("overlay match = %v (of %d rows), want [900 3] after the %d committed rows", last, len(got), len(want))
+	}
+}

@@ -42,7 +42,7 @@ type BodyPlanner interface {
 // An Interp is safe for concurrent use by multiple queries: the only
 // mutable state it owns is the lowered-body cache, a sync.Map whose hits
 // take no lock, and each embedded query's kept plan, published atomically.
-// All per-invocation state (variable frames, call depth, counters, cursors)
+// All per-invocation state (variable bindings, call depth, counters, cursors)
 // lives in the Ctx each caller supplies or in the call itself, and plan
 // Nodes are immutable after construction (each Open yields an independent
 // iterator). Fields are set once, before the first call (Planner right
@@ -64,8 +64,10 @@ func NewInterp(cat *catalog.Catalog, cachePlans bool) *Interp {
 
 // body is a lowered UDF or aggregate body. Cursors and table variables are
 // resolved to slots at lowering; table slot 0 is a table-valued function's
-// result. Scalar variables are deliberately still looked up by name, in the
-// call's frame of the Ctx.
+// result. Scalar variables are looked up by name on the Ctx's binding
+// stack, scanning down from the top to the call's frame: a frame holds a
+// handful of names, and a call pushes and pops its frame without
+// allocating.
 type body struct {
 	stmts   []stmt
 	cursors int

@@ -223,3 +223,38 @@ func TestInterpUnknownVariable(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// TestStraightLineCallAllocatesNothing: a scalar UDF whose body declares,
+// assigns and returns binds its parameters and locals on the Ctx's binding
+// stack, so once the stack has grown to the call's frame a call allocates
+// nothing.
+func TestStraightLineCallAllocatesNothing(t *testing.T) {
+	in := interpWith(t, `
+create function blend(int a, int b) returns int as
+begin
+  int s = a + b;
+  int d;
+  d = s * 2;
+  s = d - a;
+  return s;
+end`)
+	ctx := NewCtx(in)
+	args := []sqltypes.Value{sqltypes.NewInt(3), sqltypes.NewInt(4)}
+	var got sqltypes.Value
+	call := func() {
+		var err error
+		if got, err = in.CallScalar(ctx, "blend", args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Errorf("a straight-line call allocated %.1f times, want 0", allocs)
+	}
+	if got.Int() != 11 {
+		t.Errorf("blend(3, 4) = %v, want 11", got)
+	}
+	if ctx.Depth() != 1 {
+		t.Errorf("frames leaked: depth %d", ctx.Depth())
+	}
+}

@@ -18,52 +18,59 @@ func joinSchema(kind algebra.JoinKind, l, r Node) []algebra.Column {
 	}
 }
 
-// joinOutput is the output list every join carries: output column i copies
-// position cols[i] of concat(L, R), or of L for a semi or anti join. A new
-// join emits every column in order; NarrowJoin folds a column-only
-// projection into the list, so a join builds only the columns its
-// consumers read.
-type joinOutput struct {
+// outputList is the output list every join and index lookup carries:
+// output column i copies position cols[i] of the operator's full output —
+// concat(L, R) for a join, L alone for a semi or anti join, the table's
+// columns for a lookup. A new operator emits every column in order;
+// Narrow folds a column-only projection into the list, so the operator
+// builds only the columns its consumers read.
+type outputList struct {
 	cols   []int
-	width  int // the full output width, len(joinSchema)
+	width  int // the full output width
 	schema []algebra.Column
 }
 
-func newJoinOutput(kind algebra.JoinKind, l, r Node) joinOutput {
-	schema := joinSchema(kind, l, r)
+func newOutputList(schema []algebra.Column) outputList {
 	cols := make([]int, len(schema))
 	for i := range cols {
 		cols[i] = i
 	}
-	return joinOutput{cols: cols, width: len(schema), schema: schema}
+	return outputList{cols: cols, width: len(schema), schema: schema}
+}
+
+func newJoinOutput(kind algebra.JoinKind, l, r Node) outputList {
+	return newOutputList(joinSchema(kind, l, r))
 }
 
 // Schema implements Node.
-func (o *joinOutput) Schema() []algebra.Column { return o.schema }
+func (o *outputList) Schema() []algebra.Column { return o.schema }
 
-// widthNote renders " cols=k/n" for EXPLAIN ANALYZE when the join emits k
-// of its n output columns, and nothing when it emits all of them.
-func (o *joinOutput) widthNote() string {
+// widthNote renders " cols=k/n" for EXPLAIN ANALYZE when the operator
+// emits k of its n output columns, and nothing when it emits all of them.
+func (o *outputList) widthNote() string {
 	if len(o.cols) == o.width {
 		return ""
 	}
 	return fmt.Sprintf(" cols=%d/%d", len(o.cols), o.width)
 }
 
-// NarrowJoin folds a column-only projection into join n: the join emits
+// Narrow folds a column-only projection into n's output list: n emits
 // column pick[i] of its current output as column i, under schema. It
-// reports false, changing nothing, when n is not a join.
-func NarrowJoin(n Node, pick []int, schema []algebra.Column) bool {
-	var o *joinOutput
+// reports false, changing nothing, when n is neither a join nor an index
+// lookup.
+func Narrow(n Node, pick []int, schema []algebra.Column) bool {
+	var o *outputList
 	switch x := n.(type) {
 	case *NLJoin:
-		o = &x.joinOutput
+		o = &x.outputList
 	case *HashJoin:
-		o = &x.joinOutput
+		o = &x.outputList
 	case *Apply:
-		o = &x.joinOutput
+		o = &x.outputList
 	case *BatchHashJoin:
-		o = &x.joinOutput
+		o = &x.outputList
+	case *IndexLookup:
+		o, x.folded = &x.outputList, true
 	default:
 		return false
 	}
@@ -169,12 +176,12 @@ type NLJoin struct {
 	Kind algebra.JoinKind
 	Cond Evaluator // over concat(L, R) schema
 	L, R Node
-	joinOutput
+	outputList
 }
 
 // NewNLJoin builds a nested-loop join node.
 func NewNLJoin(kind algebra.JoinKind, cond Evaluator, l, r Node) *NLJoin {
-	return &NLJoin{Kind: kind, Cond: cond, L: l, R: r, joinOutput: newJoinOutput(kind, l, r)}
+	return &NLJoin{Kind: kind, Cond: cond, L: l, R: r, outputList: newJoinOutput(kind, l, r)}
 }
 
 // Open implements Node.
@@ -202,13 +209,13 @@ type HashJoin struct {
 	RKeys    []Evaluator
 	Residual Evaluator
 	L, R     Node
-	joinOutput
+	outputList
 }
 
 // NewHashJoin builds a hash join node.
 func NewHashJoin(kind algebra.JoinKind, lkeys, rkeys []Evaluator, residual Evaluator, l, r Node) *HashJoin {
 	return &HashJoin{Kind: kind, LKeys: lkeys, RKeys: rkeys, Residual: residual,
-		L: l, R: r, joinOutput: newJoinOutput(kind, l, r)}
+		L: l, R: r, outputList: newJoinOutput(kind, l, r)}
 }
 
 // Open implements Node. A left row's candidates are the drained right rows

@@ -55,7 +55,7 @@ func PlanLabel(n Node) string {
 	case *TableScan:
 		return "TableScan(" + x.Tab.Meta.Name + ")" + zoneNote(x.Bounds)
 	case *IndexLookup:
-		return "IndexLookup(" + x.Tab.Meta.Name + "." + x.Col + ")"
+		return "IndexLookup(" + x.Tab.Meta.Name + "." + x.Col + ")" + x.widthNote()
 	case *Filter:
 		return "Filter"
 	case *Project:

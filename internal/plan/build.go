@@ -148,11 +148,11 @@ func (p *Planner) build(rel algebra.Rel) (exec.Node, error) {
 }
 
 // project plans a projection of exprs over a built child. A non-DISTINCT
-// projection of plain column references over a join folds into the join's
-// output list, so no projection operator copies the join's rows.
+// projection of plain column references over a join or an index lookup
+// folds into its output list, so no projection operator copies its rows.
 func (p *Planner) project(exprs []algebra.Expr, dedup bool, child exec.Node, schema []algebra.Column) (exec.Node, error) {
 	if !dedup {
-		if cols, ok := columnPositions(exprs, child.Schema()); ok && exec.NarrowJoin(child, cols, schema) {
+		if cols, ok := columnPositions(exprs, child.Schema()); ok && exec.Narrow(child, cols, schema) {
 			return child, nil
 		}
 	}

@@ -19,6 +19,7 @@ package storage
 import (
 	"math"
 	"sync/atomic"
+	"unsafe"
 
 	"udfdecorr/internal/sqltypes"
 )
@@ -70,10 +71,17 @@ func (s *Segment) Zone(c int) Zone {
 	return z
 }
 
-// AppendRowTo materializes row i of the segment onto dst.
-func (s *Segment) AppendRowTo(dst Row, i int) Row {
-	for _, c := range s.cols {
-		dst = append(dst, c[i])
+// AppendRowTo materializes row i of the segment onto dst: the columns at
+// cols, in that order, or every column when cols is nil.
+func (s *Segment) AppendRowTo(dst Row, i int, cols []int) Row {
+	if cols == nil {
+		for _, c := range s.cols {
+			dst = append(dst, c[i])
+		}
+		return dst
+	}
+	for _, c := range cols {
+		dst = append(dst, s.cols[c][i])
 	}
 	return dst
 }
@@ -81,8 +89,7 @@ func (s *Segment) AppendRowTo(dst Row, i int) Row {
 // Bytes estimates the segment's in-memory column bytes (value headers plus
 // string payloads), for the storage gauges.
 func (s *Segment) Bytes() int64 {
-	const valueHeader = 40 // sqltypes.Value struct size (kind + int64 + float64 + string header)
-	b := int64(s.n) * int64(len(s.cols)) * valueHeader
+	b := int64(s.n) * int64(len(s.cols)) * int64(unsafe.Sizeof(sqltypes.Value{}))
 	for _, col := range s.cols {
 		for _, v := range col {
 			if v.Kind() == sqltypes.KindString {

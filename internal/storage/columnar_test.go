@@ -183,7 +183,7 @@ func TestRowPivotCacheAndRowsAt(t *testing.T) {
 	// other.
 	ords := []int{3, SegmentRows + 5, SegmentRows - 1}
 	pivotsBefore := PivotedScans()
-	got := v.RowsAt(ords, nil)
+	got := v.RowsAt(ords, nil, nil)
 	if PivotedScans() != pivotsBefore {
 		t.Fatal("RowsAt pivoted the whole table")
 	}
@@ -192,7 +192,7 @@ func TestRowPivotCacheAndRowsAt(t *testing.T) {
 			t.Fatalf("RowsAt row %d = %v (cap %d), want ordinal %d", i, got[i], cap(got[i]), o)
 		}
 	}
-	if allocs := testing.AllocsPerRun(10, func() { v.RowsAt(ords, got[:0]) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(10, func() { v.RowsAt(ords, nil, got[:0]) }); allocs != 1 {
 		t.Fatalf("RowsAt allocated %.0f times per call, want one arena", allocs)
 	}
 	r1 := v.Rows()
@@ -212,7 +212,7 @@ func TestRowPivotCacheAndRowsAt(t *testing.T) {
 		}
 	}
 	// Once the row view is built, RowsAt hands out views into it.
-	for i, r := range v.RowsAt(ords, nil) {
+	for i, r := range v.RowsAt(ords, nil, nil) {
 		if &r[0] != &r1[ords[i]][0] {
 			t.Fatalf("RowsAt row %d is a copy, want a view into the pivot", i)
 		}
@@ -244,5 +244,49 @@ func TestStorageStatsCounts(t *testing.T) {
 	}
 	if got.ColumnBytes <= 0 {
 		t.Fatalf("ColumnBytes = %d", got.ColumnBytes)
+	}
+}
+
+// TestRowsAtNarrowed: RowsAt with a column list copies only those columns,
+// in their order, into one arena, before and after the row view is built.
+func TestRowsAtNarrowed(t *testing.T) {
+	tab := NewTable(intMeta("t", "a", "b"))
+	if err := tab.Append(intRows(0, SegmentRows+37)...); err != nil {
+		t.Fatal(err)
+	}
+	v := tab.Version()
+	ords := []int{SegmentRows + 5, 3}
+	check := func(when string, got []Row) {
+		t.Helper()
+		for i, o := range ords {
+			r := got[i]
+			if len(r) != 3 || cap(r) != 3 || r[0].Int() != int64(2*o) || r[1].Int() != int64(o) || r[2].Int() != int64(2*o) {
+				t.Fatalf("%s: row %d = %v (cap %d), want ordinal %d's b, a, b", when, i, r, cap(r), o)
+			}
+		}
+	}
+	cols := []int{1, 0, 1}
+	got := v.RowsAt(ords, cols, nil)
+	check("from the segments", got)
+	if allocs := testing.AllocsPerRun(10, func() { v.RowsAt(ords, cols, got[:0]) }); allocs != 1 {
+		t.Fatalf("RowsAt allocated %.0f times per call, want one arena", allocs)
+	}
+	v.Rows()
+	check("with the row view built", v.RowsAt(ords, cols, nil))
+}
+
+// TestSegmentBytes pins the storage gauge for an int segment: one 32-byte
+// value per cell and no payload.
+func TestSegmentBytes(t *testing.T) {
+	tab := NewTable(intMeta("t", "a", "b"))
+	if err := tab.Append(intRows(0, 100)...); err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.Version().Segments()[0].Bytes(); got != 100*2*32 {
+		t.Fatalf("Bytes() = %d, want %d", got, 100*2*32)
+	}
+	s := NewSegment([][]sqltypes.Value{{sqltypes.NewString("abc"), sqltypes.Null}}, 2)
+	if got := s.Bytes(); got != 2*32+3 {
+		t.Fatalf("string segment Bytes() = %d, want %d", got, 2*32+3)
 	}
 }

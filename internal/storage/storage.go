@@ -43,6 +43,19 @@ func (r Row) Clone() Row {
 	return out
 }
 
+// Pick returns a new row of r's columns at cols, in that order, or r
+// itself when cols is nil.
+func (r Row) Pick(cols []int) Row {
+	if cols == nil {
+		return r
+	}
+	out := make(Row, len(cols))
+	for i, c := range cols {
+		out[i] = r[c]
+	}
+	return out
+}
+
 // ColStats holds per-column statistics for selectivity estimation.
 type ColStats struct {
 	Min, Max      sqltypes.Value
@@ -118,25 +131,32 @@ func (v *TableVersion) Rows() []Row {
 	return rows
 }
 
-// RowsAt appends the rows at the given ordinals to dst. When the row view is
-// already built they are views into it (no allocation); otherwise they are
-// pivoted out of their segments into one arena for the whole call — index
-// lookups touching a handful of ordinals never force a full table pivot.
-func (v *TableVersion) RowsAt(ords []int, dst []Row) []Row {
-	v.mu.RLock()
-	rv, ready := v.rowview, v.rowsReady
-	v.mu.RUnlock()
-	if ready {
-		for _, o := range ords {
-			dst = append(dst, rv[o])
+// RowsAt appends the rows at the given ordinals to dst, each holding the
+// columns at cols in that order (nil: every column). Whole rows are views
+// into the row view when it is already built (no allocation); otherwise,
+// and whenever cols narrows them, they are copied out of their segments
+// into one arena for the whole call — index lookups touching a handful of
+// ordinals never force a full table pivot.
+func (v *TableVersion) RowsAt(ords, cols []int, dst []Row) []Row {
+	if cols == nil {
+		v.mu.RLock()
+		rv, ready := v.rowview, v.rowsReady
+		v.mu.RUnlock()
+		if ready {
+			for _, o := range ords {
+				dst = append(dst, rv[o])
+			}
+			return dst
 		}
-		return dst
 	}
-	w := len(v.tab.Meta.Cols)
+	w := len(cols)
+	if cols == nil {
+		w = len(v.tab.Meta.Cols)
+	}
 	arena := make([]sqltypes.Value, 0, len(ords)*w)
 	for _, o := range ords {
 		start := len(arena)
-		arena = v.segs[o/SegmentRows].AppendRowTo(arena, o%SegmentRows)
+		arena = v.segs[o/SegmentRows].AppendRowTo(arena, o%SegmentRows, cols)
 		dst = append(dst, Row(arena[start:len(arena):len(arena)]))
 	}
 	return dst
