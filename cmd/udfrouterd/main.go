@@ -4,8 +4,10 @@
 // hash-partitioned cluster. Tables declared with SHARD KEY (col) are
 // partitioned by that column; tables without one are replicated to every
 // shard. Queries route by the planner's shard-feasibility pass: single-shard
-// relay, scatter/concat, scatter/merge of partial aggregates, or a typed
-// UNSHARDABLE rejection naming the unsupported shape.
+// relay, scatter/concat, scatter/merge, or a typed UNSHARDABLE rejection
+// naming the unsupported shape. For a scatter/merge the router writes the
+// partial-aggregate statement and sends it to every shard as plain SQL; the
+// shards need no router-specific mode.
 //
 //	udfrouterd -addr :8090 -shards http://localhost:8081,http://localhost:8082,http://localhost:8083
 //

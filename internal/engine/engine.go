@@ -315,21 +315,6 @@ func (p *Prepared) Describe(mode Mode, vectorized bool) string {
 // returning the compiled plan. This is the per-invocation planning work the
 // plan cache amortizes.
 func (e *Engine) Prepare(sql string) (*Prepared, error) {
-	return e.prepare(sql, false)
-}
-
-// PreparePartialAgg prepares sql in shard-local partial-aggregate mode: the
-// plan's root must be a plain projection over an all-mergeable GROUP BY
-// (the shape the shard router classifies as scatter-merge), and the
-// prepared plan emits the GROUP BY's raw output — group keys followed by
-// per-shard partial aggregate columns, with avg decomposed into sum+count —
-// instead of the final projection. The router's gather merges those
-// partials across shards and applies the original projection itself.
-func (e *Engine) PreparePartialAgg(sql string) (*Prepared, error) {
-	return e.prepare(sql, true)
-}
-
-func (e *Engine) prepare(sql string, partialAgg bool) (*Prepared, error) {
 	sel, err := parser.ParseQuery(sql)
 	if err != nil {
 		return nil, err
@@ -377,12 +362,6 @@ func (e *Engine) prepare(sql string, partialAgg bool) (*Prepared, error) {
 		target = rewritten
 	}
 	target = core.Normalize(e.Cat, target)
-	if partialAgg {
-		target, err = partialAggRewrite(target)
-		if err != nil {
-			return nil, err
-		}
-	}
 	node, choices, degree, err := e.Planner.BuildExplain(target)
 	if err != nil {
 		return nil, err

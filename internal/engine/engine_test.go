@@ -196,7 +196,7 @@ func explainAnalyze(t *testing.T, e *Engine, sql string) string {
 func TestEngineSurface(t *testing.T) {
 	want := []string{
 		"Begin", "Checkpoint", "CreateIndex", "Exec", "ExecScript", "Load", "MustLoadInts",
-		"Prepare", "PreparePartialAgg", "Query", "RewriteSQL", "Run", "RunContext",
+		"Prepare", "Query", "RewriteSQL", "Run", "RunContext",
 	}
 	typ := reflect.TypeOf(&Engine{})
 	got := make([]string, typ.NumMethod())

@@ -12,10 +12,12 @@
 //     replicated tables are complete everywhere, so concatenating the
 //     shard streams reproduces the single-node result multiset.
 //   - scatter-merge: a projection over a GROUP BY of mergeable builtin
-//     aggregates above a concat-safe input. Shards run the partial-
-//     aggregate plan (engine.PreparePartialAgg) and the router merges
-//     per-shard partials with exec's HashAgg, then applies the original
-//     projection order from the MergeSpec.
+//     aggregates above a concat-safe input. The MergeSpec carries the
+//     partial-aggregate statement every shard runs as ordinary SQL (group
+//     keys, then one column per partial, avg split into sum and count);
+//     the router merges the per-shard partials with exec's HashAgg, then
+//     applies the original projection order from the MergeSpec. This file
+//     alone decides that layout.
 //   - rejected: everything whose distributed execution would be wrong —
 //     the Reason names the unsupported shape and becomes the message of a
 //     typed UNSHARDABLE wire error, because a wrong merged result is worse
@@ -30,6 +32,7 @@ import (
 	"udfdecorr/internal/ast"
 	"udfdecorr/internal/catalog"
 	"udfdecorr/internal/core"
+	"udfdecorr/internal/sqlgen"
 	"udfdecorr/internal/sqltypes"
 )
 
@@ -69,11 +72,19 @@ type OutputCol struct {
 	Index int // key ordinal, or agg ordinal when IsAgg
 }
 
-// MergeSpec tells the router's gather how to merge scatter-merge partials:
-// shards return rows of NumKeys group-key cells followed by the partial
-// cells of each agg (avg ships two: sum and count); after merging, the
-// final row is assembled in Output order under the Cols names.
+// partialSumSuffix / partialCountSuffix name the two columns an avg
+// decomposes into in the partial statement.
+const (
+	partialSumSuffix   = "__psum"
+	partialCountSuffix = "__pcnt"
+)
+
+// MergeSpec tells the router how to run and merge a scatter-merge: every
+// shard runs SQL, whose rows are NumKeys group-key cells followed by the
+// partial cells of each agg (avg ships two: sum and count); after merging,
+// the final row is assembled in Output order under the Cols names.
 type MergeSpec struct {
+	SQL     string
 	NumKeys int
 	Aggs    []MergeAgg
 	Output  []OutputCol
@@ -438,12 +449,13 @@ func concatSafe(r algebra.Rel, sharded map[string]string) string {
 }
 
 // classifyMerge validates the Project-over-GroupBy shape and builds the
-// MergeSpec.
+// MergeSpec with the shards' partial-aggregate statement.
 func classifyMerge(proj *algebra.Project, gb *algebra.GroupBy, scan *algebra.Scan, sharded map[string]string) ShardInfo {
 	if reason := concatSafe(gb.In, sharded); reason != "" {
 		return rejected("%s", reason)
 	}
 	spec := &MergeSpec{NumKeys: len(gb.Keys)}
+	partial := &algebra.GroupBy{Keys: gb.Keys, In: gb.In}
 	for _, a := range gb.Aggs {
 		fn := strings.ToLower(a.Func)
 		if a.Distinct {
@@ -453,6 +465,16 @@ func classifyMerge(proj *algebra.Project, gb *algebra.GroupBy, scan *algebra.Sca
 			return rejected("aggregate %s has no shard merge function", a.String())
 		}
 		spec.Aggs = append(spec.Aggs, MergeAgg{Func: fn})
+		if fn == "avg" {
+			// A shard-local average loses its weight; ship the numerator and
+			// the non-NULL denominator instead. count(args) (not count(*))
+			// keeps NULL handling identical to single-node avg.
+			partial.Aggs = append(partial.Aggs,
+				algebra.AggCall{Func: "sum", Args: a.Args, As: a.As + partialSumSuffix},
+				algebra.AggCall{Func: "count", Args: a.Args, As: a.As + partialCountSuffix})
+			continue
+		}
+		partial.Aggs = append(partial.Aggs, a)
 	}
 	// Map the final projection onto the GROUP BY output: plain column
 	// references only — an expression over merged aggregates would need a
@@ -486,6 +508,11 @@ func classifyMerge(proj *algebra.Project, gb *algebra.GroupBy, scan *algebra.Sca
 	for _, col := range proj.Schema() {
 		spec.Cols = append(spec.Cols, col.Name)
 	}
+	sql, err := sqlgen.Generate(partial)
+	if err != nil {
+		return rejected("partial aggregate has no SQL form: %v", err)
+	}
+	spec.SQL = sql
 	return ShardInfo{Kind: ShardScatterMerge, Table: scan.Table, Merge: spec}
 }
 

@@ -1,14 +1,17 @@
 package plan_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"udfdecorr/internal/bench"
 	"udfdecorr/internal/catalog"
 	"udfdecorr/internal/core"
+	"udfdecorr/internal/engine"
 	"udfdecorr/internal/parser"
 	"udfdecorr/internal/plan"
+	"udfdecorr/internal/storage"
 )
 
 // shardCatalog builds the bench catalog with orders and lineitem sharded,
@@ -163,26 +166,164 @@ func TestClassifyPinnedKeyValue(t *testing.T) {
 	}
 }
 
-// TestMergeSpecLayout pins the gather contract: keys first, then one
-// partial column per aggregate with avg contributing two, and Output
-// mapping back to the query's projection order.
+// TestMergeSpecLayout pins the scatter-merge contract in one place: the
+// partial statement every shard runs (group keys first, then one column
+// per partial, avg as a sum and a count), the aggregates the gather merges,
+// and the Output mapping back to the query's projection order. Each
+// partial statement also runs on one node and must return NumKeys key
+// columns followed by the partial columns, with the values of the
+// hand-written equivalent.
 func TestMergeSpecLayout(t *testing.T) {
 	cat := shardCatalog(t)
-	info := classify(t, cat, "select custkey, avg(totalprice), count(*) from orders group by custkey")
-	if info.Kind != plan.ShardScatterMerge {
-		t.Fatalf("classified %s (%s), want scatter-merge", info.Kind, info.Reason)
+	node, err := bench.NewEngine(engine.SYS1, engine.ModeRewrite, bench.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	spec := info.Merge
-	if spec.NumKeys != 1 {
-		t.Fatalf("NumKeys = %d, want 1", spec.NumKeys)
+	if err := node.ExecScript(bench.ExtraUDFs); err != nil {
+		t.Fatal(err)
 	}
-	if len(spec.Aggs) != 2 || spec.Aggs[0].Func != "avg" || spec.Aggs[1].Func != "count" {
-		t.Fatalf("Aggs = %+v, want [avg count(*)]", spec.Aggs)
+	cases := []struct {
+		name, sql string
+		partial   string // whitespace-collapsed partial statement
+		same      string // hand-written statement with the partial's rows
+		numKeys   int
+		aggs      []string
+		output    []plan.OutputCol
+	}{
+		{
+			name:    "grouped",
+			sql:     "select custkey, count(*), sum(totalprice) from orders group by custkey",
+			partial: "SELECT orders.custkey AS custkey, count(*) AS agg_1, sum(orders.totalprice) AS agg_2 FROM orders GROUP BY orders.custkey",
+			same:    "select custkey, count(*), sum(totalprice) from orders group by custkey",
+			numKeys: 1,
+			aggs:    []string{"count", "sum"},
+			output:  []plan.OutputCol{{Index: 0}, {IsAgg: true, Index: 0}, {IsAgg: true, Index: 1}},
+		},
+		{
+			name:    "scalar",
+			sql:     "select count(*), min(totalprice), max(totalprice) from orders where totalprice > 100000",
+			partial: "SELECT count(*) AS agg_1, min(orders.totalprice) AS agg_2, max(orders.totalprice) AS agg_3 FROM orders WHERE (orders.totalprice > 100000)",
+			same:    "select count(*), min(totalprice), max(totalprice) from orders where totalprice > 100000",
+			aggs:    []string{"count", "min", "max"},
+			output:  []plan.OutputCol{{IsAgg: true, Index: 0}, {IsAgg: true, Index: 1}, {IsAgg: true, Index: 2}},
+		},
+		{
+			name:    "avg",
+			sql:     "select custkey, avg(totalprice), count(*) from orders group by custkey",
+			partial: "SELECT orders.custkey AS custkey, sum(orders.totalprice) AS agg_1__psum, count(orders.totalprice) AS agg_1__pcnt, count(*) AS agg_2 FROM orders GROUP BY orders.custkey",
+			same:    "select custkey, sum(totalprice), count(totalprice), count(*) from orders group by custkey",
+			numKeys: 1,
+			aggs:    []string{"avg", "count"},
+			output:  []plan.OutputCol{{Index: 0}, {IsAgg: true, Index: 0}, {IsAgg: true, Index: 1}},
+		},
+		{
+			name:    "renamed key after the aggregate",
+			sql:     "select avg(totalprice) as a, custkey as c from orders o group by custkey",
+			partial: "SELECT o.custkey AS custkey, sum(o.totalprice) AS agg_1__psum, count(o.totalprice) AS agg_1__pcnt FROM orders o GROUP BY o.custkey",
+			same:    "select custkey, sum(totalprice), count(totalprice) from orders group by custkey",
+			numKeys: 1,
+			aggs:    []string{"avg"},
+			output:  []plan.OutputCol{{IsAgg: true, Index: 0}, {Index: 0}},
+		},
+		{
+			name:    "UDF in WHERE",
+			sql:     "select count(*), sum(totalprice) from orders where disc(totalprice) > 1000",
+			partial: "SELECT count(*) AS agg_1, sum(orders.totalprice) AS agg_2 FROM orders WHERE (disc(orders.totalprice) > 1000)",
+			same:    "select count(*), sum(totalprice) from orders where totalprice * 0.15 > 1000",
+			aggs:    []string{"count", "sum"},
+			output:  []plan.OutputCol{{IsAgg: true, Index: 0}, {IsAgg: true, Index: 1}},
+		},
+		{
+			// The left join becomes a derived table exporting l.partkey and
+			// pc.partkey; the count must read the right side's column.
+			name:    "right-side column of a join under a join",
+			sql:     "select count(pc.partkey) from lineitem l left outer join partcost pc on l.partkey = pc.partkey join part p on p.partkey = l.partkey",
+			partial: "SELECT count(d_1.partkey_2) AS agg_1 FROM ( SELECT l.lineitemkey AS lineitemkey, l.partkey AS partkey, l.price AS price, l.qty AS qty, l.disc AS disc, pc.partkey AS partkey_2, pc.cost AS cost FROM lineitem l LEFT OUTER JOIN partcost pc ON (l.partkey = pc.partkey)) d_1 JOIN part p ON (p.partkey = d_1.partkey)",
+			same:    "select count(pc.partkey) from lineitem l left outer join partcost pc on l.partkey = pc.partkey join part p on p.partkey = l.partkey",
+			aggs:    []string{"count"},
+			output:  []plan.OutputCol{{IsAgg: true, Index: 0}},
+		},
 	}
-	if len(spec.Output) != 3 || spec.Output[0].IsAgg || spec.Output[1].Index != 0 || !spec.Output[2].IsAgg {
-		t.Fatalf("Output = %+v, want [key0 agg0 agg1]", spec.Output)
+	// A lineitem whose part has no partcost row, so that the join case's
+	// count(pc.partkey) differs from count(l.partkey).
+	if err := node.ExecScript("insert into part values (1000001, 'orphan', 1); insert into lineitem values (1000001, 1000001, 1.0, 1, 0.0);"); err != nil {
+		t.Fatal(err)
 	}
-	if len(spec.Cols) != 3 {
-		t.Fatalf("Cols = %v, want 3 names", spec.Cols)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			info := classify(t, cat, tc.sql)
+			if info.Kind != plan.ShardScatterMerge {
+				t.Fatalf("classified %s (%s), want scatter-merge", info.Kind, info.Reason)
+			}
+			spec := info.Merge
+			if got := strings.Join(strings.Fields(spec.SQL), " "); got != tc.partial {
+				t.Errorf("partial statement\n got: %s\nwant: %s", got, tc.partial)
+			}
+			if spec.NumKeys != tc.numKeys {
+				t.Errorf("NumKeys = %d, want %d", spec.NumKeys, tc.numKeys)
+			}
+			var funcs []string
+			width := spec.NumKeys
+			for _, a := range spec.Aggs {
+				funcs = append(funcs, a.Func)
+				width++
+				if a.Func == "avg" {
+					width++
+				}
+			}
+			if !reflect.DeepEqual(funcs, tc.aggs) {
+				t.Errorf("Aggs = %v, want %v", funcs, tc.aggs)
+			}
+			if !reflect.DeepEqual(spec.Output, tc.output) {
+				t.Errorf("Output = %+v, want %+v", spec.Output, tc.output)
+			}
+			if len(spec.Cols) != len(tc.output) {
+				t.Errorf("Cols = %v, want %d names", spec.Cols, len(tc.output))
+			}
+
+			got, err := node.Query(spec.SQL)
+			if err != nil {
+				t.Fatalf("partial statement does not run on one node: %v", err)
+			}
+			if len(got.Cols) != width {
+				t.Fatalf("partial columns %v, want %d (keys, then one per partial)", got.Cols, width)
+			}
+			for i, name := range partialCols(spec.SQL) {
+				if got.Cols[i] != name {
+					t.Errorf("column %d = %q, want %q", i, got.Cols[i], name)
+				}
+			}
+			want, err := node.Query(tc.same)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := bench.CanonicalRows(rendered(got.Rows)), bench.CanonicalRows(rendered(want.Rows)); g != w {
+				t.Errorf("partial rows differ from %q", tc.same)
+			}
+		})
 	}
+}
+
+// partialCols lists the AS names of a rendered partial statement's
+// top-level select list, in order.
+func partialCols(sql string) []string {
+	var names []string
+	top, _, _ := strings.Cut(sql, "\nFROM ")
+	fields := strings.Fields(top)
+	for i := 1; i < len(fields); i++ {
+		if fields[i-1] == "AS" {
+			names = append(names, strings.TrimSuffix(fields[i], ","))
+		}
+	}
+	return names
+}
+
+func rendered(rows []storage.Row) [][]string {
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		for _, v := range r {
+			out[i] = append(out[i], v.String())
+		}
+	}
+	return out
 }

@@ -19,10 +19,6 @@ type CacheKey struct {
 	Vectorized     bool
 	Parallelism    int // intra-query degree (parallel plans differ structurally)
 	CatalogVersion int64
-	// Partial marks shard-local partial-aggregate plans (see
-	// StreamOpts.Partial) — same SQL, structurally different plan, so it
-	// must never collide with the final-aggregate entry.
-	Partial bool
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.

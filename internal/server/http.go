@@ -53,10 +53,6 @@ import (
 // disconnects (or a session statement timeout that fires) cancels the query
 // at the next row/batch boundary and releases its worker slots; the query
 // counts as cancelled, not errored, in /stats.
-//
-// A /stream request may set "shard_partial":true to execute in shard-local
-// partial-aggregate mode (see StreamOpts.Partial) — the layout the shard
-// router's scatter-merge gather consumes.
 func NewHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/session", func(w http.ResponseWriter, r *http.Request) { handleSession(svc, w, r) })
@@ -330,7 +326,7 @@ func handleStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if !found {
 		return
 	}
-	st, err := svc.QueryStream(traceContext(r), sess, req.Text(), StreamOpts{Partial: req.ShardPartial})
+	st, err := svc.QueryStream(traceContext(r), sess, req.Text(), StreamOpts{})
 	if err != nil {
 		fail(svc, w, wire.CodeBadRequest, err)
 		return

@@ -563,13 +563,6 @@ type Stream struct {
 
 // StreamOpts selects how QueryStream prepares and runs a statement.
 type StreamOpts struct {
-	// Partial runs in shard-local partial-aggregate mode: the plan's root
-	// GROUP BY emits mergeable partial states (avg decomposed into
-	// sum+count) instead of final values, in the canonical
-	// keys-then-partials column layout the shard router's gather merges.
-	// Only plans whose root is a projection over an all-mergeable GROUP BY
-	// qualify; anything else fails at prepare time.
-	Partial bool
 	// Analyze adds EXPLAIN ANALYZE instrumentation: once the stream ends,
 	// Stream.Rows.Analyze renders the per-operator plan tree. Rows are
 	// identical to an uninstrumented run.
@@ -635,7 +628,7 @@ func (s *Service) QueryStream(ctx context.Context, sess *Session, sql string, op
 		s.maybeLogSlow(traceID, sess, eng, sql, prep, hit, wait, elapsed, rowsReturned, qerr)
 	}
 
-	prep, hit, err = s.prepare(eng, sql, opts.Partial)
+	prep, hit, err = s.prepare(eng, sql)
 	if err != nil {
 		// Count with slots=1: the query never executed, so it must not
 		// inflate the parallel_queries stat no matter the session's budget.
@@ -671,7 +664,7 @@ func (s *Service) Explain(sess *Session, sql string) (string, error) {
 	defer s.ddl.RUnlock()
 
 	eng := sess.Engine()
-	prep, _, err := s.prepare(eng, sql, false)
+	prep, _, err := s.prepare(eng, sql)
 	if err != nil {
 		return "", err
 	}
@@ -689,7 +682,7 @@ type prepCall struct {
 // Concurrent misses on the same key are deduplicated: one session compiles
 // while the rest wait for its Prepared (reported as a cache hit — they did
 // not pay for planning). Callers hold the ddl read lock.
-func (s *Service) prepare(eng *engine.Engine, sql string, partial bool) (*engine.Prepared, bool, error) {
+func (s *Service) prepare(eng *engine.Engine, sql string) (*engine.Prepared, bool, error) {
 	key := CacheKey{
 		SQL:            NormalizeSQL(sql),
 		Mode:           eng.Mode,
@@ -697,7 +690,6 @@ func (s *Service) prepare(eng *engine.Engine, sql string, partial bool) (*engine
 		Vectorized:     eng.Profile.Vectorized,
 		Parallelism:    eng.Profile.Parallelism,
 		CatalogVersion: s.cat.Version(),
-		Partial:        partial,
 	}
 	if prep, ok := s.cache.Get(key); ok {
 		return prep, true, nil
@@ -719,11 +711,7 @@ func (s *Service) prepare(eng *engine.Engine, sql string, partial bool) (*engine
 	s.inflight[key] = c
 	s.prepMu.Unlock()
 
-	if partial {
-		c.prep, c.err = eng.PreparePartialAgg(sql)
-	} else {
-		c.prep, c.err = eng.Prepare(sql)
-	}
+	c.prep, c.err = eng.Prepare(sql)
 	if c.err == nil {
 		s.cache.Put(key, c.prep)
 	}

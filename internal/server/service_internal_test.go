@@ -135,7 +135,7 @@ func TestPrepareSingleflight(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		prep, hit, err := svc.prepare(eng, sql, false)
+		prep, hit, err := svc.prepare(eng, sql)
 		got <- result{prep, hit, err}
 	}()
 	select {
@@ -171,7 +171,7 @@ func TestPrepareSingleflight(t *testing.T) {
 
 	// A leader error propagates to followers and is not cached.
 	badSQL := "select a from no_such_table"
-	if _, _, err := svc.prepare(eng, badSQL, false); err == nil {
+	if _, _, err := svc.prepare(eng, badSQL); err == nil {
 		t.Fatal("expected prepare error for unknown table")
 	}
 	if _, ok := svc.cache.Get(CacheKey{SQL: NormalizeSQL(badSQL), Mode: eng.Mode,

@@ -33,10 +33,8 @@ type shardStream struct {
 }
 
 // stream opens the statement's cursor on shard i, in sess's session there.
-// partial selects shard-local partial-aggregate execution (the scatter-merge
-// leg).
-func (r *Router) stream(ctx context.Context, i int, sess *Session, sql string, partial bool) (*shardStream, error) {
-	cur, err := r.shards[i].Stream(ctx, wire.Statement{Session: sess.shardIDs[i], SQL: sql, ShardPartial: partial})
+func (r *Router) stream(ctx context.Context, i int, sess *Session, sql string) (*shardStream, error) {
+	cur, err := r.shards[i].Stream(ctx, wire.Statement{Session: sess.shardIDs[i], SQL: sql})
 	if err != nil {
 		return nil, unavailable(r.shards[i], err)
 	}

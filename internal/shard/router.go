@@ -214,21 +214,21 @@ func (r *Router) Query(ctx context.Context, sess *Session, sql string) (Rows, pl
 	case plan.ShardSingle:
 		r.stats.SingleShard.Add(1)
 		i := r.pick(info)
-		st, err := r.stream(ctx, i, sess, sql, false)
+		st, err := r.stream(ctx, i, sess, sql)
 		if err != nil {
 			return nil, info, err
 		}
 		return &concatRows{streams: []*shardStream{st}}, info, nil
 	case plan.ShardScatterConcat:
 		r.stats.ScatterConcat.Add(1)
-		streams, err := r.scatter(ctx, sess, sql, false)
+		streams, err := r.scatter(ctx, sess, sql)
 		if err != nil {
 			return nil, info, err
 		}
 		return &concatRows{streams: streams}, info, nil
 	default: // plan.ShardScatterMerge
 		r.stats.ScatterMerge.Add(1)
-		streams, err := r.scatter(ctx, sess, sql, true)
+		streams, err := r.scatter(ctx, sess, info.Merge.SQL)
 		if err != nil {
 			return nil, info, err
 		}
@@ -241,7 +241,7 @@ func (r *Router) Query(ctx context.Context, sess *Session, sql string) (Rows, pl
 }
 
 // scatter opens the query's cursor on every shard concurrently.
-func (r *Router) scatter(ctx context.Context, sess *Session, sql string, partial bool) ([]*shardStream, error) {
+func (r *Router) scatter(ctx context.Context, sess *Session, sql string) ([]*shardStream, error) {
 	streams := make([]*shardStream, len(r.shards))
 	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
@@ -249,7 +249,7 @@ func (r *Router) scatter(ctx context.Context, sess *Session, sql string, partial
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			streams[i], errs[i] = r.stream(ctx, i, sess, sql, partial)
+			streams[i], errs[i] = r.stream(ctx, i, sess, sql)
 		}(i)
 	}
 	wg.Wait()
@@ -284,8 +284,10 @@ func scatterError(shardIdx int, err error) error {
 	}
 }
 
-// Explain returns the router's routing decision plus the shard-local plan
-// (from the shard the statement would start on).
+// Explain returns the router's routing decision plus the plan of the
+// statement a shard runs (from the shard the statement would start on):
+// for a scatter-merge that is the partial-aggregate statement, printed
+// under the route line.
 func (r *Router) Explain(ctx context.Context, sess *Session, sql string) (string, error) {
 	info, err := r.Classify(sql)
 	if err != nil {
@@ -305,8 +307,12 @@ func (r *Router) Explain(ctx context.Context, sess *Session, sql string) (string
 		return b.String(), nil
 	}
 	i := 0
-	if info.Kind == plan.ShardSingle {
+	switch info.Kind {
+	case plan.ShardSingle:
 		i = r.pick(info)
+	case plan.ShardScatterMerge:
+		sql = info.Merge.SQL
+		fmt.Fprintf(&b, "partial statement:\n%s\n", sql)
 	}
 	var resp struct {
 		Explain string `json:"explain"`

@@ -6,7 +6,11 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -402,5 +406,111 @@ func TestRouterExecRejections(t *testing.T) {
 		if !strings.Contains(re.Message, tc.mentions) {
 			t.Errorf("%s: message %q does not mention %q", tc.name, re.Message, tc.mentions)
 		}
+	}
+}
+
+// TestRouterExplainScatterMerge checks that a scatter-merge EXPLAIN shows
+// what the shards run: the partial statement under the route line, and the
+// shard's plan of that statement rather than of the original text.
+func TestRouterExplainScatterMerge(t *testing.T) {
+	var explained atomic.Value // the statement shard 0 was asked to explain
+	c := startClusterWith(t, 2, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 0 && r.URL.Path == "/explain" {
+				var st wire.Statement
+				body, _ := io.ReadAll(r.Body)
+				_ = json.Unmarshal(body, &st)
+				explained.Store(st.SQL)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	ctx := context.Background()
+	sess, err := c.router.CreateSession(ctx, map[string]any{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.router.Exec(ctx, sess, "create table st (k int primary key, g int, v float) shard key (k);"); err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.router.Explain(ctx, sess, "select g, avg(v) from st group by g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	route, rest, _ := strings.Cut(out, "\n")
+	if !strings.HasPrefix(route, "route: scatter-merge") {
+		t.Fatalf("route line %q, want scatter-merge", route)
+	}
+	partial, _, ok := strings.Cut(rest, "shard 0 plan:")
+	if !ok {
+		t.Fatalf("no shard plan in:\n%s", out)
+	}
+	for _, want := range []string{"partial statement:", "sum(st.v) AS agg_1__psum", "count(st.v) AS agg_1__pcnt", "GROUP BY st.g"} {
+		if !strings.Contains(partial, want) {
+			t.Errorf("EXPLAIN lacks %q:\n%s", want, out)
+		}
+	}
+	if got, _ := explained.Load().(string); !strings.Contains(partial, got) || !strings.Contains(got, "agg_1__psum") {
+		t.Errorf("shard explained %q, not the partial statement:\n%s", got, out)
+	}
+}
+
+// TestRouterMergeOverNestedJoin checks a scatter-merge whose partial
+// statement wraps a join in a derived table: the left join exports li.pk
+// and pc.pk, and aggregates over pc's columns must read pc's, not li's.
+// Half the parts have no cost row, so the two differ.
+func TestRouterMergeOverNestedJoin(t *testing.T) {
+	const schema = `create table li (k int primary key, pk int, v float)%s;
+create table pc (pk int primary key, cost float);
+create table p (pk int primary key, name varchar);
+`
+	var data strings.Builder
+	for k := int64(1); k <= 24; k++ {
+		insertSQL(&data, "li", storage.Row{sqltypes.NewInt(k), sqltypes.NewInt(k%12 + 1), sqltypes.NewFloat(float64(k))})
+	}
+	for pk := int64(1); pk <= 12; pk++ {
+		if pk <= 6 {
+			insertSQL(&data, "pc", storage.Row{sqltypes.NewInt(pk), sqltypes.NewFloat(float64(pk) / 4)})
+		}
+		insertSQL(&data, "p", storage.Row{sqltypes.NewInt(pk), sqltypes.NewString([]string{"a", "b", "c"}[pk%3])})
+	}
+
+	c := startCluster(t, 3)
+	ctx := context.Background()
+	sess, err := c.router.CreateSession(ctx, map[string]any{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.router.Exec(ctx, sess, fmt.Sprintf(schema, " shard key (k)")+data.String()); err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.SYS1, engine.ModeRewrite)
+	if err := eng.ExecScript(fmt.Sprintf(schema, "") + data.String()); err != nil {
+		t.Fatal(err)
+	}
+	baseline := server.NewServiceFromEngine(eng, server.DefaultOptions())
+	baseSess := baseline.CreateSession(engine.SYS1, engine.ModeRewrite)
+
+	const from = " from li left outer join pc on li.pk = pc.pk join p on p.pk = li.pk"
+	queries := []string{
+		"select count(pc.pk), count(li.pk)" + from,
+		"select p.name, count(pc.pk), sum(pc.cost), avg(li.v)" + from + " group by p.name",
+		"select pc.pk, count(*)" + from + " group by pc.pk",
+		"select li.pk, pc.pk, count(*)" + from + " group by li.pk, pc.pk",
+	}
+	for _, sql := range queries {
+		got, err := routerRows(t, c, sess, sql)
+		if err != nil {
+			t.Errorf("%s: %v", sql, err)
+			continue
+		}
+		want := baselineRows(t, baseline, baseSess, sql)
+		if bench.CanonicalRows(got) != bench.CanonicalRows(want) {
+			t.Errorf("%s: router %v, single node %v", sql, got, want)
+		}
+	}
+	if snap := c.router.Snapshot(); snap.ScatterMerge != int64(len(queries)) {
+		t.Errorf("ScatterMerge = %d, want every statement merged", snap.ScatterMerge)
 	}
 }

@@ -17,8 +17,9 @@
 //   - scatter-concat: fan out over every shard's /stream cursor and
 //     concatenate the result streams (disjoint partitions, so the
 //     concatenation is the single-node multiset).
-//   - scatter-merge: fan out with shard_partial set, so shards suppress
-//     aggregate finalization, then merge per-group partials through the
+//   - scatter-merge: fan out the MergeSpec's partial-aggregate statement,
+//     which every shard runs as ordinary SQL (it cannot tell a scatter leg
+//     from any other SELECT), then merge per-group partials through the
 //     engine's own HashAgg and Project, which also re-apply the query's
 //     projection from the MergeSpec.
 //   - rejected: fail with a typed UNSHARDABLE wire error naming the

@@ -4,8 +4,9 @@
 // expressions.
 //
 // Name management: every derived table exports its columns under their bare
-// (unqualified) schema names, and the generator substitutes references in
-// enclosing clauses accordingly, so the emitted SQL is self-consistent.
+// (unqualified) schema names, suffixed where two columns share one, and the
+// generator substitutes references in enclosing clauses accordingly, so the
+// emitted SQL is self-consistent.
 package sqlgen
 
 import (
@@ -13,6 +14,7 @@ import (
 	"strings"
 
 	"udfdecorr/internal/algebra"
+	"udfdecorr/internal/sqltypes"
 )
 
 // Generate renders a relational tree as a SQL SELECT statement.
@@ -43,7 +45,7 @@ type orderKey struct {
 
 // query is a SQL SELECT under construction.
 type query struct {
-	selectList []string
+	selectList []selItem
 	distinct   bool
 	from       []string
 	where      []string
@@ -59,6 +61,10 @@ type query struct {
 	// layering further clauses onto this query must apply it.
 	renames renameMap
 }
+
+// selItem is one select-list entry: a rendered expression and its output
+// name.
+type selItem struct{ expr, as string }
 
 // SQL renders the query with the given indentation depth.
 func (q *query) SQL(depth int) string {
@@ -81,7 +87,12 @@ func (g *generator) render(q *query, depth int) (string, error) {
 	if len(q.selectList) == 0 {
 		b.WriteString("1")
 	} else {
-		b.WriteString(strings.Join(q.selectList, ", "))
+		for i, it := range q.selectList {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(it.expr + " AS " + it.as)
+		}
 	}
 	if len(q.from) > 0 {
 		b.WriteString("\n" + pad + "FROM " + strings.Join(q.from, "\n"+pad+"     "))
@@ -143,15 +154,29 @@ func subst(e algebra.Expr, m renameMap) algebra.Expr {
 	})
 }
 
-// exportRenames builds the substitution for wrapping rel under alias: its
-// schema columns become alias.name references.
-func exportRenames(rel algebra.Rel, alias string) renameMap {
+// export names the select lists of qs, which render rel, as the columns of
+// a derived table and returns the substitution for references into it under
+// alias. Columns keep their bare names, with a numeric suffix where an
+// earlier column took the name: a join exports l.partkey and pc.partkey,
+// and under one name the table's partkey would always read the first. A
+// reference resolves to the first column it matches, as on the engine.
+func export(rel algebra.Rel, alias string, qs ...*query) renameMap {
 	m := renameMap{}
-	for _, c := range rel.Schema() {
-		m[algebra.Ref{Qual: c.Qual, Name: c.Name}] = &algebra.ColRef{Qual: alias, Name: c.Name}
-		// Unqualified references to the same name also resolve here.
-		if c.Qual != "" {
-			m[algebra.Ref{Name: c.Name}] = &algebra.ColRef{Qual: alias, Name: c.Name}
+	used := map[string]bool{}
+	for i, c := range rel.Schema() {
+		name := c.Name
+		for n := 2; used[name]; n++ {
+			name = fmt.Sprintf("%s_%d", c.Name, n)
+		}
+		used[name] = true
+		for _, q := range qs {
+			q.selectList[i].as = name
+		}
+		ref := &algebra.ColRef{Qual: alias, Name: name}
+		for _, key := range []algebra.Ref{{Qual: c.Qual, Name: c.Name}, {Name: c.Name}} {
+			if _, ok := m[key]; !ok {
+				m[key] = ref
+			}
 		}
 	}
 	return m
@@ -161,7 +186,7 @@ func exportRenames(rel algebra.Rel, alias string) renameMap {
 // callers must apply to references into it.
 func (g *generator) wrap(q *query, rel algebra.Rel) (*query, renameMap) {
 	alias := g.freshAlias("t")
-	m := exportRenames(rel, alias)
+	m := export(rel, alias, q)
 	// ORDER BY does not survive inside a derived table; hoist pending keys
 	// to the wrapper with their references rewritten.
 	hoisted := q.orderBy
@@ -170,8 +195,8 @@ func (g *generator) wrap(q *query, rel algebra.Rel) (*query, renameMap) {
 	for _, k := range hoisted {
 		out.orderBy = append(out.orderBy, orderKey{e: subst(k.e, m), desc: k.desc})
 	}
-	for _, c := range rel.Schema() {
-		out.selectList = append(out.selectList, alias+"."+c.Name+" AS "+c.Name)
+	for i, c := range rel.Schema() {
+		out.selectList = append(out.selectList, selItem{alias + "." + q.selectList[i].as, c.Name})
 	}
 	return out, m
 }
@@ -189,12 +214,12 @@ func (g *generator) toQuery(rel algebra.Rel) (*query, error) {
 		}
 		q := &query{from: []string{src}, passthrough: true}
 		for _, c := range n.Cols {
-			q.selectList = append(q.selectList, c.String()+" AS "+c.Name)
+			q.selectList = append(q.selectList, selItem{c.String(), c.Name})
 		}
 		return q, nil
 
 	case *algebra.Single:
-		return &query{selectList: []string{"1 AS single_dummy"}, passthrough: true}, nil
+		return &query{selectList: []selItem{{"1", "single_dummy"}}, passthrough: true}, nil
 
 	case *algebra.Select:
 		q, err := g.toQuery(n.In)
@@ -235,7 +260,7 @@ func (g *generator) toQuery(rel algebra.Rel) (*query, error) {
 			if _, isRef := c.E.(*algebra.ColRef); !isRef {
 				pure = false
 			}
-			q.selectList = append(q.selectList, s+" AS "+c.As)
+			q.selectList = append(q.selectList, selItem{s, c.As})
 		}
 		q.distinct = n.Dedup
 		q.passthrough = pure && !n.Dedup
@@ -277,7 +302,7 @@ func (g *generator) toQuery(rel algebra.Rel) (*query, error) {
 			if err != nil {
 				return nil, err
 			}
-			q.selectList = append(q.selectList, ks+" AS "+k.Name)
+			q.selectList = append(q.selectList, selItem{ks, k.Name})
 			q.groupBy = append(q.groupBy, ks)
 		}
 		for _, a := range n.Aggs {
@@ -296,7 +321,7 @@ func (g *generator) toQuery(rel algebra.Rel) (*query, error) {
 			if a.Distinct {
 				inner = "DISTINCT " + inner
 			}
-			q.selectList = append(q.selectList, fmt.Sprintf("%s(%s) AS %s", a.Func, inner, a.As))
+			q.selectList = append(q.selectList, selItem{a.Func + "(" + inner + ")", a.As})
 		}
 		q.passthrough = false
 		return q, nil
@@ -311,10 +336,11 @@ func (g *generator) toQuery(rel algebra.Rel) (*query, error) {
 			return nil, err
 		}
 		alias := g.freshAlias("u")
+		export(n, alias, lq, rq)
 		src := "(" + lq.SQL(1) + "\n UNION ALL\n" + rq.SQL(1) + ") " + alias
 		q := &query{from: []string{src}, passthrough: true}
-		for _, c := range n.Schema() {
-			q.selectList = append(q.selectList, alias+"."+c.Name+" AS "+c.Name)
+		for i, c := range n.Schema() {
+			q.selectList = append(q.selectList, selItem{alias + "." + lq.selectList[i].as, c.Name})
 		}
 		return q, nil
 
@@ -358,7 +384,7 @@ func (g *generator) toQuery(rel algebra.Rel) (*query, error) {
 		}
 		q := &query{from: []string{n.Name + "(" + strings.Join(args, ", ") + ")" + alias}, passthrough: true}
 		for _, c := range n.Cols {
-			q.selectList = append(q.selectList, c.String()+" AS "+c.Name)
+			q.selectList = append(q.selectList, selItem{c.String(), c.Name})
 		}
 		return q, nil
 
@@ -383,7 +409,8 @@ func (g *generator) source(rel algebra.Rel) (string, renameMap, error) {
 			return "", nil, err
 		}
 		alias := g.freshAlias("d")
-		return "(" + q.SQL(1) + ") " + alias, exportRenames(rel, alias), nil
+		m := export(rel, alias, q)
+		return "(" + q.SQL(1) + ") " + alias, m, nil
 	}
 }
 
@@ -405,7 +432,7 @@ func (g *generator) joinQuery(n *algebra.Join) (*query, error) {
 			if err != nil {
 				return err
 			}
-			q.selectList = append(q.selectList, s+" AS "+c.Name)
+			q.selectList = append(q.selectList, selItem{s, c.Name})
 		}
 		return nil
 	}
@@ -492,7 +519,7 @@ func (g *generator) expr(e algebra.Expr) (string, error) {
 	case *algebra.ParamRef:
 		return ":" + x.Name, nil
 	case *algebra.Const:
-		return x.Val.String(), nil
+		return literal(x.Val), nil
 	case *algebra.Arith:
 		return g.binary(x.L, x.Op.String(), x.R)
 	case *algebra.Cmp:
@@ -565,6 +592,18 @@ func (g *generator) expr(e algebra.Expr) (string, error) {
 		return neg + "EXISTS (\n" + q.SQL(1) + "\n)", nil
 	}
 	return "", fmt.Errorf("sqlgen: unsupported expression %T", e)
+}
+
+// literal renders a constant so that it parses back to the same kind: a
+// FLOAT whose shortest form reads as an integer (100000) gets a ".0", or
+// the re-parsed statement would compute with an INT. (Infinities and NaN
+// have no literal form either way.)
+func literal(v sqltypes.Value) string {
+	s := v.String()
+	if v.Kind() == sqltypes.KindFloat && !strings.ContainsAny(s, ".eEIN") {
+		s += ".0"
+	}
+	return s
 }
 
 func (g *generator) binary(l algebra.Expr, op string, r algebra.Expr) (string, error) {

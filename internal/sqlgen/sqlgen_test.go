@@ -150,3 +150,57 @@ func TestGenerateUnionAll(t *testing.T) {
 		t.Errorf("missing UNION ALL:\n%s", sql)
 	}
 }
+
+// TestGenerateFloatLiteralKeepsKind checks that a FLOAT constant with an
+// integral value re-parses as a FLOAT: qty / 2.0 must not become the
+// integer division qty / 2.
+func TestGenerateFloatLiteralKeepsKind(t *testing.T) {
+	rel := &algebra.Project{
+		Cols: []algebra.ProjCol{
+			{E: &algebra.Arith{Op: sqltypes.OpDiv,
+				L: &algebra.ColRef{Qual: "l", Name: "qty"},
+				R: &algebra.Const{Val: sqltypes.NewFloat(2)}}, As: "half"},
+			{E: &algebra.Const{Val: sqltypes.NewFloat(3e6)}, As: "big"},
+			{E: &algebra.Const{Val: sqltypes.NewInt(2)}, As: "two"},
+		},
+		In: scan("lineitem", "l", "qty"),
+	}
+	sql, err := Generate(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"(l.qty / 2.0) AS half", "3e+06 AS big", "2 AS two"} {
+		if !strings.Contains(sql, want) {
+			t.Errorf("missing %q in:\n%s", want, sql)
+		}
+	}
+}
+
+// TestGenerateDerivedTableNamesUnique checks that a derived table gives
+// columns sharing a bare name distinct names, skipping names already taken,
+// and that references from outside read the right one.
+func TestGenerateDerivedTableNamesUnique(t *testing.T) {
+	inner := &algebra.Join{Kind: algebra.LeftOuterJoin,
+		L: scan("lineitem", "l", "partkey", "partkey_2"),
+		R: scan("partcost", "pc", "partkey"),
+		Cond: &algebra.Cmp{Op: sqltypes.CmpEQ,
+			L: &algebra.ColRef{Qual: "l", Name: "partkey"},
+			R: &algebra.ColRef{Qual: "pc", Name: "partkey"}}}
+	rel := &algebra.Project{
+		Cols: []algebra.ProjCol{{E: &algebra.ColRef{Qual: "pc", Name: "partkey"}, As: "cost_key"}},
+		In: &algebra.Join{Kind: algebra.InnerJoin, L: inner, R: scan("part", "p", "partkey"),
+			Cond: &algebra.Cmp{Op: sqltypes.CmpEQ,
+				L: &algebra.ColRef{Qual: "p", Name: "partkey"},
+				R: &algebra.ColRef{Qual: "l", Name: "partkey"}}},
+	}
+	sql, err := Generate(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"l.partkey AS partkey,", "l.partkey_2 AS partkey_2,", "pc.partkey AS partkey_3",
+		"d_1.partkey_3 AS cost_key", "(p.partkey = d_1.partkey)"} {
+		if !strings.Contains(sql, want) {
+			t.Errorf("missing %q in:\n%s", want, sql)
+		}
+	}
+}

@@ -217,9 +217,6 @@ type Statement struct {
 	Session string `json:"session"`
 	SQL     string `json:"sql,omitempty"`
 	Script  string `json:"script,omitempty"`
-	// ShardPartial selects shard-local partial-aggregate execution
-	// (/stream only; the shard router sets it on scatter-merge legs).
-	ShardPartial bool `json:"shard_partial,omitempty"`
 }
 
 // Text returns whichever of sql/script the client set.
